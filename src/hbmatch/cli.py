@@ -145,6 +145,7 @@ def format_result(result: SolveResult, epsilon: Fraction) -> str:
 
 
 def parse_result(text: str) -> dict:
+    """Parse a result document into its key: value fields; each key once."""
     doc: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -153,7 +154,10 @@ def parse_result(text: str) -> dict:
         if ":" not in line:
             raise ParseError(lineno, "expected 'key: value'")
         key, _, value = line.partition(":")
-        doc[key.strip()] = value.strip()
+        key = key.strip()
+        if key in doc:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        doc[key] = value.strip()
     if "status" not in doc:
         raise ParseError(0, "result document missing status")
     return doc
@@ -269,6 +273,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(str(v), file=sys.stderr)
             return EXIT_ERROR
     elif status == "witness":
+        if "epsilon" not in doc:
+            raise ParseError(0, "witness document missing epsilon")
         epsilon = parse_rational(doc["epsilon"])
         cert = WitnessCertificate.build(
             h.r,
@@ -344,8 +350,15 @@ def _parse_seed_range(text: str) -> list[int]:
     return [int(f) for f in text.split(",")]
 
 
-def _parse_spec_line(line: str) -> GeneratorSpec:
-    kv = dict(f.split("=", 1) for f in line.split())
+def _parse_spec_line(lineno: int, line: str) -> GeneratorSpec:
+    fields = line.split()
+    for f in fields:
+        if "=" not in f:
+            raise ParseError(lineno, f"expected key=value, got {f!r}")
+    kv = dict(f.split("=", 1) for f in fields)
+    for key in ("mode", "na", "nb"):
+        if key not in kv:
+            raise ParseError(lineno, f"spec line lacks {key}=")
     return GeneratorSpec(
         mode=kv["mode"],
         r=int(kv.get("r", 3)),
@@ -361,8 +374,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Solve a seeded batch; one stats row per (spec, seed), ordered."""
     epsilon = parse_rational(args.epsilon)
     specs = [
-        _parse_spec_line(line)
-        for line in Path(args.spec_file).read_text().splitlines()
+        _parse_spec_line(lineno, line)
+        for lineno, line in enumerate(Path(args.spec_file).read_text().splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
     seeds = _parse_seed_range(args.seeds)

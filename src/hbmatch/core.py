@@ -56,14 +56,17 @@ class MatchingError(ValueError):
 
 
 class BipartiteHypergraph:
-    """An r-uniform bipartite hypergraph with incidence indices.
+    """An r-uniform bipartite hypergraph with its A-side incidence index.
 
-    The structure is immutable after construction.  Construction accepts
-    arbitrary (a, bs) pairs so that malformed input can be inspected by
-    :func:`validate_instance`; B-vertex lists are stored sorted.
+    The structure is immutable after construction.  `a_edges[a]` lists
+    the ids of the edges at A-vertex `a` in edge-id order; no B-side
+    index is kept.  Construction accepts arbitrary (a, bs) pairs so that
+    malformed input can be inspected by :func:`validate_instance`;
+    B-vertex lists are stored sorted, and an edge whose A-vertex is out
+    of range is left out of the index.
     """
 
-    __slots__ = ("r", "a_count", "b_count", "edges", "a_edges", "b_edges", "_b_sets")
+    __slots__ = ("r", "a_count", "b_count", "edges", "a_edges", "_b_sets")
 
     def __init__(
         self,
@@ -77,16 +80,12 @@ class BipartiteHypergraph:
         self.b_count = b_count
         self.edges: list[Edge] = []
         self.a_edges: list[list[int]] = [[] for _ in range(a_count)]
-        self.b_edges: list[list[int]] = [[] for _ in range(b_count)]
         self._b_sets: tuple[frozenset[int], ...] | None = None
         for a, bs in edges:
             e = Edge(len(self.edges), a, tuple(sorted(bs)))
             self.edges.append(e)
             if 0 <= a < a_count:
                 self.a_edges[a].append(e.id)
-            for b in dict.fromkeys(e.bs):
-                if 0 <= b < b_count:
-                    self.b_edges[b].append(e.id)
 
     @property
     def m(self) -> int:
@@ -116,8 +115,9 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
     Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
-    DUPLICATE_EDGE.  Incidence indices are recomputed from scratch and
-    compared against the stored ones.
+    DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
+    from the immutable edge list at construction, so once every A-vertex
+    is in range it lists every edge.
     """
     if h.r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={h.r} must be >= 2")
@@ -140,14 +140,6 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
         if key in seen:
             return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}")
         seen.add(key)
-    a_index: list[list[int]] = [[] for _ in range(h.a_count)]
-    b_index: list[list[int]] = [[] for _ in range(h.b_count)]
-    for e in h.edges:
-        a_index[e.a].append(e.id)
-        for b in e.bs:
-            b_index[b].append(e.id)
-    if a_index != h.a_edges or b_index != h.b_edges:
-        return Violation("INDEX_INCONSISTENT", "incidence index does not match edges")
     return None
 
 
@@ -241,7 +233,7 @@ def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, e: Edge |
     """True iff `e` has no blocking edges under `m`."""
     if isinstance(e, int):
         e = h.edges[e]
-    return not any(b in m.b_of for b in e.bs)
+    return m.b_of.keys().isdisjoint(e.bs)
 
 
 def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> PartialMatching:

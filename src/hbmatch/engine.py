@@ -16,8 +16,10 @@ strengthened matching-existence condition must be violated, and the run
 extracts an explicit violating set with a hitting-set certificate
 instead of a matching.
 
-All threshold comparisons (mu |X|, (1+mu)|X|, delta |Y|) are exact
-rational arithmetic; several sit exactly on integer boundaries.
+All threshold comparisons (mu |X|, (1+mu)|X|, delta |Y|) are exact:
+:class:`Parameters` compares integer cross-products of the counts with
+the numerators and denominators of mu and delta, since several
+thresholds sit exactly on integer boundaries.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ class AugmentRun:
         """
         if y_total_before < self.params.small_tree_threshold:
             return x_new >= 1
-        return Fraction(x_new) > self.params.delta * y_total_before
+        return self.params.exceeds_delta(x_new, y_total_before)
 
     def collapse_phase(self) -> bool:
         """Collapse the last layer while it stays collapsible.
@@ -227,7 +229,7 @@ class AugmentRun:
         addable = sum(
             1 for eid in x if is_immediately_addable(self.h, self.m, eid)
         )
-        return addable > self.params.mu * len(x)
+        return self.params.exceeds_mu(addable, len(x))
 
     def collapse_layer(self) -> bool:
         """One collapse of the last layer; True when the root got matched.
@@ -239,10 +241,10 @@ class AugmentRun:
         """
         tree = self.tree
         level = tree.level()
-        layer = tree.layers[-1]
+        x_by_a = x_by_a_vertex(self.h, tree.layers[-1].x)
         if level == 1:
             root = tree.root
-            eid = self._least_addable_for(layer.x, root)
+            eid = self._least_addable_for(x_by_a, root)
             assert eid is not None, "collapsible first layer must offer the root an edge"
             self.m.add(self.h, eid)
             tree.discard_last()
@@ -252,7 +254,7 @@ class AugmentRun:
         swaps_here = 0
         for f in sorted(below.y):
             a = self.h.edges[f].a
-            eid = self._least_addable_for(layer.x, a)
+            eid = self._least_addable_for(x_by_a, a)
             if eid is None:
                 continue
             swap(self.h, self.m, f, eid)
@@ -268,10 +270,10 @@ class AugmentRun:
         self.superposed_build()
         return False
 
-    def _least_addable_for(self, x: set[int], a: int) -> int | None:
-        for eid in sorted(x):
-            e = self.h.edges[eid]
-            if e.a == a and is_immediately_addable(self.h, self.m, e):
+    def _least_addable_for(self, x_by_a: dict[int, list[int]], a: int) -> int | None:
+        """Least X-edge of `a` that is immediately addable under the live M."""
+        for eid in x_by_a.get(a, ()):
+            if is_immediately_addable(self.h, self.m, eid):
                 return eid
         return None
 
@@ -296,7 +298,7 @@ class AugmentRun:
         )
         self.stats.build_ops += 1
         x_before = len(layer.x)
-        committed = Fraction(len(x2)) >= (1 + self.params.mu) * x_before
+        committed = self.params.reaches_one_plus_mu(len(x2), x_before)
         if committed:
             tree.commit_rebuild(x2, y2)
         self._emit(
@@ -425,11 +427,11 @@ class AugmentRun:
                 raise InvariantViolation(
                     "COLLAPSIBLE_AT_BOUNDARY", f"layer {idx} is collapsible"
                 )
-            if Fraction(len(layer.y)) < (1 - self.params.mu) * len(layer.x):
+            if self.params.exceeds_mu(len(layer.x) - len(layer.y), len(layer.x)):
                 raise InvariantViolation(
                     "BLOCKER_RATIO", f"layer {idx}: |Y|={len(layer.y)} |X|={len(layer.x)}"
                 )
-            if Fraction(len(layer.x)) <= self.params.delta * y_below:
+            if not self.params.exceeds_delta(len(layer.x), y_below):
                 raise InvariantViolation(
                     "LAYER_GROWTH", f"layer {idx}: |X|={len(layer.x)} vs {y_below} below"
                 )
@@ -437,7 +439,7 @@ class AugmentRun:
         for i in range(1, tree.level() + 1):
             layer = tree.layers[i - 1]
             x2, _ = self._prefix_rebuild(i)
-            if Fraction(len(x2)) >= (1 + self.params.mu) * len(layer.x):
+            if self.params.reaches_one_plus_mu(len(x2), len(layer.x)):
                 raise InvariantViolation(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",
                     f"layer {i}: rebuild reaches {len(x2)} from {len(layer.x)}",
@@ -458,6 +460,14 @@ class AugmentRun:
             raise InvariantViolation(
                 "MATCHED_SET_CHANGED", "run did not add exactly the root"
             )
+
+
+def x_by_a_vertex(h: BipartiteHypergraph, x: set[int]) -> dict[int, list[int]]:
+    """A layer's X-edges grouped by A-vertex, each group in edge-id order."""
+    out: dict[int, list[int]] = {}
+    for eid in sorted(x):
+        out.setdefault(h.edges[eid].a, []).append(eid)
+    return out
 
 
 def tree_signature(tree: AlternatingTree, params: Parameters) -> SignatureVector:

@@ -77,6 +77,24 @@ class Parameters:
             max_iterations=max_iterations,
         )
 
+    # Exact threshold tests on counts.  Each compares integer
+    # cross-products with the numerator and denominator of mu or delta
+    # (denominators are positive), which decides the boundary cases such
+    # as 91 >= (1+1/90)*90 exactly without building Fractions.
+
+    def exceeds_mu(self, k: int, n: int) -> bool:
+        """k > mu*n: the collapse test, k addable edges of n."""
+        return k * self.mu.denominator > self.mu.numerator * n
+
+    def reaches_one_plus_mu(self, new: int, old: int) -> bool:
+        """new >= (1+mu)*old: the superposed-rebuild commit test."""
+        d = self.mu.denominator
+        return new * d >= (d + self.mu.numerator) * old
+
+    def exceeds_delta(self, x: int, y: int) -> bool:
+        """x > delta*y: the layer-growth test past the small-tree threshold."""
+        return x * self.delta.denominator > self.delta.numerator * y
+
     def iteration_cap(self, n: int) -> int:
         """Generous polynomial cap; reaching it signals a bug, not input."""
         if self.max_iterations is not None:

@@ -12,7 +12,8 @@ balanced across A-vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
     BipartiteHypergraph,
@@ -85,8 +86,9 @@ class AlternatingTree:
             return {self.root}
         return {self.h.edges[f].a for f in self.layers[i - 2].y}
 
-    def occupied_b(self) -> set[int]:
-        return set(self._b_occ)
+    def occupied_b(self) -> Mapping[int, int]:
+        """Live B-vertex occupancy counters of the tree; callers only read it."""
+        return self._b_occ
 
     def a_vertices(self) -> set[int]:
         """Root plus the A-vertices of every blocking edge in the tree."""
@@ -95,27 +97,33 @@ class AlternatingTree:
             out.update(self.h.edges[f].a for f in layer.y)
         return out
 
-    def _track(self, edge_id: int, delta: int) -> None:
-        e = self.h.edges[edge_id]
-        self._deg[e.a] = self._deg.get(e.a, 0) + delta
-        if self._deg[e.a] == 0:
-            del self._deg[e.a]
-        for b in e.bs:
-            self._b_occ[b] = self._b_occ.get(b, 0) + delta
-            if self._b_occ[b] == 0:
-                del self._b_occ[b]
+    def _count(self, edge_ids: Iterable[int], delta: int) -> None:
+        """Add `delta` to the degree and B-occupancy counters of each edge."""
+        edges, deg, occ = self.h.edges, self._deg, self._b_occ
+        for eid in edge_ids:
+            e = edges[eid]
+            a = e.a
+            c = deg.get(a, 0) + delta
+            if c:
+                deg[a] = c
+            else:
+                del deg[a]
+            for b in e.bs:
+                c = occ.get(b, 0) + delta
+                if c:
+                    occ[b] = c
+                else:
+                    del occ[b]
 
     def append_layer(self, x: Iterable[int], y: Iterable[int]) -> Layer:
         layer = Layer(set(x), set(y))
-        for eid in layer.x | layer.y:
-            self._track(eid, +1)
+        self._count(chain(layer.x, layer.y), +1)
         self.layers.append(layer)
         return layer
 
     def discard_last(self) -> None:
         layer = self.layers.pop()
-        for eid in layer.x | layer.y:
-            self._track(eid, -1)
+        self._count(chain(layer.x, layer.y), -1)
 
     def remove_y_edge(self, i: int, edge_id: int) -> None:
         """Drop a blocking edge from layer i after it was swapped out of M."""
@@ -123,15 +131,14 @@ class AlternatingTree:
         if edge_id not in layer.y:
             raise ValueError(f"edge {edge_id} not in Y of layer {i}")
         layer.y.discard(edge_id)
-        self._track(edge_id, -1)
+        self._count((edge_id,), -1)
 
     def commit_rebuild(self, new_x: set[int], new_y: set[int]) -> None:
         """Replace the last layer by a superset produced by a rebuild."""
         layer = self.layers[-1]
         if not (new_x >= layer.x and new_y >= layer.y):
             raise ValueError("rebuild must extend the existing layer")
-        for eid in (new_x - layer.x) | (new_y - layer.y):
-            self._track(eid, +1)
+        self._count(chain(new_x - layer.x, new_y - layer.y), +1)
         layer.x = set(new_x)
         layer.y = set(new_y)
 
@@ -176,7 +183,7 @@ def find_addable_edge(
 def build_layer(
     h: BipartiteHypergraph,
     m: PartialMatching,
-    occupied_b: set[int],
+    occupied_b: AbstractSet[int] | Mapping[int, int],
     parent_a_set: Iterable[int],
     u_bound: int,
     x0: Iterable[int] = (),
@@ -185,65 +192,53 @@ def build_layer(
     """Grow a layer from (x0, y0) until no addable edge remains.
 
     Repeatedly takes the least addable (a, edge) pair, adds the edge to
-    X and its blockers under `m` to Y, and extends the working occupancy
-    with all their B-vertices.  Neither `m` nor the caller's sets are
-    modified; committing the result is the caller's decision.
+    X and its blockers under `m` to Y, and treats all their B-vertices
+    as occupied from then on.  `occupied_b` is the occupancy to avoid:
+    a set of B-vertices, or a mapping keyed by B-vertex such as the
+    tree's live counters (:meth:`AlternatingTree.occupied_b`).  It is
+    only read; B-vertices the build adds are kept in a local set.
+    Neither `m` nor the caller's collections are modified; committing
+    the result is the caller's decision.
 
-    Per-vertex cursors make each incident edge list a single pass: once
-    an edge is rejected its B-vertices stay occupied for the rest of the
-    build, so rejections are permanent.  The selection order is
-    identical to iterating :func:`find_addable_edge`.
+    Occupancy only grows during a build and taking an edge for one
+    parent never frees another, so each parent, in vertex order, takes
+    edges from its incidence list in one pass until it reaches
+    `u_bound` or runs out, and is never revisited.  The selection order
+    is identical to iterating :func:`find_addable_edge`.
     """
+    edges, matched, b_of = h.edges, m.edge_ids, m.b_of
+    occ = occupied_b.keys() if isinstance(occupied_b, Mapping) else occupied_b
     x = set(x0)
     y = set(y0)
-    work_occ = set(occupied_b)
-    for eid in x | y:
-        work_occ.update(h.edges[eid].bs)
+    new_b: set[int] = set()
+    for eid in chain(x, y):
+        new_b.update(edges[eid].bs)
     x_counts: dict[int, int] = {}
     for eid in x:
-        a = h.edges[eid].a
+        a = edges[eid].a
         x_counts[a] = x_counts.get(a, 0) + 1
 
-    parents = sorted(set(parent_a_set))
-    cursor = dict.fromkeys(parents, 0)
-    done: set[int] = set()
-
-    while True:
-        pick: tuple[int, int] | None = None
-        for a in parents:
-            if a in done:
+    for a in sorted(set(parent_a_set)):
+        room = u_bound - x_counts.get(a, 0)
+        if room <= 0:
+            continue
+        for eid in h.a_edges[a]:
+            if eid in matched:
                 continue
-            if x_counts.get(a, 0) >= u_bound:
-                done.add(a)
+            bs = edges[eid].bs
+            if not (occ.isdisjoint(bs) and new_b.isdisjoint(bs)):
                 continue
-            inc = h.a_edges[a]
-            i = cursor[a]
-            while i < len(inc):
-                if inc[i] in m.edge_ids:
-                    i += 1
-                    continue
-                e = h.edges[inc[i]]
-                if any(b in work_occ for b in e.bs):
-                    i += 1
-                    continue
+            x.add(eid)
+            new_b.update(bs)
+            for b in bs:
+                f = b_of.get(b)
+                if f is not None and f not in y:
+                    y.add(f)
+                    new_b.update(edges[f].bs)
+            room -= 1
+            if room == 0:
                 break
-            cursor[a] = i
-            if i >= len(inc):
-                done.add(a)
-                continue
-            pick = (a, inc[i])
-            break
-        if pick is None:
-            return x, y
-        a, eid = pick
-        e = h.edges[eid]
-        x.add(eid)
-        x_counts[a] = x_counts.get(a, 0) + 1
-        work_occ.update(e.bs)
-        for f in blocking_edges(h, m, e):
-            if f not in y:
-                y.add(f)
-                work_occ.update(h.edges[f].bs)
+    return x, y
 
 
 def validate_tree(

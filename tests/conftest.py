@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from hbmatch import BipartiteHypergraph, PartialMatching, from_bipartite_graph
+from hbmatch import (
+    BipartiteHypergraph,
+    GeneratorSpec,
+    PartialMatching,
+    SplitMix64,
+    from_bipartite_graph,
+    generate,
+)
 
 
 def make_h(r, a_count, b_count, edges) -> BipartiteHypergraph:
@@ -37,6 +44,21 @@ def superposed_commit_instance() -> BipartiteHypergraph:
         (2, (4, 6)),
         (2, (1, 7)),
     ])
+
+
+def shuffled_planted(seed: int, na: int, r: int = 3) -> BipartiteHypergraph:
+    """Planted instance with its edge list shuffled by splitmix64.
+
+    The planted edge stops being each vertex's first choice, so the
+    solver grows multi-layer trees with swaps and lazy rebuilds.
+    """
+    h = generate(GeneratorSpec(
+        mode="planted", r=r, a_count=na, b_count=(r - 1) * na + na,
+        extra_edges=2 * na, seed=seed,
+    ))
+    edges = [(e.a, e.bs) for e in h.edges]
+    SplitMix64(seed ^ 0x5EED).shuffle(edges)
+    return BipartiteHypergraph(h.r, h.a_count, h.b_count, edges)
 
 
 @st.composite

@@ -63,6 +63,13 @@ class TestParseInstance:
         assert serialize_instance(parse_instance(text)) == text
 
 
+class TestParseResult:
+    def test_duplicate_key_rejected_with_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_result("status: witness\nepsilon: 1\nstatus: perfect_matching\n")
+        assert exc.value.line == 3
+
+
 class TestTraceChecker:
     def test_accepts_decreasing_signatures(self):
         lines = [
@@ -233,3 +240,30 @@ class TestCommands:
         assert all("status=" in r and "millis=" in r for r in rows)
         seeds = [int(r.split("seed=")[1].split()[0]) for r in rows]
         assert seeds == sorted(seeds)
+
+    def test_bench_spec_line_missing_key_is_parse_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "specs.txt"
+        spec_file.write_text("# header\nmode=planted nb=10\n")
+        assert main(["bench", "--spec-file", str(spec_file), "--seeds", "0:1"]) == 1
+        assert "PARSE_ERROR: line 2: spec line lacks na=" in capsys.readouterr().err
+        spec_file.write_text("mode=planted na=5 nb=12 extra\n")
+        assert main(["bench", "--spec-file", str(spec_file), "--seeds", "0:1"]) == 1
+        assert "PARSE_ERROR: line 1: expected key=value" in capsys.readouterr().err
+
+    def test_verify_witness_without_epsilon_is_parse_error(self, tmp_path, capsys):
+        h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
+        inst = self.write_instance(tmp_path, h)
+        res = tmp_path / "no-eps.txt"
+        res.write_text("status: witness\nS: 0 1\nhitting_set: 0\n")
+        assert main(["verify", "--instance", inst, "--result", str(res)]) == 1
+        assert "PARSE_ERROR" in capsys.readouterr().err
+
+    def test_verify_rejects_duplicate_status(self, tmp_path, capsys):
+        inst = self.write_instance(tmp_path, superposed_commit_instance())
+        out = tmp_path / "res.txt"
+        assert main(["solve", "--input", inst, "--epsilon", "1", "--output", str(out)]) == 0
+        assert main(["verify", "--instance", inst, "--result", str(out)]) == 0
+        # the later status line must not silently override the first
+        out.write_text("status: witness\n" + out.read_text())
+        assert main(["verify", "--instance", inst, "--result", str(out)]) == 1
+        assert "line 2: duplicate key 'status'" in capsys.readouterr().err

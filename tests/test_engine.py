@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,13 @@ from hbmatch import (
     verify_matching,
     verify_witness,
 )
-from hbmatch.engine import InternalSolverError
+from hbmatch.engine import InternalSolverError, x_by_a_vertex
 
 from .conftest import (
     hypergraphs_with_matching,
     make_h,
     shift_chain,
+    shuffled_planted,
     superposed_commit_instance,
 )
 
@@ -91,6 +93,35 @@ class TestSuperposedCommitThreshold:
         p = params(3, 1)
         assert Fraction(91) >= (1 + p.mu) * 90
         assert not Fraction(90) >= (1 + p.mu) * 90
+
+    def test_integer_thresholds_agree_with_fractions(self):
+        # reference: the exact Fraction expressions of mu, 1+mu and delta,
+        # on counts around each threshold and on its exact multiples
+        def near(q, n):
+            t = math.floor(q * n)
+            return {-1, 0, t - 1, t, t + 1, t + 2, n}
+
+        cases = [params(r, eps) for r in (2, 3, 4) for eps in (1, "1/2", "2/3", 3)]
+        cases += [params(3, 1, mu_override=mu) for mu in ("1/6", "1/8", "2/7", "5/9")]
+        boundaries = 0
+        for p in cases:
+            for q in (p.mu, p.delta):
+                d = q.denominator
+                ns = set(range(40)) | {j * d + e for j in (1, 2, 3) for e in (-1, 0, 1)}
+                for n in sorted(ns):
+                    for k in near(q, n) | near(1 + q, n):
+                        assert p.exceeds_mu(k, n) == (k > p.mu * n)
+                        assert p.reaches_one_plus_mu(k, n) == (Fraction(k) >= (1 + p.mu) * n)
+                        assert p.exceeds_delta(k, n) == (k > p.delta * n)
+                        # the debug-mode blocker-ratio test |Y| < (1-mu)|X|
+                        assert p.exceeds_mu(n - k, n) == (Fraction(k) < (1 - p.mu) * n)
+                        boundaries += (k == p.mu * n) + (k == (1 + p.mu) * n)
+                        boundaries += k == p.delta * n
+        assert boundaries > 100
+        p = params(3, 1)
+        assert p.reaches_one_plus_mu(91, 90) and not p.reaches_one_plus_mu(90, 90)
+        assert not p.exceeds_mu(1, 90) and p.exceeds_mu(2, 90)
+        assert not p.exceeds_delta(1, 45) and p.exceeds_delta(2, 45)
 
     def test_commit_fires_end_to_end(self):
         h = superposed_commit_instance()
@@ -164,6 +195,34 @@ class TestAugment:
         assert exc.value.code == "ITERATION_CAP_EXCEEDED"
 
 
+class TestCollapseIndex:
+    @given(hm=hypergraphs_with_matching(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_per_a_index_picks_what_scanning_all_of_x_picks(self, hm, data):
+        h, m = hm
+        root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
+        if root is None:
+            return
+        run = AugmentRun(h, m, root, params(h.r, 1))
+        x = data.draw(st.sets(st.integers(0, h.m - 1))) if h.m else set()
+
+        def scan_all_of_x(a):
+            # reference: the least addable X-edge of a, sorting all of X
+            for eid in sorted(x):
+                e = h.edges[eid]
+                if e.a == a and not any(b in m.b_of for b in e.bs):
+                    return eid
+            return None
+
+        x_by_a = x_by_a_vertex(h, x)
+        for _ in range(2):
+            for a in range(h.a_count):
+                assert run._least_addable_for(x_by_a, a) == scan_all_of_x(a)
+            # the index is built once per collapse while swaps change M
+            if m.edge_ids:
+                m.remove(h, min(m.edge_ids))
+
+
 class TestCollapseSwapStepwise:
     def test_r3_two_layer_collapse_swaps_blocker(self):
         # L_1 = ({(a0;b0,b1)}, {f=(a1;b1,b4)}), L_2 = ({e=(a1;b2,b3)}, {});
@@ -219,6 +278,21 @@ class TestDeepCascade:
         assert {"layer": 2, "swaps": 1, "root_matched": 0} in collapses
         assert res.status == "perfect_matching"
         assert sorted(res.matching.edge_ids) == [1, 2]
+
+
+class TestDebugInvariantsOnDeepTrees:
+    def test_shuffled_planted_multi_layer(self):
+        # validate_tree re-counts the tree's counters from scratch at every
+        # iteration boundary (COUNTER_MISMATCH), here on trees of 4-12 layers
+        for seed in range(6):
+            h = shuffled_planted(seed, 60)
+            res = find_perfect_matching(h, 1, debug_invariants=True)
+            assert res.stats.max_layers >= 3
+            assert res.stats == find_perfect_matching(h, 1).stats
+            if res.witness is not None:
+                assert verify_witness(h, res.witness) is None
+            else:
+                assert verify_matching(h, res.matching, require_perfect=True) is None
 
 
 class TestFindPerfectMatching:

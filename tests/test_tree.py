@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbmatch import (
     AlternatingTree,
     PartialMatching,
+    blocking_edges,
     build_layer,
     find_addable_edge,
     tree_degree,
@@ -15,6 +17,40 @@ from .conftest import hypergraphs_with_matching, make_h
 
 def fresh_tree(h, m, root=0, u_bound=10):
     return AlternatingTree(h, m, root, u_bound)
+
+
+def iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0=(), y0=()):
+    """Reference layer build: take find_addable_edge's pick until none is left."""
+    x, y = set(x0), set(y0)
+    counts = {}
+    for eid in x:
+        counts[h.edges[eid].a] = counts.get(h.edges[eid].a, 0) + 1
+    while True:
+        occ = set(occupied)
+        for eid in x | y:
+            occ.update(h.edges[eid].bs)
+        pick = find_addable_edge(h, occ, parents, counts, u_bound, m=m)
+        if pick is None:
+            return x, y
+        a, eid = pick
+        x.add(eid)
+        counts[a] = counts.get(a, 0) + 1
+        y |= blocking_edges(h, m, eid)
+
+
+@st.composite
+def layer_build_inputs(draw):
+    """Instance, live matching, base occupancy, parents, cap and a seed."""
+    h, m = draw(hypergraphs_with_matching(max_a=6, max_b=12, max_edges=16))
+    occupied = draw(st.sets(st.integers(0, h.b_count - 1), max_size=3))
+    parents = draw(st.sets(st.integers(0, h.a_count - 1), min_size=1))
+    u_bound = draw(st.integers(1, 3))
+    free = [eid for eid in range(h.m) if eid not in m.edge_ids]
+    x0 = draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    y0 = set()
+    for eid in x0:
+        y0 |= blocking_edges(h, m, eid)
+    return h, m, occupied, parents, u_bound, x0, y0
 
 
 class TestFindAddableEdge:
@@ -80,23 +116,19 @@ class TestBuildLayer:
         ])
         m = PartialMatching()
         m.add(h, 2)
-        occupied = set()
-        x, y = set(), set()
-        counts = {}
-        while True:
-            occ = set(occupied)
-            for eid in x | y:
-                occ.update(h.edges[eid].bs)
-            pick = find_addable_edge(h, occ, {0, 2}, counts, 10, m=m)
-            if pick is None:
-                break
-            a, eid = pick
-            x.add(eid)
-            counts[a] = counts.get(a, 0) + 1
-            from hbmatch import blocking_edges
+        expected = iterated_find_addable_edge(h, m, set(), {0, 2}, 10)
+        assert expected == build_layer(h, m, set(), {0, 2}, 10)
 
-            y |= blocking_edges(h, m, eid)
-        assert (x, y) == build_layer(h, m, set(), {0, 2}, 10)
+    @given(layer_build_inputs(), st.booleans())
+    @settings(max_examples=200)
+    def test_equals_reference_from_seed_and_occupancy(self, inputs, as_counter):
+        h, m, occupied, parents, u_bound, x0, y0 = inputs
+        # the tree passes its live counter dict; other callers pass a set
+        occ = {b: 1 + b % 2 for b in occupied} if as_counter else set(occupied)
+        before = dict(occ) if as_counter else set(occ)
+        expected = iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0, y0)
+        assert build_layer(h, m, occ, parents, u_bound, x0=x0, y0=y0) == expected
+        assert occ == before, "occupancy is read-only"
 
     @given(hypergraphs_with_matching(max_a=5, max_b=8, max_edges=12))
     @settings(max_examples=60)
@@ -116,8 +148,6 @@ class TestBuildLayer:
         # Y is precisely the union of blockers of X
         expected = set()
         for eid in x:
-            from hbmatch import blocking_edges
-
             expected |= blocking_edges(h, m, eid)
         assert y == expected
 
