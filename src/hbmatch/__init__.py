@@ -10,6 +10,7 @@ matching-existence condition fails.
 from .core import (
     BipartiteHypergraph,
     Edge,
+    InstanceError,
     MatchingError,
     PartialMatching,
     Violation,
@@ -80,6 +81,7 @@ __all__ = [
     "Edge",
     "PartialMatching",
     "Violation",
+    "InstanceError",
     "MatchingError",
     "validate_instance",
     "incident_edges",

@@ -30,7 +30,7 @@ from .oracles import (
 )
 from .instances import MODES, GeneratorSpec, default_private_degree, generate
 from .params import parse_rational
-from .signature import SignatureVector, lex_less
+from .signature import SignatureVector, check_signature_step
 
 __all__ = [
     "ParseError",
@@ -182,6 +182,13 @@ class TraceWriter:
         self.stream.write(" ".join(parts) + "\n")
 
 
+_TRACE_RULE_MESSAGES = {
+    "SIGNATURE_SIGN": "sign pattern broken at position {pos}",
+    "SIGNATURE_NOT_MONOTONE": "|coords| not non-decreasing",
+    "SIGNATURE_NOT_DECREASING": "signature did not decrease",
+}
+
+
 def check_trace_lines(lines: Iterable[str]) -> str | None:
     """Independent check of a trace: per augmenting run, the signature
     vectors must strictly decrease lexicographically, carry the fixed
@@ -204,15 +211,10 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
             sig = SignatureVector(coords)
             if int(kv.get("unresolved", "0")) != 0:
                 return f"line {lineno}: unresolved floor boundary"
-            last = 0
-            for i, c in enumerate(coords):
-                if (i % 2 == 0 and c > 0) or (i % 2 == 1 and c < 0):
-                    return f"line {lineno}: sign pattern broken at position {i + 1}"
-                if abs(c) < last:
-                    return f"line {lineno}: |coords| not non-decreasing"
-                last = abs(c)
-            if prev is not None and not lex_less(sig, prev):
-                return f"line {lineno}: signature did not decrease"
+            broken = check_signature_step(sig, prev)
+            if broken is not None:
+                code, pos = broken
+                return f"line {lineno}: " + _TRACE_RULE_MESSAGES[code].format(pos=pos)
             prev = sig
         elif event == "augment_end":
             in_run = False

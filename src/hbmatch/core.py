@@ -17,6 +17,7 @@ __all__ = [
     "BipartiteHypergraph",
     "PartialMatching",
     "Violation",
+    "InstanceError",
     "MatchingError",
     "validate_instance",
     "incident_edges",
@@ -47,6 +48,14 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+class InstanceError(ValueError):
+    """An instance breaks a structural invariant; `code` is the Violation code."""
+
+    def __init__(self, code: str, message: str):
+        self.code = code
+        super().__init__(f"{code}: {message}")
+
+
 class MatchingError(ValueError):
     """A matching operation was called outside its preconditions."""
 
@@ -66,7 +75,9 @@ class BipartiteHypergraph:
     of range is left out of the index.
     """
 
-    __slots__ = ("r", "a_count", "b_count", "edges", "a_edges", "_b_sets")
+    __slots__ = (
+        "r", "a_count", "b_count", "edges", "a_edges", "_b_sets", "_validated", "_violation"
+    )
 
     def __init__(
         self,
@@ -81,6 +92,8 @@ class BipartiteHypergraph:
         self.edges: list[Edge] = []
         self.a_edges: list[list[int]] = [[] for _ in range(a_count)]
         self._b_sets: tuple[frozenset[int], ...] | None = None
+        self._validated = False
+        self._violation: Violation | None = None
         for a, bs in edges:
             e = Edge(len(self.edges), a, tuple(sorted(bs)))
             self.edges.append(e)
@@ -117,8 +130,16 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
     DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
     from the immutable edge list at construction, so once every A-vertex
-    is in range it lists every edge.
+    is in range it lists every edge.  The result is kept on the
+    immutable instance, so the parser and the solver share one check.
     """
+    if not h._validated:
+        h._violation = _first_violation(h)
+        h._validated = True
+    return h._violation
+
+
+def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     if h.r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={h.r} must be >= 2")
     seen: set[tuple[int, tuple[int, ...]]] = set()

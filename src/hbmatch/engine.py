@@ -30,14 +30,21 @@ from typing import Callable
 
 from .core import (
     BipartiteHypergraph,
+    InstanceError,
     PartialMatching,
     is_immediately_addable,
     swap,
+    validate_instance,
     verify_matching,
 )
 from .oracles import WitnessCertificate, verify_witness
 from .params import Parameters
-from .signature import SignatureVector, lex_less, signature_from_sizes
+from .signature import (
+    SignatureMemo,
+    SignatureVector,
+    check_signature_step,
+    signature_from_sizes,
+)
 from .tree import AlternatingTree, build_layer, validate_tree
 
 __all__ = [
@@ -120,6 +127,7 @@ class AugmentRun:
         trace: TraceSink | None = None,
         debug_invariants: bool = False,
         stats: SolveStats | None = None,
+        memo: SignatureMemo | None = None,
     ):
         if m.matches_a(root):
             raise ValueError(f"root {root} is already matched")
@@ -129,6 +137,7 @@ class AugmentRun:
         self.trace = trace
         self.debug = debug_invariants
         self.stats = stats if stats is not None else SolveStats()
+        self.memo = memo if memo is not None else SignatureMemo(params)
         self.tree = AlternatingTree(h, m, root, params.u)
         self.prev_signature: SignatureVector | None = None
         self._matched_before = m.matched_a_vertices() if debug_invariants else None
@@ -226,10 +235,22 @@ class AugmentRun:
         return False
 
     def _collapsible(self, x: set[int]) -> bool:
-        addable = sum(
-            1 for eid in x if is_immediately_addable(self.h, self.m, eid)
-        )
-        return self.params.exceeds_mu(addable, len(x))
+        """More than mu|X| of the X-edges are immediately addable.
+
+        Counting stops once the answer is decided: at the least count
+        that exceeds mu|X|, or when the edges left cannot reach it.
+        """
+        need = self.params.least_exceeding_mu(len(x))
+        left = len(x)
+        for eid in x:
+            if left < need:
+                return False
+            left -= 1
+            if is_immediately_addable(self.h, self.m, eid):
+                need -= 1
+                if need == 0:
+                    return True
+        return False
 
     def collapse_layer(self) -> bool:
         """One collapse of the last layer; True when the root got matched.
@@ -378,7 +399,7 @@ class AugmentRun:
         self._emit("iteration", iter=iteration, layers=self.tree.level())
         if self.trace is not None or self.debug:
             sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
-            sig, unresolved = signature_from_sizes(sizes, self.params)
+            sig, unresolved = signature_from_sizes(sizes, self.params, self.memo)
             self.stats.sig_ambiguities += unresolved
             self._emit(
                 "signature",
@@ -393,23 +414,19 @@ class AugmentRun:
             self._check_boundary_invariants()
 
     def _check_signature(self, sig: SignatureVector) -> None:
-        last = 0
-        for i, c in enumerate(sig.coords):
-            if i % 2 == 0 and c > 0:
-                raise InvariantViolation("SIGNATURE_SIGN", f"odd coordinate {c} > 0")
-            if i % 2 == 1 and c < 0:
-                raise InvariantViolation("SIGNATURE_SIGN", f"even coordinate {c} < 0")
-            if abs(c) < last:
-                raise InvariantViolation(
-                    "SIGNATURE_NOT_MONOTONE",
-                    f"|coords| decrease at position {i + 1}: {sig.coords}",
-                )
-            last = abs(c)
-        if self.prev_signature is not None and not lex_less(sig, self.prev_signature):
-            raise InvariantViolation(
-                "SIGNATURE_NOT_DECREASING",
-                f"{self.prev_signature.coords} -> {sig.coords}",
-            )
+        broken = check_signature_step(sig, self.prev_signature)
+        if broken is None:
+            return
+        code, pos = broken
+        if code == "SIGNATURE_SIGN":
+            c = sig.coords[pos - 1]
+            detail = f"odd coordinate {c} > 0" if pos % 2 else f"even coordinate {c} < 0"
+        elif code == "SIGNATURE_NOT_MONOTONE":
+            detail = f"|coords| decrease at position {pos}: {sig.coords}"
+        else:
+            assert self.prev_signature is not None
+            detail = f"{self.prev_signature.coords} -> {sig.coords}"
+        raise InvariantViolation(code, detail)
 
     def _check_boundary_invariants(self) -> None:
         h, m, tree = self.h, self.m, self.tree
@@ -485,10 +502,18 @@ def augment(
     trace: TraceSink | None = None,
     debug_invariants: bool = False,
     stats: SolveStats | None = None,
+    memo: SignatureMemo | None = None,
 ) -> AugmentOutcome:
     """Run one augmenting computation for an unmatched root."""
     run = AugmentRun(
-        h, m, root, params, trace=trace, debug_invariants=debug_invariants, stats=stats
+        h,
+        m,
+        root,
+        params,
+        trace=trace,
+        debug_invariants=debug_invariants,
+        stats=stats,
+        memo=memo,
     )
     return run.run()
 
@@ -505,9 +530,13 @@ def find_perfect_matching(
     """Match every A-vertex starting from the empty matching.
 
     Roots are processed in vertex order.  Returns the perfect matching,
-    or the first violation certificate encountered.  Internal-error
-    outcomes (the iteration cap) are raised, never returned.
+    or the first violation certificate encountered.  A malformed
+    instance raises :class:`InstanceError`; internal-error outcomes (the
+    iteration cap) are raised, never returned.
     """
+    v = validate_instance(h)
+    if v is not None:
+        raise InstanceError(v.code, v.detail)
     params = Parameters.for_instance(
         h.r,
         epsilon,
@@ -517,11 +546,19 @@ def find_perfect_matching(
     )
     m = PartialMatching()
     stats = SolveStats()
+    memo = SignatureMemo(params)
     for a in range(h.a_count):
         if m.matches_a(a):
             continue
         outcome = augment(
-            h, m, a, params, trace=trace, debug_invariants=debug_invariants, stats=stats
+            h,
+            m,
+            a,
+            params,
+            trace=trace,
+            debug_invariants=debug_invariants,
+            stats=stats,
+            memo=memo,
         )
         if outcome.error is not None:
             raise InternalSolverError(outcome.error, f"augmenting A-vertex {a}")

@@ -86,6 +86,10 @@ class Parameters:
         """k > mu*n: the collapse test, k addable edges of n."""
         return k * self.mu.denominator > self.mu.numerator * n
 
+    def least_exceeding_mu(self, n: int) -> int:
+        """Least k with k > mu*n, so exceeds_mu(k, n) holds exactly from k on."""
+        return self.mu.numerator * n // self.mu.denominator + 1
+
     def reaches_one_plus_mu(self, new: int, old: int) -> bool:
         """new >= (1+mu)*old: the superposed-rebuild commit test."""
         d = self.mu.denominator

@@ -16,6 +16,16 @@ evaluated with mpmath at a precision sized to the magnitude of the
 result plus a generous guard, and re-evaluated at doubled precision
 whenever the value lands within 2^-20 of an integer.  Ambiguities that
 survive the doubled precision are counted and surfaced to callers.
+
+Between two iterations only the top layers of a tree change, so one
+solve keeps a :class:`SignatureMemo`: the coefficients (c_i, d_i) and
+every floor, with its unresolved flag, keyed by (layer, side, size).
+A size seen before in the same layer and side costs a dict lookup; the
+unresolved flags are summed on every call, hit or miss.
+
+:func:`check_signature_step` holds the monitor's rules (sign pattern,
+non-decreasing magnitudes, strict lexicographic decrease) for both the
+debug-mode engine check and ``hbmatch check-trace``.
 """
 
 from __future__ import annotations
@@ -31,9 +41,11 @@ from .params import Parameters
 __all__ = [
     "SignatureVector",
     "SignatureError",
+    "SignatureMemo",
     "floor_log",
     "signature_from_sizes",
     "lex_less",
+    "check_signature_step",
 ]
 
 _GUARD = 2.0**-20  # exact in binary floating point; compared against mpf
@@ -108,26 +120,66 @@ def floor_log(value: Fraction, base: Fraction) -> tuple[int, bool]:
     return fl2, True
 
 
+class SignatureMemo:
+    """Exact monitor work shared by the iterations of one solve.
+
+    Holds the per-layer coefficients (c_i, d_i) and the floor_log result
+    for each (layer, side, size) key, side 0 for X and 1 for Y.  It is
+    bound to one parameter set and lives as long as its solve.
+    """
+
+    __slots__ = ("params", "_coefficients", "_floors")
+
+    def __init__(self, params: Parameters):
+        self.params = params
+        self._coefficients: list[tuple[Fraction, Fraction]] = []
+        self._floors: dict[tuple[int, int, int], tuple[int, bool]] = {}
+
+    def floor(self, layer: int, side: int, size: int) -> tuple[int, bool]:
+        """floor_log(coefficient * size, b) for layer's X (side 0) or Y (side 1)."""
+        key = (layer, side, size)
+        hit = self._floors.get(key)
+        if hit is None:
+            coeffs = self._coefficients
+            if len(coeffs) < layer:
+                self._extend(layer)
+            hit = floor_log(coeffs[layer - 1][side] * size, self.params.b)
+            self._floors[key] = hit
+        return hit
+
+    def _extend(self, layers: int) -> None:
+        p = self.params
+        scale = Fraction(5 * p.r * p.r) / p.epsilon
+        coeffs = self._coefficients
+        while len(coeffs) < layers:
+            c = coeffs[-1][0] * scale / (1 - p.mu) if coeffs else scale
+            coeffs.append((c, c / (1 - p.mu)))
+
+
 def signature_from_sizes(
-    sizes: Sequence[tuple[int, int]], params: Parameters
+    sizes: Sequence[tuple[int, int]],
+    params: Parameters,
+    memo: SignatureMemo | None = None,
 ) -> tuple[SignatureVector, int]:
     """Signature for layers of the given (|X_i|, |Y_i|) sizes.
 
     Returns the vector together with the count of floor boundaries left
     unresolved at doubled precision.  Raises LOG_OF_ZERO when a layer is
     empty on either side; at iteration boundaries that cannot happen.
+    `memo` carries floors over from earlier calls of the same solve;
+    without one the call starts an empty memo.
     """
-    scale = Fraction(5 * params.r * params.r) / params.epsilon
+    if memo is None:
+        memo = SignatureMemo(params)
+    elif memo.params is not params and memo.params != params:
+        raise ValueError("signature memo belongs to other parameters")
     coords: list[int] = []
     unresolved = 0
-    c = Fraction(1)
     for i, (x_size, y_size) in enumerate(sizes, start=1):
         if x_size == 0 or y_size == 0:
             raise SignatureError("LOG_OF_ZERO", f"layer {i} has sizes ({x_size}, {y_size})")
-        c = c * scale if i == 1 else c * scale / (1 - params.mu)
-        d = c / (1 - params.mu)
-        s_odd, amb1 = floor_log(c * x_size, params.b)
-        s_even, amb2 = floor_log(d * y_size, params.b)
+        s_odd, amb1 = memo.floor(i, 0, x_size)
+        s_even, amb2 = memo.floor(i, 1, y_size)
         coords.append(-s_odd)
         coords.append(s_even)
         unresolved += int(amb1) + int(amb2)
@@ -146,3 +198,26 @@ def lex_less(a: SignatureVector, b: SignatureVector) -> bool:
     if len(a.coords) == len(b.coords):
         return False
     return len(a.coords) > len(b.coords)
+
+
+def check_signature_step(
+    sig: SignatureVector, prev: SignatureVector | None
+) -> tuple[str, int] | None:
+    """First monitor rule that `sig` breaks, following `prev` in one run.
+
+    Odd coordinates are <= 0 and even ones >= 0 (SIGNATURE_SIGN), their
+    magnitudes never decrease (SIGNATURE_NOT_MONOTONE), and the vector is
+    lexicographically below `prev` (SIGNATURE_NOT_DECREASING).  Returns
+    the code with the 1-based coordinate position (0 for the last rule),
+    or None when every rule holds.
+    """
+    last = 0
+    for pos, c in enumerate(sig.coords, start=1):
+        if (c > 0) if pos % 2 else (c < 0):
+            return "SIGNATURE_SIGN", pos
+        if abs(c) < last:
+            return "SIGNATURE_NOT_MONOTONE", pos
+        last = abs(c)
+    if prev is not None and not lex_less(sig, prev):
+        return "SIGNATURE_NOT_DECREASING", 0
+    return None

@@ -52,9 +52,8 @@ class AlternatingTree:
     """Mutable alternating tree owned by a single augmenting run.
 
     `layers[i]` is layer i+1; level 0 is the root layer.  B-occupancy
-    and per-A-vertex degree counters are maintained incrementally; an
-    occupancy count can reach 2 when a blocker shares a B-vertex with
-    its X-edge, never more.
+    counters are maintained incrementally; an occupancy count can reach
+    2 when a blocker shares a B-vertex with its X-edge, never more.
     """
 
     def __init__(self, h: BipartiteHypergraph, m: PartialMatching, root: int, u_bound: int):
@@ -65,7 +64,6 @@ class AlternatingTree:
         self.u_bound = u_bound
         self.layers: list[Layer] = []
         self._b_occ: dict[int, int] = {}
-        self._deg: dict[int, int] = {}
 
     @property
     def root(self) -> int:
@@ -98,17 +96,10 @@ class AlternatingTree:
         return out
 
     def _count(self, edge_ids: Iterable[int], delta: int) -> None:
-        """Add `delta` to the degree and B-occupancy counters of each edge."""
-        edges, deg, occ = self.h.edges, self._deg, self._b_occ
+        """Add `delta` to the B-occupancy counters of each edge."""
+        edges, occ = self.h.edges, self._b_occ
         for eid in edge_ids:
-            e = edges[eid]
-            a = e.a
-            c = deg.get(a, 0) + delta
-            if c:
-                deg[a] = c
-            else:
-                del deg[a]
-            for b in e.bs:
+            for b in edges[eid].bs:
                 c = occ.get(b, 0) + delta
                 if c:
                     occ[b] = c
@@ -145,7 +136,10 @@ class AlternatingTree:
 
 def tree_degree(tree: AlternatingTree, a: int) -> int:
     """Number of tree edges (X and Y, root excluded) containing `a`."""
-    return tree._deg.get(a, 0)
+    edges = tree.h.edges
+    return sum(
+        1 for layer in tree.layers for eid in chain(layer.x, layer.y) if edges[eid].a == a
+    )
 
 
 def find_addable_edge(
@@ -252,7 +246,6 @@ def validate_tree(
     if m.matches_a(tree.root):
         return Violation("ROOT_MATCHED", f"root {tree.root} is matched")
     seen_b: dict[int, int] = {}
-    deg: dict[int, int] = {}
     blocking_count: dict[int, int] = {}
     for idx, layer in enumerate(tree.layers, start=1):
         for eid in layer.x:
@@ -301,7 +294,6 @@ def validate_tree(
                 )
         for eid in sorted(layer.x | layer.y):
             e = h.edges[eid]
-            deg[e.a] = deg.get(e.a, 0) + 1
             for b in e.bs:
                 if b in seen_b and seen_b[b] != idx:
                     return Violation(
@@ -324,6 +316,6 @@ def validate_tree(
         for eid in layer.x | layer.y:
             for b in h.edges[eid].bs:
                 recomputed_occ[b] = recomputed_occ.get(b, 0) + 1
-    if recomputed_occ != tree._b_occ or deg != tree._deg:
+    if recomputed_occ != tree._b_occ:
         return Violation("COUNTER_MISMATCH", "incremental counters diverged")
     return None

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import math
 from fractions import Fraction
 
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from hbmatch import (
     AugmentRun,
+    BipartiteHypergraph,
     GeneratorSpec,
+    InstanceError,
     Parameters,
     PartialMatching,
     augment,
@@ -15,12 +19,15 @@ from hbmatch import (
     check_haxell,
     find_perfect_matching,
     from_bipartite_graph,
+    floor_log,
     generate,
     incident_edges,
+    is_immediately_addable,
     min_hitting_set,
     verify_matching,
     verify_witness,
 )
+from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
 from hbmatch.engine import InternalSolverError, x_by_a_vertex
 
 from .conftest import (
@@ -111,6 +118,7 @@ class TestSuperposedCommitThreshold:
                 for n in sorted(ns):
                     for k in near(q, n) | near(1 + q, n):
                         assert p.exceeds_mu(k, n) == (k > p.mu * n)
+                        assert p.exceeds_mu(k, n) == (k >= p.least_exceeding_mu(n))
                         assert p.reaches_one_plus_mu(k, n) == (Fraction(k) >= (1 + p.mu) * n)
                         assert p.exceeds_delta(k, n) == (k > p.delta * n)
                         # the debug-mode blocker-ratio test |Y| < (1-mu)|X|
@@ -471,3 +479,102 @@ class TestTraceEvents:
             debug.stats.build_ops,
         )
         assert sorted(plain.matching.edge_ids) == sorted(debug.matching.edge_ids)
+
+
+class TestCollapsibleEarlyExit:
+    @given(
+        hm=hypergraphs_with_matching(max_edges=20),
+        mu=st.sampled_from(["1/90", "1/4", "1/3", "1/2", "2/3", "9/10"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_answer_as_counting_every_edge(self, hm, mu, data):
+        h, m = hm
+        root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
+        if root is None or h.m == 0:
+            return
+        run = AugmentRun(h, m, root, params(h.r, 1, mu_override=mu))
+        x = data.draw(st.sets(st.sampled_from(range(h.m))))
+        addable = sum(1 for eid in x if is_immediately_addable(h, m, eid))
+        assert run._collapsible(x) == run.params.exceeds_mu(addable, len(x))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "h,code",
+        [
+            (BipartiteHypergraph(2, 1, 1, [(0, (5,))]), "INDEX_OUT_OF_RANGE"),
+            (BipartiteHypergraph(3, 1, 2, [(0, (1,))]), "NON_UNIFORM_EDGE"),
+        ],
+    )
+    def test_invalid_instance_raises_typed_error(self, h, code):
+        with pytest.raises(InstanceError) as exc:
+            find_perfect_matching(h, 1)
+        assert exc.value.code == code
+
+    def test_parsed_instance_is_checked_once(self, monkeypatch):
+        import hbmatch.core as core
+
+        calls = []
+        real = core._first_violation
+        monkeypatch.setattr(core, "_first_violation", lambda h: calls.append(h) or real(h))
+        h = parse_instance(serialize_instance(superposed_commit_instance()))
+        assert find_perfect_matching(h, 1).status == "perfect_matching"
+        assert len(calls) == 1
+        fresh = superposed_commit_instance()
+        find_perfect_matching(fresh, 1)
+        find_perfect_matching(fresh, "1/2")
+        assert len(calls) == 2
+
+
+# sha256 of the trace document of shuffled_planted(seed, 60) solved at
+# epsilon 1; guards every trace byte, signature coordinates included
+TRACE_SHA256 = {
+    1: "9bf75983fd9f52c5bc0ce58cb46e3c4fca83e796f1002ff27c5270a4263b0e8f",  # witness, 12 layers
+    2: "ef8ec1f022329a1927eb385a75eaf50b1397fa28db6ee6550a5e5eabb789fb30",  # matching, 5 layers
+}
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("seed", sorted(TRACE_SHA256))
+    def test_trace_document_digest_pinned(self, seed):
+        buf = io.StringIO()
+        find_perfect_matching(shuffled_planted(seed, 60), 1, trace=TraceWriter(buf))
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TRACE_SHA256[seed]
+
+
+def reference_signature(sizes, p):
+    """Signature coordinates with fresh coefficients and one floor_log each."""
+    scale = Fraction(5 * p.r * p.r) / p.epsilon
+    coords, c = [], Fraction(1)
+    for i, (x, y) in enumerate(sizes, start=1):
+        c = c * scale if i == 1 else c * scale / (1 - p.mu)
+        coords += [-floor_log(c * x, p.b)[0], floor_log(c / (1 - p.mu) * y, p.b)[0]]
+    return tuple(coords)
+
+
+class TestSignatureMemoPerSolve:
+    def test_solves_with_different_epsilon_get_their_own_coordinates(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        seen = []
+        real = engine.signature_from_sizes
+
+        def recording(sizes, p, *rest):
+            out = real(sizes, p, *rest)
+            seen.append((tuple(sizes), p, out[0].coords))
+            return out
+
+        monkeypatch.setattr(engine, "signature_from_sizes", recording)
+        h = shuffled_planted(2, 30)
+        by_eps = {}
+        for eps in (Fraction(1), Fraction(1, 2)):
+            seen.clear()
+            find_perfect_matching(h, eps, trace=lambda event, fields: None)
+            assert seen and {p.epsilon for _, p, _ in seen} == {eps}
+            for sizes, p, coords in seen:
+                assert coords == reference_signature(sizes, p)
+            by_eps[eps] = {sizes: coords for sizes, _, coords in seen}
+        shared = (by_eps[1].keys() & by_eps[Fraction(1, 2)].keys()) - {()}
+        assert shared
+        assert all(by_eps[1][k] != by_eps[Fraction(1, 2)][k] for k in shared)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbmatch import (
     Parameters,
@@ -11,6 +13,7 @@ from hbmatch import (
     lex_less,
     signature_from_sizes,
 )
+from hbmatch.signature import SignatureMemo, check_signature_step
 
 
 def params_r3_eps1():
@@ -126,6 +129,82 @@ class TestSignature:
         for i, c in enumerate(sig.coords):
             assert (c <= 0) if i % 2 == 0 else (c >= 0)
         assert mags == sorted(mags)
+
+
+# size lists as a run's iteration boundaries produce them; zeros are
+# allowed so that LOG_OF_ZERO raises land between cached calls
+size_lists = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=5)
+
+
+class TestSignatureMemo:
+    @given(
+        seq=st.lists(size_lists, min_size=1, max_size=10),
+        eps=st.sampled_from(["1", "1/2", "1/10"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_memo_matches_fresh_calls(self, seq, eps):
+        p = Parameters.for_instance(3, eps)
+        memo = SignatureMemo(p)
+        for sizes in seq:
+            try:
+                fresh = signature_from_sizes(sizes, p)
+            except SignatureError as exc:
+                with pytest.raises(SignatureError) as shared:
+                    signature_from_sizes(sizes, p, memo)
+                assert shared.value.code == exc.code == "LOG_OF_ZERO"
+                continue
+            assert signature_from_sizes(sizes, p, memo) == fresh
+
+    def test_repeated_sizes_reuse_floor_log(self, monkeypatch):
+        import hbmatch.signature as signature
+
+        calls = []
+        real = signature.floor_log
+        monkeypatch.setattr(
+            signature, "floor_log", lambda v, b: calls.append(v) or real(v, b)
+        )
+        p = params_r3_eps1()
+        memo = SignatureMemo(p)
+        first = signature_from_sizes([(3, 4), (2, 2)], p, memo)
+        assert len(calls) == 4
+        assert signature_from_sizes([(3, 4), (2, 2), (5, 1)], p, memo)[0].coords[:4] == (
+            first[0].coords
+        )
+        assert len(calls) == 6
+        # the same size on the other side or another layer is a new key
+        signature_from_sizes([(4, 3)], p, memo)
+        assert len(calls) == 8
+
+    def test_memo_of_other_parameters_rejected(self):
+        memo = SignatureMemo(Parameters.for_instance(3, "1/2"))
+        with pytest.raises(ValueError):
+            signature_from_sizes([(1, 1)], params_r3_eps1(), memo)
+
+
+class TestCheckSignatureStep:
+    def test_clean_step(self):
+        prev = SignatureVector((-5, 7))
+        assert check_signature_step(SignatureVector((-6, 7)), prev) is None
+        assert check_signature_step(SignatureVector(()), None) is None
+
+    @pytest.mark.parametrize(
+        "coords,expected",
+        [
+            ((5, 7), ("SIGNATURE_SIGN", 1)),
+            ((-5, -7), ("SIGNATURE_SIGN", 2)),
+            ((-5, 7, -6, 8), ("SIGNATURE_NOT_MONOTONE", 3)),
+            ((-5, 4), ("SIGNATURE_NOT_MONOTONE", 2)),
+        ],
+    )
+    def test_first_broken_rule_and_position(self, coords, expected):
+        assert check_signature_step(SignatureVector(coords), None) == expected
+
+    def test_not_decreasing(self):
+        prev = SignatureVector((-6, 7))
+        assert check_signature_step(SignatureVector((-5, 7)), prev) == (
+            "SIGNATURE_NOT_DECREASING", 0
+        )
+        assert check_signature_step(prev, prev) == ("SIGNATURE_NOT_DECREASING", 0)
 
 
 class TestLexLess:
