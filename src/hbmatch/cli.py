@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -60,45 +61,55 @@ class ParseError(ValueError):
 
 
 def parse_instance(text: str) -> BipartiteHypergraph:
-    """Parse the instance format; line-numbered errors on malformed input."""
-    header: tuple[int, int, int, int] | None = None
+    """Parse the instance format; line-numbered errors on malformed input.
+
+    Each line is split once.  The parser checks the syntax: record types,
+    the header (with r >= 2), the field count of each edge line, integer
+    fields and ascending B-vertices.  Every structural rule (ranges,
+    repeated edges) is checked once, by :func:`validate_instance`, and
+    its violation is reported at the line of the offending edge.
+    """
+    header: tuple[int, ...] | None = None
+    width = -1  # fields of an edge line, "e" plus r vertices; set by the header
     edges: list[tuple[int, tuple[int, ...]]] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        tag = fields[0]
+        if tag == "e":
+            if len(fields) != width:
+                if header is None:
+                    raise ParseError(lineno, "edge before header")
+                raise ParseError(lineno, f"expected {header[0]} vertex fields for r={header[0]}")
+            try:
+                a = int(fields[1])
+                bs = tuple(map(int, fields[2:]))
+            except ValueError:
+                raise ParseError(lineno, "non-integer vertex index") from None
+            if not all(map(lt, bs, bs[1:])):
+                raise ParseError(lineno, "B-vertices must be strictly ascending")
+            edges.append((a, bs))
+            edge_lines.append(lineno)
+        elif tag.startswith("c"):
+            continue
+        elif tag == "p":
             if header is not None:
                 raise ParseError(lineno, "duplicate header")
             if len(fields) != 6 or fields[1] != "hbm":
                 raise ParseError(lineno, "expected 'p hbm <r> <nA> <nB> <m>'")
             try:
-                header = tuple(int(f) for f in fields[2:6])  # type: ignore[assignment]
+                header = tuple(map(int, fields[2:]))
             except ValueError:
                 raise ParseError(lineno, "non-integer header field") from None
-            if any(f < 0 for f in header):
+            if min(header) < 0:
                 raise ParseError(lineno, "negative header field")
-        elif fields[0] == "e":
-            if header is None:
-                raise ParseError(lineno, "edge before header")
-            r = header[0]
-            if len(fields) != 1 + r:
-                raise ParseError(lineno, f"expected {r} vertex fields for r={r}")
-            try:
-                nums = [int(f) for f in fields[1:]]
-            except ValueError:
-                raise ParseError(lineno, "non-integer vertex index") from None
-            a, bs = nums[0], tuple(nums[1:])
-            if any(u >= v for u, v in zip(bs, bs[1:])):
-                raise ParseError(lineno, "B-vertices must be strictly ascending")
-            if (a, bs) in seen:
-                raise ParseError(lineno, "duplicate edge")
-            seen.add((a, bs))
-            edges.append((a, bs))
+            if header[0] < 2:
+                raise ParseError(lineno, f"uniformity r={header[0]} must be >= 2")
+            width = 1 + header[0]
         else:
-            raise ParseError(lineno, f"unknown record type {fields[0]!r}")
+            raise ParseError(lineno, f"unknown record type {tag!r}")
     if header is None:
         raise ParseError(0, "missing header")
     r, na, nb, m = header
@@ -107,7 +118,7 @@ def parse_instance(text: str) -> BipartiteHypergraph:
     h = BipartiteHypergraph(r, na, nb, edges)
     v = validate_instance(h)
     if v is not None:
-        raise ParseError(0, str(v))
+        raise ParseError(0 if v.edge is None else edge_lines[v.edge], str(v))
     return h
 
 

@@ -28,21 +28,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Edge:
-    """One hyperedge: A-vertex `a` plus the sorted tuple `bs` of B-vertices."""
+    """One hyperedge: A-vertex `a` plus the sorted tuple `bs` of B-vertices.
 
-    id: int
-    a: int
-    bs: tuple[int, ...]
+    A plain slotted record, read-only by convention: instances are built
+    by the thousand when an instance is loaded, and every solver step
+    reads their fields.
+    """
+
+    __slots__ = ("id", "a", "bs")
+
+    def __init__(self, id: int, a: int, bs: tuple[int, ...]):
+        self.id = id
+        self.a = a
+        self.bs = bs
+
+    def __repr__(self) -> str:
+        return f"Edge(id={self.id}, a={self.a}, bs={self.bs})"
 
 
 @dataclass(frozen=True)
 class Violation:
-    """First failed structural check: machine-readable code plus detail."""
+    """First failed structural check: machine-readable code plus detail.
+
+    `edge` is the id of the offending edge, or None for a rule on the
+    instance as a whole.
+    """
 
     code: str
     detail: str
+    edge: int | None = None
 
     def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
@@ -89,16 +104,15 @@ class BipartiteHypergraph:
         self.r = r
         self.a_count = a_count
         self.b_count = b_count
-        self.edges: list[Edge] = []
+        self.edges = [Edge(i, a, tuple(sorted(bs))) for i, (a, bs) in enumerate(edges)]
         self.a_edges: list[list[int]] = [[] for _ in range(a_count)]
         self._b_sets: tuple[frozenset[int], ...] | None = None
         self._validated = False
         self._violation: Violation | None = None
-        for a, bs in edges:
-            e = Edge(len(self.edges), a, tuple(sorted(bs)))
-            self.edges.append(e)
-            if 0 <= a < a_count:
-                self.a_edges[a].append(e.id)
+        a_edges = self.a_edges
+        for e in self.edges:
+            if 0 <= e.a < a_count:
+                a_edges[e.a].append(e.id)
 
     @property
     def m(self) -> int:
@@ -110,9 +124,6 @@ class BipartiteHypergraph:
         if self._b_sets is None:
             self._b_sets = tuple(frozenset(e.bs) for e in self.edges)
         return self._b_sets
-
-    def edge(self, edge_id: int) -> Edge:
-        return self.edges[edge_id]
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
@@ -130,8 +141,9 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
     DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
     from the immutable edge list at construction, so once every A-vertex
-    is in range it lists every edge.  The result is kept on the
-    immutable instance, so the parser and the solver share one check.
+    is in range it lists every edge.  A violation of an edge carries its
+    id.  The result is kept on the immutable instance, so the parser and
+    the solver share one check.
     """
     if not h._validated:
         h._violation = _first_violation(h)
@@ -140,26 +152,31 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
 
 
 def _first_violation(h: BipartiteHypergraph) -> Violation | None:
-    if h.r < 2:
-        return Violation("NON_UNIFORM_EDGE", f"uniformity r={h.r} must be >= 2")
+    r, na, nb = h.r, h.a_count, h.b_count
+    if r < 2:
+        return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
+    width = r - 1
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for e in h.edges:
-        if len(e.bs) != h.r - 1:
+        a, bs = e.a, e.bs
+        if len(bs) != width:
             return Violation(
                 "NON_UNIFORM_EDGE",
-                f"edge {e.id} has {len(e.bs)} B-vertices, expected {h.r - 1}",
+                f"edge {e.id} has {len(bs)} B-vertices, expected {width}",
+                e.id,
             )
-        if not 0 <= e.a < h.a_count:
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {e.a}")
-        for b in e.bs:
-            if not 0 <= b < h.b_count:
-                return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}")
-        for u, v in zip(e.bs, e.bs[1:]):
-            if u == v:
-                return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}")
-        key = (e.a, e.bs)
+        if not 0 <= a < na:
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {a}", e.id)
+        # bs is sorted, so its ends bound its range and repeats are adjacent.
+        if bs[0] < 0 or bs[-1] >= nb:
+            b = next(b for b in bs if not 0 <= b < nb)
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}", e.id)
+        if len(set(bs)) < width:
+            u = next(u for u, v in zip(bs, bs[1:]) if u == v)
+            return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}", e.id)
+        key = (a, bs)
         if key in seen:
-            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}")
+            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}", e.id)
         seen.add(key)
     return None
 
@@ -229,13 +246,6 @@ class PartialMatching:
         del self.a_of[e.a]
         for b in e.bs:
             del self.b_of[b]
-
-    def copy(self) -> "PartialMatching":
-        out = PartialMatching()
-        out.edge_ids = set(self.edge_ids)
-        out.a_of = dict(self.a_of)
-        out.b_of = dict(self.b_of)
-        return out
 
 
 def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, e: Edge | int) -> set[int]:

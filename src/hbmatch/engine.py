@@ -142,33 +142,37 @@ class AugmentRun:
         self.prev_signature: SignatureVector | None = None
         self._matched_before = m.matched_a_vertices() if debug_invariants else None
 
-    def _emit(self, event: str, **fields) -> None:
-        if self.trace is not None:
-            self.trace(event, fields)
-
     # ------------------------------------------------------------------
     # main loop
 
     def run(self) -> AugmentOutcome:
         root = self.tree.root
-        self._emit("augment_start", root=root, matched=len(self.m))
+        trace = self.trace
+        if trace is not None:
+            trace("augment_start", {"root": root, "matched": len(self.m)})
         cap = self.params.iteration_cap(self.h.a_count)
         iteration = 0
         while True:
             iteration += 1
             if iteration > cap:
-                self._emit("augment_end", outcome="internal_error", iterations=iteration - 1)
+                if trace is not None:
+                    trace(
+                        "augment_end", {"outcome": "internal_error", "iterations": iteration - 1}
+                    )
                 return AugmentOutcome(error="ITERATION_CAP_EXCEEDED")
             self.stats.iterations += 1
-            self._iteration_boundary(iteration)
+            if trace is not None or self.debug:
+                self._iteration_boundary(iteration)
             witness = self.build_phase()
             if witness is not None:
-                self._emit("augment_end", outcome="witness", iterations=iteration)
+                if trace is not None:
+                    trace("augment_end", {"outcome": "witness", "iterations": iteration})
                 return AugmentOutcome(witness=witness)
             if self.collapse_phase():
                 if self.debug:
                     self._check_matched_exactly_root(root)
-                self._emit("augment_end", outcome="matched", iterations=iteration)
+                if trace is not None:
+                    trace("augment_end", {"outcome": "matched", "iterations": iteration})
                 return AugmentOutcome(matching=self.m)
 
     # ------------------------------------------------------------------
@@ -190,22 +194,21 @@ class AugmentRun:
         self.stats.build_ops += 1
         tree.append_layer(x, y)
         self.stats.max_layers = max(self.stats.max_layers, tree.level())
-        self._emit("layer_built", index=tree.level(), x=len(x), y=len(y))
         ok = self.growth_check(len(x), y_total_before)
-        self._emit(
-            "growth",
-            result="pass" if ok else "fail",
-            x=len(x),
-            y_total=y_total_before,
-        )
+        trace = self.trace
+        if trace is not None:
+            trace("layer_built", {"index": tree.level(), "x": len(x), "y": len(y)})
+            trace(
+                "growth",
+                {"result": "pass" if ok else "fail", "x": len(x), "y_total": y_total_before},
+            )
         if not ok:
             cert = self.extract_witness()
-            self._emit(
-                "witness",
-                s=len(cert.s),
-                hitting=len(cert.hitting_set),
-                bound=str(cert.bound),
-            )
+            if trace is not None:
+                trace(
+                    "witness",
+                    {"s": len(cert.s), "hitting": len(cert.hitting_set), "bound": str(cert.bound)},
+                )
             return cert
         if self.debug:
             # Fresh layer excluded: its collapse status is still unresolved.
@@ -269,7 +272,8 @@ class AugmentRun:
             assert eid is not None, "collapsible first layer must offer the root an edge"
             self.m.add(self.h, eid)
             tree.discard_last()
-            self._emit("collapse", layer=1, swaps=0, root_matched=1)
+            if self.trace is not None:
+                self.trace("collapse", {"layer": 1, "swaps": 0, "root_matched": 1})
             return True
         below = tree.layers[level - 2]
         swaps_here = 0
@@ -287,7 +291,8 @@ class AugmentRun:
                 if v is not None:
                     raise InvariantViolation("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
-        self._emit("collapse", layer=level, swaps=swaps_here, root_matched=0)
+        if self.trace is not None:
+            self.trace("collapse", {"layer": level, "swaps": swaps_here, "root_matched": 0})
         self.superposed_build()
         return False
 
@@ -322,13 +327,16 @@ class AugmentRun:
         committed = self.params.reaches_one_plus_mu(len(x2), x_before)
         if committed:
             tree.commit_rebuild(x2, y2)
-        self._emit(
-            "superposed",
-            layer=i,
-            committed=int(committed),
-            x_before=x_before,
-            x_after=len(x2),
-        )
+        if self.trace is not None:
+            self.trace(
+                "superposed",
+                {
+                    "layer": i,
+                    "committed": int(committed),
+                    "x_before": x_before,
+                    "x_after": len(x2),
+                },
+            )
 
     # ------------------------------------------------------------------
     # witness extraction
@@ -396,22 +404,27 @@ class AugmentRun:
     # iteration-boundary monitoring
 
     def _iteration_boundary(self, iteration: int) -> None:
-        self._emit("iteration", iter=iteration, layers=self.tree.level())
-        if self.trace is not None or self.debug:
-            sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
-            sig, unresolved = signature_from_sizes(sizes, self.params, self.memo)
-            self.stats.sig_ambiguities += unresolved
-            self._emit(
+        """Trace the iteration and the progress signature, and in debug
+        mode check them; only called when tracing or debugging."""
+        trace = self.trace
+        if trace is not None:
+            trace("iteration", {"iter": iteration, "layers": self.tree.level()})
+        sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
+        sig, unresolved = signature_from_sizes(sizes, self.params, self.memo)
+        self.stats.sig_ambiguities += unresolved
+        if trace is not None:
+            trace(
                 "signature",
-                iter=iteration,
-                coords=",".join(str(c) for c in sig.coords),
-                unresolved=unresolved,
+                {
+                    "iter": iteration,
+                    "coords": ",".join(str(c) for c in sig.coords),
+                    "unresolved": unresolved,
+                },
             )
-            if self.debug:
-                self._check_signature(sig)
-            self.prev_signature = sig
         if self.debug:
+            self._check_signature(sig)
             self._check_boundary_invariants()
+        self.prev_signature = sig
 
     def _check_signature(self, sig: SignatureVector) -> None:
         broken = check_signature_step(sig, self.prev_signature)

@@ -11,9 +11,10 @@ balanced across A-vertices.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 from .core import (
     BipartiteHypergraph,

@@ -1,8 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hbmatch import GeneratorSpec, generate
+from hbmatch import BipartiteHypergraph, GeneratorSpec, generate, validate_instance
 from hbmatch.cli import (
     ParseError,
     check_trace_lines,
@@ -12,7 +14,143 @@ from hbmatch.cli import (
     serialize_instance,
 )
 
-from .conftest import shift_chain, superposed_commit_instance
+from .conftest import hypergraphs, shift_chain, superposed_commit_instance
+
+
+def reference_parse_instance(text: str) -> BipartiteHypergraph:
+    """The instance parser before the one-pass rewrite, kept as a reference.
+
+    It checks repeated edges itself, and again through validate_instance,
+    and reports structural violations at line 0.  A header with r < 2
+    followed by an edge line makes it raise IndexError.
+    """
+    header: tuple[int, int, int, int] | None = None
+    edges: list[tuple[int, tuple[int, ...]]] = []
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise ParseError(lineno, "duplicate header")
+            if len(fields) != 6 or fields[1] != "hbm":
+                raise ParseError(lineno, "expected 'p hbm <r> <nA> <nB> <m>'")
+            try:
+                header = tuple(int(f) for f in fields[2:6])  # type: ignore[assignment]
+            except ValueError:
+                raise ParseError(lineno, "non-integer header field") from None
+            if any(f < 0 for f in header):
+                raise ParseError(lineno, "negative header field")
+        elif fields[0] == "e":
+            if header is None:
+                raise ParseError(lineno, "edge before header")
+            r = header[0]
+            if len(fields) != 1 + r:
+                raise ParseError(lineno, f"expected {r} vertex fields for r={r}")
+            try:
+                nums = [int(f) for f in fields[1:]]
+            except ValueError:
+                raise ParseError(lineno, "non-integer vertex index") from None
+            a, bs = nums[0], tuple(nums[1:])
+            if any(u >= v for u, v in zip(bs, bs[1:])):
+                raise ParseError(lineno, "B-vertices must be strictly ascending")
+            if (a, bs) in seen:
+                raise ParseError(lineno, "duplicate edge")
+            seen.add((a, bs))
+            edges.append((a, bs))
+        else:
+            raise ParseError(lineno, f"unknown record type {fields[0]!r}")
+    if header is None:
+        raise ParseError(0, "missing header")
+    r, na, nb, m = header
+    if len(edges) != m:
+        raise ParseError(0, f"header declares m={m} but found {len(edges)} edges")
+    h = BipartiteHypergraph(r, na, nb, edges)
+    v = validate_instance(h)
+    if v is not None:
+        raise ParseError(0, str(v))
+    return h
+
+
+# Replacement fields for mutated documents: record tags, small integers
+# (in and out of range, negative, signed), and non-integers.
+_TOKENS = st.one_of(
+    st.sampled_from(
+        ["e", "p", "c", "cx", "hbm", "x", "", "1.5", "+2", "0_1", "-0", "\u0663", "e0"]
+    ),
+    st.integers(-3, 12).map(str),
+)
+
+_MUTATIONS = (
+    "drop_field", "swap_fields", "dup_field", "retype_field",
+    "drop_line", "dup_line", "copy_line", "swap_lines", "insert_line",
+)
+
+
+@st.composite
+def mutated_instance_texts(draw):
+    """A serialized valid instance with comment lines anywhere and a few
+    fields or lines dropped, swapped, duplicated, overwritten, retyped or
+    inserted."""
+    h = draw(hypergraphs(max_a=4, max_b=6, max_edges=6))
+    lines = [line.split(" ") for line in serialize_instance(h).splitlines()]
+    comments = st.sampled_from(["c", "c x", "cx", "comment e 0 1"])
+    for comment in draw(st.lists(comments, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), comment.split(" "))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        if kind == "insert_line" or not lines:
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.lists(_TOKENS, max_size=5)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if kind == "drop_line":
+            del lines[i]
+        elif kind == "dup_line":
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+        elif kind == "copy_line":
+            lines[i] = list(lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "swap_lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif not line:
+            line.append(draw(_TOKENS))
+        else:
+            k = draw(st.integers(0, len(line) - 1))
+            if kind == "drop_field":
+                del line[k]
+            elif kind == "swap_fields":
+                j = draw(st.integers(0, len(line) - 1))
+                line[k], line[j] = line[j], line[k]
+            elif kind == "dup_field":
+                line.insert(k, line[k])
+            else:
+                line[k] = draw(_TOKENS)
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(" ".join(line) for line in lines) + sep
+
+
+# Arbitrary text, and lines of record-like tokens that reach past the
+# header more often than arbitrary text does.
+_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(_TOKENS, max_size=6), max_size=6).map(
+        lambda ls: "\n".join(" ".join(l) for l in ls)
+    ),
+    mutated_instance_texts(),
+)
+
+
+def _outcome(parse, text: str):
+    """(r, nA, nB, edges) of an accepted text, or None when it is rejected."""
+    try:
+        h = parse(text)
+    except ParseError:
+        return None
+    return h.r, h.a_count, h.b_count, [(e.a, e.bs) for e in h.edges]
 
 
 class TestParseInstance:
@@ -61,6 +199,56 @@ class TestParseInstance:
         spec = GeneratorSpec(mode="planted", r=3, a_count=6, b_count=14, extra_edges=5, seed=11)
         text = serialize_instance(generate(spec))
         assert serialize_instance(parse_instance(text)) == text
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_uniformity_below_two_rejected_at_header(self, r):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(f"c x\np hbm {r} 1 1 1\ne\n")
+        assert exc.value.line == 2 and f"r={r}" in exc.value.reason
+
+    def test_uniformity_below_two_is_cli_error(self, tmp_path, capsys):
+        inst = tmp_path / "r0.hbm"
+        inst.write_text("p hbm 0 1 1 1\ne\n")
+        assert main(["solve", "--input", str(inst), "--epsilon", "1"]) == 1
+        assert "PARSE_ERROR: line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, line, code",
+        [
+            ("p hbm 3 2 4 2\ne 0 0 1\nc\ne 1 2 9\n", 4, "INDEX_OUT_OF_RANGE"),
+            ("p hbm 2 2 2 2\ne 0 0\ne 2 1\n", 3, "INDEX_OUT_OF_RANGE"),
+            ("p hbm 3 1 4 1\n\ne 0 2 2\n", 3, "strictly ascending"),
+            ("p hbm 3 2 4 3\ne 0 0 1\ne 1 2 3\nc\ne 0 0 1\n", 5, "DUPLICATE_EDGE"),
+        ],
+        ids=["b_out_of_range", "a_out_of_range", "repeated_b", "duplicate_edge"],
+    )
+    def test_edge_errors_name_their_line(self, text, line, code):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.line == line and code in exc.value.reason
+
+
+class TestParseInstanceFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS)
+    def test_parses_or_raises_parse_error(self, text):
+        try:
+            h = parse_instance(text)
+        except ParseError:
+            return
+        assert isinstance(h, BipartiteHypergraph)
+        assert validate_instance(h) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXTS)
+    def test_agrees_with_reference_parser(self, text):
+        try:
+            expected = _outcome(reference_parse_instance, text)
+        except IndexError:
+            # the reference crashes on an edge line under a header with
+            # r < 2; the rewrite rejects that header
+            expected = None
+        assert _outcome(parse_instance, text) == expected
 
 
 class TestParseResult:

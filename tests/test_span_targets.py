@@ -1,0 +1,70 @@
+"""The benchmark's span targets stay attached to the program.
+
+`perfbench/spans.py` wraps, by name, the functions and methods that each
+caller looks up.  If a refactor renames one, or a caller stops looking it
+up by that name, the span records nothing and its per-layer metric reads
+a silent 0.  These tests only read `perfbench/`.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import hbmatch
+from hbmatch.cli import main, serialize_instance
+
+from .conftest import shuffled_planted, superposed_commit_instance
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def _owner(path: str):
+    owner = hbmatch
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+@pytest.mark.parametrize(
+    "owner_path, attr, name", spans.TARGETS, ids=[t[2] for t in spans.TARGETS]
+)
+def test_target_resolves(owner_path, attr, name):
+    assert callable(getattr(_owner(owner_path), attr, None)), f"{owner_path}.{attr} ({name})"
+
+
+def test_every_span_records_calls(tmp_path):
+    """A traced witness solve, a traced matching solve with a committed
+    rebuild, a trace check and a generator call reach every span."""
+    owners = [(_owner(path), attr) for path, attr, _ in spans.TARGETS]
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr in owners]
+    rec = spans.Recorder()
+    try:
+        spans.instrument(hbmatch, rec)
+        spec = hbmatch.GeneratorSpec(mode="planted", r=3, a_count=4, b_count=12)
+        hbmatch.instances.generate(spec)
+        solves = (("witness", shuffled_planted(1, 60)), ("commit", superposed_commit_instance()))
+        for name, h in solves:
+            inst, trace = tmp_path / f"{name}.hbm", tmp_path / f"{name}.trace"
+            inst.write_text(serialize_instance(h))
+            argv = ["solve", "--input", str(inst), "--epsilon", "1", "--trace", str(trace),
+                    "--output", str(tmp_path / f"{name}.res")]
+            assert main(argv) in (0, 2)
+            assert main(["check-trace", "--trace", str(trace)]) == 0
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    missing = [name for _, _, name in spans.TARGETS if name not in rec.totals]
+    assert not missing
