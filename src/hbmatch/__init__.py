@@ -22,11 +22,8 @@ from .core import (
     verify_matching,
 )
 from .engine import (
-    AugmentOutcome,
     AugmentRun,
-    CertificateError,
     InternalSolverError,
-    InvariantViolation,
     SolveResult,
     SolveStats,
     augment,
@@ -67,7 +64,6 @@ from .signature import (
 from .tree import (
     AlternatingTree,
     Layer,
-    RootLayer,
     build_layer,
     find_addable_edge,
     tree_degree,
@@ -100,7 +96,6 @@ __all__ = [
     "verify_witness",
     "condition_factor",
     "Layer",
-    "RootLayer",
     "AlternatingTree",
     "find_addable_edge",
     "build_layer",
@@ -113,12 +108,9 @@ __all__ = [
     "floor_log",
     "signature_from_sizes",
     "lex_less",
-    "AugmentOutcome",
     "AugmentRun",
     "SolveResult",
     "SolveStats",
-    "InvariantViolation",
-    "CertificateError",
     "InternalSolverError",
     "augment",
     "find_perfect_matching",

@@ -14,6 +14,7 @@ commands: 0 matching/ok, 2 witness/violated, 1 error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -394,15 +395,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seeds = _parse_seed_range(args.seeds)
     for spec_idx, base in enumerate(specs):
         for seed in seeds:
-            spec = GeneratorSpec(
-                mode=base.mode,
-                r=base.r,
-                a_count=base.a_count,
-                b_count=base.b_count,
-                extra_edges=base.extra_edges,
-                d=base.d,
-                seed=seed,
-            )
+            spec = dataclasses.replace(base, seed=seed)
             h = generate(spec, epsilon)
             start = time.perf_counter()
             result = find_perfect_matching(h, epsilon)

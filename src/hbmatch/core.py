@@ -248,23 +248,19 @@ class PartialMatching:
             del self.b_of[b]
 
 
-def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, e: Edge | int) -> set[int]:
-    """Matching edges sharing a B-vertex with `e`.
+def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> set[int]:
+    """Matching edges sharing a B-vertex with edge `edge_id`.
 
-    An edge of M that meets `e` only in its A-vertex does not block it.
-    The result has at most r-1 members since each B-vertex of `e` lies
-    in at most one matching edge.
+    An edge of M that meets it only in its A-vertex does not block it.
+    The result has at most r-1 members since each of its B-vertices
+    lies in at most one matching edge.
     """
-    if isinstance(e, int):
-        e = h.edges[e]
-    return {m.b_of[b] for b in e.bs if b in m.b_of}
+    return {m.b_of[b] for b in h.edges[edge_id].bs if b in m.b_of}
 
 
-def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, e: Edge | int) -> bool:
-    """True iff `e` has no blocking edges under `m`."""
-    if isinstance(e, int):
-        e = h.edges[e]
-    return m.b_of.keys().isdisjoint(e.bs)
+def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> bool:
+    """True iff edge `edge_id` has no blocking edges under `m`."""
+    return m.b_of.keys().isdisjoint(h.edges[edge_id].bs)
 
 
 def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> PartialMatching:

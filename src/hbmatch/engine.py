@@ -48,37 +48,24 @@ from .signature import (
 from .tree import AlternatingTree, build_layer, validate_tree
 
 __all__ = [
-    "AugmentOutcome",
     "AugmentRun",
     "SolveResult",
     "SolveStats",
-    "InvariantViolation",
-    "CertificateError",
     "InternalSolverError",
     "augment",
     "find_perfect_matching",
-    "tree_signature",
 ]
 
 TraceSink = Callable[[str, dict], None]
 
 
-class InvariantViolation(RuntimeError):
-    """A debug-mode runtime invariant failed; always an implementation bug."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
-
-
-class CertificateError(RuntimeError):
-    """An extracted certificate failed verification (implementation bug)."""
-
-    code = "CERTIFICATE_INVALID"
-
-
 class InternalSolverError(RuntimeError):
-    """Driver-level wrapper for internal-error outcomes."""
+    """The solver broke its own contract: always an implementation bug.
+
+    Raised for a failed debug-mode invariant, an extracted certificate
+    that does not verify, a final matching that is not perfect, and an
+    augmenting run that reaches its iteration cap.
+    """
 
     def __init__(self, code: str, message: str):
         self.code = code
@@ -92,16 +79,6 @@ class SolveStats:
     swaps: int = 0
     build_ops: int = 0
     sig_ambiguities: int = 0
-
-
-@dataclass(frozen=True)
-class AugmentOutcome:
-    """Exactly one of: a matching now covering the root, a violation
-    certificate, or an internal-error code."""
-
-    matching: PartialMatching | None = None
-    witness: WitnessCertificate | None = None
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -129,8 +106,6 @@ class AugmentRun:
         stats: SolveStats | None = None,
         memo: SignatureMemo | None = None,
     ):
-        if m.matches_a(root):
-            raise ValueError(f"root {root} is already matched")
         self.h = h
         self.m = m
         self.params = params
@@ -145,7 +120,10 @@ class AugmentRun:
     # ------------------------------------------------------------------
     # main loop
 
-    def run(self) -> AugmentOutcome:
+    def run(self) -> WitnessCertificate | None:
+        """Augment until the root is matched (returns None; `m` now
+        covers the root) or a layer fails to grow (returns the verified
+        witness; `m` is unchanged)."""
         root = self.tree.root
         trace = self.trace
         if trace is not None:
@@ -159,7 +137,9 @@ class AugmentRun:
                     trace(
                         "augment_end", {"outcome": "internal_error", "iterations": iteration - 1}
                     )
-                return AugmentOutcome(error="ITERATION_CAP_EXCEEDED")
+                raise InternalSolverError(
+                    "ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}"
+                )
             self.stats.iterations += 1
             if trace is not None or self.debug:
                 self._iteration_boundary(iteration)
@@ -167,13 +147,13 @@ class AugmentRun:
             if witness is not None:
                 if trace is not None:
                     trace("augment_end", {"outcome": "witness", "iterations": iteration})
-                return AugmentOutcome(witness=witness)
+                return witness
             if self.collapse_phase():
                 if self.debug:
                     self._check_matched_exactly_root(root)
                 if trace is not None:
                     trace("augment_end", {"outcome": "matched", "iterations": iteration})
-                return AugmentOutcome(matching=self.m)
+                return None
 
     # ------------------------------------------------------------------
     # phases
@@ -289,7 +269,7 @@ class AugmentRun:
             if self.debug:
                 v = verify_matching(self.h, self.m)
                 if v is not None:
-                    raise InvariantViolation("MATCHING_AFTER_SWAP", str(v))
+                    raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
             self.trace("collapse", {"layer": level, "swaps": swaps_here, "root_matched": 0})
@@ -397,7 +377,9 @@ class AugmentRun:
         cert = WitnessCertificate.build(h.r, s, hitting, self.params.epsilon)
         v = verify_witness(h, cert)
         if v is not None:
-            raise CertificateError(f"extracted certificate invalid: {v}")
+            raise InternalSolverError(
+                "CERTIFICATE_INVALID", f"extracted certificate invalid: {v}"
+            )
         return cert
 
     # ------------------------------------------------------------------
@@ -439,30 +421,30 @@ class AugmentRun:
         else:
             assert self.prev_signature is not None
             detail = f"{self.prev_signature.coords} -> {sig.coords}"
-        raise InvariantViolation(code, detail)
+        raise InternalSolverError(code, detail)
 
     def _check_boundary_invariants(self) -> None:
         h, m, tree = self.h, self.m, self.tree
         v = validate_tree(h, m, tree)
         if v is not None:
-            raise InvariantViolation("TREE_INVALID", str(v))
+            raise InternalSolverError("TREE_INVALID", str(v))
         v = verify_matching(h, m)
         if v is not None:
-            raise InvariantViolation("MATCHING_INVALID", str(v))
+            raise InternalSolverError("MATCHING_INVALID", str(v))
         if self._matched_before is not None and m.matched_a_vertices() != self._matched_before:
-            raise InvariantViolation("MATCHED_SET_CHANGED", "A(M) drifted mid-run")
+            raise InternalSolverError("MATCHED_SET_CHANGED", "A(M) drifted mid-run")
         y_below = 1
         for idx, layer in enumerate(tree.layers, start=1):
             if self._collapsible(layer.x):
-                raise InvariantViolation(
+                raise InternalSolverError(
                     "COLLAPSIBLE_AT_BOUNDARY", f"layer {idx} is collapsible"
                 )
             if self.params.exceeds_mu(len(layer.x) - len(layer.y), len(layer.x)):
-                raise InvariantViolation(
+                raise InternalSolverError(
                     "BLOCKER_RATIO", f"layer {idx}: |Y|={len(layer.y)} |X|={len(layer.x)}"
                 )
             if not self.params.exceeds_delta(len(layer.x), y_below):
-                raise InvariantViolation(
+                raise InternalSolverError(
                     "LAYER_GROWTH", f"layer {idx}: |X|={len(layer.x)} vs {y_below} below"
                 )
             y_below += len(layer.y)
@@ -470,7 +452,7 @@ class AugmentRun:
             layer = tree.layers[i - 1]
             x2, _ = self._prefix_rebuild(i)
             if self.params.reaches_one_plus_mu(len(x2), len(layer.x)):
-                raise InvariantViolation(
+                raise InternalSolverError(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",
                     f"layer {i}: rebuild reaches {len(x2)} from {len(layer.x)}",
                 )
@@ -479,7 +461,7 @@ class AugmentRun:
     def _check_layer_count_bound(self, level: int) -> None:
         n = self.h.a_count
         if (1 + self.params.gamma) ** level > n:
-            raise InvariantViolation(
+            raise InternalSolverError(
                 "LAYER_COUNT_BOUND", f"(1+gamma)^{level} > n={n}"
             )
 
@@ -487,7 +469,7 @@ class AugmentRun:
         assert self._matched_before is not None
         now = self.m.matched_a_vertices()
         if now != self._matched_before | {root}:
-            raise InvariantViolation(
+            raise InternalSolverError(
                 "MATCHED_SET_CHANGED", "run did not add exactly the root"
             )
 
@@ -500,13 +482,6 @@ def x_by_a_vertex(h: BipartiteHypergraph, x: set[int]) -> dict[int, list[int]]:
     return out
 
 
-def tree_signature(tree: AlternatingTree, params: Parameters) -> SignatureVector:
-    """Signature vector of a tree's current layer sizes."""
-    sizes = [(len(layer.x), len(layer.y)) for layer in tree.layers]
-    sig, _ = signature_from_sizes(sizes, params)
-    return sig
-
-
 def augment(
     h: BipartiteHypergraph,
     m: PartialMatching,
@@ -516,8 +491,13 @@ def augment(
     debug_invariants: bool = False,
     stats: SolveStats | None = None,
     memo: SignatureMemo | None = None,
-) -> AugmentOutcome:
-    """Run one augmenting computation for an unmatched root."""
+) -> WitnessCertificate | None:
+    """Run one augmenting computation for an unmatched root.
+
+    Returns None once the root is matched (`m` is extended in place), or
+    the verified witness when the tree stalls.  Internal faults raise
+    :class:`InternalSolverError`.
+    """
     run = AugmentRun(
         h,
         m,
@@ -544,8 +524,8 @@ def find_perfect_matching(
 
     Roots are processed in vertex order.  Returns the perfect matching,
     or the first violation certificate encountered.  A malformed
-    instance raises :class:`InstanceError`; internal-error outcomes (the
-    iteration cap) are raised, never returned.
+    instance raises :class:`InstanceError`; internal faults (the
+    iteration cap, a failed check) raise :class:`InternalSolverError`.
     """
     v = validate_instance(h)
     if v is not None:
@@ -563,7 +543,7 @@ def find_perfect_matching(
     for a in range(h.a_count):
         if m.matches_a(a):
             continue
-        outcome = augment(
+        witness = augment(
             h,
             m,
             a,
@@ -573,10 +553,8 @@ def find_perfect_matching(
             stats=stats,
             memo=memo,
         )
-        if outcome.error is not None:
-            raise InternalSolverError(outcome.error, f"augmenting A-vertex {a}")
-        if outcome.witness is not None:
-            return SolveResult(matching=None, witness=outcome.witness, stats=stats)
+        if witness is not None:
+            return SolveResult(matching=None, witness=witness, stats=stats)
     v = verify_matching(h, m, require_perfect=True)
     if v is not None:
         raise InternalSolverError("RESULT_INVALID", str(v))

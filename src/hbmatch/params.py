@@ -18,7 +18,10 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Exact conversion from "p/q" or decimal strings; floats rejected."""
     if isinstance(text, float):
         raise TypeError("rational parameters must not pass through floats")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ balanced across A-vertices.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
     BipartiteHypergraph,
@@ -25,7 +24,6 @@ from .core import (
 
 __all__ = [
     "Layer",
-    "RootLayer",
     "AlternatingTree",
     "find_addable_edge",
     "build_layer",
@@ -42,13 +40,6 @@ class Layer:
     y: set[int] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class RootLayer:
-    """Level 0 of a tree: a single unmatched A-vertex, no edges."""
-
-    root: int
-
-
 class AlternatingTree:
     """Mutable alternating tree owned by a single augmenting run.
 
@@ -61,14 +52,10 @@ class AlternatingTree:
         if m.matches_a(root):
             raise ValueError(f"root {root} is already matched")
         self.h = h
-        self.root_layer = RootLayer(root)
+        self.root = root
         self.u_bound = u_bound
         self.layers: list[Layer] = []
         self._b_occ: dict[int, int] = {}
-
-    @property
-    def root(self) -> int:
-        return self.root_layer.root
 
     def level(self) -> int:
         return len(self.layers)
@@ -85,16 +72,9 @@ class AlternatingTree:
             return {self.root}
         return {self.h.edges[f].a for f in self.layers[i - 2].y}
 
-    def occupied_b(self) -> Mapping[int, int]:
-        """Live B-vertex occupancy counters of the tree; callers only read it."""
-        return self._b_occ
-
-    def a_vertices(self) -> set[int]:
-        """Root plus the A-vertices of every blocking edge in the tree."""
-        out = {self.root}
-        for layer in self.layers:
-            out.update(self.h.edges[f].a for f in layer.y)
-        return out
+    def occupied_b(self) -> AbstractSet[int]:
+        """Live, read-only view of the B-vertices the tree occupies."""
+        return self._b_occ.keys()
 
     def _count(self, edge_ids: Iterable[int], delta: int) -> None:
         """Add `delta` to the B-occupancy counters of each edge."""
@@ -178,7 +158,7 @@ def find_addable_edge(
 def build_layer(
     h: BipartiteHypergraph,
     m: PartialMatching,
-    occupied_b: AbstractSet[int] | Mapping[int, int],
+    occupied_b: AbstractSet[int],
     parent_a_set: Iterable[int],
     u_bound: int,
     x0: Iterable[int] = (),
@@ -188,10 +168,10 @@ def build_layer(
 
     Repeatedly takes the least addable (a, edge) pair, adds the edge to
     X and its blockers under `m` to Y, and treats all their B-vertices
-    as occupied from then on.  `occupied_b` is the occupancy to avoid:
-    a set of B-vertices, or a mapping keyed by B-vertex such as the
-    tree's live counters (:meth:`AlternatingTree.occupied_b`).  It is
-    only read; B-vertices the build adds are kept in a local set.
+    as occupied from then on.  `occupied_b` is the set of B-vertices to
+    avoid, such as the tree's live view
+    (:meth:`AlternatingTree.occupied_b`).  It is only read; B-vertices
+    the build adds are kept in a local set.
     Neither `m` nor the caller's collections are modified; committing
     the result is the caller's decision.
 
@@ -202,7 +182,6 @@ def build_layer(
     is identical to iterating :func:`find_addable_edge`.
     """
     edges, matched, b_of = h.edges, m.edge_ids, m.b_of
-    occ = occupied_b.keys() if isinstance(occupied_b, Mapping) else occupied_b
     x = set(x0)
     y = set(y0)
     new_b: set[int] = set()
@@ -221,7 +200,7 @@ def build_layer(
             if eid in matched:
                 continue
             bs = edges[eid].bs
-            if not (occ.isdisjoint(bs) and new_b.isdisjoint(bs)):
+            if not (occupied_b.isdisjoint(bs) and new_b.isdisjoint(bs)):
                 continue
             x.add(eid)
             new_b.update(bs)

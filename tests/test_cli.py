@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmatch import BipartiteHypergraph, GeneratorSpec, generate, validate_instance
+import hbmatch.engine
+from hbmatch import BipartiteHypergraph, GeneratorSpec, Violation, generate, validate_instance
 from hbmatch.cli import (
     ParseError,
     check_trace_lines,
@@ -455,3 +456,50 @@ class TestCommands:
         out.write_text("status: witness\n" + out.read_text())
         assert main(["verify", "--instance", inst, "--result", str(out)]) == 1
         assert "line 2: duplicate key 'status'" in capsys.readouterr().err
+
+    def test_debug_invariant_failure_is_exit_1_with_code(self, tmp_path, capsys, monkeypatch):
+        inst = self.write_instance(tmp_path, shift_chain(5))
+        monkeypatch.setattr(
+            hbmatch.engine, "validate_tree", lambda h, m, tree: Violation("FORCED", "test")
+        )
+        assert main(["solve", "--input", inst, "--epsilon", "1/2", "--debug-invariants"]) == 1
+        assert capsys.readouterr().err.startswith("TREE_INVALID: ")
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            pytest.param(["solve", "--input", "{inst}", "--epsilon", "1/0"], "", id="solve-epsilon"),
+            pytest.param(
+                ["solve", "--input", "{inst}", "--epsilon", "1", "--mu-override", "1/0"],
+                "",
+                id="solve-mu-override",
+            ),
+            pytest.param(
+                ["check-haxell", "--input", "{inst}", "--epsilon", "1/0"], "", id="check-haxell"
+            ),
+            pytest.param(
+                ["gen", "--mode", "guaranteed", "--na", "2", "--nb", "20", "--epsilon", "1/0"],
+                "",
+                id="gen",
+            ),
+            pytest.param(
+                ["verify", "--instance", "{inst}", "--result", "{res}"],
+                "epsilon: 1/0\n",
+                id="verify-epsilon",
+            ),
+            pytest.param(
+                ["verify", "--instance", "{inst}", "--result", "{res}"],
+                "epsilon: 1\nbound: 1/0\n",
+                id="verify-bound",
+            ),
+        ],
+    )
+    def test_zero_denominator_is_exit_1(self, tmp_path, capsys, argv, fields):
+        h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
+        inst = self.write_instance(tmp_path, h)
+        res = tmp_path / "res.txt"
+        res.write_text("status: witness\n" + fields + "S: 0 1\nhitting_set: 0\n")
+        argv = [a.format(inst=inst, res=res) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zero denominator" in err

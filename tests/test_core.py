@@ -98,9 +98,9 @@ class TestBlockingAndAddable:
     def test_at_most_r_minus_one_blockers_and_equivalence(self, hm):
         h, m = hm
         for e in h.edges:
-            blockers = blocking_edges(h, m, e)
+            blockers = blocking_edges(h, m, e.id)
             assert len(blockers) <= h.r - 1
-            assert (not blockers) == is_immediately_addable(h, m, e)
+            assert (not blockers) == is_immediately_addable(h, m, e.id)
             for f in blockers:
                 assert set(h.edges[f].bs) & set(e.bs)
 

@@ -123,11 +123,12 @@ class TestBuildLayer:
     @settings(max_examples=200)
     def test_equals_reference_from_seed_and_occupancy(self, inputs, as_counter):
         h, m, occupied, parents, u_bound, x0, y0 = inputs
-        # the tree passes its live counter dict; other callers pass a set
+        # the tree passes the keys view of its live counters; other callers pass a set
         occ = {b: 1 + b % 2 for b in occupied} if as_counter else set(occupied)
         before = dict(occ) if as_counter else set(occ)
         expected = iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0, y0)
-        assert build_layer(h, m, occ, parents, u_bound, x0=x0, y0=y0) == expected
+        view = occ.keys() if as_counter else occ
+        assert build_layer(h, m, view, parents, u_bound, x0=x0, y0=y0) == expected
         assert occ == before, "occupancy is read-only"
 
     @given(hypergraphs_with_matching(max_a=5, max_b=8, max_edges=12))
