@@ -1,0 +1,276 @@
+"""The checking kernel: every polynomial-time check a result must pass.
+
+To trust an answer of the solver, this module is what must be read.
+It holds instance validation, the matching check, the witness check,
+the per-set factor of the strengthened condition, and the reader of
+result documents.  `hbmatch verify` (through :func:`check_result`), the
+solver's final matching check and its witness extraction all call the
+checks defined here.  It imports only the standard library, the data
+types of :mod:`hbmatch.core` and the rationals of :mod:`hbmatch.params`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
+
+from .core import BipartiteHypergraph, PartialMatching, Violation, incident_edges
+from .params import parse_epsilon, parse_rational
+
+__all__ = [
+    "ParseError",
+    "validate_instance",
+    "verify_matching",
+    "condition_factor",
+    "WitnessCertificate",
+    "verify_witness",
+    "parse_result",
+    "check_result",
+]
+
+
+class ParseError(ValueError):
+    def __init__(self, line: int, reason: str):
+        self.line = line
+        self.reason = reason
+        super().__init__(f"PARSE_ERROR: line {line}: {reason}")
+
+
+# ----------------------------------------------------------------------
+# instances
+
+
+def validate_instance(h: BipartiteHypergraph) -> Violation | None:
+    """Check all structural invariants; return the first violation or None.
+
+    Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
+    DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
+    from the immutable edge list at construction, so once every A-vertex
+    is in range it lists every edge.  A violation of an edge carries its
+    id.  The result is kept on the immutable instance, so the parser and
+    the solver share one check.
+    """
+    if not h._validated:
+        h._violation = _first_violation(h)
+        h._validated = True
+    return h._violation
+
+
+def _first_violation(h: BipartiteHypergraph) -> Violation | None:
+    r, na, nb = h.r, h.a_count, h.b_count
+    if r < 2:
+        return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
+    width = r - 1
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    for e in h.edges:
+        a, bs = e.a, e.bs
+        if len(bs) != width:
+            return Violation(
+                "NON_UNIFORM_EDGE",
+                f"edge {e.id} has {len(bs)} B-vertices, expected {width}",
+                e.id,
+            )
+        if not 0 <= a < na:
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {a}", e.id)
+        # bs is sorted, so its ends bound its range and repeats are adjacent.
+        if bs[0] < 0 or bs[-1] >= nb:
+            b = next(b for b in bs if not 0 <= b < nb)
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}", e.id)
+        if len(set(bs)) < width:
+            u = next(u for u, v in zip(bs, bs[1:]) if u == v)
+            return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}", e.id)
+        key = (a, bs)
+        if key in seen:
+            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}", e.id)
+        seen.add(key)
+    return None
+
+
+# ----------------------------------------------------------------------
+# matchings
+
+
+def verify_matching(
+    h: BipartiteHypergraph, m: PartialMatching, require_perfect: bool = False
+) -> Violation | None:
+    """Re-check a live matching from scratch; None when clean.
+
+    Besides the checks of :func:`_matching_violation`, reports
+    MAP_INCONSISTENT when the incremental maps of `m` disagree with its
+    edge set.
+    """
+    return _matching_violation(h, m.edge_ids, require_perfect, (m.a_of, m.b_of))
+
+
+def _matching_violation(
+    h: BipartiteHypergraph,
+    edge_ids: Iterable[int],
+    require_perfect: bool,
+    maps: tuple[dict[int, int], dict[int, int]] | None = None,
+) -> Violation | None:
+    """OVERLAP for the first pair of edges sharing a vertex (in id order),
+    MAP_INCONSISTENT when `maps` is given and differs from the vertex
+    maps of the edges, and UNMATCHED when `require_perfect` and some
+    A-vertex is bare.  Every id must be in range."""
+    a_seen: dict[int, int] = {}
+    b_seen: dict[int, int] = {}
+    for eid in sorted(edge_ids):
+        e = h.edges[eid]
+        if e.a in a_seen:
+            return Violation("OVERLAP", f"edges {a_seen[e.a]} and {eid} share A-vertex {e.a}")
+        a_seen[e.a] = eid
+        for b in e.bs:
+            if b in b_seen:
+                return Violation("OVERLAP", f"edges {b_seen[b]} and {eid} share B-vertex {b}")
+            b_seen[b] = eid
+    if maps is not None and (a_seen, b_seen) != maps:
+        return Violation("MAP_INCONSISTENT", "vertex maps do not reflect the edge set")
+    if require_perfect:
+        for a in range(h.a_count):
+            if a not in a_seen:
+                return Violation("UNMATCHED", f"A-vertex {a}")
+    return None
+
+
+# ----------------------------------------------------------------------
+# witnesses
+
+
+def condition_factor(r: int, epsilon: Fraction) -> Fraction:
+    """The per-set factor 2r-3+epsilon of the strengthened condition."""
+    return Fraction(2 * r - 3) + epsilon
+
+
+@dataclass(frozen=True)
+class WitnessCertificate:
+    """A violating set S with an explicit hitting set for its edges.
+
+    `hitting_set` meets every edge incident to `s`, and its size is at
+    most `bound` = (2r-3+epsilon)(|s|-1); both facts are checkable in
+    polynomial time by :func:`verify_witness`.
+    """
+
+    r: int
+    s: frozenset[int]
+    hitting_set: frozenset[int]
+    epsilon: Fraction
+
+    @classmethod
+    def build(
+        cls, r: int, s: Iterable[int], hitting_set: Iterable[int], epsilon: Fraction
+    ) -> "WitnessCertificate":
+        return cls(r, frozenset(s), frozenset(hitting_set), epsilon)
+
+    @property
+    def bound(self) -> Fraction:
+        return condition_factor(self.r, self.epsilon) * (len(self.s) - 1)
+
+
+def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violation | None:
+    """Polynomial-time check of a violation certificate.
+
+    Confirms that the certificate is for the instance's uniformity, that
+    the hitting set lies in B and meets every edge incident to S, and
+    that its cardinality is at most the bound, in exact rational
+    arithmetic.
+    """
+    if cert.r != h.r:
+        return Violation("UNIFORMITY_MISMATCH", f"certificate r={cert.r}, instance r={h.r}")
+    for a in cert.s:
+        if not 0 <= a < h.a_count:
+            return Violation("INDEX_OUT_OF_RANGE", f"A-vertex {a} in S")
+    for b in cert.hitting_set:
+        if not 0 <= b < h.b_count:
+            return Violation("INDEX_OUT_OF_RANGE", f"B-vertex {b} in hitting set")
+    for eid in sorted(incident_edges(h, cert.s)):
+        e = h.edges[eid]
+        if not any(b in cert.hitting_set for b in e.bs):
+            return Violation("UNHIT_EDGE", f"edge {eid} not hit")
+    if len(cert.hitting_set) > cert.bound:
+        return Violation(
+            "SIZE_EXCEEDS_BOUND",
+            f"|hitting_set|={len(cert.hitting_set)} > bound {cert.bound}",
+        )
+    return None
+
+
+# ----------------------------------------------------------------------
+# result documents
+
+
+def _id_list(value: str) -> list[int]:
+    try:
+        return [int(f) for f in value.split()]
+    except ValueError:
+        raise ValueError(f"non-integer id in {value!r}") from None
+
+
+# The fields each status gives a meaning to, with their readers.
+_TYPED_FIELDS = {
+    "perfect_matching": {"matching": _id_list},
+    "witness": {
+        "S": _id_list,
+        "hitting_set": _id_list,
+        "epsilon": parse_epsilon,
+        "bound": parse_rational,
+    },
+}
+
+
+def parse_result(text: str) -> dict:
+    """Read a result document: `key: value` lines, each key once.
+
+    Values stay text, except the fields the status gives a meaning to:
+    id lists become lists of ints and a witness's `epsilon` and `bound`
+    become Fractions.  A malformed field raises :class:`ParseError` at
+    its line, as do an unknown status and a witness without epsilon.
+    """
+    doc: dict = {}
+    lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError(lineno, "expected 'key: value'")
+        key, _, value = line.partition(":")
+        key = key.strip()
+        if key in doc:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        doc[key] = value.strip()
+        lines[key] = lineno
+    if "status" not in doc:
+        raise ParseError(0, "result document missing status")
+    fields = _TYPED_FIELDS.get(doc["status"])
+    if fields is None:
+        raise ParseError(lines["status"], f"unknown status {doc['status']!r}")
+    if doc["status"] == "witness" and "epsilon" not in doc:
+        raise ParseError(0, "witness document missing epsilon")
+    for key, read in fields.items():
+        if key in doc:
+            try:
+                doc[key] = read(doc[key])
+            except ValueError as exc:
+                raise ParseError(lines[key], str(exc)) from None
+    return doc
+
+
+def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
+    """Check a document read by :func:`parse_result` against its instance.
+
+    A matching must use edges of the instance, be vertex-disjoint and
+    cover A.  A witness must pass :func:`verify_witness`, and its
+    recorded bound, if any, must be the one its S and epsilon give.
+    """
+    if doc["status"] == "perfect_matching":
+        ids = doc.get("matching", [])
+        if any(not 0 <= i < h.m for i in ids):
+            return Violation("INDEX_OUT_OF_RANGE", "matching edge id")
+        return _matching_violation(h, ids, require_perfect=True)
+    cert = WitnessCertificate.build(
+        h.r, doc.get("S", []), doc.get("hitting_set", []), doc["epsilon"]
+    )
+    if "bound" in doc and doc["bound"] != cert.bound:
+        return Violation("BOUND_MISMATCH", "recorded bound differs")
+    return verify_witness(h, cert)

@@ -7,39 +7,32 @@ anywhere):
     e <a> <b1> ... <b_{r-1}>        (B-vertices ascending, m such lines)
 
 Result documents are line-delimited key:value records in a fixed field
-order; trace documents are one event per line.  Exit codes across all
+order, read back and checked by :mod:`hbmatch.certify`; trace documents
+are one event per line.  Exit codes across all
 commands: 0 matching/ok, 2 witness/violated, 1 error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import time
 from fractions import Fraction
 from operator import lt
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from .core import BipartiteHypergraph, PartialMatching, validate_instance, verify_matching
+from .certify import ParseError, check_result, parse_result, validate_instance
+from .core import BipartiteHypergraph
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
-from .oracles import (
-    InstanceTooLarge,
-    WitnessCertificate,
-    check_haxell,
-    verify_witness,
-)
 from .instances import MODES, GeneratorSpec, default_private_degree, generate
-from .params import parse_rational
+from .oracles import check_haxell
+from .params import parse_epsilon, parse_rational
 from .signature import SignatureVector, check_signature_step
 
 __all__ = [
-    "ParseError",
     "parse_instance",
     "serialize_instance",
     "format_result",
-    "parse_result",
     "TraceWriter",
     "check_trace_lines",
     "main",
@@ -48,13 +41,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WITNESS = 2
-
-
-class ParseError(ValueError):
-    def __init__(self, line: int, reason: str):
-        self.line = line
-        self.reason = reason
-        super().__init__(f"PARSE_ERROR: line {line}: {reason}")
 
 
 # ----------------------------------------------------------------------
@@ -156,29 +142,6 @@ def format_result(result: SolveResult, epsilon: Fraction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_result(text: str) -> dict:
-    """Parse a result document into its key: value fields; each key once."""
-    doc: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError(lineno, "expected 'key: value'")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key in doc:
-            raise ParseError(lineno, f"duplicate key {key!r}")
-        doc[key] = value.strip()
-    if "status" not in doc:
-        raise ParseError(0, "result document missing status")
-    return doc
-
-
-def _parse_id_list(value: str) -> list[int]:
-    return [int(f) for f in value.split()] if value else []
-
-
 # ----------------------------------------------------------------------
 # trace documents
 
@@ -219,10 +182,14 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
             prev = None
             in_run = True
         elif event == "signature" and in_run:
-            coords = tuple(int(c) for c in kv.get("coords", "").split(",") if c)
-            sig = SignatureVector(coords)
-            if int(kv.get("unresolved", "0")) != 0:
+            try:
+                coords = tuple(int(c) for c in kv.get("coords", "").split(",") if c)
+                unresolved = int(kv.get("unresolved", "0"))
+            except ValueError:
+                return f"line {lineno}: non-integer coords or unresolved field"
+            if unresolved != 0:
                 return f"line {lineno}: unresolved floor boundary"
+            sig = SignatureVector(coords)
             broken = check_signature_step(sig, prev)
             if broken is not None:
                 code, pos = broken
@@ -243,7 +210,7 @@ def _read_instance(path: str) -> BipartiteHypergraph:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     h = _read_instance(args.input)
-    epsilon = parse_rational(args.epsilon)
+    epsilon = parse_epsilon(args.epsilon)
     trace_stream = open(args.trace, "w") if args.trace else None
     try:
         result = find_perfect_matching(
@@ -268,43 +235,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _read_instance(args.instance)
-    doc = parse_result(Path(args.result).read_text())
-    status = doc["status"]
-    if status == "perfect_matching":
-        ids = _parse_id_list(doc.get("matching", ""))
-        if any(not 0 <= i < h.m for i in ids):
-            print("INDEX_OUT_OF_RANGE: matching edge id", file=sys.stderr)
-            return EXIT_ERROR
-        m = PartialMatching()
-        try:
-            for eid in ids:
-                m.add(h, eid)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_ERROR
-        v = verify_matching(h, m, require_perfect=True)
-        if v is not None:
-            print(str(v), file=sys.stderr)
-            return EXIT_ERROR
-    elif status == "witness":
-        if "epsilon" not in doc:
-            raise ParseError(0, "witness document missing epsilon")
-        epsilon = parse_rational(doc["epsilon"])
-        cert = WitnessCertificate.build(
-            h.r,
-            _parse_id_list(doc.get("S", "")),
-            _parse_id_list(doc.get("hitting_set", "")),
-            epsilon,
-        )
-        if "bound" in doc and parse_rational(doc["bound"]) != cert.bound:
-            print("BOUND_MISMATCH: recorded bound differs", file=sys.stderr)
-            return EXIT_ERROR
-        v = verify_witness(h, cert)
-        if v is not None:
-            print(str(v), file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        print(f"unknown status {status!r}", file=sys.stderr)
+    v = check_result(h, parse_result(Path(args.result).read_text()))
+    if v is not None:
+        print(str(v), file=sys.stderr)
         return EXIT_ERROR
     print("ok")
     return EXIT_OK
@@ -312,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_check_haxell(args: argparse.Namespace) -> int:
     h = _read_instance(args.input)
-    epsilon = parse_rational(args.epsilon)
+    epsilon = parse_epsilon(args.epsilon)
     mode = "classic" if args.classic else "strengthened"
     res = check_haxell(h, epsilon, mode=mode, max_a=args.max_a)
     if res.satisfied:
@@ -327,9 +260,10 @@ def cmd_check_haxell(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    epsilon = parse_epsilon(args.epsilon)
     d = args.d
     if d is None and args.mode == "guaranteed":
-        d = default_private_degree(args.r, parse_rational(args.epsilon))
+        d = default_private_degree(args.r, epsilon)
     spec = GeneratorSpec(
         mode=args.mode,
         r=args.r,
@@ -339,7 +273,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         d=d,
         seed=args.seed,
     )
-    h = generate(spec, parse_rational(args.epsilon))
+    h = generate(spec, epsilon)
     text = serialize_instance(h, comments=[f"generator: {spec.describe()}"])
     if args.output:
         Path(args.output).write_text(text)
@@ -354,59 +288,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         print(err, file=sys.stderr)
         return EXIT_ERROR
     print("ok")
-    return EXIT_OK
-
-
-def _parse_seed_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi)))
-    return [int(f) for f in text.split(",")]
-
-
-def _parse_spec_line(lineno: int, line: str) -> GeneratorSpec:
-    fields = line.split()
-    for f in fields:
-        if "=" not in f:
-            raise ParseError(lineno, f"expected key=value, got {f!r}")
-    kv = dict(f.split("=", 1) for f in fields)
-    for key in ("mode", "na", "nb"):
-        if key not in kv:
-            raise ParseError(lineno, f"spec line lacks {key}=")
-    return GeneratorSpec(
-        mode=kv["mode"],
-        r=int(kv.get("r", 3)),
-        a_count=int(kv["na"]),
-        b_count=int(kv["nb"]),
-        extra_edges=int(kv.get("extra_edges", 0)),
-        d=int(kv["d"]) if "d" in kv else None,
-        seed=0,
-    )
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Solve a seeded batch; one stats row per (spec, seed), ordered."""
-    epsilon = parse_rational(args.epsilon)
-    specs = [
-        _parse_spec_line(lineno, line)
-        for lineno, line in enumerate(Path(args.spec_file).read_text().splitlines(), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    seeds = _parse_seed_range(args.seeds)
-    for spec_idx, base in enumerate(specs):
-        for seed in seeds:
-            spec = dataclasses.replace(base, seed=seed)
-            h = generate(spec, epsilon)
-            start = time.perf_counter()
-            result = find_perfect_matching(h, epsilon)
-            millis = (time.perf_counter() - start) * 1000.0
-            status = "matching" if result.matching is not None else "witness"
-            s = result.stats
-            print(
-                f"spec={spec_idx} seed={seed} status={status} "
-                f"iterations={s.iterations} layers={s.max_layers} "
-                f"swaps={s.swaps} build_ops={s.build_ops} millis={millis:.2f}"
-            )
     return EXIT_OK
 
 
@@ -457,21 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_check_trace)
 
-    p = sub.add_parser("bench", help="solve a seeded batch and print stats rows")
-    p.add_argument("--spec-file", required=True)
-    p.add_argument("--seeds", required=True, help="range lo:hi or comma list")
-    p.add_argument("--epsilon", default="1")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, InstanceTooLarge, InternalSolverError) as exc:
+    except (OSError, ValueError, InternalSolverError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,12 +19,10 @@ __all__ = [
     "Violation",
     "InstanceError",
     "MatchingError",
-    "validate_instance",
     "incident_edges",
     "blocking_edges",
     "is_immediately_addable",
     "swap",
-    "verify_matching",
 ]
 
 
@@ -85,7 +83,7 @@ class BipartiteHypergraph:
     The structure is immutable after construction.  `a_edges[a]` lists
     the ids of the edges at A-vertex `a` in edge-id order; no B-side
     index is kept.  Construction accepts arbitrary (a, bs) pairs so that
-    malformed input can be inspected by :func:`validate_instance`;
+    malformed input can be inspected by :func:`certify.validate_instance`;
     B-vertex lists are stored sorted, and an edge whose A-vertex is out
     of range is left out of the index.
     """
@@ -133,52 +131,6 @@ class BipartiteHypergraph:
             f"BipartiteHypergraph(r={self.r}, a_count={self.a_count}, "
             f"b_count={self.b_count}, m={self.m})"
         )
-
-
-def validate_instance(h: BipartiteHypergraph) -> Violation | None:
-    """Check all structural invariants; return the first violation or None.
-
-    Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
-    DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
-    from the immutable edge list at construction, so once every A-vertex
-    is in range it lists every edge.  A violation of an edge carries its
-    id.  The result is kept on the immutable instance, so the parser and
-    the solver share one check.
-    """
-    if not h._validated:
-        h._violation = _first_violation(h)
-        h._validated = True
-    return h._violation
-
-
-def _first_violation(h: BipartiteHypergraph) -> Violation | None:
-    r, na, nb = h.r, h.a_count, h.b_count
-    if r < 2:
-        return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
-    width = r - 1
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for e in h.edges:
-        a, bs = e.a, e.bs
-        if len(bs) != width:
-            return Violation(
-                "NON_UNIFORM_EDGE",
-                f"edge {e.id} has {len(bs)} B-vertices, expected {width}",
-                e.id,
-            )
-        if not 0 <= a < na:
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {a}", e.id)
-        # bs is sorted, so its ends bound its range and repeats are adjacent.
-        if bs[0] < 0 or bs[-1] >= nb:
-            b = next(b for b in bs if not 0 <= b < nb)
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}", e.id)
-        if len(set(bs)) < width:
-            u = next(u for u, v in zip(bs, bs[1:]) if u == v)
-            return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}", e.id)
-        key = (a, bs)
-        if key in seen:
-            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}", e.id)
-        seen.add(key)
-    return None
 
 
 def incident_edges(h: BipartiteHypergraph, s: Iterable[int]) -> set[int]:
@@ -284,32 +236,3 @@ def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> P
     m.remove(h, f_out)
     m.add(h, e_in)
     return m
-
-
-def verify_matching(
-    h: BipartiteHypergraph, m: PartialMatching, require_perfect: bool = False
-) -> Violation | None:
-    """Re-check matching validity from scratch; None when clean.
-
-    Reports OVERLAP for the first pair of member edges sharing a vertex,
-    MAP_INCONSISTENT when the incremental maps disagree with the edge
-    set, and UNMATCHED when `require_perfect` and some A-vertex is bare.
-    """
-    a_seen: dict[int, int] = {}
-    b_seen: dict[int, int] = {}
-    for eid in sorted(m.edge_ids):
-        e = h.edges[eid]
-        if e.a in a_seen:
-            return Violation("OVERLAP", f"edges {a_seen[e.a]} and {eid} share A-vertex {e.a}")
-        a_seen[e.a] = eid
-        for b in e.bs:
-            if b in b_seen:
-                return Violation("OVERLAP", f"edges {b_seen[b]} and {eid} share B-vertex {b}")
-            b_seen[b] = eid
-    if a_seen != m.a_of or b_seen != m.b_of:
-        return Violation("MAP_INCONSISTENT", "vertex maps do not reflect the edge set")
-    if require_perfect:
-        for a in range(h.a_count):
-            if a not in a_seen:
-                return Violation("UNMATCHED", f"A-vertex {a}")
-    return None

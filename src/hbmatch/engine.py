@@ -28,16 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .certify import WitnessCertificate, validate_instance, verify_matching, verify_witness
 from .core import (
     BipartiteHypergraph,
     InstanceError,
     PartialMatching,
     is_immediately_addable,
     swap,
-    validate_instance,
-    verify_matching,
 )
-from .oracles import WitnessCertificate, verify_witness
 from .params import Parameters
 from .signature import (
     SignatureMemo,

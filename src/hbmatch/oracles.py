@@ -1,10 +1,10 @@
-"""Exact desk-scale oracles.
+"""Exact desk-scale oracles behind `hbmatch check-haxell`.
 
-Minimum hitting sets by branch and bound, exhaustive checking of the
-matching-existence condition over all A-subsets, brute-force perfect
-matching, and verification of violation certificates.  Everything here
-is exponential by nature and guarded by instance-size caps; the solver
-itself never calls these on hot paths.
+Minimum hitting sets by branch and bound, and exhaustive checking of
+the matching-existence condition over all A-subsets.  Both are
+exponential by nature and guarded by instance-size caps; the solver
+never calls them, and no result check depends on them (those live in
+:mod:`hbmatch.certify`).
 """
 
 from __future__ import annotations
@@ -15,24 +15,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .core import (
-    BipartiteHypergraph,
-    PartialMatching,
-    Violation,
-    incident_edges,
-)
+from .certify import condition_factor
+from .core import BipartiteHypergraph, incident_edges
 
 __all__ = [
     "EXCEEDS_BUDGET",
     "HittingSetResult",
     "HaxellResult",
-    "WitnessCertificate",
     "InstanceTooLarge",
     "min_hitting_set",
     "check_haxell",
-    "brute_force_perfect_matching",
-    "verify_witness",
-    "condition_factor",
 ]
 
 DEFAULT_SUBSET_CAP = 20
@@ -70,38 +62,6 @@ class HaxellResult:
     violator: tuple[int, ...] | None = None
     tau: int | None = None
     bound: Fraction | None = None
-
-
-def condition_factor(r: int, epsilon: Fraction) -> Fraction:
-    """The per-set factor 2r-3+epsilon of the strengthened condition."""
-    return Fraction(2 * r - 3) + epsilon
-
-
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """A violating set S with an explicit hitting set for its edges.
-
-    `hitting_set` meets every edge incident to `s`, and its size is at
-    most (2r-3+epsilon)(|s|-1); both facts are checkable in polynomial
-    time by :func:`verify_witness`.
-    """
-
-    s: frozenset[int]
-    hitting_set: frozenset[int]
-    epsilon: Fraction
-    bound: Fraction
-
-    @classmethod
-    def build(
-        cls,
-        r: int,
-        s: Iterable[int],
-        hitting_set: Iterable[int],
-        epsilon: Fraction,
-    ) -> "WitnessCertificate":
-        s = frozenset(s)
-        bound = condition_factor(r, epsilon) * (len(s) - 1)
-        return cls(s=s, hitting_set=frozenset(hitting_set), epsilon=epsilon, bound=bound)
 
 
 def _greedy_hitting_set(bsets: list[frozenset[int]]) -> list[int]:
@@ -233,67 +193,3 @@ def check_haxell(
                 assert isinstance(res, HittingSetResult)
                 return HaxellResult(False, subset, res.size, bound)
     return HaxellResult(True)
-
-
-def brute_force_perfect_matching(
-    h: BipartiteHypergraph, max_a: int = DEFAULT_SUBSET_CAP
-) -> PartialMatching | None:
-    """Backtracking ground-truth search; lexicographically first matching.
-
-    A-vertices are processed in index order and each tries its incident
-    edges in edge order, so the first complete assignment found is the
-    lexicographically least one.  Returns None when no perfect matching
-    exists.
-    """
-    if h.a_count > max_a:
-        raise InstanceTooLarge(f"|A|={h.a_count} exceeds the backtracking cap {max_a}")
-    used_b: set[int] = set()
-    picks: list[int] = []
-
-    def bt(a: int) -> bool:
-        if a == h.a_count:
-            return True
-        for eid in h.a_edges[a]:
-            e = h.edges[eid]
-            if any(b in used_b for b in e.bs):
-                continue
-            used_b.update(e.bs)
-            picks.append(eid)
-            if bt(a + 1):
-                return True
-            picks.pop()
-            used_b.difference_update(e.bs)
-        return False
-
-    if not bt(0):
-        return None
-    m = PartialMatching()
-    for eid in picks:
-        m.add(h, eid)
-    return m
-
-
-def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violation | None:
-    """Polynomial-time check of a violation certificate.
-
-    Confirms that the hitting set lies in B and meets every edge
-    incident to S, and that its cardinality is at most
-    (2r-3+epsilon)(|S|-1) in exact rational arithmetic.
-    """
-    for a in cert.s:
-        if not 0 <= a < h.a_count:
-            return Violation("INDEX_OUT_OF_RANGE", f"A-vertex {a} in S")
-    for b in cert.hitting_set:
-        if not 0 <= b < h.b_count:
-            return Violation("INDEX_OUT_OF_RANGE", f"B-vertex {b} in hitting set")
-    for eid in sorted(incident_edges(h, cert.s)):
-        e = h.edges[eid]
-        if not any(b in cert.hitting_set for b in e.bs):
-            return Violation("UNHIT_EDGE", f"edge {eid} not hit")
-    bound = condition_factor(h.r, cert.epsilon) * (len(cert.s) - 1)
-    if Fraction(len(cert.hitting_set)) > bound:
-        return Violation(
-            "SIZE_EXCEEDS_BOUND",
-            f"|hitting_set|={len(cert.hitting_set)} > bound {bound}",
-        )
-    return None

@@ -11,17 +11,44 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Parameters", "parse_rational"]
+__all__ = ["Parameters", "parse_rational", "parse_epsilon", "MAX_DECIMAL_EXPONENT"]
+
+# Far beyond any useful slack, and small enough that 10**exponent still
+# prints within Python's 4300-digit limit on int/str conversion, which
+# already bounds the digits of the mantissa.
+MAX_DECIMAL_EXPONENT = 1000
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Exact conversion from "p/q" or decimal strings; floats rejected."""
+    """Exact conversion from "p/q" or decimal strings; floats rejected.
+
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT is rejected before
+    the power of ten is built.
+    """
     if isinstance(text, float):
         raise TypeError("rational parameters must not pass through floats")
+    if isinstance(text, str):
+        _, e, exponent = text.lower().partition("e")
+        try:
+            too_large = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_large = False  # not an exponent; Fraction rejects the text
+        if too_large:
+            raise ValueError(
+                f"rational {text!r} has an exponent beyond {MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def parse_epsilon(text: str | int | Fraction) -> Fraction:
+    """The condition slack epsilon: a rational that must be > 0."""
+    epsilon = parse_rational(text)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -53,9 +80,7 @@ class Parameters:
         u_override: int | None = None,
         max_iterations: int | None = None,
     ) -> "Parameters":
-        epsilon = parse_rational(epsilon)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        epsilon = parse_epsilon(epsilon)
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
         mu = parse_rational(mu_override) if mu_override is not None else (

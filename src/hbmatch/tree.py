@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 from .core import (
     BipartiteHypergraph,
@@ -25,10 +25,8 @@ from .core import (
 __all__ = [
     "Layer",
     "AlternatingTree",
-    "find_addable_edge",
     "build_layer",
     "validate_tree",
-    "tree_degree",
 ]
 
 
@@ -115,46 +113,6 @@ class AlternatingTree:
         layer.y = set(new_y)
 
 
-def tree_degree(tree: AlternatingTree, a: int) -> int:
-    """Number of tree edges (X and Y, root excluded) containing `a`."""
-    edges = tree.h.edges
-    return sum(
-        1 for layer in tree.layers for eid in chain(layer.x, layer.y) if edges[eid].a == a
-    )
-
-
-def find_addable_edge(
-    h: BipartiteHypergraph,
-    occupied_b: set[int],
-    parent_a_set: Iterable[int],
-    x_counts: Mapping[int, int],
-    u_bound: int,
-    m: PartialMatching | None = None,
-) -> tuple[int, int] | None:
-    """Least (a, edge) pair that a layer build would take next.
-
-    `a` must lie in the parent set with fewer than `u_bound` edges
-    already in the layer's X (per `x_counts`), and the edge's B-vertices
-    must avoid `occupied_b`, which the caller populates with the
-    B-vertices of the relevant tree prefix plus the layer under
-    construction.  Pairs are ordered by vertex index, then edge id.
-
-    Matching edges are never selected.  Inside the solver that check is
-    redundant (a parent's matching edge is always tree-occupied), but it
-    keeps the function total for arbitrary occupancy sets.
-    """
-    for a in sorted(parent_a_set):
-        if x_counts.get(a, 0) >= u_bound:
-            continue
-        for eid in h.a_edges[a]:
-            if m is not None and eid in m.edge_ids:
-                continue
-            e = h.edges[eid]
-            if not any(b in occupied_b for b in e.bs):
-                return (a, eid)
-    return None
-
-
 def build_layer(
     h: BipartiteHypergraph,
     m: PartialMatching,
@@ -166,8 +124,10 @@ def build_layer(
 ) -> tuple[set[int], set[int]]:
     """Grow a layer from (x0, y0) until no addable edge remains.
 
-    Repeatedly takes the least addable (a, edge) pair, adds the edge to
-    X and its blockers under `m` to Y, and treats all their B-vertices
+    Repeatedly takes the least addable (a, edge) pair, by vertex index
+    and then edge id: `a` is a parent with fewer than `u_bound` X-edges,
+    and the edge is not in `m` and avoids every occupied B-vertex.  It
+    adds the edge to X and its blockers under `m` to Y, and treats all their B-vertices
     as occupied from then on.  `occupied_b` is the set of B-vertices to
     avoid, such as the tree's live view
     (:meth:`AlternatingTree.occupied_b`).  It is only read; B-vertices
@@ -178,8 +138,7 @@ def build_layer(
     Occupancy only grows during a build and taking an edge for one
     parent never frees another, so each parent, in vertex order, takes
     edges from its incidence list in one pass until it reaches
-    `u_bound` or runs out, and is never revisited.  The selection order
-    is identical to iterating :func:`find_addable_edge`.
+    `u_bound` or runs out, and is never revisited.
     """
     edges, matched, b_of = h.edges, m.edge_ids, m.b_of
     x = set(x0)

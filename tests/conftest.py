@@ -9,10 +9,11 @@ from hbmatch import (
     BipartiteHypergraph,
     GeneratorSpec,
     PartialMatching,
-    SplitMix64,
     from_bipartite_graph,
     generate,
 )
+from hbmatch.instances import SplitMix64
+from hbmatch.oracles import DEFAULT_SUBSET_CAP, InstanceTooLarge
 
 
 def make_h(r, a_count, b_count, edges) -> BipartiteHypergraph:
@@ -59,6 +60,44 @@ def shuffled_planted(seed: int, na: int, r: int = 3) -> BipartiteHypergraph:
     edges = [(e.a, e.bs) for e in h.edges]
     SplitMix64(seed ^ 0x5EED).shuffle(edges)
     return BipartiteHypergraph(h.r, h.a_count, h.b_count, edges)
+
+
+def brute_force_perfect_matching(
+    h: BipartiteHypergraph, max_a: int = DEFAULT_SUBSET_CAP
+) -> PartialMatching | None:
+    """Backtracking ground-truth search; lexicographically first matching.
+
+    A-vertices are processed in index order and each tries its incident
+    edges in edge order, so the first complete assignment found is the
+    lexicographically least one.  Returns None when no perfect matching
+    exists.
+    """
+    if h.a_count > max_a:
+        raise InstanceTooLarge(f"|A|={h.a_count} exceeds the backtracking cap {max_a}")
+    used_b: set[int] = set()
+    picks: list[int] = []
+
+    def bt(a: int) -> bool:
+        if a == h.a_count:
+            return True
+        for eid in h.a_edges[a]:
+            e = h.edges[eid]
+            if any(b in used_b for b in e.bs):
+                continue
+            used_b.update(e.bs)
+            picks.append(eid)
+            if bt(a + 1):
+                return True
+            picks.pop()
+            used_b.difference_update(e.bs)
+        return False
+
+    if not bt(0):
+        return None
+    m = PartialMatching()
+    for eid in picks:
+        m.add(h, eid)
+    return m
 
 
 @st.composite

@@ -20,18 +20,17 @@ import pytest
 from hbmatch import (
     BipartiteHypergraph,
     GeneratorSpec,
-    SplitMix64,
-    brute_force_perfect_matching,
-    check_haxell,
-    default_private_degree,
     find_perfect_matching,
     generate,
-    incident_edges,
-    min_hitting_set,
     verify_matching,
     verify_witness,
 )
 from hbmatch.cli import TraceWriter, check_trace_lines, main, parse_instance, serialize_instance
+from hbmatch.core import incident_edges
+from hbmatch.instances import SplitMix64, default_private_degree
+from hbmatch.oracles import check_haxell, min_hitting_set
+
+from .conftest import brute_force_perfect_matching
 
 
 @contextmanager

@@ -1,0 +1,173 @@
+"""The checking kernel: its import set, its document reader and its checks."""
+
+import ast
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import hbmatch.certify as certify
+import hbmatch.cli as cli
+import hbmatch.engine as engine
+from hbmatch import (
+    ParseError,
+    PartialMatching,
+    WitnessCertificate,
+    check_result,
+    find_perfect_matching,
+    parse_result,
+    verify_matching,
+    verify_witness,
+)
+
+from .conftest import hypergraphs_with_matching, make_h, shift_chain
+
+SRC = Path(certify.__file__).resolve().parent
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, relative ones made absolute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add(f"hbmatch.{node.module}" if node.level else node.module)
+    return out
+
+
+class TestImports:
+    def test_kernel_imports_only_stdlib_core_and_params(self):
+        mods = imported_modules(SRC / "certify.py")
+        assert mods == {
+            "__future__", "dataclasses", "fractions", "typing", "hbmatch.core", "hbmatch.params"
+        }
+        assert all(m in sys.stdlib_module_names for m in mods if not m.startswith("hbmatch"))
+
+    def test_engine_does_not_import_oracles(self):
+        assert "hbmatch.oracles" not in imported_modules(SRC / "engine.py")
+
+    def test_callers_look_up_the_kernel_functions(self):
+        assert engine.verify_matching is certify.verify_matching
+        assert engine.verify_witness is certify.verify_witness
+        assert engine.validate_instance is certify.validate_instance
+        assert cli.validate_instance is certify.validate_instance
+        assert cli.parse_result is certify.parse_result
+
+
+# edges 0..3: (a0; b0) (a0; b1) (a1; b1) (a1; b0)
+SQUARE = make_h(2, 2, 2, [(0, (0,)), (0, (1,)), (1, (1,)), (1, (0,))])
+
+
+def matching_doc(ids: str) -> dict:
+    return parse_result(f"status: perfect_matching\nepsilon: 1\nmatching: {ids}\n")
+
+
+def witness_doc(fields: str) -> dict:
+    return parse_result("status: witness\nepsilon: 1/2\n" + fields)
+
+
+class TestParseResult:
+    def test_typed_fields(self):
+        doc = witness_doc("S: 1 0\nhitting_set: 0\nbound: 3/2\nstats: iterations=1\n")
+        assert doc["S"] == [1, 0] and doc["hitting_set"] == [0]
+        assert doc["epsilon"] == Fraction(1, 2) and doc["bound"] == Fraction(3, 2)
+        assert doc["stats"] == "iterations=1"
+        assert matching_doc("3 0")["matching"] == [3, 0]
+
+    def test_matching_document_epsilon_stays_text(self):
+        assert parse_result("status: perfect_matching\nepsilon: -1\n")["epsilon"] == "-1"
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("status: perfect_matching\nmatching: 0 zz\n", 2, "non-integer id"),
+            ("status: witness\nepsilon: 1\nS: 0\nhitting_set: 1 x\n", 4, "non-integer id"),
+            ("epsilon: -1\nstatus: witness\n", 1, "epsilon must be > 0"),
+            ("status: witness\nepsilon: 1\nbound: 1/0\n", 3, "zero denominator"),
+            ("\nstatus: done\n", 2, "unknown status 'done'"),
+            ("status: witness\nS: 0\n", 0, "missing epsilon"),
+        ],
+    )
+    def test_malformed_field_is_parse_error_at_its_line(self, text, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_result(text)
+        assert exc.value.line == line and reason in exc.value.reason
+
+
+class TestCheckResult:
+    def test_perfect_matching(self):
+        assert check_result(SQUARE, matching_doc("0 2")) is None
+
+    @pytest.mark.parametrize(
+        "ids, code",
+        [
+            ("0 4", "INDEX_OUT_OF_RANGE"),
+            ("0 -1", "INDEX_OUT_OF_RANGE"),
+            ("0 1", "OVERLAP"),
+            ("0 3", "OVERLAP"),
+            ("0 0", "OVERLAP"),
+            ("0", "UNMATCHED"),
+        ],
+    )
+    def test_bad_matching(self, ids, code):
+        assert check_result(SQUARE, matching_doc(ids)).code == code
+
+    def test_witness(self):
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        assert check_result(h, witness_doc("S: 0 1\nhitting_set: 0\nbound: 3/2\n")) is None
+        assert check_result(h, witness_doc("S: 0 1\nhitting_set: 0\n")) is None
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [
+            ("S: 0 1\nhitting_set: 0\nbound: 2\n", "BOUND_MISMATCH"),
+            ("S: 0 1\nhitting_set:\n", "UNHIT_EDGE"),
+            ("S: 0 2\nhitting_set: 0\n", "INDEX_OUT_OF_RANGE"),
+            ("S: 0\nhitting_set: 0\n", "SIZE_EXCEEDS_BOUND"),
+        ],
+    )
+    def test_bad_witness(self, fields, code):
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        assert check_result(h, witness_doc(fields)).code == code
+
+    @given(hypergraphs_with_matching(max_a=4, max_b=6, max_edges=10))
+    @settings(max_examples=80, deadline=None)
+    def test_document_and_live_matching_get_the_same_verdict(self, hm):
+        h, m = hm
+        doc = matching_doc(" ".join(map(str, sorted(m.edge_ids))))
+        live = verify_matching(h, m, require_perfect=True)
+        got = check_result(h, doc)
+        assert (got and got.code) == (live and live.code)
+
+
+class TestKernelChecks:
+    def test_certificate_for_another_uniformity_is_rejected(self):
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        cert = WitnessCertificate.build(3, {0, 1}, {0}, Fraction(1, 2))
+        assert verify_witness(h, cert).code == "UNIFORMITY_MISMATCH"
+
+    def test_bound_derives_from_r_epsilon_and_s(self):
+        cert = WitnessCertificate.build(3, {0, 1, 2}, {0}, Fraction(1, 2))
+        assert cert.bound == (2 * 3 - 3 + Fraction(1, 2)) * 2
+
+    def test_map_inconsistency_still_checked(self):
+        m = PartialMatching()
+        m.add(SQUARE, 0)
+        m.b_of[1] = 0
+        assert verify_matching(SQUARE, m).code == "MAP_INCONSISTENT"
+
+    def test_solver_final_check_reaches_the_kernel(self, monkeypatch):
+        real = certify._matching_violation
+        with_maps = []
+
+        def recording(h, edge_ids, require_perfect, maps=None):
+            with_maps.append(maps is not None)
+            return real(h, edge_ids, require_perfect, maps)
+
+        monkeypatch.setattr(certify, "_matching_violation", recording)
+        assert find_perfect_matching(shift_chain(3), 1).status == "perfect_matching"
+        assert check_result(SQUARE, matching_doc("0 2")) is None
+        assert with_maps == [True, False]  # the solver's live matching, then a document

@@ -1,19 +1,33 @@
+import contextlib
+import io
+import re
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbmatch.engine
-from hbmatch import BipartiteHypergraph, GeneratorSpec, Violation, generate, validate_instance
+from hbmatch import (
+    BipartiteHypergraph,
+    GeneratorSpec,
+    find_perfect_matching,
+    generate,
+    validate_instance,
+)
 from hbmatch.cli import (
     ParseError,
+    TraceWriter,
     check_trace_lines,
+    format_result,
     main,
     parse_instance,
     parse_result,
     serialize_instance,
 )
+from hbmatch.core import Violation
+from hbmatch.params import parse_rational
 
 from .conftest import hypergraphs, shift_chain, superposed_commit_instance
 
@@ -90,21 +104,14 @@ _MUTATIONS = (
 )
 
 
-@st.composite
-def mutated_instance_texts(draw):
-    """A serialized valid instance with comment lines anywhere and a few
-    fields or lines dropped, swapped, duplicated, overwritten, retyped or
-    inserted."""
-    h = draw(hypergraphs(max_a=4, max_b=6, max_edges=6))
-    lines = [line.split(" ") for line in serialize_instance(h).splitlines()]
-    comments = st.sampled_from(["c", "c x", "cx", "comment e 0 1"])
-    for comment in draw(st.lists(comments, max_size=2)):
-        lines.insert(draw(st.integers(0, len(lines))), comment.split(" "))
+def _mutate(draw, lines: list[list[str]], tokens) -> None:
+    """Drop, swap, duplicate, overwrite, retype or insert a few fields or
+    lines of a document split into lines of fields, in place."""
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(_MUTATIONS))
         if kind == "insert_line" or not lines:
             at = draw(st.integers(0, len(lines)))
-            lines.insert(at, draw(st.lists(_TOKENS, max_size=5)))
+            lines.insert(at, draw(st.lists(tokens, max_size=5)))
             continue
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
@@ -118,7 +125,7 @@ def mutated_instance_texts(draw):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
         elif not line:
-            line.append(draw(_TOKENS))
+            line.append(draw(tokens))
         else:
             k = draw(st.integers(0, len(line) - 1))
             if kind == "drop_field":
@@ -129,7 +136,20 @@ def mutated_instance_texts(draw):
             elif kind == "dup_field":
                 line.insert(k, line[k])
             else:
-                line[k] = draw(_TOKENS)
+                line[k] = draw(tokens)
+
+
+@st.composite
+def mutated_instance_texts(draw):
+    """A serialized valid instance with comment lines anywhere and a few
+    fields or lines dropped, swapped, duplicated, overwritten, retyped or
+    inserted."""
+    h = draw(hypergraphs(max_a=4, max_b=6, max_edges=6))
+    lines = [line.split(" ") for line in serialize_instance(h).splitlines()]
+    comments = st.sampled_from(["c", "c x", "cx", "comment e 0 1"])
+    for comment in draw(st.lists(comments, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), comment.split(" "))
+    _mutate(draw, lines, _TOKENS)
     sep = draw(st.sampled_from(["\n", "\r\n"]))
     return sep.join(" ".join(line) for line in lines) + sep
 
@@ -259,6 +279,115 @@ class TestParseResult:
         assert exc.value.line == 3
 
 
+# Fields a result or trace document may hold, well-formed or not.
+_DOC_TOKENS = st.one_of(
+    _TOKENS,
+    st.sampled_from([
+        "zz", "1/0", "-1", "0", "1/2", "1e999999999", "9" * 5000, ":", "status:",
+        "matching:", "S:", "hitting_set:", "epsilon:", "bound:", "stats:", "witness",
+        "perfect_matching", "signature", "augment_start", "augment_end", "coords=-1,x",
+        "coords=-3,4", "coords=5", "coords=", "unresolved=0", "unresolved=1", "unresolved=x",
+        "iter=1", "=",
+    ]),
+)
+
+
+def _solved_documents() -> list[tuple[str, str, str]]:
+    """(instance text, result document, trace document) of a matching
+    solve and of a witness solve."""
+    out = []
+    witness = generate(GeneratorSpec(mode="adversarial", r=2, a_count=6, b_count=2, seed=5))
+    for h, eps in ((shift_chain(4), "1/2"), (witness, "1/2")):
+        trace = io.StringIO()
+        result = format_result(
+            find_perfect_matching(h, eps, trace=TraceWriter(trace)), parse_rational(eps)
+        )
+        out.append((serialize_instance(h), result, trace.getvalue()))
+    return out
+
+
+_SOLVED = _solved_documents()
+
+
+@st.composite
+def mutated_documents(draw, kind: int):
+    """An index into _SOLVED and its result (kind 1) or trace (kind 2)
+    document with a few fields or lines mutated, or arbitrary text."""
+    index = draw(st.integers(0, len(_SOLVED) - 1))
+    if draw(st.booleans()):
+        return index, draw(st.text(max_size=80))
+    lines = [line.split(" ") for line in _SOLVED[index][kind].splitlines()]
+    _mutate(draw, lines, _DOC_TOKENS)
+    return index, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def instance_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("reader-fuzz")
+    paths = []
+    for i, (text, _, _) in enumerate(_SOLVED):
+        path = work / f"inst-{i}.hbm"
+        path.write_text(text)
+        paths.append(path)
+    return paths
+
+
+class TestReaderFuzz:
+    """`hbmatch verify` and `hbmatch check-trace` end every document in an
+    exit code with one typed line: a `CODE: ` prefix for verify, the
+    offending `line N: ` for check-trace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_documents(1))
+    @example(case=(0, "status: perfect_matching\nepsilon: 1/2\nmatching: 0 zz\n"))
+    def test_verify_exits_with_one_typed_line(self, instance_paths, case):
+        index, text = case
+        result = instance_paths[index].with_suffix(".res")
+        result.write_text(text)
+        code, out, err = _run_main(
+            ["verify", "--instance", str(instance_paths[index]), "--result", str(result)]
+        )
+        if code == 0:
+            assert (out, err) == ("ok\n", "")
+        else:
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and re.match(r"[A-Z_]+: ", err), err
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_documents(2))
+    @example(case=(0, "augment_start root=0\nsignature iter=1 coords=-1,x unresolved=0\n"))
+    def test_check_trace_exits_with_one_typed_line(self, instance_paths, case):
+        _, text = case
+        trace = instance_paths[0].with_suffix(".trace")
+        trace.write_text(text)
+        code, out, err = _run_main(["check-trace", "--trace", str(trace)])
+        if code == 0:
+            assert (out, err) == ("ok\n", "")
+        else:
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and re.match(r"line \d+: ", err), err
+
+    @pytest.mark.parametrize("index", range(len(_SOLVED)), ids=["matching", "witness"])
+    def test_unmutated_documents_pass(self, instance_paths, index):
+        inst = instance_paths[index]
+        _, result, trace = _SOLVED[index]
+        assert result.startswith("status: " + ("perfect_matching", "witness")[index])
+        assert "\nsignature " in trace
+        inst.with_suffix(".res").write_text(result)
+        inst.with_suffix(".trace").write_text(trace)
+        argv = ["verify", "--instance", str(inst), "--result", str(inst.with_suffix(".res"))]
+        assert _run_main(argv) == (0, "ok\n", "")
+        argv = ["check-trace", "--trace", str(inst.with_suffix(".trace"))]
+        assert _run_main(argv) == (0, "ok\n", "")
+
+
 class TestTraceChecker:
     def test_accepts_decreasing_signatures(self):
         lines = [
@@ -286,6 +415,11 @@ class TestTraceChecker:
         lines = ["augment_start root=0", "signature iter=1 coords=-5,7 unresolved=1"]
         assert "unresolved" in check_trace_lines(lines)
 
+    @pytest.mark.parametrize("fields", ["coords=-1,x unresolved=0", "coords=-1,2 unresolved=one"])
+    def test_non_integer_field_names_its_line(self, fields):
+        lines = ["augment_start root=0", f"signature iter=1 {fields}"]
+        assert check_trace_lines(lines) == "line 2: non-integer coords or unresolved field"
+
     def test_scopes_reset_between_runs(self):
         lines = [
             "augment_start root=0",
@@ -295,6 +429,24 @@ class TestTraceChecker:
             "signature iter=1 coords=-5,7 unresolved=0",
         ]
         assert check_trace_lines(lines) is None
+
+
+# Each command line or result field that reads a rational, with "{bad}"
+# in its place: (argv, fields of a witness document).
+_RATIONAL_INPUTS = {
+    "solve-epsilon": (["solve", "--input", "{inst}", "--epsilon", "{bad}"], ""),
+    "solve-mu-override": (
+        ["solve", "--input", "{inst}", "--epsilon", "1", "--mu-override", "{bad}"], ""
+    ),
+    "check-haxell": (["check-haxell", "--input", "{inst}", "--epsilon", "{bad}"], ""),
+    "gen": (["gen", "--mode", "guaranteed", "--na", "2", "--nb", "20", "--epsilon", "{bad}"], ""),
+    "verify-epsilon": (
+        ["verify", "--instance", "{inst}", "--result", "{res}"], "epsilon: {bad}\n"
+    ),
+    "verify-bound": (
+        ["verify", "--instance", "{inst}", "--result", "{res}"], "epsilon: 1\nbound: {bad}\n"
+    ),
+}
 
 
 class TestCommands:
@@ -418,27 +570,6 @@ class TestCommands:
         ]) == 0
         assert main(["verify", "--instance", inst, "--result", out]) == 0
 
-    def test_bench_rows(self, tmp_path, capsys):
-        spec_file = tmp_path / "specs.txt"
-        spec_file.write_text("mode=planted r=3 na=5 nb=12 extra_edges=4\n")
-        assert main([
-            "bench", "--spec-file", str(spec_file), "--seeds", "0:5", "--epsilon", "1",
-        ]) == 0
-        rows = [l for l in capsys.readouterr().out.splitlines() if l]
-        assert len(rows) == 5
-        assert all("status=" in r and "millis=" in r for r in rows)
-        seeds = [int(r.split("seed=")[1].split()[0]) for r in rows]
-        assert seeds == sorted(seeds)
-
-    def test_bench_spec_line_missing_key_is_parse_error(self, tmp_path, capsys):
-        spec_file = tmp_path / "specs.txt"
-        spec_file.write_text("# header\nmode=planted nb=10\n")
-        assert main(["bench", "--spec-file", str(spec_file), "--seeds", "0:1"]) == 1
-        assert "PARSE_ERROR: line 2: spec line lacks na=" in capsys.readouterr().err
-        spec_file.write_text("mode=planted na=5 nb=12 extra\n")
-        assert main(["bench", "--spec-file", str(spec_file), "--seeds", "0:1"]) == 1
-        assert "PARSE_ERROR: line 1: expected key=value" in capsys.readouterr().err
-
     def test_verify_witness_without_epsilon_is_parse_error(self, tmp_path, capsys):
         h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
         inst = self.write_instance(tmp_path, h)
@@ -465,41 +596,44 @@ class TestCommands:
         assert main(["solve", "--input", inst, "--epsilon", "1/2", "--debug-invariants"]) == 1
         assert capsys.readouterr().err.startswith("TREE_INVALID: ")
 
-    @pytest.mark.parametrize(
-        "argv, fields",
-        [
-            pytest.param(["solve", "--input", "{inst}", "--epsilon", "1/0"], "", id="solve-epsilon"),
-            pytest.param(
-                ["solve", "--input", "{inst}", "--epsilon", "1", "--mu-override", "1/0"],
-                "",
-                id="solve-mu-override",
-            ),
-            pytest.param(
-                ["check-haxell", "--input", "{inst}", "--epsilon", "1/0"], "", id="check-haxell"
-            ),
-            pytest.param(
-                ["gen", "--mode", "guaranteed", "--na", "2", "--nb", "20", "--epsilon", "1/0"],
-                "",
-                id="gen",
-            ),
-            pytest.param(
-                ["verify", "--instance", "{inst}", "--result", "{res}"],
-                "epsilon: 1/0\n",
-                id="verify-epsilon",
-            ),
-            pytest.param(
-                ["verify", "--instance", "{inst}", "--result", "{res}"],
-                "epsilon: 1\nbound: 1/0\n",
-                id="verify-bound",
-            ),
-        ],
-    )
-    def test_zero_denominator_is_exit_1(self, tmp_path, capsys, argv, fields):
+    def run_bad_rational(self, tmp_path, name, bad):
+        """Exit code, stderr and seconds of the command of `name` in
+        _RATIONAL_INPUTS run with `bad` in place of its rational."""
+        argv, fields = _RATIONAL_INPUTS[name]
         h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
         inst = self.write_instance(tmp_path, h)
         res = tmp_path / "res.txt"
-        res.write_text("status: witness\n" + fields + "S: 0 1\nhitting_set: 0\n")
-        argv = [a.format(inst=inst, res=res) for a in argv]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "zero denominator" in err
+        res.write_text("status: witness\n" + fields.format(bad=bad) + "S: 0 1\nhitting_set: 0\n")
+        start = time.perf_counter()
+        code, out, err = _run_main([a.format(inst=inst, res=res, bad=bad) for a in argv])
+        return code, out, err, time.perf_counter() - start
+
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            pytest.param(name, bad, message, id=name + suffix)
+            for bad, message, suffix in [
+                ("1/0", "zero denominator", ""),
+                ("1e999999999", "exponent beyond", "-exponent"),
+            ]
+            for name in _RATIONAL_INPUTS
+        ],
+    )
+    def test_zero_denominator_is_exit_1(self, tmp_path, name, bad, message):
+        code, _, err, seconds = self.run_bad_rational(tmp_path, name, bad)
+        assert code == 1 and seconds < 1
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("epsilon", ["-1", "0"])
+    @pytest.mark.parametrize("name", ["solve-epsilon", "check-haxell", "gen", "verify-epsilon"])
+    def test_nonpositive_epsilon_is_exit_1(self, tmp_path, name, epsilon):
+        code, out, err, _ = self.run_bad_rational(tmp_path, name, epsilon)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "epsilon must be > 0" in err
+
+    def test_help_lists_five_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert listed == ["solve", "verify", "check-haxell", "gen", "check-trace"]

@@ -1,15 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
-from hbmatch import (
+from hbmatch import PartialMatching, validate_instance, verify_matching
+from hbmatch.core import (
     MatchingError,
-    PartialMatching,
     blocking_edges,
     incident_edges,
     is_immediately_addable,
     swap,
-    validate_instance,
-    verify_matching,
 )
 
 from .conftest import hypergraphs, hypergraphs_with_matching, make_h

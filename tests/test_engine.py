@@ -8,30 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import (
-    AugmentRun,
     BipartiteHypergraph,
     GeneratorSpec,
-    InstanceError,
     Parameters,
     PartialMatching,
-    augment,
-    brute_force_perfect_matching,
-    check_haxell,
     find_perfect_matching,
     from_bipartite_graph,
-    floor_log,
     generate,
-    incident_edges,
-    is_immediately_addable,
-    min_hitting_set,
-    signature_from_sizes,
     verify_matching,
     verify_witness,
 )
 from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
-from hbmatch.engine import InternalSolverError, x_by_a_vertex
+from hbmatch.core import InstanceError, incident_edges, is_immediately_addable
+from hbmatch.engine import AugmentRun, InternalSolverError, augment, x_by_a_vertex
+from hbmatch.oracles import check_haxell, min_hitting_set
+from hbmatch.signature import floor_log, signature_from_sizes
 
 from .conftest import (
+    brute_force_perfect_matching,
     hypergraphs_with_matching,
     make_h,
     shift_chain,
@@ -244,7 +238,7 @@ class TestCollapseSwapStepwise:
         assert run.build_phase() is None
         assert run.tree.layers[1].x == {2} and run.tree.layers[1].y == set()
         assert run._collapsible(run.tree.layers[1].x)
-        from hbmatch import validate_tree
+        from hbmatch.tree import validate_tree
 
         assert validate_tree(h, m, run.tree) is None
         matched_root = run.collapse_layer()
@@ -500,11 +494,11 @@ class TestInputValidation:
         assert exc.value.code == code
 
     def test_parsed_instance_is_checked_once(self, monkeypatch):
-        import hbmatch.core as core
+        import hbmatch.certify as certify
 
         calls = []
-        real = core._first_violation
-        monkeypatch.setattr(core, "_first_violation", lambda h: calls.append(h) or real(h))
+        real = certify._first_violation
+        monkeypatch.setattr(certify, "_first_violation", lambda h: calls.append(h) or real(h))
         h = parse_instance(serialize_instance(superposed_commit_instance()))
         assert find_perfect_matching(h, 1).status == "perfect_matching"
         assert len(calls) == 1

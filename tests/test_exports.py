@@ -17,3 +17,18 @@ MODULES = [hbmatch] + [
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_package_exports_the_solver_kernel_and_generators():
+    assert sorted(hbmatch.__all__) == sorted([
+        # the solver
+        "find_perfect_matching", "SolveResult", "InternalSolverError",
+        # the checking kernel
+        "ParseError", "validate_instance", "verify_matching", "condition_factor",
+        "WitnessCertificate", "verify_witness", "parse_result", "check_result",
+        # the generators
+        "GeneratorSpec", "generate", "gen_guaranteed", "gen_planted", "gen_adversarial",
+        "gen_graph", "from_bipartite_graph",
+        # the data types
+        "BipartiteHypergraph", "PartialMatching", "Parameters",
+    ])

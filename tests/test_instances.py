@@ -4,18 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmatch import (
-    GeneratorSpec,
-    InfeasibleSpec,
-    SplitMix64,
-    brute_force_perfect_matching,
-    check_haxell,
-    default_private_degree,
-    from_bipartite_graph,
-    generate,
-    validate_instance,
-)
+from hbmatch import GeneratorSpec, from_bipartite_graph, generate, validate_instance
 from hbmatch.cli import serialize_instance
+from hbmatch.instances import InfeasibleSpec, SplitMix64, default_private_degree
+from hbmatch.oracles import check_haxell
+
+from .conftest import brute_force_perfect_matching
 
 
 class TestSplitMix64:

@@ -4,19 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from hbmatch import (
-    EXCEEDS_BUDGET,
-    InstanceTooLarge,
-    WitnessCertificate,
-    brute_force_perfect_matching,
-    check_haxell,
-    from_bipartite_graph,
-    incident_edges,
-    min_hitting_set,
-    verify_witness,
-)
+from hbmatch import WitnessCertificate, from_bipartite_graph, verify_witness
+from hbmatch.core import incident_edges
+from hbmatch.oracles import EXCEEDS_BUDGET, InstanceTooLarge, check_haxell, min_hitting_set
 
-from .conftest import hypergraphs, make_h
+from .conftest import brute_force_perfect_matching, hypergraphs, make_h
 
 
 def exhaustive_min_hitting_set(h, family):

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmatch import (
-    Parameters,
+from hbmatch import Parameters
+from hbmatch.params import MAX_DECIMAL_EXPONENT, parse_epsilon, parse_rational
+from hbmatch.signature import (
     SignatureError,
+    SignatureMemo,
     SignatureVector,
+    check_signature_step,
     floor_log,
     lex_less,
     signature_from_sizes,
 )
-from hbmatch.signature import SignatureMemo, check_signature_step
 
 
 def params_r3_eps1():
@@ -45,6 +47,22 @@ class TestParameters:
             Parameters.for_instance(3, 0)
         with pytest.raises(TypeError):
             Parameters.for_instance(3, 0.5)
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            Parameters.for_instance(3, "-1")
+
+    def test_decimal_exponent_bounded(self):
+        assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"2E-{MAX_DECIMAL_EXPONENT}") == Fraction(2, 10**MAX_DECIMAL_EXPONENT)
+        for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}",
+                     "1E+999999999", "0.5e999999999"):
+            with pytest.raises(ValueError, match="exponent beyond"):
+                parse_rational(text)
+
+    def test_parse_epsilon_requires_positive(self):
+        assert parse_epsilon("1/2") == Fraction(1, 2)
+        for text in ("0", "-1", "-1/2", "0e5"):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                parse_epsilon(text)
 
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()

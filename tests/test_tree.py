@@ -1,18 +1,44 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmatch import (
-    AlternatingTree,
-    PartialMatching,
-    blocking_edges,
-    build_layer,
-    find_addable_edge,
-    tree_degree,
-    validate_tree,
-)
+from hbmatch import PartialMatching
+from hbmatch.core import blocking_edges
+from hbmatch.tree import AlternatingTree, build_layer, validate_tree
 
 from .conftest import hypergraphs_with_matching, make_h
+
+
+def tree_degree(tree, a):
+    """Number of tree edges (X and Y, root excluded) containing `a`."""
+    edges = tree.h.edges
+    return sum(
+        1 for layer in tree.layers for eid in chain(layer.x, layer.y) if edges[eid].a == a
+    )
+
+
+def find_addable_edge(h, occupied_b, parent_a_set, x_counts, u_bound, m=None):
+    """Least (a, edge) pair that a layer build would take next.
+
+    `a` must lie in the parent set with fewer than `u_bound` edges
+    already in the layer's X (per `x_counts`), and the edge's B-vertices
+    must avoid `occupied_b`, which the caller populates with the
+    B-vertices of the relevant tree prefix plus the layer under
+    construction.  Pairs are ordered by vertex index, then edge id.
+    Matching edges are never selected.
+    """
+    for a in sorted(parent_a_set):
+        if x_counts.get(a, 0) >= u_bound:
+            continue
+        for eid in h.a_edges[a]:
+            if m is not None and eid in m.edge_ids:
+                continue
+            e = h.edges[eid]
+            if not any(b in occupied_b for b in e.bs):
+                return (a, eid)
+    return None
 
 
 def fresh_tree(h, m, root=0, u_bound=10):
