@@ -153,8 +153,10 @@ class TraceWriter:
         self.stream = stream
 
     def __call__(self, event: str, fields: dict) -> None:
-        parts = [event] + [f"{k}={v}" for k, v in fields.items()]
-        self.stream.write(" ".join(parts) + "\n")
+        line = event
+        for k, v in fields.items():
+            line += f" {k}={v}"
+        self.stream.write(line + "\n")
 
 
 _TRACE_RULE_MESSAGES = {
@@ -204,8 +206,17 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
 # commands
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+
+
 def _read_instance(path: str) -> BipartiteHypergraph:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -235,7 +246,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _read_instance(args.instance)
-    v = check_result(h, parse_result(Path(args.result).read_text()))
+    v = check_result(h, parse_result(_read_text(args.result)))
     if v is not None:
         print(str(v), file=sys.stderr)
         return EXIT_ERROR
@@ -283,7 +294,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_check_trace(args: argparse.Namespace) -> int:
-    err = check_trace_lines(Path(args.trace).read_text().splitlines())
+    try:
+        err = check_trace_lines(_read_text(args.trace).splitlines())
+    except ParseError as exc:  # reported like the checker's own line errors
+        err = f"line {exc.line}: {exc.reason}"
     if err is not None:
         print(err, file=sys.stderr)
         return EXIT_ERROR

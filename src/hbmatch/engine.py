@@ -397,7 +397,7 @@ class AugmentRun:
                 "signature",
                 {
                     "iter": iteration,
-                    "coords": ",".join(str(c) for c in sig.coords),
+                    "coords": ",".join(map(str, sig.coords)),
                     "unresolved": unresolved,
                 },
             )

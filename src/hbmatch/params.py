@@ -29,11 +29,11 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         raise TypeError("rational parameters must not pass through floats")
     if isinstance(text, str):
         _, e, exponent = text.lower().partition("e")
-        try:
-            too_large = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
-        except ValueError:
-            too_large = False  # not an exponent; Fraction rejects the text
-        if too_large:
+        # counted before int(), which itself fails beyond 4300 digits
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+        ):
             raise ValueError(
                 f"rational {text!r} has an exponent beyond {MAX_DECIMAL_EXPONENT}"
             )

@@ -11,17 +11,26 @@ iteration the vector strictly decreases lexicographically, which is
 what bounds the iteration count.  The solver's control flow never reads
 these values; they exist for tracing, debugging, and tests.
 
-Since b-1 can be ~1e-10, the floors are numerically delicate: they are
-evaluated with mpmath at a precision sized to the magnitude of the
-result plus a generous guard, and re-evaluated at doubled precision
-whenever the value lands within 2^-20 of an integer.  Ambiguities that
-survive the doubled precision are counted and surfaced to callers.
+Since b-1 can be ~1e-10, the floors are numerically delicate.  They are
+computed with :mod:`decimal`, whose ``ln`` is correctly rounded, as
+proven enclosures: every logarithm is widened by one unit in the last
+place and every later addition and division rounds outward, so the
+exact quotient log_b(value) lies in the computed interval.  A floor is
+returned only when no integer lies inside that interval.  Otherwise the
+precision is raised and every logarithm recomputed, and an interval that
+still holds an integer k with |k| <= 64 is settled exactly by comparing
+value with b**k.  Only a boundary that survives both steps (a huge
+exponent at, or closer than the raised precision to, an exact power)
+is returned with the unresolved flag set; such flags are counted and
+surfaced to callers.
 
 Between two iterations only the top layers of a tree change, so one
-solve keeps a :class:`SignatureMemo`: the coefficients (c_i, d_i) and
-every floor, with its unresolved flag, keyed by (layer, side, size).
-A size seen before in the same layer and side costs a dict lookup; the
-unresolved flags are summed on every call, hit or miss.
+solve keeps a :class:`SignatureMemo`: the coefficients (c_i, d_i), the
+logarithms that stay fixed for the solve (ln b, ln c_i, ln d_i and
+ln |size| for each size seen), and every floor, with its unresolved
+flag, keyed by (layer, side, size).  A size seen before in the same
+layer and side costs a dict lookup; the unresolved flags are summed on
+every call, hit or miss.
 
 :func:`check_signature_step` holds the monitor's rules (sign pattern,
 non-decreasing magnitudes, strict lexicographic decrease) for both the
@@ -30,11 +39,11 @@ debug-mode engine check and ``hbmatch check-trace``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
-
-import mpmath
 
 from .params import Parameters
 
@@ -47,8 +56,6 @@ __all__ = [
     "lex_less",
     "check_signature_step",
 ]
-
-_GUARD = 2.0**-20  # exact in binary floating point; compared against mpf
 
 
 class SignatureError(ValueError):
@@ -69,70 +76,139 @@ class SignatureVector:
         return len(self.coords)
 
 
-def _floor_and_frac(value: Fraction, base: Fraction, prec: int) -> tuple[int, float]:
-    """floor(log_base(value)) at the given precision, plus the fractional
-    part of the quotient.
+# (lo, hi) with lo <= the exact real value <= hi
+Enclosure = tuple[Decimal, Decimal]
 
-    Everything, including the floor and the fractional part, is computed
-    inside the working-precision context: the default context would
-    round a floor with more than 53 significant bits.
-    """
-    with mpmath.workprec(prec):
-        num = mpmath.log(value.numerator) - mpmath.log(value.denominator)
-        den = mpmath.log(base.numerator) - mpmath.log(base.denominator)
-        x = num / den
-        fl = int(mpmath.floor(x))
-        return fl, float(x - fl)
-
-
+_ZERO = Decimal(0)
+_GUARD_BITS = 80
 _EXACT_EXPONENT_CAP = 64
 
 
-def floor_log(value: Fraction, base: Fraction) -> tuple[int, bool]:
+def _digits(bits: int) -> int:
+    """Decimal digits that carry at least `bits` bits."""
+    return bits * 30103 // 100000 + 1
+
+
+def _ln_int(n: int, prec: int) -> Enclosure:
+    """ln(n) for an integer n >= 1, enclosed at `prec` significant digits.
+
+    The correctly rounded result is within half a unit in the last place
+    of the exact value, so its two neighbours enclose it strictly.
+    """
+    if n == 1:
+        return _ZERO, _ZERO
+    ctx = Context(prec=prec)
+    y = ctx.ln(n)
+    return y.next_minus(ctx), y.next_plus(ctx)
+
+
+class _Logs:
+    """Enclosures of natural logarithms at one working precision, for one
+    base: ln(base) once, and outward-rounded sums and quotients."""
+
+    __slots__ = ("prec", "down", "up", "ln_base")
+
+    def __init__(self, base: Fraction, prec: int):
+        self.prec = prec
+        self.down = Context(prec=prec, rounding=ROUND_FLOOR)
+        self.up = Context(prec=prec, rounding=ROUND_CEILING)
+        # relative width below 10^(2-prec), so lo > 0 for every base > 1
+        self.ln_base = self.ln(base.numerator, base.denominator)
+
+    def ln(self, n: int, d: int = 1) -> Enclosure:
+        """ln(n/d) for positive integers n and d."""
+        if d == 1:
+            return _ln_int(n, self.prec)
+        if n == 1:
+            lo, hi = _ln_int(d, self.prec)
+            return hi.copy_negate(), lo.copy_negate()
+        # ln(n) - ln(d) cancels: |ln(n/d)| >= |n-d|/max(n,d) and
+        # ln(max) < bit_length(max), so this many more bits keep prec
+        big = max(n, d)
+        lost = big.bit_length() - abs(n - d).bit_length() + big.bit_length().bit_length() + 1
+        work = self.prec + _digits(lost)
+        n_lo, n_hi = _ln_int(n, work)
+        d_lo, d_hi = _ln_int(d, work)
+        return self.down.subtract(n_lo, d_hi), self.up.subtract(n_hi, d_lo)
+
+    def add(self, a: Enclosure, b: Enclosure) -> Enclosure:
+        return self.down.add(a[0], b[0]), self.up.add(a[1], b[1])
+
+    def floors(self, ln_value: Enclosure) -> tuple[int, int]:
+        """Floors of the two ends of the enclosure of ln_value / ln_base."""
+        lo, hi = ln_value
+        b_lo, b_hi = self.ln_base
+        x_lo = self.down.divide(lo, b_hi if lo >= 0 else b_lo)
+        x_hi = self.up.divide(hi, b_lo if hi >= 0 else b_hi)
+        return math.floor(x_lo), math.floor(x_hi)
+
+
+def _working_digits(base: Fraction) -> int:
+    """First-pass precision in digits.  ln(base) is about base-1, so the
+    quotient log_base(value) has about gap_bits bits ahead of its point;
+    the guard bits follow them.  (ln() adds the digits its own
+    cancellation loses.)"""
+    gap = base - 1
+    gap_bits = max(0, gap.denominator.bit_length() - gap.numerator.bit_length())
+    return _digits(gap_bits + _GUARD_BITS)
+
+
+def floor_log(
+    value: Fraction,
+    base: Fraction,
+    logs: _Logs | None = None,
+    ln_value: Enclosure | None = None,
+) -> tuple[int, bool]:
     """floor(log_base(value)) plus a flag for an unresolved floor boundary.
 
-    Values within 2^-20 of an integer k are recomputed at doubled
-    precision; if still ambiguous and |k| is small enough to afford an
-    exact rational power, the boundary is settled by comparing value
-    against base**k directly.  The flag is True only for boundaries that
-    survive both escalations (huge exponents near an exact power).
+    `logs` holds ln(base) at a working precision, and `ln_value` an
+    enclosure of ln(value) at that precision, for callers that keep
+    them; whatever is missing is computed here.  When the enclosure of
+    the quotient holds an integer k, every logarithm is recomputed at
+    raised precision; if that still holds k and |k| is small enough to
+    afford an exact rational power, the boundary is settled by
+    comparing value against base**k directly.  The flag is True only
+    for boundaries that survive both steps.
     """
     if value <= 0:
         raise ValueError("floor_log requires a positive value")
     if base <= 1:
         raise ValueError("floor_log requires base > 1")
-    # ln(base) cancels ~log2(1/(base-1)) bits when base is barely above 1;
-    # the gap is known exactly, so both passes can be sized up front
-    gap = base - 1
-    gap_bits = max(0, gap.denominator.bit_length() - gap.numerator.bit_length())
-    rough, _ = _floor_and_frac(value, base, 64 + gap_bits)
-    magnitude = max(1, abs(rough).bit_length())
-    prec = 2 * magnitude + gap_bits + 80
-    fl, frac = _floor_and_frac(value, base, prec)
-    if min(frac, 1 - frac) >= _GUARD:
-        return fl, False
-    fl2, frac2 = _floor_and_frac(value, base, 2 * prec)
-    if min(frac2, 1 - frac2) >= _GUARD:
-        return fl2, False
-    k = fl2 if frac2 < 0.5 else fl2 + 1
-    if abs(k) <= _EXACT_EXPONENT_CAP:
-        return (k, False) if value >= base**k else (k - 1, False)
-    return fl2, True
+    if logs is None:
+        logs = _Logs(base, _working_digits(base))
+    if ln_value is None:
+        ln_value = logs.ln(value.numerator, value.denominator)
+    lo, hi = logs.floors(ln_value)
+    if lo == hi:
+        return lo, False
+    magnitude = max(abs(lo), abs(hi)).bit_length()
+    logs = _Logs(base, 2 * logs.prec + _digits(magnitude))
+    lo, hi = logs.floors(logs.ln(value.numerator, value.denominator))
+    if lo == hi:
+        return lo, False
+    if hi - lo == 1 and abs(hi) <= _EXACT_EXPONENT_CAP:
+        return (hi, False) if value >= base**hi else (lo, False)
+    return lo, True
 
 
 class SignatureMemo:
     """Exact monitor work shared by the iterations of one solve.
 
-    Holds the per-layer coefficients (c_i, d_i) and the floor_log result
-    for each (layer, side, size) key, side 0 for X and 1 for Y.  It is
-    bound to one parameter set and lives as long as its solve.
+    Holds the per-layer coefficients (c_i, d_i) with enclosures of their
+    logarithms, ln(size) for every size seen, and the floor_log result
+    for each (layer, side, size) key, side 0 for X and 1 for Y.  The
+    logarithms are computed at the first miss, so a solve that never
+    asks for a signature pays nothing.  A memo is bound to one parameter
+    set and lives as long as its solve.
     """
 
-    __slots__ = ("params", "_coefficients", "_floors")
+    __slots__ = ("params", "_logs", "_ln_scale", "_ln_grow", "_layers", "_ln_sizes", "_floors")
 
     def __init__(self, params: Parameters):
         self.params = params
-        self._coefficients: list[tuple[Fraction, Fraction]] = []
+        self._logs: _Logs | None = None
+        self._layers: list[tuple[tuple[Fraction, Enclosure], tuple[Fraction, Enclosure]]] = []
+        self._ln_sizes: dict[int, Enclosure] = {}
         self._floors: dict[tuple[int, int, int], tuple[int, bool]] = {}
 
     def floor(self, layer: int, side: int, size: int) -> tuple[int, bool]:
@@ -140,20 +216,35 @@ class SignatureMemo:
         key = (layer, side, size)
         hit = self._floors.get(key)
         if hit is None:
-            coeffs = self._coefficients
-            if len(coeffs) < layer:
+            if len(self._layers) < layer:
                 self._extend(layer)
-            hit = floor_log(coeffs[layer - 1][side] * size, self.params.b)
+            logs = self._logs
+            coeff, ln_coeff = self._layers[layer - 1][side]
+            ln_size = self._ln_sizes.get(size)
+            if ln_size is None:
+                ln_size = self._ln_sizes[size] = logs.ln(size)
+            hit = floor_log(coeff * size, self.params.b, logs, logs.add(ln_coeff, ln_size))
             self._floors[key] = hit
         return hit
 
     def _extend(self, layers: int) -> None:
         p = self.params
         scale = Fraction(5 * p.r * p.r) / p.epsilon
-        coeffs = self._coefficients
-        while len(coeffs) < layers:
-            c = coeffs[-1][0] * scale / (1 - p.mu) if coeffs else scale
-            coeffs.append((c, c / (1 - p.mu)))
+        logs = self._logs
+        if logs is None:
+            logs = self._logs = _Logs(p.b, _working_digits(p.b))
+            self._ln_scale = logs.ln(scale.numerator, scale.denominator)
+            # ln(1/(1-mu)), the log of d_i / c_i
+            self._ln_grow = logs.ln(p.mu.denominator, p.mu.denominator - p.mu.numerator)
+        ln_scale, ln_grow = self._ln_scale, self._ln_grow
+        rows = self._layers
+        while len(rows) < layers:
+            if rows:
+                (c, ln_c), _ = rows[-1]
+                c, ln_c = c * scale / (1 - p.mu), logs.add(logs.add(ln_c, ln_scale), ln_grow)
+            else:
+                c, ln_c = scale, ln_scale
+            rows.append(((c, ln_c), (c / (1 - p.mu), logs.add(ln_c, ln_grow))))
 
 
 def signature_from_sizes(

@@ -328,6 +328,12 @@ def _run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _encode(text: str) -> bytes:
+    """UTF-8, except that a lone surrogate U+DC80..U+DCFF in `text` stands
+    for the byte 0x80..0xFF, which is not valid UTF-8 on its own."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 @pytest.fixture(scope="module")
 def instance_paths(tmp_path_factory):
     work = tmp_path_factory.mktemp("reader-fuzz")
@@ -347,10 +353,11 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(case=mutated_documents(1))
     @example(case=(0, "status: perfect_matching\nepsilon: 1/2\nmatching: 0 zz\n"))
+    @example(case=(0, "status: perfect_matching\nepsilon: 1/2\nmatching: 0 \udcff\n"))
     def test_verify_exits_with_one_typed_line(self, instance_paths, case):
         index, text = case
         result = instance_paths[index].with_suffix(".res")
-        result.write_text(text)
+        result.write_bytes(_encode(text))
         code, out, err = _run_main(
             ["verify", "--instance", str(instance_paths[index]), "--result", str(result)]
         )
@@ -363,10 +370,11 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(case=mutated_documents(2))
     @example(case=(0, "augment_start root=0\nsignature iter=1 coords=-1,x unresolved=0\n"))
+    @example(case=(0, "augment_start root=0\nsignature iter=1 coords=-1,\udcff unresolved=0\n"))
     def test_check_trace_exits_with_one_typed_line(self, instance_paths, case):
         _, text = case
         trace = instance_paths[0].with_suffix(".trace")
-        trace.write_text(text)
+        trace.write_bytes(_encode(text))
         code, out, err = _run_main(["check-trace", "--trace", str(trace)])
         if code == 0:
             assert (out, err) == ("ok\n", "")
@@ -490,6 +498,26 @@ class TestCommands:
 
     def test_missing_file_is_exit_1(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope"), "--epsilon", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--input", "{bad}", "--epsilon", "1"], "PARSE_ERROR: line 3: "),
+            (["check-haxell", "--input", "{bad}", "--epsilon", "1"], "PARSE_ERROR: line 3: "),
+            (["verify", "--instance", "{bad}", "--result", "{res}"], "PARSE_ERROR: line 3: "),
+            (["verify", "--instance", "{inst}", "--result", "{bad}"], "PARSE_ERROR: line 3: "),
+            (["check-trace", "--trace", "{bad}"], "line 3: "),
+        ],
+        ids=["solve", "check-haxell", "verify-instance", "verify-result", "check-trace"],
+    )
+    def test_non_utf8_file_is_exit_1_at_its_line(self, tmp_path, argv, message):
+        inst = self.write_instance(tmp_path, shift_chain(2))
+        res = tmp_path / "res.txt"
+        res.write_text("status: perfect_matching\nepsilon: 1\nmatching: 0 1\n")
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"c first\nc second\nc \xff third\n")
+        code, out, err = _run_main([a.format(inst=inst, res=res, bad=bad) for a in argv])
+        assert (code, out, err) == (1, "", message + "not valid UTF-8\n")
 
     def test_check_haxell_command(self, tmp_path, capsys):
         spec = GeneratorSpec(mode="guaranteed", r=3, a_count=3, b_count=30, d=5, seed=4)
@@ -615,6 +643,7 @@ class TestCommands:
             for bad, message, suffix in [
                 ("1/0", "zero denominator", ""),
                 ("1e999999999", "exponent beyond", "-exponent"),
+                ("1e" + "9" * 5000, "exponent beyond", "-exponent-digits"),
             ]
             for name in _RATIONAL_INPUTS
         ],

@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,7 +108,7 @@ class TestFloorLog:
         ],
     )
     def test_huge_floors_match_direct_high_precision(self, r, eps, value, expected):
-        import mpmath
+        mpmath = pytest.importorskip("mpmath")
 
         p = Parameters.for_instance(r, eps)
         with mpmath.workprec(2000):
@@ -114,6 +118,88 @@ class TestFloorLog:
             direct = int(mpmath.floor(x))
         assert direct == expected
         assert floor_log(value, p.b) == (expected, False)
+
+
+def mp_floor_log(value: Fraction, base: Fraction) -> int:
+    """floor(log_base(value)) from a 2000-bit mpmath evaluation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(2000):
+        x = (mpmath.log(value.numerator) - mpmath.log(value.denominator)) / (
+            mpmath.log(base.numerator) - mpmath.log(base.denominator)
+        )
+        return int(mpmath.floor(x))
+
+
+def coefficient(p: Parameters, layer: int, side: int) -> Fraction:
+    """c_i (side 0) or d_i (side 1), straight from their definitions."""
+    c = (Fraction(5 * p.r * p.r) / p.epsilon) ** layer / (1 - p.mu) ** (layer - 1)
+    return c / (1 - p.mu) if side else c
+
+
+class TestFloorLogOracle:
+    """floor_log and the memo's cached-logarithm path against mpmath."""
+
+    @given(
+        r=st.integers(2, 5),
+        eps=st.sampled_from(["1", "1/2", "1/10", "1/100"]),
+        layer=st.integers(1, 20),
+        side=st.integers(0, 1),
+        size=st.integers(1, 5000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_2000_bit_evaluation(self, r, eps, layer, side, size):
+        p = Parameters.for_instance(r, eps)
+        value = coefficient(p, layer, side) * size
+        expected = (mp_floor_log(value, p.b), False)
+        assert floor_log(value, p.b) == expected
+        assert SignatureMemo(p).floor(layer, side, size) == expected
+
+    def test_base_gap_reaches_below_1e_12(self):
+        assert Parameters.for_instance(5, "1/100").b - 1 < Fraction(1, 10**12)
+
+    @pytest.mark.parametrize("k", [-64, -17, -1, 0, 1, 2, 33, 64])
+    @pytest.mark.parametrize("eps", ["1", "1/100"])
+    def test_exact_powers_settled_exactly(self, k, eps):
+        b = Parameters.for_instance(3, eps).b
+        assert floor_log(b**k, b) == (k, False)
+
+    @pytest.mark.parametrize("k", [-64, 1, 64])
+    def test_just_above_and_below_an_integer(self, k):
+        b = params_r3_eps1().b
+        nudge = Fraction(1, 10**40)  # log_b moves by about 7e-35
+        assert floor_log(b**k * (1 + nudge), b) == (k, False)
+        assert floor_log(b**k * (1 - nudge), b) == (k - 1, False)
+        assert mp_floor_log(b**k * (1 - nudge), b) == k - 1
+
+    def test_huge_exponent_at_an_exact_power_stays_unresolved(self):
+        fl, unresolved = floor_log(Fraction(2**65), Fraction(2))
+        assert unresolved and fl in (64, 65)
+        assert floor_log(Fraction(2**65 + 1), Fraction(2)) == (65, False)
+
+
+def test_traced_solve_imports_no_mpmath():
+    """The package imports and traces with mpmath unavailable."""
+    code = textwrap.dedent(
+        """
+        import io, sys
+        sys.modules["mpmath"] = None  # every import of mpmath now fails
+        from hbmatch import find_perfect_matching
+        from hbmatch.cli import TraceWriter, check_trace_lines
+        from tests.conftest import shuffled_planted
+        buf = io.StringIO()
+        find_perfect_matching(shuffled_planted(1, 60), 1, trace=TraceWriter(buf))
+        lines = buf.getvalue().splitlines()
+        assert any(line.startswith("signature ") and "coords=-" in line for line in lines)
+        assert check_trace_lines(lines) is None
+        print(sorted(name for name in sys.modules if name.startswith("mpmath")))
+        """
+    )
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "['mpmath']\n"
 
 
 class TestSignature:
@@ -179,7 +265,7 @@ class TestSignatureMemo:
         calls = []
         real = signature.floor_log
         monkeypatch.setattr(
-            signature, "floor_log", lambda v, b: calls.append(v) or real(v, b)
+            signature, "floor_log", lambda v, b, *rest: calls.append(v) or real(v, b, *rest)
         )
         p = params_r3_eps1()
         memo = SignatureMemo(p)
