@@ -147,15 +147,12 @@ def format_result(result: SolveResult, epsilon: Fraction) -> str:
 
 
 class TraceWriter:
-    """Serializes engine events one per line, fields in emission order."""
+    """Writes each engine event line to the trace document."""
 
     def __init__(self, stream: TextIO):
         self.stream = stream
 
-    def __call__(self, event: str, fields: dict) -> None:
-        line = event
-        for k, v in fields.items():
-            line += f" {k}={v}"
+    def __call__(self, line: str) -> None:
         self.stream.write(line + "\n")
 
 

@@ -9,6 +9,7 @@ orders used for every tie-break in the solver.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -80,12 +81,13 @@ class MatchingError(ValueError):
 class BipartiteHypergraph:
     """An r-uniform bipartite hypergraph with its A-side incidence index.
 
-    The structure is immutable after construction.  `a_edges[a]` lists
-    the ids of the edges at A-vertex `a` in edge-id order; no B-side
-    index is kept.  Construction accepts arbitrary (a, bs) pairs so that
-    malformed input can be inspected by :func:`certify.validate_instance`;
-    B-vertex lists are stored sorted, and an edge whose A-vertex is out
-    of range is left out of the index.
+    The structure is immutable after construction.  `a_edges` maps each
+    A-vertex that has edges to their ids in edge-id order; read it with
+    `a_edges.get(a, ())`, so memory follows the edges, not the declared
+    vertex count.  No B-side index is kept.  Construction accepts
+    arbitrary (a, bs) pairs so that malformed input can be inspected by
+    :func:`certify.validate_instance`; B-vertex lists are stored sorted,
+    and an edge whose A-vertex is out of range is left out of the index.
     """
 
     __slots__ = (
@@ -103,14 +105,14 @@ class BipartiteHypergraph:
         self.a_count = a_count
         self.b_count = b_count
         self.edges = [Edge(i, a, tuple(sorted(bs))) for i, (a, bs) in enumerate(edges)]
-        self.a_edges: list[list[int]] = [[] for _ in range(a_count)]
-        self._b_sets: tuple[frozenset[int], ...] | None = None
-        self._validated = False
-        self._violation: Violation | None = None
-        a_edges = self.a_edges
+        a_edges: defaultdict[int, list[int]] = defaultdict(list)
         for e in self.edges:
             if 0 <= e.a < a_count:
                 a_edges[e.a].append(e.id)
+        self.a_edges: dict[int, list[int]] = dict(a_edges)
+        self._b_sets: tuple[frozenset[int], ...] | None = None
+        self._validated = False
+        self._violation: Violation | None = None
 
     @property
     def m(self) -> int:
@@ -141,7 +143,7 @@ def incident_edges(h: BipartiteHypergraph, s: Iterable[int]) -> set[int]:
     """
     out: set[int] = set()
     for a in s:
-        out.update(h.a_edges[a])
+        out.update(h.a_edges.get(a, ()))
     return out
 
 

@@ -43,7 +43,7 @@ from .signature import (
     check_signature_step,
     signature_from_sizes,
 )
-from .tree import AlternatingTree, build_layer, validate_tree
+from .tree import AlternatingTree, Layer, build_layer, validate_tree
 
 __all__ = [
     "AugmentRun",
@@ -54,7 +54,7 @@ __all__ = [
     "find_perfect_matching",
 ]
 
-TraceSink = Callable[[str, dict], None]
+TraceSink = Callable[[str], None]  # one formatted event line, no newline
 
 
 class InternalSolverError(RuntimeError):
@@ -125,16 +125,14 @@ class AugmentRun:
         root = self.tree.root
         trace = self.trace
         if trace is not None:
-            trace("augment_start", {"root": root, "matched": len(self.m)})
+            trace(f"augment_start root={root} matched={len(self.m)}")
         cap = self.params.iteration_cap(self.h.a_count)
         iteration = 0
         while True:
             iteration += 1
             if iteration > cap:
                 if trace is not None:
-                    trace(
-                        "augment_end", {"outcome": "internal_error", "iterations": iteration - 1}
-                    )
+                    trace(f"augment_end outcome=internal_error iterations={iteration - 1}")
                 raise InternalSolverError(
                     "ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}"
                 )
@@ -144,13 +142,13 @@ class AugmentRun:
             witness = self.build_phase()
             if witness is not None:
                 if trace is not None:
-                    trace("augment_end", {"outcome": "witness", "iterations": iteration})
+                    trace(f"augment_end outcome=witness iterations={iteration}")
                 return witness
             if self.collapse_phase():
                 if self.debug:
                     self._check_matched_exactly_root(root)
                 if trace is not None:
-                    trace("augment_end", {"outcome": "matched", "iterations": iteration})
+                    trace(f"augment_end outcome=matched iterations={iteration}")
                 return None
 
     # ------------------------------------------------------------------
@@ -162,31 +160,23 @@ class AugmentRun:
         tree = self.tree
         level = tree.level()
         y_total_before = tree.y_total()
-        x, y = build_layer(
-            self.h,
-            self.m,
-            tree.occupied_b(),
-            tree.parent_a_set(level + 1),
-            self.params.u,
+        layer = build_layer(
+            self.h, self.m, tree.occupied_b(), tree.parent_a_set(level + 1), self.params.u
         )
         self.stats.build_ops += 1
-        tree.append_layer(x, y)
+        tree.append_layer(layer)
         self.stats.max_layers = max(self.stats.max_layers, tree.level())
-        ok = self.growth_check(len(x), y_total_before)
+        nx = len(layer.x)
+        ok = self.growth_check(nx, y_total_before)
         trace = self.trace
         if trace is not None:
-            trace("layer_built", {"index": tree.level(), "x": len(x), "y": len(y)})
-            trace(
-                "growth",
-                {"result": "pass" if ok else "fail", "x": len(x), "y_total": y_total_before},
-            )
+            trace(f"layer_built index={tree.level()} x={nx} y={len(layer.y)}")
+            trace(f"growth result={'pass' if ok else 'fail'} x={nx} y_total={y_total_before}")
         if not ok:
             cert = self.extract_witness()
             if trace is not None:
-                trace(
-                    "witness",
-                    {"s": len(cert.s), "hitting": len(cert.hitting_set), "bound": str(cert.bound)},
-                )
+                s, hitting = len(cert.s), len(cert.hitting_set)
+                trace(f"witness s={s} hitting={hitting} bound={cert.bound!s}")
             return cert
         if self.debug:
             # Fresh layer excluded: its collapse status is still unresolved.
@@ -251,7 +241,7 @@ class AugmentRun:
             self.m.add(self.h, eid)
             tree.discard_last()
             if self.trace is not None:
-                self.trace("collapse", {"layer": 1, "swaps": 0, "root_matched": 1})
+                self.trace("collapse layer=1 swaps=0 root_matched=1")
             return True
         below = tree.layers[level - 2]
         swaps_here = 0
@@ -270,7 +260,7 @@ class AugmentRun:
                     raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
-            self.trace("collapse", {"layer": level, "swaps": swaps_here, "root_matched": 0})
+            self.trace(f"collapse layer={level} swaps={swaps_here} root_matched=0")
         self.superposed_build()
         return False
 
@@ -291,50 +281,35 @@ class AugmentRun:
         tree = self.tree
         i = tree.level()
         layer = tree.layers[-1]
-        x2, y2 = build_layer(
-            self.h,
-            self.m,
-            tree.occupied_b(),
-            tree.parent_a_set(i),
-            self.params.u,
-            x0=layer.x,
-            y0=layer.y,
+        rebuilt = build_layer(
+            self.h, self.m, tree.occupied_b(), tree.parent_a_set(i), self.params.u,
+            x0=layer.x, y0=layer.y,
         )
         self.stats.build_ops += 1
-        x_before = len(layer.x)
-        committed = self.params.reaches_one_plus_mu(len(x2), x_before)
+        x_before, x_after = len(layer.x), len(rebuilt.x)
+        committed = self.params.reaches_one_plus_mu(x_after, x_before)
         if committed:
-            tree.commit_rebuild(x2, y2)
+            tree.commit_rebuild(rebuilt)
         if self.trace is not None:
             self.trace(
-                "superposed",
-                {
-                    "layer": i,
-                    "committed": int(committed),
-                    "x_before": x_before,
-                    "x_after": len(x2),
-                },
+                f"superposed layer={i} committed={int(committed)} "
+                f"x_before={x_before} x_after={x_after}"
             )
 
     # ------------------------------------------------------------------
     # witness extraction
 
-    def _prefix_rebuild(self, i: int) -> tuple[set[int], set[int]]:
+    def _prefix_rebuild(self, i: int) -> Layer:
         """Uncommitted rebuild of layer i against the prefix below it,
         ignoring all higher layers."""
         occ: set[int] = set()
         for layer in self.tree.layers[:i]:
-            for eid in layer.x | layer.y:
-                occ.update(self.h.edges[eid].bs)
+            occ |= layer.bx
+            occ |= layer.by
         layer = self.tree.layers[i - 1]
         return build_layer(
-            self.h,
-            self.m,
-            occ,
-            self.tree.parent_a_set(i),
-            self.params.u,
-            x0=layer.x,
-            y0=layer.y,
+            self.h, self.m, occ, self.tree.parent_a_set(i), self.params.u,
+            x0=layer.x, y0=layer.y,
         )
 
     def extract_witness(self) -> WitnessCertificate:
@@ -360,16 +335,15 @@ class AugmentRun:
             for eid in layer.x:
                 a = h.edges[eid].a
                 x_counts[a] = x_counts.get(a, 0) + 1
-            for eid in layer.x | layer.y:
-                hitting.update(h.edges[eid].bs)
+            hitting |= layer.bx
+            hitting |= layer.by
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
         for i in range(1, level):
-            layer = tree.layers[i - 1]
-            x2, y2 = self._prefix_rebuild(i)
-            served.update(h.edges[eid].a for eid in x2 - layer.x)
-            for eid in (x2 | y2) - (layer.x | layer.y):
-                hitting.update(h.edges[eid].bs)
+            rebuilt = self._prefix_rebuild(i)
+            served.update(h.edges[eid].a for eid in rebuilt.x - tree.layers[i - 1].x)
+            hitting |= rebuilt.bx
+            hitting |= rebuilt.by
         s -= saturated
         s -= served
         cert = WitnessCertificate.build(h.r, s, hitting, self.params.epsilon)
@@ -388,19 +362,13 @@ class AugmentRun:
         mode check them; only called when tracing or debugging."""
         trace = self.trace
         if trace is not None:
-            trace("iteration", {"iter": iteration, "layers": self.tree.level()})
+            trace(f"iteration iter={iteration} layers={self.tree.level()}")
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
         sig, unresolved = signature_from_sizes(sizes, self.params, self.memo)
         self.stats.sig_ambiguities += unresolved
         if trace is not None:
-            trace(
-                "signature",
-                {
-                    "iter": iteration,
-                    "coords": ",".join(map(str, sig.coords)),
-                    "unresolved": unresolved,
-                },
-            )
+            coords = ",".join(map(str, sig.coords))
+            trace(f"signature iter={iteration} coords={coords} unresolved={unresolved}")
         if self.debug:
             self._check_signature(sig)
             self._check_boundary_invariants()
@@ -448,11 +416,11 @@ class AugmentRun:
             y_below += len(layer.y)
         for i in range(1, tree.level() + 1):
             layer = tree.layers[i - 1]
-            x2, _ = self._prefix_rebuild(i)
-            if self.params.reaches_one_plus_mu(len(x2), len(layer.x)):
+            x2 = len(self._prefix_rebuild(i).x)
+            if self.params.reaches_one_plus_mu(x2, len(layer.x)):
                 raise InternalSolverError(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",
-                    f"layer {i}: rebuild reaches {len(x2)} from {len(layer.x)}",
+                    f"layer {i}: rebuild reaches {x2} from {len(layer.x)}",
                 )
         self._check_layer_count_bound(tree.level())
 

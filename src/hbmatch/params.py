@@ -14,16 +14,21 @@ from fractions import Fraction
 __all__ = ["Parameters", "parse_rational", "parse_epsilon", "MAX_DECIMAL_EXPONENT"]
 
 # Far beyond any useful slack, and small enough that 10**exponent still
-# prints within Python's 4300-digit limit on int/str conversion, which
-# already bounds the digits of the mantissa.
+# prints within Python's 4300-digit limit on int/str conversion.
 MAX_DECIMAL_EXPONENT = 1000
+# Python's default limit on int/str conversion: no digit run in a text
+# this short can exceed it, whether numerator, denominator, mantissa or
+# zero-padded exponent.
+MAX_RATIONAL_CHARS = 4300
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Exact conversion from "p/q" or decimal strings; floats rejected.
 
-    A decimal exponent beyond MAX_DECIMAL_EXPONENT is rejected before
-    the power of ten is built.
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT (counted without its
+    leading zeros) is rejected before the power of ten is built, and a
+    text longer than MAX_RATIONAL_CHARS before any of its digits are
+    converted.
     """
     if isinstance(text, float):
         raise TypeError("rational parameters must not pass through floats")
@@ -36,6 +41,10 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         ):
             raise ValueError(
                 f"rational {text!r} has an exponent beyond {MAX_DECIMAL_EXPONENT}"
+            )
+        if len(text) > MAX_RATIONAL_CHARS:
+            raise ValueError(
+                f"rational text of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
             )
     try:
         return Fraction(text)

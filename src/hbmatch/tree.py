@@ -11,9 +11,7 @@ balanced across A-vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .core import (
     BipartiteHypergraph,
@@ -30,20 +28,28 @@ __all__ = [
 ]
 
 
-@dataclass
-class Layer:
-    """Layer contents: X (non-matching edges) and Y (their blockers)."""
+class Layer(NamedTuple):
+    """Layer contents: X (non-matching edges), Y (their blockers), and
+    the B-vertices of X (`bx`) and of Y (`by`).
 
-    x: set[int] = field(default_factory=set)
-    y: set[int] = field(default_factory=set)
+    The four sets are owned by the layer once it is built; the tree
+    updates them in place as blockers leave Y.
+    """
+
+    x: set[int]
+    y: set[int]
+    bx: set[int]
+    by: set[int]
 
 
 class AlternatingTree:
     """Mutable alternating tree owned by a single augmenting run.
 
-    `layers[i]` is layer i+1; level 0 is the root layer.  B-occupancy
-    counters are maintained incrementally; an occupancy count can reach
-    2 when a blocker shares a B-vertex with its X-edge, never more.
+    `layers[i]` is layer i+1; level 0 is the root layer.  No B-vertex
+    lies in two layers, so the tree's B-occupancy is the union of the
+    layers' `bx` and `by` sets, kept as one set and updated by set
+    operations as layers come and go.  Within a layer `bx` and `by`
+    overlap: a blocker shares a B-vertex with its X-edge.
     """
 
     def __init__(self, h: BipartiteHypergraph, m: PartialMatching, root: int, u_bound: int):
@@ -53,7 +59,7 @@ class AlternatingTree:
         self.root = root
         self.u_bound = u_bound
         self.layers: list[Layer] = []
-        self._b_occ: dict[int, int] = {}
+        self._b_occ: set[int] = set()
 
     def level(self) -> int:
         return len(self.layers)
@@ -71,46 +77,42 @@ class AlternatingTree:
         return {self.h.edges[f].a for f in self.layers[i - 2].y}
 
     def occupied_b(self) -> AbstractSet[int]:
-        """Live, read-only view of the B-vertices the tree occupies."""
-        return self._b_occ.keys()
+        """The live set of B-vertices the tree occupies; read-only."""
+        return self._b_occ
 
-    def _count(self, edge_ids: Iterable[int], delta: int) -> None:
-        """Add `delta` to the B-occupancy counters of each edge."""
-        edges, occ = self.h.edges, self._b_occ
-        for eid in edge_ids:
-            for b in edges[eid].bs:
-                c = occ.get(b, 0) + delta
-                if c:
-                    occ[b] = c
-                else:
-                    del occ[b]
-
-    def append_layer(self, x: Iterable[int], y: Iterable[int]) -> Layer:
-        layer = Layer(set(x), set(y))
-        self._count(chain(layer.x, layer.y), +1)
+    def append_layer(self, layer: Layer) -> None:
+        """Stack a layer built by :func:`build_layer`; the tree takes its sets."""
+        self._b_occ |= layer.bx
+        self._b_occ |= layer.by
         self.layers.append(layer)
-        return layer
 
     def discard_last(self) -> None:
         layer = self.layers.pop()
-        self._count(chain(layer.x, layer.y), -1)
+        self._b_occ -= layer.bx
+        self._b_occ -= layer.by
 
     def remove_y_edge(self, i: int, edge_id: int) -> None:
-        """Drop a blocking edge from layer i after it was swapped out of M."""
+        """Drop a blocking edge from layer i after it was swapped out of M.
+
+        Its B-vertices leave the layer's `by`; those it shares with the
+        X-edge it blocked stay occupied through `bx`.
+        """
         layer = self.layers[i - 1]
         if edge_id not in layer.y:
             raise ValueError(f"edge {edge_id} not in Y of layer {i}")
         layer.y.discard(edge_id)
-        self._count((edge_id,), -1)
+        bs = self.h.edges[edge_id].bs
+        layer.by.difference_update(bs)
+        self._b_occ -= set(bs) - layer.bx
 
-    def commit_rebuild(self, new_x: set[int], new_y: set[int]) -> None:
+    def commit_rebuild(self, layer: Layer) -> None:
         """Replace the last layer by a superset produced by a rebuild."""
-        layer = self.layers[-1]
-        if not (new_x >= layer.x and new_y >= layer.y):
+        last = self.layers[-1]
+        if not (layer.x >= last.x and layer.y >= last.y):
             raise ValueError("rebuild must extend the existing layer")
-        self._count(chain(new_x - layer.x, new_y - layer.y), +1)
-        layer.x = set(new_x)
-        layer.y = set(new_y)
+        self._b_occ |= layer.bx
+        self._b_occ |= layer.by
+        self.layers[-1] = layer
 
 
 def build_layer(
@@ -121,31 +123,31 @@ def build_layer(
     u_bound: int,
     x0: Iterable[int] = (),
     y0: Iterable[int] = (),
-) -> tuple[set[int], set[int]]:
+) -> Layer:
     """Grow a layer from (x0, y0) until no addable edge remains.
 
     Repeatedly takes the least addable (a, edge) pair, by vertex index
     and then edge id: `a` is a parent with fewer than `u_bound` X-edges,
     and the edge is not in `m` and avoids every occupied B-vertex.  It
-    adds the edge to X and its blockers under `m` to Y, and treats all their B-vertices
-    as occupied from then on.  `occupied_b` is the set of B-vertices to
-    avoid, such as the tree's live view
-    (:meth:`AlternatingTree.occupied_b`).  It is only read; B-vertices
-    the build adds are kept in a local set.
-    Neither `m` nor the caller's collections are modified; committing
-    the result is the caller's decision.
+    adds the edge to X and its blockers under `m` to Y, and treats all
+    their B-vertices as occupied from then on.  `occupied_b` is the set
+    of B-vertices to avoid, such as the tree's live set
+    (:meth:`AlternatingTree.occupied_b`); it is only read.  The result
+    is a fresh :class:`Layer` whose `bx` and `by` hold the B-vertices of
+    its X- and Y-edges, ready for the tree to take.  Neither `m` nor the
+    caller's collections are modified; committing the result is the
+    caller's decision.
 
     Occupancy only grows during a build and taking an edge for one
     parent never frees another, so each parent, in vertex order, takes
     edges from its incidence list in one pass until it reaches
     `u_bound` or runs out, and is never revisited.
     """
-    edges, matched, b_of = h.edges, m.edge_ids, m.b_of
+    edges, matched, b_of, a_edges = h.edges, m.edge_ids, m.b_of, h.a_edges
     x = set(x0)
     y = set(y0)
-    new_b: set[int] = set()
-    for eid in chain(x, y):
-        new_b.update(edges[eid].bs)
+    bx = {b for eid in x for b in edges[eid].bs}
+    by = {b for eid in y for b in edges[eid].bs}
     x_counts: dict[int, int] = {}
     for eid in x:
         a = edges[eid].a
@@ -155,23 +157,23 @@ def build_layer(
         room = u_bound - x_counts.get(a, 0)
         if room <= 0:
             continue
-        for eid in h.a_edges[a]:
+        for eid in a_edges.get(a, ()):
             if eid in matched:
                 continue
             bs = edges[eid].bs
-            if not (occupied_b.isdisjoint(bs) and new_b.isdisjoint(bs)):
+            if not (occupied_b.isdisjoint(bs) and bx.isdisjoint(bs) and by.isdisjoint(bs)):
                 continue
             x.add(eid)
-            new_b.update(bs)
+            bx.update(bs)
             for b in bs:
                 f = b_of.get(b)
                 if f is not None and f not in y:
                     y.add(f)
-                    new_b.update(edges[f].bs)
+                    by.update(edges[f].bs)
             room -= 1
             if room == 0:
                 break
-    return x, y
+    return Layer(x, y, bx, by)
 
 
 def validate_tree(
@@ -250,11 +252,13 @@ def validate_tree(
             return Violation("DEGREE_EXCEEDED", f"A-vertex {a} has {count} X-edges")
         if a != tree.root and count + blocking_count.get(a, 0) > tree.u_bound + 1:
             return Violation("DEGREE_EXCEEDED", f"A-vertex {a} total degree")
-    recomputed_occ: dict[int, int] = {}
-    for layer in tree.layers:
-        for eid in layer.x | layer.y:
-            for b in h.edges[eid].bs:
-                recomputed_occ[b] = recomputed_occ.get(b, 0) + 1
-    if recomputed_occ != tree._b_occ:
-        return Violation("COUNTER_MISMATCH", "incremental counters diverged")
+    occ: set[int] = set()
+    for idx, layer in enumerate(tree.layers, start=1):
+        bx = {b for eid in layer.x for b in h.edges[eid].bs}
+        by = {b for eid in layer.y for b in h.edges[eid].bs}
+        if bx != layer.bx or by != layer.by:
+            return Violation("COUNTER_MISMATCH", f"layer {idx}: B-vertex sets diverged")
+        occ |= bx | by
+    if occ != tree.occupied_b():
+        return Violation("COUNTER_MISMATCH", "tree B-occupancy diverged from its layers")
     return None

@@ -62,6 +62,16 @@ def shuffled_planted(seed: int, na: int, r: int = 3) -> BipartiteHypergraph:
     return BipartiteHypergraph(h.r, h.a_count, h.b_count, edges)
 
 
+def trace_event(line: str) -> tuple[str, dict]:
+    """One engine trace line as (event, fields); integer fields become ints."""
+    event, *pairs = line.split()
+    fields = {}
+    for pair in pairs:
+        key, value = pair.split("=", 1)
+        fields[key] = int(value) if value.lstrip("-").isdecimal() else value
+    return event, fields
+
+
 def brute_force_perfect_matching(
     h: BipartiteHypergraph, max_a: int = DEFAULT_SUBSET_CAP
 ) -> PartialMatching | None:
@@ -80,7 +90,7 @@ def brute_force_perfect_matching(
     def bt(a: int) -> bool:
         if a == h.a_count:
             return True
-        for eid in h.a_edges[a]:
+        for eid in h.a_edges.get(a, ()):
             e = h.edges[eid]
             if any(b in used_b for b in e.bs):
                 continue

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,16 @@ class TestParseInstance:
         with pytest.raises(ParseError) as exc:
             parse_instance(text)
         assert exc.value.line == line and code in exc.value.reason
+
+    def test_memory_follows_edges_not_declared_vertices(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="INDEX_OUT_OF_RANGE"):
+                parse_instance("p hbm 2 1000000 1 1\ne 0 5\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestParseInstanceFuzz:
@@ -644,6 +655,8 @@ class TestCommands:
                 ("1/0", "zero denominator", ""),
                 ("1e999999999", "exponent beyond", "-exponent"),
                 ("1e" + "9" * 5000, "exponent beyond", "-exponent-digits"),
+                ("1" * 5000, "characters is longer than", "-mantissa-digits"),
+                ("1e" + "0" * 5000 + "5", "characters is longer than", "-exponent-zeros"),
             ]
             for name in _RATIONAL_INPUTS
         ],

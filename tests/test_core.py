@@ -152,7 +152,7 @@ class TestSwap:
         before = m.matched_a_vertices()
         for f_out in sorted(m.edge_ids):
             a = h.edges[f_out].a
-            for e_in in h.a_edges[a]:
+            for e_in in h.a_edges.get(a, ()):
                 if e_in == f_out or not is_immediately_addable(h, m, e_in):
                     continue
                 swap(h, m, f_out, e_in)

@@ -31,6 +31,7 @@ from .conftest import (
     shift_chain,
     shuffled_planted,
     superposed_commit_instance,
+    trace_event,
 )
 
 
@@ -130,7 +131,7 @@ class TestSuperposedCommitThreshold:
         h = superposed_commit_instance()
         events = []
         res = find_perfect_matching(
-            h, 1, trace=lambda n, f: events.append((n, dict(f))), debug_invariants=True
+            h, 1, trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         commits = [f for n, f in events if n == "superposed" and f["committed"]]
         assert commits and commits[0]["x_before"] == 2 and commits[0]["x_after"] == 3
@@ -141,7 +142,7 @@ class TestSuperposedCommitThreshold:
         h = shift_chain(4)
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda n, f: events.append((n, dict(f))), debug_invariants=True
+            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         rejected = [f for n, f in events if n == "superposed" and not f["committed"]]
         assert rejected and all(f["x_before"] == f["x_after"] for f in rejected)
@@ -259,7 +260,7 @@ class TestDeepCascade:
         h = shift_chain(k)
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda n, f: events.append((n, dict(f))), debug_invariants=True
+            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         assert res.status == "perfect_matching"
         assert res.stats.max_layers == k + 1
@@ -273,7 +274,7 @@ class TestDeepCascade:
         h = make_h(2, 2, 4, [(0, (1,)), (1, (1,)), (0, (2,)), (0, (3,))])
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda n, f: events.append((n, dict(f))), debug_invariants=True
+            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         collapses = [f for n, f in events if n == "collapse"]
         assert {"layer": 2, "swaps": 1, "root_matched": 0} in collapses
@@ -351,7 +352,7 @@ class TestWitnessExtractionRegimes:
         h = make_h(2, 10, 10, edges)
         events = []
         res = find_perfect_matching(
-            h, 2, trace=lambda n, f: events.append((n, dict(f))), debug_invariants=True
+            h, 2, trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         fails = [f for n, f in events if n == "growth" and f["result"] == "fail"]
         assert fails == [{"result": "fail", "x": 1, "y_total": 10}]
@@ -435,7 +436,7 @@ class TestTraceEvents:
     def test_event_stream_shape(self):
         h = superposed_commit_instance()
         events = []
-        find_perfect_matching(h, 1, trace=lambda n, f: events.append((n, dict(f))))
+        find_perfect_matching(h, 1, trace=lambda line: events.append(trace_event(line)))
         names = [n for n, _ in events]
         assert names.count("augment_start") == 3 == names.count("augment_end")
         assert "layer_built" in names and "collapse" in names
@@ -551,7 +552,7 @@ class TestSignatureMemoPerSolve:
         by_eps = {}
         for eps in (Fraction(1), Fraction(1, 2)):
             seen.clear()
-            find_perfect_matching(h, eps, trace=lambda event, fields: None)
+            find_perfect_matching(h, eps, trace=lambda line: None)
             assert seen and {p.epsilon for _, p, _ in seen} == {eps}
             for sizes, p, coords in seen:
                 assert coords == reference_signature(sizes, p)

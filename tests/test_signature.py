@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import Parameters
-from hbmatch.params import MAX_DECIMAL_EXPONENT, parse_epsilon, parse_rational
+from hbmatch.params import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_RATIONAL_CHARS,
+    parse_epsilon,
+    parse_rational,
+)
 from hbmatch.signature import (
     SignatureError,
     SignatureMemo,
@@ -60,6 +65,14 @@ class TestParameters:
         for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}",
                      "1E+999999999", "0.5e999999999"):
             with pytest.raises(ValueError, match="exponent beyond"):
+                parse_rational(text)
+
+    def test_text_length_bounded(self):
+        padded = "1e" + "0" * (MAX_RATIONAL_CHARS - 3) + "5"  # exponent 5, at the limit
+        assert len(padded) == MAX_RATIONAL_CHARS and parse_rational(padded) == 10**5
+        for text in ("1" * (MAX_RATIONAL_CHARS + 1), "1e0" + padded[2:],
+                     "1/" + "3" * MAX_RATIONAL_CHARS):
+            with pytest.raises(ValueError, match="longer than"):
                 parse_rational(text)
 
     def test_parse_epsilon_requires_positive(self):

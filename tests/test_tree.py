@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import PartialMatching
-from hbmatch.core import blocking_edges
-from hbmatch.tree import AlternatingTree, build_layer, validate_tree
+from hbmatch.core import blocking_edges, is_immediately_addable, swap
+from hbmatch.tree import AlternatingTree, Layer, build_layer, validate_tree
 
-from .conftest import hypergraphs_with_matching, make_h
+from .conftest import hypergraphs_with_matching, make_h, shuffled_planted
 
 
 def tree_degree(tree, a):
@@ -32,13 +32,23 @@ def find_addable_edge(h, occupied_b, parent_a_set, x_counts, u_bound, m=None):
     for a in sorted(parent_a_set):
         if x_counts.get(a, 0) >= u_bound:
             continue
-        for eid in h.a_edges[a]:
+        for eid in h.a_edges.get(a, ()):
             if m is not None and eid in m.edge_ids:
                 continue
             e = h.edges[eid]
             if not any(b in occupied_b for b in e.bs):
                 return (a, eid)
     return None
+
+
+def make_layer(h, x, y):
+    """A hand-built layer with its B-vertex sets, for trees that
+    build_layer would not produce."""
+    return Layer(
+        set(x), set(y),
+        {b for eid in x for b in h.edges[eid].bs},
+        {b for eid in y for b in h.edges[eid].bs},
+    )
 
 
 def fresh_tree(h, m, root=0, u_bound=10):
@@ -106,26 +116,26 @@ class TestBuildLayer:
     def test_no_edges_returns_seed_unchanged(self):
         h = make_h(3, 2, 4, [])
         m = PartialMatching()
-        x, y = build_layer(h, m, set(), {0}, 10)
+        x, y, _, _ = build_layer(h, m, set(), {0}, 10)
         assert x == set() and y == set()
 
     def test_two_disjoint_edges_no_blockers(self):
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         m = PartialMatching()
-        x, y = build_layer(h, m, set(), {0}, 10)
+        x, y, _, _ = build_layer(h, m, set(), {0}, 10)
         assert x == {0, 1} and y == set()
 
     def test_single_edge_with_blocker(self):
         h = make_h(3, 2, 5, [(0, (0, 1)), (1, (1, 4))])
         m = PartialMatching()
         m.add(h, 1)
-        x, y = build_layer(h, m, set(), {0}, 10)
+        x, y, _, _ = build_layer(h, m, set(), {0}, 10)
         assert x == {0} and y == {1}
 
     def test_u_bound_caps_per_vertex(self):
         h = make_h(3, 1, 8, [(0, (2 * j, 2 * j + 1)) for j in range(4)])
         m = PartialMatching()
-        x, y = build_layer(h, m, set(), {0}, 2)
+        x, y, _, _ = build_layer(h, m, set(), {0}, 2)
         assert x == {0, 1}
 
     def test_blocker_b_vertices_become_occupied(self):
@@ -133,7 +143,7 @@ class TestBuildLayer:
         h = make_h(3, 2, 6, [(0, (0, 1)), (0, (4, 5)), (1, (1, 4))])
         m = PartialMatching()
         m.add(h, 2)
-        x, y = build_layer(h, m, set(), {0}, 10)
+        x, y, _, _ = build_layer(h, m, set(), {0}, 10)
         assert x == {0} and y == {2}
 
     def test_matches_iterated_find_addable_edge(self):
@@ -143,18 +153,18 @@ class TestBuildLayer:
         m = PartialMatching()
         m.add(h, 2)
         expected = iterated_find_addable_edge(h, m, set(), {0, 2}, 10)
-        assert expected == build_layer(h, m, set(), {0, 2}, 10)
+        assert expected == build_layer(h, m, set(), {0, 2}, 10)[:2]
 
     @given(layer_build_inputs(), st.booleans())
     @settings(max_examples=200)
     def test_equals_reference_from_seed_and_occupancy(self, inputs, as_counter):
         h, m, occupied, parents, u_bound, x0, y0 = inputs
-        # the tree passes the keys view of its live counters; other callers pass a set
+        # any read-only set view works: the tree passes its live set, a dict's keys view too
         occ = {b: 1 + b % 2 for b in occupied} if as_counter else set(occupied)
         before = dict(occ) if as_counter else set(occ)
         expected = iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0, y0)
         view = occ.keys() if as_counter else occ
-        assert build_layer(h, m, view, parents, u_bound, x0=x0, y0=y0) == expected
+        assert build_layer(h, m, view, parents, u_bound, x0=x0, y0=y0)[:2] == expected
         assert occ == before, "occupancy is read-only"
 
     @given(hypergraphs_with_matching(max_a=5, max_b=8, max_edges=12))
@@ -162,7 +172,7 @@ class TestBuildLayer:
     def test_blocker_growth_bound_and_layer_shape(self, hm):
         h, m = hm
         parents = set(range(h.a_count))
-        x, y = build_layer(h, m, set(), parents, 3)
+        x, y, _, _ = build_layer(h, m, set(), parents, 3)
         # each added edge contributes at most r-1 blockers
         assert len(y) <= (h.r - 1) * len(x)
         # X is pairwise B-disjoint and disjoint from M
@@ -200,8 +210,8 @@ class TestAlternatingTree:
         m = PartialMatching()
         m.add(h, 1)
         tree = fresh_tree(h, m)
-        x, y = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(1), tree.u_bound)
-        tree.append_layer(x, y)
+        layer = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(1), tree.u_bound)
+        tree.append_layer(layer)
         assert validate_tree(h, m, tree) is None
         assert tree.y_total() == 2
         assert tree.parent_a_set(2) == {1}
@@ -212,8 +222,8 @@ class TestAlternatingTree:
         m = PartialMatching()
         m.add(h, 1)
         tree = fresh_tree(h, m)
-        tree.append_layer({0}, {1})
-        tree.append_layer({2}, set())
+        tree.append_layer(make_layer(h, {0}, {1}))
+        tree.append_layer(make_layer(h, {2}, set()))
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "CROSS_LAYER_B_OVERLAP"
 
@@ -221,8 +231,8 @@ class TestAlternatingTree:
         h = make_h(3, 3, 4, [(0, (0, 1)), (2, (2, 3))])
         m = PartialMatching()
         tree = fresh_tree(h, m)
-        tree.append_layer({0}, set())
-        tree.append_layer({1}, set())  # a2 has no blocker in Y_1
+        tree.append_layer(make_layer(h, {0}, set()))
+        tree.append_layer(make_layer(h, {1}, set()))  # a2 has no blocker in Y_1
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "PARENT_NOT_IN_LOWER_Y"
 
@@ -231,7 +241,7 @@ class TestAlternatingTree:
         m = PartialMatching()
         m.add(h, 2)
         tree = fresh_tree(h, m)
-        tree.append_layer({0, 1}, {2})  # edge 2 meets both X-edges in B
+        tree.append_layer(make_layer(h, {0, 1}, {2}))  # edge 2 meets both X-edges in B
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "Y_INTERSECTS_MULTIPLE_X"
 
@@ -240,9 +250,19 @@ class TestAlternatingTree:
         m = PartialMatching()
         m.add(h, 1)
         tree = fresh_tree(h, m)
-        x, y = build_layer(h, m, tree.occupied_b(), {0}, tree.u_bound)
-        tree.append_layer(x, y)
-        tree._b_occ[4] += 1
+        layer = build_layer(h, m, tree.occupied_b(), {0}, tree.u_bound)
+        tree.append_layer(layer)
+        tree._b_occ.discard(4)  # stale union: b4 is held by the blocker
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "COUNTER_MISMATCH"
+
+    def test_stale_layer_set_detected(self):
+        h = make_h(3, 2, 5, [(0, (0, 1)), (1, (1, 4))])
+        m = PartialMatching()
+        m.add(h, 1)
+        tree = fresh_tree(h, m)
+        tree.append_layer(build_layer(h, m, tree.occupied_b(), {0}, tree.u_bound))
+        tree.layers[0].bx.discard(0)  # the union still holds b0
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "COUNTER_MISMATCH"
 
@@ -259,12 +279,12 @@ class TestTreeDegree:
         m = PartialMatching()
         m.add(h, 1)
         tree = fresh_tree(h, m)
-        x1, y1 = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(1), 10)
-        tree.append_layer(x1, y1)
+        layer = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(1), 10)
+        tree.append_layer(layer)
         assert tree_degree(tree, 1) == 1  # the blocker
-        x2, y2 = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(2), 10)
-        tree.append_layer(x2, y2)
-        assert x2 == {2, 3}
+        layer = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(2), 10)
+        tree.append_layer(layer)
+        assert layer.x == {2, 3}
         assert tree_degree(tree, 1) == 3
 
     def test_degree_increments_with_each_added_edge(self):
@@ -272,8 +292,8 @@ class TestTreeDegree:
         m = PartialMatching()
         tree = fresh_tree(h, m)
         before = tree_degree(tree, 0)
-        x, y = build_layer(h, m, tree.occupied_b(), {0}, 10)
-        tree.append_layer(x, y)
+        layer = build_layer(h, m, tree.occupied_b(), {0}, 10)
+        tree.append_layer(layer)
         assert tree_degree(tree, 0) == before + 2
 
     def test_counter_equals_from_scratch_count(self):
@@ -282,8 +302,8 @@ class TestTreeDegree:
         m.add(h, 1)
         tree = fresh_tree(h, m)
         for i in (1, 2):
-            x, y = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(i), 10)
-            tree.append_layer(x, y)
+            layer = build_layer(h, m, tree.occupied_b(), tree.parent_a_set(i), 10)
+            tree.append_layer(layer)
         for a in range(h.a_count):
             scratch = sum(
                 1
@@ -292,3 +312,66 @@ class TestTreeDegree:
                 if h.edges[eid].a == a
             )
             assert tree_degree(tree, a) == scratch
+
+
+def greedy_matching_but(h, root):
+    """Each A-vertex but `root`, in order, takes its first addable edge."""
+    m = PartialMatching()
+    for a in range(h.a_count):
+        if a == root:
+            continue
+        eid = next((e for e in h.a_edges.get(a, ()) if is_immediately_addable(h, m, e)), None)
+        if eid is not None:
+            m.add(h, eid)
+    return m
+
+
+class TestOccupancyUnderTreeOperations:
+    @given(
+        seed=st.integers(0, 40),
+        root=st.integers(0, 29),
+        u_bound=st.sampled_from([1, 2, 3, 90]),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["append", "swap", "rebuild", "discard"]), st.integers(0, 99)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_occupancy_is_union_of_layer_edges(self, seed, root, u_bound, ops):
+        """Layers come from build_layer on a live matching; swaps move a
+        blocker out of M for an addable X-edge one level up, as a
+        collapse does.  After every step the tree's set and each layer's
+        `bx`/`by` equal their recount from the layers' edges."""
+        h = shuffled_planted(seed, 30)
+        m = greedy_matching_but(h, root)
+        tree = fresh_tree(h, m, root, u_bound)
+        for op, k in ops:
+            level = tree.level()
+            if op == "append":
+                parents = tree.parent_a_set(level + 1)
+                tree.append_layer(build_layer(h, m, tree.occupied_b(), parents, u_bound))
+            elif op == "rebuild" and level:
+                top = tree.layers[-1]
+                tree.commit_rebuild(build_layer(
+                    h, m, tree.occupied_b(), tree.parent_a_set(level), u_bound,
+                    x0=top.x, y0=top.y,
+                ))
+            elif op == "discard" and level:
+                tree.discard_last()
+            elif op == "swap" and level >= 2:
+                pairs = [
+                    (f, eid)
+                    for f in sorted(tree.layers[-2].y)
+                    for eid in sorted(tree.layers[-1].x)
+                    if h.edges[eid].a == h.edges[f].a and is_immediately_addable(h, m, eid)
+                ]
+                if pairs:
+                    f, eid = pairs[k % len(pairs)]
+                    swap(h, m, f, eid)
+                    tree.remove_y_edge(level - 1, f)
+            recount = set()
+            for layer in tree.layers:
+                fresh = make_layer(h, layer.x, layer.y)
+                assert (layer.bx, layer.by) == (fresh.bx, fresh.by)
+                recount |= fresh.bx | fresh.by
+            assert tree.occupied_b() == recount
