@@ -58,31 +58,47 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
 
 
 def _first_violation(h: BipartiteHypergraph) -> Violation | None:
-    r, na, nb = h.r, h.a_count, h.b_count
+    r, nb = h.r, h.b_count
     if r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
     width = r - 1
+    edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
+    # Whole columns first; only a dirty instance is walked edge by edge to
+    # name its first violation.  bs is sorted, so its ends bound its range,
+    # and a repeated edge repeats its bs.
+    if m and (min(edge_a) < 0 or max(edge_a) >= h.a_count):
+        return _walk_edges(h, width)
+    for bs in edge_bs:
+        if len(bs) != width or bs[0] < 0 or bs[-1] >= nb or len(set(bs)) < width:
+            return _walk_edges(h, width)
+    if len(set(edge_bs)) == m or len(set(zip(edge_a, edge_bs))) == m:
+        return None
+    return _walk_edges(h, width)
+
+
+def _walk_edges(h: BipartiteHypergraph, width: int) -> Violation | None:
+    """The first violation in edge order, each edge's checks in code order."""
+    na, nb = h.a_count, h.b_count
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    for e in h.edges:
-        a, bs = e.a, e.bs
+    for eid, key in enumerate(zip(h.edge_a, h.edge_bs)):
+        a, bs = key
         if len(bs) != width:
             return Violation(
                 "NON_UNIFORM_EDGE",
-                f"edge {e.id} has {len(bs)} B-vertices, expected {width}",
-                e.id,
+                f"edge {eid} has {len(bs)} B-vertices, expected {width}",
+                eid,
             )
         if not 0 <= a < na:
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {a}", e.id)
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: A-vertex {a}", eid)
         # bs is sorted, so its ends bound its range and repeats are adjacent.
         if bs[0] < 0 or bs[-1] >= nb:
             b = next(b for b in bs if not 0 <= b < nb)
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}", e.id)
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: B-vertex {b}", eid)
         if len(set(bs)) < width:
             u = next(u for u, v in zip(bs, bs[1:]) if u == v)
-            return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}", e.id)
-        key = (a, bs)
+            return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
         if key in seen:
-            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}", e.id)
+            return Violation("DUPLICATE_EDGE", f"edge {eid} repeats {key}", eid)
         seen.add(key)
     return None
 
@@ -115,12 +131,13 @@ def _matching_violation(
     A-vertex is bare.  Every id must be in range."""
     a_seen: dict[int, int] = {}
     b_seen: dict[int, int] = {}
+    edge_a, edge_bs = h.edge_a, h.edge_bs
     for eid in sorted(edge_ids):
-        e = h.edges[eid]
-        if e.a in a_seen:
-            return Violation("OVERLAP", f"edges {a_seen[e.a]} and {eid} share A-vertex {e.a}")
-        a_seen[e.a] = eid
-        for b in e.bs:
+        a = edge_a[eid]
+        if a in a_seen:
+            return Violation("OVERLAP", f"edges {a_seen[a]} and {eid} share A-vertex {a}")
+        a_seen[a] = eid
+        for b in edge_bs[eid]:
             if b in b_seen:
                 return Violation("OVERLAP", f"edges {b_seen[b]} and {eid} share B-vertex {b}")
             b_seen[b] = eid
@@ -184,8 +201,7 @@ def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violatio
         if not 0 <= b < h.b_count:
             return Violation("INDEX_OUT_OF_RANGE", f"B-vertex {b} in hitting set")
     for eid in sorted(incident_edges(h, cert.s)):
-        e = h.edges[eid]
-        if not any(b in cert.hitting_set for b in e.bs):
+        if cert.hitting_set.isdisjoint(h.edge_bs[eid]):
             return Violation("UNHIT_EDGE", f"edge {eid} not hit")
     if len(cert.hitting_set) > cert.bound:
         return Violation(

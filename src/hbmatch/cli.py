@@ -47,73 +47,107 @@ EXIT_WITNESS = 2
 # instance format
 
 
+_BLOCK = 4096  # edge rows converted at a time, which bounds the split rows held
+
+
 def parse_instance(text: str) -> BipartiteHypergraph:
     """Parse the instance format; line-numbered errors on malformed input.
 
     Each line is split once.  The parser checks the syntax: record types,
     the header (with r >= 2), the field count of each edge line, integer
-    fields and ascending B-vertices.  Every structural rule (ranges,
+    fields and ascending B-vertices.  Edge lines are converted a block at
+    a time, column by column, into the instance's `edge_a` and `edge_bs`;
+    pending rows are converted before any later line is rejected, so the
+    first error in the file is raised.  Every structural rule (ranges,
     repeated edges) is checked once, by :func:`validate_instance`, and
     its violation is reported at the line of the offending edge.
     """
     header: tuple[int, ...] | None = None
     width = -1  # fields of an edge line, "e" plus r vertices; set by the header
-    edges: list[tuple[int, tuple[int, ...]]] = []
-    edge_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
+    edge_a: list[int] = []
+    edge_bs: list[tuple[int, ...]] = []
+    rows: list[list[str]] = []
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if len(fields) == width and fields[0] == "e":
+            rows.append(fields)
+            if len(rows) == _BLOCK:
+                _take_rows(text, rows, edge_a, edge_bs)
             continue
+        if not fields or fields[0].startswith("c"):
+            continue
+        _take_rows(text, rows, edge_a, edge_bs)
         tag = fields[0]
         if tag == "e":
-            if len(fields) != width:
-                if header is None:
-                    raise ParseError(lineno, "edge before header")
-                raise ParseError(lineno, f"expected {header[0]} vertex fields for r={header[0]}")
-            try:
-                a = int(fields[1])
-                bs = tuple(map(int, fields[2:]))
-            except ValueError:
-                raise ParseError(lineno, "non-integer vertex index") from None
-            if not all(map(lt, bs, bs[1:])):
-                raise ParseError(lineno, "B-vertices must be strictly ascending")
-            edges.append((a, bs))
-            edge_lines.append(lineno)
-        elif tag.startswith("c"):
-            continue
-        elif tag == "p":
-            if header is not None:
-                raise ParseError(lineno, "duplicate header")
-            if len(fields) != 6 or fields[1] != "hbm":
-                raise ParseError(lineno, "expected 'p hbm <r> <nA> <nB> <m>'")
-            try:
-                header = tuple(map(int, fields[2:]))
-            except ValueError:
-                raise ParseError(lineno, "non-integer header field") from None
-            if min(header) < 0:
-                raise ParseError(lineno, "negative header field")
-            if header[0] < 2:
-                raise ParseError(lineno, f"uniformity r={header[0]} must be >= 2")
-            width = 1 + header[0]
-        else:
+            if header is None:
+                raise ParseError(lineno, "edge before header")
+            raise ParseError(lineno, f"expected {header[0]} vertex fields for r={header[0]}")
+        if tag != "p":
             raise ParseError(lineno, f"unknown record type {tag!r}")
+        if header is not None:
+            raise ParseError(lineno, "duplicate header")
+        if len(fields) != 6 or fields[1] != "hbm":
+            raise ParseError(lineno, "expected 'p hbm <r> <nA> <nB> <m>'")
+        try:
+            header = tuple(map(int, fields[2:]))
+        except ValueError:
+            raise ParseError(lineno, "non-integer header field") from None
+        if min(header) < 0:
+            raise ParseError(lineno, "negative header field")
+        if header[0] < 2:
+            raise ParseError(lineno, f"uniformity r={header[0]} must be >= 2")
+        width = 1 + header[0]
+    _take_rows(text, rows, edge_a, edge_bs)
     if header is None:
         raise ParseError(0, "missing header")
     r, na, nb, m = header
-    if len(edges) != m:
-        raise ParseError(0, f"header declares m={m} but found {len(edges)} edges")
-    h = BipartiteHypergraph(r, na, nb, edges)
+    if len(edge_a) != m:
+        raise ParseError(0, f"header declares m={m} but found {len(edge_a)} edges")
+    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, edge_bs)
     v = validate_instance(h)
     if v is not None:
-        raise ParseError(0 if v.edge is None else edge_lines[v.edge], str(v))
+        raise ParseError(0 if v.edge is None else _edge_line(text, v.edge), str(v))
     return h
+
+
+def _take_rows(
+    text: str, rows: list[list[str]], edge_a: list[int], edge_bs: list[tuple[int, ...]]
+) -> None:
+    """Move split edge rows into the columns, converting a column at a
+    time; a bad row is a ParseError at the line of the first one."""
+    if not rows:
+        return
+    _, a_col, *b_cols = zip(*rows)
+    try:
+        a_ints = list(map(int, a_col))
+        b_ints = [list(map(int, col)) for col in b_cols]
+    except ValueError:
+        pass
+    else:
+        if all(all(map(lt, u, v)) for u, v in zip(b_ints, b_ints[1:])):
+            edge_a += a_ints
+            edge_bs += zip(*b_ints)
+            rows.clear()
+            return
+    for k, fields in enumerate(rows, start=len(edge_a)):
+        try:
+            nums = tuple(map(int, fields[1:]))
+        except ValueError:
+            raise ParseError(_edge_line(text, k), "non-integer vertex index") from None
+        if not all(map(lt, nums[1:], nums[2:])):
+            raise ParseError(_edge_line(text, k), "B-vertices must be strictly ascending")
+
+
+def _edge_line(text: str, k: int) -> int:
+    """The line number of the k-th edge line (from 0) of `text`."""
+    numbered = enumerate(map(str.split, text.splitlines()), start=1)
+    return [lineno for lineno, fields in numbered if fields[:1] == ["e"]][k]
 
 
 def serialize_instance(h: BipartiteHypergraph, comments: Iterable[str] = ()) -> str:
     lines = [f"c {c}" for c in comments]
     lines.append(f"p hbm {h.r} {h.a_count} {h.b_count} {h.m}")
-    for e in h.edges:
-        lines.append("e " + " ".join(str(v) for v in (e.a, *e.bs)))
+    for a, bs in zip(h.edge_a, h.edge_bs):
+        lines.append(f"e {a} " + " ".join(map(str, bs)))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Edge",
@@ -27,23 +27,12 @@ __all__ = [
 ]
 
 
-class Edge:
-    """One hyperedge: A-vertex `a` plus the sorted tuple `bs` of B-vertices.
+class Edge(NamedTuple):
+    """One record of the :attr:`BipartiteHypergraph.edges` view."""
 
-    A plain slotted record, read-only by convention: instances are built
-    by the thousand when an instance is loaded, and every solver step
-    reads their fields.
-    """
-
-    __slots__ = ("id", "a", "bs")
-
-    def __init__(self, id: int, a: int, bs: tuple[int, ...]):
-        self.id = id
-        self.a = a
-        self.bs = bs
-
-    def __repr__(self) -> str:
-        return f"Edge(id={self.id}, a={self.a}, bs={self.bs})"
+    id: int
+    a: int
+    bs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -79,19 +68,24 @@ class MatchingError(ValueError):
 
 
 class BipartiteHypergraph:
-    """An r-uniform bipartite hypergraph with its A-side incidence index.
+    """An r-uniform bipartite hypergraph stored as edge columns.
 
-    The structure is immutable after construction.  `a_edges` maps each
-    A-vertex that has edges to their ids in edge-id order; read it with
-    `a_edges.get(a, ())`, so memory follows the edges, not the declared
-    vertex count.  No B-side index is kept.  Construction accepts
-    arbitrary (a, bs) pairs so that malformed input can be inspected by
-    :func:`certify.validate_instance`; B-vertex lists are stored sorted,
-    and an edge whose A-vertex is out of range is left out of the index.
+    Edge `eid` is A-vertex `edge_a[eid]` plus the sorted tuple
+    `edge_bs[eid]` of B-vertices; nothing changes after construction.
+    `a_edges` maps each A-vertex that has edges to their ids in edge-id
+    order; read it with `a_edges.get(a, ())`, so memory follows the
+    edges, not the declared vertex count.  No B-side index is kept.
+    Construction sorts arbitrary (a, bs) pairs, so that malformed input
+    can be inspected by :func:`certify.validate_instance`; an edge whose
+    A-vertex is out of range is left out of the index.  The parser uses
+    :meth:`from_columns`, which takes sorted columns as they are.
+    `edges` is an :class:`Edge` view for outside callers, built on first
+    access.
     """
 
     __slots__ = (
-        "r", "a_count", "b_count", "edges", "a_edges", "_b_sets", "_validated", "_violation"
+        "r", "a_count", "b_count", "edge_a", "edge_bs", "a_edges",
+        "_edges", "_b_sets", "_validated", "_violation",
     )
 
     def __init__(
@@ -101,32 +95,52 @@ class BipartiteHypergraph:
         b_count: int,
         edges: Iterable[tuple[int, Sequence[int]]] = (),
     ):
+        pairs = [(a, tuple(sorted(bs))) for a, bs in edges]
+        self._init(r, a_count, b_count, [a for a, _ in pairs], [bs for _, bs in pairs])
+
+    @classmethod
+    def from_columns(
+        cls, r: int, a_count: int, b_count: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
+    ) -> "BipartiteHypergraph":
+        """An instance that owns the given columns; each tuple must be sorted."""
+        h = cls.__new__(cls)
+        h._init(r, a_count, b_count, edge_a, edge_bs)
+        return h
+
+    def _init(
+        self, r: int, a_count: int, b_count: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
+    ) -> None:
         self.r = r
         self.a_count = a_count
         self.b_count = b_count
-        self.edges = [Edge(i, a, tuple(sorted(bs))) for i, (a, bs) in enumerate(edges)]
+        self.edge_a = edge_a
+        self.edge_bs = edge_bs
         a_edges: defaultdict[int, list[int]] = defaultdict(list)
-        for e in self.edges:
-            if 0 <= e.a < a_count:
-                a_edges[e.a].append(e.id)
-        self.a_edges: dict[int, list[int]] = dict(a_edges)
+        for eid, a in enumerate(edge_a):
+            a_edges[a].append(eid)
+        self.a_edges = {a: ids for a, ids in a_edges.items() if 0 <= a < a_count}
+        self._edges: tuple[Edge, ...] | None = None
         self._b_sets: tuple[frozenset[int], ...] | None = None
         self._validated = False
         self._violation: Violation | None = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_a)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Read-only view of the edges as :class:`Edge` records, built once."""
+        if self._edges is None:
+            self._edges = tuple(map(Edge, range(self.m), self.edge_a, self.edge_bs))
+        return self._edges
 
     @property
     def b_sets(self) -> tuple[frozenset[int], ...]:
         """Per-edge B-vertex frozensets, built once (hot in the oracles)."""
         if self._b_sets is None:
-            self._b_sets = tuple(frozenset(e.bs) for e in self.edges)
+            self._b_sets = tuple(map(frozenset, self.edge_bs))
         return self._b_sets
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
 
     def __repr__(self) -> str:
         return (
@@ -175,30 +189,29 @@ class PartialMatching:
         return set(self.a_of)
 
     def add(self, h: BipartiteHypergraph, edge_id: int) -> None:
-        e = h.edges[edge_id]
+        a, bs = h.edge_a[edge_id], h.edge_bs[edge_id]
         if edge_id in self.edge_ids:
             raise MatchingError("OVERLAP", f"edge {edge_id} already in matching")
-        if e.a in self.a_of:
+        if a in self.a_of:
             raise MatchingError(
-                "OVERLAP", f"A-vertex {e.a} already matched by edge {self.a_of[e.a]}"
+                "OVERLAP", f"A-vertex {a} already matched by edge {self.a_of[a]}"
             )
-        for b in e.bs:
+        for b in bs:
             if b in self.b_of:
                 raise MatchingError(
                     "OVERLAP", f"B-vertex {b} already used by edge {self.b_of[b]}"
                 )
         self.edge_ids.add(edge_id)
-        self.a_of[e.a] = edge_id
-        for b in e.bs:
+        self.a_of[a] = edge_id
+        for b in bs:
             self.b_of[b] = edge_id
 
     def remove(self, h: BipartiteHypergraph, edge_id: int) -> None:
         if edge_id not in self.edge_ids:
             raise MatchingError("NOT_IN_MATCHING", f"edge {edge_id}")
-        e = h.edges[edge_id]
         self.edge_ids.discard(edge_id)
-        del self.a_of[e.a]
-        for b in e.bs:
+        del self.a_of[h.edge_a[edge_id]]
+        for b in h.edge_bs[edge_id]:
             del self.b_of[b]
 
 
@@ -209,12 +222,12 @@ def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> 
     The result has at most r-1 members since each of its B-vertices
     lies in at most one matching edge.
     """
-    return {m.b_of[b] for b in h.edges[edge_id].bs if b in m.b_of}
+    return {m.b_of[b] for b in h.edge_bs[edge_id] if b in m.b_of}
 
 
 def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> bool:
     """True iff edge `edge_id` has no blocking edges under `m`."""
-    return m.b_of.keys().isdisjoint(h.edges[edge_id].bs)
+    return m.b_of.keys().isdisjoint(h.edge_bs[edge_id])
 
 
 def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> PartialMatching:
@@ -225,10 +238,10 @@ def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> P
     """
     if f_out not in m.edge_ids:
         raise MatchingError("NOT_IN_MATCHING", f"edge {f_out}")
-    if h.edges[f_out].a != h.edges[e_in].a:
+    a_out, a_in = h.edge_a[f_out], h.edge_a[e_in]
+    if a_out != a_in:
         raise MatchingError(
-            "A_VERTEX_MISMATCH",
-            f"edge {f_out} matches {h.edges[f_out].a}, edge {e_in} is for {h.edges[e_in].a}",
+            "A_VERTEX_MISMATCH", f"edge {f_out} matches {a_out}, edge {e_in} is for {a_in}"
         )
     blockers = blocking_edges(h, m, e_in)
     if blockers:

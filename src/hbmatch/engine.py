@@ -24,6 +24,7 @@ thresholds sit exactly on integer boundaries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -246,7 +247,7 @@ class AugmentRun:
         below = tree.layers[level - 2]
         swaps_here = 0
         for f in sorted(below.y):
-            a = self.h.edges[f].a
+            a = self.h.edge_a[f]
             eid = self._least_addable_for(x_by_a, a)
             if eid is None:
                 continue
@@ -283,7 +284,7 @@ class AugmentRun:
         layer = tree.layers[-1]
         rebuilt = build_layer(
             self.h, self.m, tree.occupied_b(), tree.parent_a_set(i), self.params.u,
-            x0=layer.x, y0=layer.y,
+            x0=layer.x, y0=layer.y, bx0=layer.bx, by0=layer.by,
         )
         self.stats.build_ops += 1
         x_before, x_after = len(layer.x), len(rebuilt.x)
@@ -309,7 +310,7 @@ class AugmentRun:
         layer = self.tree.layers[i - 1]
         return build_layer(
             self.h, self.m, occ, self.tree.parent_a_set(i), self.params.u,
-            x0=layer.x, y0=layer.y,
+            x0=layer.x, y0=layer.y, bx0=layer.bx, by0=layer.by,
         )
 
     def extract_witness(self) -> WitnessCertificate:
@@ -328,20 +329,17 @@ class AugmentRun:
         level = tree.level()  # includes the freshly built failing layer
         s: set[int] = {tree.root}
         for layer in tree.layers[: level - 1]:
-            s.update(h.edges[f].a for f in layer.y)
-        x_counts: dict[int, int] = {}
+            s.update(h.edge_a[f] for f in layer.y)
+        x_counts = Counter(h.edge_a[eid] for layer in tree.layers for eid in layer.x)
         hitting: set[int] = set()
         for layer in tree.layers:
-            for eid in layer.x:
-                a = h.edges[eid].a
-                x_counts[a] = x_counts.get(a, 0) + 1
             hitting |= layer.bx
             hitting |= layer.by
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
         for i in range(1, level):
             rebuilt = self._prefix_rebuild(i)
-            served.update(h.edges[eid].a for eid in rebuilt.x - tree.layers[i - 1].x)
+            served.update(h.edge_a[eid] for eid in rebuilt.x - tree.layers[i - 1].x)
             hitting |= rebuilt.bx
             hitting |= rebuilt.by
         s -= saturated
@@ -444,7 +442,7 @@ def x_by_a_vertex(h: BipartiteHypergraph, x: set[int]) -> dict[int, list[int]]:
     """A layer's X-edges grouped by A-vertex, each group in edge-id order."""
     out: dict[int, list[int]] = {}
     for eid in sorted(x):
-        out.setdefault(h.edges[eid].a, []).append(eid)
+        out.setdefault(h.edge_a[eid], []).append(eid)
     return out
 
 

@@ -11,6 +11,7 @@ balanced across A-vertices.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import AbstractSet, Iterable, NamedTuple
 
 from .core import (
@@ -74,7 +75,7 @@ class AlternatingTree:
             raise ValueError("layer index must be >= 1")
         if i == 1:
             return {self.root}
-        return {self.h.edges[f].a for f in self.layers[i - 2].y}
+        return {self.h.edge_a[f] for f in self.layers[i - 2].y}
 
     def occupied_b(self) -> AbstractSet[int]:
         """The live set of B-vertices the tree occupies; read-only."""
@@ -101,7 +102,7 @@ class AlternatingTree:
         if edge_id not in layer.y:
             raise ValueError(f"edge {edge_id} not in Y of layer {i}")
         layer.y.discard(edge_id)
-        bs = self.h.edges[edge_id].bs
+        bs = self.h.edge_bs[edge_id]
         layer.by.difference_update(bs)
         self._b_occ -= set(bs) - layer.bx
 
@@ -123,8 +124,12 @@ def build_layer(
     u_bound: int,
     x0: Iterable[int] = (),
     y0: Iterable[int] = (),
+    bx0: Iterable[int] | None = None,
+    by0: Iterable[int] | None = None,
 ) -> Layer:
     """Grow a layer from (x0, y0) until no addable edge remains.
+
+    A seed layer's `bx` and `by` come as `bx0` and `by0`, and are copied.
 
     Repeatedly takes the least addable (a, edge) pair, by vertex index
     and then edge id: `a` is a parent with fewer than `u_bound` X-edges,
@@ -143,14 +148,15 @@ def build_layer(
     edges from its incidence list in one pass until it reaches
     `u_bound` or runs out, and is never revisited.
     """
-    edges, matched, b_of, a_edges = h.edges, m.edge_ids, m.b_of, h.a_edges
+    edge_a, edge_bs = h.edge_a, h.edge_bs
+    matched, b_of, a_edges = m.edge_ids, m.b_of, h.a_edges
     x = set(x0)
     y = set(y0)
-    bx = {b for eid in x for b in edges[eid].bs}
-    by = {b for eid in y for b in edges[eid].bs}
+    bx = set(bx0) if bx0 is not None else {b for eid in x for b in edge_bs[eid]}
+    by = set(by0) if by0 is not None else {b for eid in y for b in edge_bs[eid]}
     x_counts: dict[int, int] = {}
     for eid in x:
-        a = edges[eid].a
+        a = edge_a[eid]
         x_counts[a] = x_counts.get(a, 0) + 1
 
     for a in sorted(set(parent_a_set)):
@@ -160,7 +166,7 @@ def build_layer(
         for eid in a_edges.get(a, ()):
             if eid in matched:
                 continue
-            bs = edges[eid].bs
+            bs = edge_bs[eid]
             if not (occupied_b.isdisjoint(bs) and bx.isdisjoint(bs) and by.isdisjoint(bs)):
                 continue
             x.add(eid)
@@ -169,7 +175,7 @@ def build_layer(
                 f = b_of.get(b)
                 if f is not None and f not in y:
                     y.add(f)
-                    by.update(edges[f].bs)
+                    by.update(edge_bs[f])
             room -= 1
             if room == 0:
                 break
@@ -186,6 +192,7 @@ def validate_tree(
     """
     if m.matches_a(tree.root):
         return Violation("ROOT_MATCHED", f"root {tree.root} is matched")
+    edge_a, edge_bs = h.edge_a, h.edge_bs
     seen_b: dict[int, int] = {}
     blocking_count: dict[int, int] = {}
     for idx, layer in enumerate(tree.layers, start=1):
@@ -194,13 +201,12 @@ def validate_tree(
                 return Violation("X_IN_MATCHING", f"layer {idx}: edge {eid}")
         layer_b: set[int] = set()
         for eid in sorted(layer.x):
-            e = h.edges[eid]
-            for b in e.bs:
+            for b in edge_bs[eid]:
                 if b in layer_b:
                     return Violation(
                         "X_B_OVERLAP_WITHIN_LAYER", f"layer {idx}: B-vertex {b}"
                     )
-            layer_b.update(e.bs)
+            layer_b.update(edge_bs[eid])
         expected_y: set[int] = set()
         for eid in layer.x:
             expected_y |= blocking_edges(h, m, eid)
@@ -211,42 +217,33 @@ def validate_tree(
                 f"{sorted(expected_y ^ layer.y)}",
             )
         for f in sorted(layer.y):
-            fe = h.edges[f]
-            hits = sum(
-                1
-                for eid in layer.x
-                if set(h.edges[eid].bs) & set(fe.bs)
-            )
+            fa = edge_a[f]
+            hits = sum(1 for eid in layer.x if not set(edge_bs[eid]).isdisjoint(edge_bs[f]))
             if hits != 1:
                 return Violation(
                     "Y_INTERSECTS_MULTIPLE_X", f"layer {idx}: edge {f} hits {hits} X-edges"
                 )
-            blocking_count[fe.a] = blocking_count.get(fe.a, 0) + 1
-            if blocking_count[fe.a] > 1:
+            blocking_count[fa] = blocking_count.get(fa, 0) + 1
+            if blocking_count[fa] > 1:
                 return Violation(
-                    "MULTIPLE_BLOCKING_EDGES", f"A-vertex {fe.a} in layer {idx}"
+                    "MULTIPLE_BLOCKING_EDGES", f"A-vertex {fa} in layer {idx}"
                 )
         parents = tree.parent_a_set(idx)
         for eid in sorted(layer.x):
-            if h.edges[eid].a not in parents:
+            if edge_a[eid] not in parents:
                 return Violation(
                     "PARENT_NOT_IN_LOWER_Y",
-                    f"layer {idx}: edge {eid} for A-vertex {h.edges[eid].a}",
+                    f"layer {idx}: edge {eid} for A-vertex {edge_a[eid]}",
                 )
         for eid in sorted(layer.x | layer.y):
-            e = h.edges[eid]
-            for b in e.bs:
+            for b in edge_bs[eid]:
                 if b in seen_b and seen_b[b] != idx:
                     return Violation(
                         "CROSS_LAYER_B_OVERLAP",
                         f"B-vertex {b} in layers {seen_b[b]} and {idx}",
                     )
                 seen_b[b] = idx
-    x_per_vertex: dict[int, int] = {}
-    for layer in tree.layers:
-        for eid in layer.x:
-            a = h.edges[eid].a
-            x_per_vertex[a] = x_per_vertex.get(a, 0) + 1
+    x_per_vertex = Counter(edge_a[eid] for layer in tree.layers for eid in layer.x)
     for a, count in sorted(x_per_vertex.items()):
         if count > tree.u_bound:
             return Violation("DEGREE_EXCEEDED", f"A-vertex {a} has {count} X-edges")
@@ -254,8 +251,8 @@ def validate_tree(
             return Violation("DEGREE_EXCEEDED", f"A-vertex {a} total degree")
     occ: set[int] = set()
     for idx, layer in enumerate(tree.layers, start=1):
-        bx = {b for eid in layer.x for b in h.edges[eid].bs}
-        by = {b for eid in layer.y for b in h.edges[eid].bs}
+        bx = {b for eid in layer.x for b in edge_bs[eid]}
+        by = {b for eid in layer.y for b in edge_bs[eid]}
         if bx != layer.bx or by != layer.by:
             return Violation("COUNTER_MISMATCH", f"layer {idx}: B-vertex sets diverged")
         occ |= bx | by

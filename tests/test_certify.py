@@ -6,12 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hbmatch.certify as certify
 import hbmatch.cli as cli
 import hbmatch.engine as engine
 from hbmatch import (
+    BipartiteHypergraph,
     ParseError,
     PartialMatching,
     WitnessCertificate,
@@ -21,6 +23,8 @@ from hbmatch import (
     verify_matching,
     verify_witness,
 )
+
+from hbmatch.core import Violation
 
 from .conftest import hypergraphs_with_matching, make_h, shift_chain
 
@@ -171,3 +175,89 @@ class TestKernelChecks:
         assert find_perfect_matching(shift_chain(3), 1).status == "perfect_matching"
         assert check_result(SQUARE, matching_doc("0 2")) is None
         assert with_maps == [True, False]  # the solver's live matching, then a document
+
+
+def per_edge_first_violation(h: BipartiteHypergraph) -> Violation | None:
+    """The kernel's instance check before the column checks, kept as the
+    reference: every check on every edge, in edge order."""
+    r, na, nb = h.r, h.a_count, h.b_count
+    if r < 2:
+        return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
+    width = r - 1
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    for e in h.edges:
+        a, bs = e.a, e.bs
+        if len(bs) != width:
+            return Violation(
+                "NON_UNIFORM_EDGE",
+                f"edge {e.id} has {len(bs)} B-vertices, expected {width}",
+                e.id,
+            )
+        if not 0 <= a < na:
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: A-vertex {a}", e.id)
+        if bs[0] < 0 or bs[-1] >= nb:
+            b = next(b for b in bs if not 0 <= b < nb)
+            return Violation("INDEX_OUT_OF_RANGE", f"edge {e.id}: B-vertex {b}", e.id)
+        if len(set(bs)) < width:
+            u = next(u for u, v in zip(bs, bs[1:]) if u == v)
+            return Violation("DUPLICATE_B_VERTEX", f"edge {e.id}: B-vertex {u}", e.id)
+        key = (a, bs)
+        if key in seen:
+            return Violation("DUPLICATE_EDGE", f"edge {e.id} repeats {key}", e.id)
+        seen.add(key)
+    return None
+
+
+@st.composite
+def arbitrary_instances(draw):
+    """BipartiteHypergraph(r, na, nb, pairs) where each pair is well formed,
+    a repeat of an earlier pair, a well-formed pair with one flaw, or
+    arbitrary: A- and B-vertices from -2 to two past the end, B-lists from
+    empty to r+1 long with repeats."""
+    r = draw(st.integers(2, 4))
+    na, nb = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    pairs: list[tuple[int, list[int]]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["valid", "valid", "repeat", "flawed", "arbitrary"]))
+        if kind == "repeat" and pairs:
+            pairs.append(draw(st.sampled_from(pairs)))
+        elif kind in ("valid", "flawed") and na >= 1 and nb >= r - 1:
+            a = draw(st.integers(0, na - 1))
+            bs = list(draw(st.sets(st.integers(0, nb - 1), min_size=r - 1, max_size=r - 1)))
+            flaw = draw(st.sampled_from(["a", "b", "repeat_b", "short", "long"]))
+            if kind == "valid":
+                pass
+            elif flaw == "a":
+                a = draw(st.sampled_from([-1, na]))
+            elif flaw == "b":
+                bs[0] = draw(st.sampled_from([-1, nb]))
+            elif flaw == "repeat_b":
+                bs.append(bs[0])
+                bs.pop(-2)
+            elif flaw == "short":
+                bs.pop()
+            else:
+                bs.append(draw(st.integers(0, nb - 1)))
+            pairs.append((a, bs))
+        else:
+            a = draw(st.integers(-2, na + 1))
+            bs = draw(st.lists(st.integers(-2, nb + 1), max_size=r + 1))
+            pairs.append((a, bs))
+    return BipartiteHypergraph(r, na, nb, pairs)
+
+
+class TestInstanceValidation:
+    @settings(max_examples=1000, deadline=None)
+    @given(arbitrary_instances())
+    @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (5, (0, 0)), (0, (1, 2))]))
+    @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (1, (1, 2)), (1, (2, 1))]))
+    @example(BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (-1,)), (-1, ())]))
+    @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (1, (3, 3))]))
+    def test_same_violation_as_per_edge_check(self, h):
+        assert certify._first_violation(h) == per_edge_first_violation(h)
+
+    def test_validate_instance_keeps_the_result(self):
+        h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])
+        first = certify.validate_instance(h)
+        assert first == Violation("DUPLICATE_EDGE", "edge 1 repeats (0, (0,))", 1)
+        assert certify.validate_instance(h) is first

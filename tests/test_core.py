@@ -1,7 +1,18 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 
-from hbmatch import PartialMatching, validate_instance, verify_matching
+from hbmatch import (
+    BipartiteHypergraph,
+    PartialMatching,
+    check_result,
+    find_perfect_matching,
+    parse_result,
+    validate_instance,
+    verify_matching,
+)
+from hbmatch.cli import TraceWriter, format_result, parse_instance, serialize_instance
 from hbmatch.core import (
     MatchingError,
     blocking_edges,
@@ -10,7 +21,46 @@ from hbmatch.core import (
     swap,
 )
 
-from .conftest import hypergraphs, hypergraphs_with_matching, make_h
+from .conftest import (
+    hypergraphs,
+    hypergraphs_with_matching,
+    make_h,
+    shuffled_planted,
+    superposed_commit_instance,
+)
+
+
+class TestEdgeColumns:
+    @given(hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_view_equals_the_columns(self, h):
+        assert [tuple(e) for e in h.edges] == list(zip(range(h.m), h.edge_a, h.edge_bs))
+        assert h.edges is h.edges
+
+    def test_view_is_read_only(self):
+        h = make_h(3, 2, 4, [(1, (3, 0)), (0, (2, 1))])
+        assert (h.edge_a, h.edge_bs) == ([1, 0], [(0, 3), (1, 2)])
+        with pytest.raises(TypeError):
+            h.edges[0] = h.edges[1]
+        with pytest.raises(AttributeError):
+            h.edges[0].a = 0
+
+    def test_from_columns_takes_the_columns(self):
+        edge_a, edge_bs = [0, 1, 0], [(0, 1), (2, 3), (1, 2)]
+        h = BipartiteHypergraph.from_columns(3, 2, 4, edge_a, edge_bs)
+        assert h.edge_a is edge_a and h.edge_bs is edge_bs
+        assert h.a_edges == {0: [0, 2], 1: [1]}
+        assert validate_instance(h) is None
+
+    @pytest.mark.parametrize("name", ["witness", "commit"])
+    def test_solving_a_parsed_instance_never_builds_the_view(self, name):
+        source = shuffled_planted(1, 60) if name == "witness" else superposed_commit_instance()
+        h = parse_instance(serialize_instance(source))
+        trace = TraceWriter(io.StringIO())
+        result = find_perfect_matching(h, 1, trace=trace, debug_invariants=True)
+        assert result.status == ("witness" if name == "witness" else "perfect_matching")
+        assert check_result(h, parse_result(format_result(result, 1))) is None
+        assert h._edges is None
 
 
 class TestValidateInstance:
