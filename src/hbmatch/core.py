@@ -85,7 +85,7 @@ class BipartiteHypergraph:
 
     __slots__ = (
         "r", "a_count", "b_count", "edge_a", "edge_bs", "a_edges",
-        "_edges", "_b_sets", "_validated", "_violation",
+        "_edges", "_validated", "_violation",
     )
 
     def __init__(
@@ -120,7 +120,6 @@ class BipartiteHypergraph:
             a_edges[a].append(eid)
         self.a_edges = {a: ids for a, ids in a_edges.items() if 0 <= a < a_count}
         self._edges: tuple[Edge, ...] | None = None
-        self._b_sets: tuple[frozenset[int], ...] | None = None
         self._validated = False
         self._violation: Violation | None = None
 
@@ -134,13 +133,6 @@ class BipartiteHypergraph:
         if self._edges is None:
             self._edges = tuple(map(Edge, range(self.m), self.edge_a, self.edge_bs))
         return self._edges
-
-    @property
-    def b_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-edge B-vertex frozensets, built once (hot in the oracles)."""
-        if self._b_sets is None:
-            self._b_sets = tuple(map(frozenset, self.edge_bs))
-        return self._b_sets
 
     def __repr__(self) -> str:
         return (

@@ -331,10 +331,7 @@ class AugmentRun:
         for layer in tree.layers[: level - 1]:
             s.update(h.edge_a[f] for f in layer.y)
         x_counts = Counter(h.edge_a[eid] for layer in tree.layers for eid in layer.x)
-        hitting: set[int] = set()
-        for layer in tree.layers:
-            hitting |= layer.bx
-            hitting |= layer.by
+        hitting = set(tree.occupied_b())
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
         for i in range(1, level):

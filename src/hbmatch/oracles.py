@@ -10,17 +10,16 @@ never calls them, and no result check depends on them (those live in
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .certify import condition_factor
 from .core import BipartiteHypergraph, incident_edges
 
 __all__ = [
-    "EXCEEDS_BUDGET",
-    "HittingSetResult",
     "HaxellResult",
     "InstanceTooLarge",
     "min_hitting_set",
@@ -34,24 +33,6 @@ class InstanceTooLarge(ValueError):
     """Instance exceeds the cap for an exhaustive oracle."""
 
     code = "INSTANCE_TOO_LARGE"
-
-
-class _BudgetExceeded:
-    """Sentinel: the minimum hitting set is strictly larger than the budget."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EXCEEDS_BUDGET"
-
-
-EXCEEDS_BUDGET = _BudgetExceeded()
-
-
-@dataclass(frozen=True)
-class HittingSetResult:
-    size: int
-    witness: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -69,98 +50,87 @@ def _greedy_hitting_set(bsets: list[frozenset[int]]) -> list[int]:
     chosen: list[int] = []
     unhit = list(bsets)
     while unhit:
-        counts: dict[int, int] = {}
-        for bs in unhit:
-            for v in bs:
-                counts[v] = counts.get(v, 0) + 1
-        best = max(sorted(counts), key=lambda v: counts[v])
+        counts = Counter(v for bs in unhit for v in bs)
+        best = max(sorted(counts), key=counts.__getitem__)
         chosen.append(best)
         unhit = [bs for bs in unhit if best not in bs]
     return chosen
+
+
+def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
+    """A minimum hitting set of `bsets` if one has at most `budget` vertices.
+
+    Branch and bound on an explicit stack: branch on the B-vertices of
+    an unhit edge (the one with the fewest vertices not yet excluded,
+    ties by list order), vertices in index order, excluding each tried
+    vertex from later siblings.  A node is pruned when it cannot beat
+    the incumbent (or, before one is found, the budget): a greedy
+    B-disjoint subfamily of its unhit edges bounds what it still needs,
+    and an unhit edge with every vertex excluded cannot be hit.
+    """
+    best: frozenset[int] | None = None
+    limit = budget + 1  # a new incumbent must be smaller than this
+    chosen: list[int] = []  # one vertex per stack frame whose child is open
+    chosen_set: set[int] = set()
+    excluded: set[int] = set()
+    stack: list[tuple[list[int], Iterator[int]]] = []
+    while True:
+        unhit = [bs for bs in bsets if not (bs & chosen_set)]
+        if not unhit:
+            if len(chosen) < limit:
+                limit = len(chosen)
+                best = frozenset(chosen)
+        else:
+            # prune on a dead edge or once a greedy B-disjoint subfamily
+            # (one vertex each) fills the room; branch only past both
+            used: set[int] = set()
+            room = limit - len(chosen)
+            for bs in unhit:
+                if bs <= excluded:
+                    break
+                if not (bs & used):
+                    used |= bs
+                    room -= 1
+                    if room <= 0:
+                        break
+            else:
+                target = min(unhit, key=lambda bs: len(bs - excluded))
+                candidates = sorted(target - excluded)
+                stack.append((candidates, iter(candidates)))
+        while stack:
+            candidates, untried = stack[-1]
+            if len(chosen) == len(stack):  # back from this frame's child
+                v = chosen.pop()
+                chosen_set.discard(v)
+                excluded.add(v)
+            v = next(untried, None)
+            if v is not None:
+                chosen.append(v)
+                chosen_set.add(v)
+                break
+            excluded.difference_update(candidates)
+            stack.pop()
+        else:
+            return best
 
 
 def min_hitting_set(
     h: BipartiteHypergraph,
     family: Iterable[int],
     budget: int | None = None,
-) -> HittingSetResult | _BudgetExceeded:
+) -> frozenset[int] | None:
     """Exact minimum hitting set of the edge family, over B-vertices.
 
-    Branch and bound: branch on the B-vertices of an unhit edge (the one
-    with the fewest vertices not yet excluded, ties by family order),
-    vertices in index order, excluding each tried vertex from later
-    branches.  Pruned at the incumbent, at the budget, and at an
-    admissible lower bound from a greedy B-disjoint subfamily.
-
-    With a budget, returns EXCEEDS_BUDGET when the true minimum is
-    strictly larger; that is a value, not a failure.
+    Without a budget the search starts from the greedy cover as its
+    incumbent.  With a budget, returns None when the true minimum is
+    strictly larger (always, for a negative budget); that is a value,
+    not a failure.
     """
-    ids = sorted(set(family))
-    all_bsets = h.b_sets
-    bsets = [all_bsets[i] for i in ids]
-    if not bsets:
-        return HittingSetResult(0, frozenset())
-
-    best_set: tuple[int, ...] | None = None
+    bsets = [frozenset(h.edge_bs[i]) for i in sorted(set(family))]
     if budget is not None:
-        # a greedy incumbent is pointless when the search stops at budget
-        best_size = budget + 1
-    else:
-        greedy = _greedy_hitting_set(bsets)
-        best_set = tuple(sorted(greedy))
-        best_size = len(greedy)
-
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    excluded: set[int] = set()
-
-    def lower_bound(unhit: list[frozenset[int]], enough: int) -> int | None:
-        # Greedy B-disjoint subfamily: its size is a valid lower bound;
-        # scanning stops once `enough` certifies the prune (the prune
-        # fires either way, so skipping a later dead edge is harmless).
-        # None signals an unhit edge with every vertex excluded.
-        used: set[int] = set()
-        count = 0
-        for bs in unhit:
-            if excluded and not (bs - excluded):
-                return None
-            if not (bs & used):
-                used |= bs
-                count += 1
-                if count >= enough:
-                    return count
-        return count
-
-    def dfs() -> None:
-        nonlocal best_size, best_set
-        unhit = [bs for bs in bsets if not (bs & chosen_set)]
-        if not unhit:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = tuple(sorted(chosen))
-            return
-        lb = lower_bound(unhit, best_size - len(chosen))
-        if lb is None or len(chosen) + lb >= best_size:
-            return
-        if excluded:
-            target = min(unhit, key=lambda bs: len(bs - excluded))
-        else:
-            target = min(unhit, key=len)
-        tried: list[int] = []
-        for v in sorted(target - excluded):
-            chosen.append(v)
-            chosen_set.add(v)
-            dfs()
-            chosen.pop()
-            chosen_set.discard(v)
-            excluded.add(v)
-            tried.append(v)
-        excluded.difference_update(tried)
-
-    dfs()
-    if best_set is None or (budget is not None and best_size > budget):
-        return EXCEEDS_BUDGET
-    return HittingSetResult(best_size, frozenset(best_set))
+        return _search(bsets, budget)
+    greedy = _greedy_hitting_set(bsets)
+    return _search(bsets, len(greedy) - 1) or frozenset(greedy)
 
 
 def check_haxell(
@@ -184,12 +154,12 @@ def check_haxell(
             f"|A|={h.a_count} exceeds the subset-enumeration cap {max_a}"
         )
     factor = condition_factor(h.r, epsilon if mode == "strengthened" else Fraction(0))
+    bsets = [frozenset(bs) for bs in h.edge_bs]
     for k in range(1, h.a_count + 1):
         for subset in combinations(range(h.a_count), k):
             bound = factor * (k - 1)
-            budget = math.floor(bound)
-            res = min_hitting_set(h, incident_edges(h, subset), budget=budget)
-            if res is not EXCEEDS_BUDGET:
-                assert isinstance(res, HittingSetResult)
-                return HaxellResult(False, subset, res.size, bound)
+            family = sorted(incident_edges(h, subset))
+            found = _search([bsets[i] for i in family], math.floor(bound))
+            if found is not None:
+                return HaxellResult(False, subset, len(found), bound)
     return HaxellResult(True)

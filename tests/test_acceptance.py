@@ -133,7 +133,7 @@ def test_criterion_3_witness_soundness(adversarial_corpus):
             w = res.witness
             assert w is not None
             assert verify_witness(h, w) is None
-            tau = min_hitting_set(h, incident_edges(h, w.s)).size
+            tau = len(min_hitting_set(h, incident_edges(h, w.s)))
             assert Fraction(tau) <= w.bound
         assert witnesses >= 50, "adversarial corpus must actually exercise witnesses"
 
@@ -195,7 +195,7 @@ def test_criterion_6_oracle_cross_validation():
                     edges.append((a, bs))
             h = BipartiteHypergraph(r, na, nb, edges)
             res = min_hitting_set(h, range(h.m))
-            assert res.size == exhaustive_tau(h, range(h.m))
+            assert len(res) == exhaustive_tau(h, range(h.m))
 
         # classic condition satisfied implies a perfect matching exists
         satisfied = 0

@@ -322,7 +322,7 @@ class TestFindPerfectMatching:
         res = find_perfect_matching(h, "1/2", debug_invariants=True)
         w = res.witness
         assert w is not None and verify_witness(h, w) is None
-        tau = min_hitting_set(h, incident_edges(h, w.s)).size
+        tau = len(min_hitting_set(h, incident_edges(h, w.s)))
         assert Fraction(tau) <= w.bound
 
     @given(seed=st.integers(0, 400))

@@ -1,7 +1,10 @@
-"""Every name a module exports resolves, so a deletion leaves no stale export."""
+"""Package-wide rules: every name a module exports resolves, so a
+deletion leaves no stale export, and no function recurses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,21 @@ def test_package_exports_the_solver_kernel_and_generators():
         # the data types
         "BipartiteHypergraph", "PartialMatching", "Parameters",
     ])
+
+
+def test_no_function_calls_itself():
+    # recursion depth grows with the input, and a RecursionError is a
+    # traceback, not a typed exit
+    src = Path(hbmatch.__file__).resolve().parent
+    recursive = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                recursive.extend(
+                    f"{path.name}:{node.lineno} {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name
+                )
+    assert recursive == []

@@ -1,12 +1,15 @@
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbmatch import WitnessCertificate, from_bipartite_graph, verify_witness
 from hbmatch.core import incident_edges
-from hbmatch.oracles import EXCEEDS_BUDGET, InstanceTooLarge, check_haxell, min_hitting_set
+from hbmatch.oracles import InstanceTooLarge, _greedy_hitting_set, check_haxell, min_hitting_set
 
 from .conftest import brute_force_perfect_matching, hypergraphs, make_h
 
@@ -24,34 +27,135 @@ def exhaustive_min_hitting_set(h, family):
     raise AssertionError("some edge cannot be hit at all")
 
 
+EXCEEDS_BUDGET = "EXCEEDS_BUDGET"
+
+
+def recursive_min_hitting_set(h, family, budget=None):
+    """The recursive branch and bound before the stack rewrite, kept as
+    the reference: the same search, returning the found set, or
+    EXCEEDS_BUDGET when the minimum is larger than the budget."""
+    ids = sorted(set(family))
+    bsets = [frozenset(h.edge_bs[i]) for i in ids]
+    if not bsets:
+        return frozenset()
+
+    best_set = None
+    if budget is not None:
+        best_size = budget + 1
+    else:
+        greedy = _greedy_hitting_set(bsets)
+        best_set = tuple(sorted(greedy))
+        best_size = len(greedy)
+
+    chosen = []
+    chosen_set = set()
+    excluded = set()
+
+    def lower_bound(unhit, enough):
+        used = set()
+        count = 0
+        for bs in unhit:
+            if excluded and not (bs - excluded):
+                return None
+            if not (bs & used):
+                used |= bs
+                count += 1
+                if count >= enough:
+                    return count
+        return count
+
+    def dfs():
+        nonlocal best_size, best_set
+        unhit = [bs for bs in bsets if not (bs & chosen_set)]
+        if not unhit:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_set = tuple(sorted(chosen))
+            return
+        lb = lower_bound(unhit, best_size - len(chosen))
+        if lb is None or len(chosen) + lb >= best_size:
+            return
+        if excluded:
+            target = min(unhit, key=lambda bs: len(bs - excluded))
+        else:
+            target = min(unhit, key=len)
+        tried = []
+        for v in sorted(target - excluded):
+            chosen.append(v)
+            chosen_set.add(v)
+            dfs()
+            chosen.pop()
+            chosen_set.discard(v)
+            excluded.add(v)
+            tried.append(v)
+        excluded.difference_update(tried)
+
+    dfs()
+    if best_set is None or (budget is not None and best_size > budget):
+        return EXCEEDS_BUDGET
+    return frozenset(best_set)
+
+
 class TestMinHittingSet:
     def test_empty_family(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         res = min_hitting_set(h, set())
-        assert res.size == 0 and res.witness == frozenset()
+        assert len(res) == 0 and res == frozenset()
 
     def test_common_vertex(self):
         h = make_h(3, 2, 3, [(0, (0, 1)), (1, (0, 2))])
         res = min_hitting_set(h, {0, 1})
-        assert res.size == 1 and res.witness == frozenset({0})
+        assert len(res) == 1 and res == frozenset({0})
 
     def test_pairwise_disjoint_family(self):
         h = make_h(3, 3, 6, [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))])
         assert exhaustive_min_hitting_set(h, [0, 1, 2]) == 3
         res = min_hitting_set(h, {0, 1, 2})
-        assert res.size == 3
+        assert len(res) == 3
 
     def test_budget_exceeded_is_a_value(self):
         h = make_h(3, 3, 6, [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))])
-        assert min_hitting_set(h, {0, 1, 2}, budget=2) is EXCEEDS_BUDGET
+        assert min_hitting_set(h, {0, 1, 2}, budget=2) is None
         res = min_hitting_set(h, {0, 1, 2}, budget=3)
-        assert res is not EXCEEDS_BUDGET and res.size == 3
+        assert res is not None and len(res) == 3
 
     def test_witness_hits_everything(self):
         h = make_h(3, 3, 5, [(0, (0, 1)), (1, (1, 2)), (2, (3, 4)), (2, (1, 3))])
         res = min_hitting_set(h, range(h.m))
         for eid in range(h.m):
-            assert set(h.edges[eid].bs) & res.witness
+            assert set(h.edges[eid].bs) & res
+
+    @pytest.mark.parametrize("family", [[], [0], [0, 1, 2]])
+    def test_negative_budget_is_always_exceeded(self, family):
+        h = make_h(3, 3, 6, [(0, (0, 1)), (1, (2, 3)), (2, (4, 5))])
+        for budget in (-1, -5):
+            assert min_hitting_set(h, family, budget=budget) is None
+
+    def test_deeper_than_the_recursion_limit(self):
+        # n pairwise B-disjoint edges, then a gadget on which the greedy
+        # cover takes 3 vertices and the disjoint-subfamily bound is 2:
+        # the search must go n + 2 vertices deep to beat the greedy cover
+        n = sys.getrecursionlimit() + 200
+        edges = [(i, (2 * i, 2 * i + 1)) for i in range(n)]
+        base = 2 * n
+        gadget = [(0, 2), (0, 3), (2, 4), (3, 5)]
+        edges += [(n + j, (base + x, base + y)) for j, (x, y) in enumerate(gadget)]
+        h = make_h(3, n + 4, base + 6, edges)
+        start = time.perf_counter()
+        res = min_hitting_set(h, range(h.m))
+        elapsed = time.perf_counter() - start
+        assert len(res) == n + 2
+        assert all(set(h.edge_bs[i]) & res for i in range(h.m))
+        assert elapsed < 3.0
+
+    @given(hypergraphs(max_a=5, max_b=10, max_edges=14), st.data())
+    @settings(max_examples=300)
+    def test_same_set_as_recursive_search(self, h, data):
+        family = data.draw(st.lists(st.integers(0, max(h.m - 1, 0)), max_size=h.m))
+        for budget in (None, 0, 1, 2, 3, 4, 5):
+            expected = recursive_min_hitting_set(h, family, budget)
+            got = min_hitting_set(h, family, budget)
+            assert got == (None if expected is EXCEEDS_BUDGET else expected)
 
     @given(hypergraphs(max_a=4, max_b=8, max_edges=8))
     @settings(max_examples=60)
@@ -59,9 +163,9 @@ class TestMinHittingSet:
         family = list(range(h.m))
         expected = exhaustive_min_hitting_set(h, family)
         res = min_hitting_set(h, family)
-        assert res.size == expected
-        assert all(set(h.edges[i].bs) & res.witness for i in family)
-        assert len(res.witness) == expected
+        assert len(res) == expected
+        assert all(set(h.edges[i].bs) & res for i in family)
+        assert len(res) == expected
 
 
 class TestCheckHaxell:
@@ -168,7 +272,7 @@ class TestGraphSpecialization:
             for s in itertools.combinations(range(h.a_count), k):
                 family = incident_edges(h, s)
                 neighborhood = {b for eid in family for b in h.edges[eid].bs}
-                assert min_hitting_set(h, family).size == len(neighborhood)
+                assert len(min_hitting_set(h, family)) == len(neighborhood)
 
 
 class TestVerifyWitness:
