@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from typing import Iterable
 
 from .core import BipartiteHypergraph, PartialMatching, Violation, incident_edges
@@ -65,12 +66,16 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
     # Whole columns first; only a dirty instance is walked edge by edge to
     # name its first violation.  bs is sorted, so its ends bound its range,
-    # and a repeated edge repeats its bs.
+    # its B-vertices are distinct when its columns strictly ascend, and a
+    # repeated edge repeats its bs.
     if m and (min(edge_a) < 0 or max(edge_a) >= h.a_count):
         return _walk_edges(h, width)
     for bs in edge_bs:
-        if len(bs) != width or bs[0] < 0 or bs[-1] >= nb or len(set(bs)) < width:
+        if len(bs) != width or bs[0] < 0 or bs[-1] >= nb:
             return _walk_edges(h, width)
+    cols = list(zip(*edge_bs))
+    if not all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:])):
+        return _walk_edges(h, width)
     if len(set(edge_bs)) == m or len(set(zip(edge_a, edge_bs))) == m:
         return None
     return _walk_edges(h, width)
@@ -94,8 +99,8 @@ def _walk_edges(h: BipartiteHypergraph, width: int) -> Violation | None:
         if bs[0] < 0 or bs[-1] >= nb:
             b = next(b for b in bs if not 0 <= b < nb)
             return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: B-vertex {b}", eid)
-        if len(set(bs)) < width:
-            u = next(u for u, v in zip(bs, bs[1:]) if u == v)
+        u = next((u for u, v in zip(bs, bs[1:]) if u == v), None)
+        if u is not None:
             return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
         if key in seen:
             return Violation("DUPLICATE_EDGE", f"edge {eid} repeats {key}", eid)

@@ -8,7 +8,10 @@ Collapsing swaps addable X-edges into the matching in place of the
 blockers one level below, discards the layer, and lazily re-runs the
 layer build on the new last layer, committing the rebuild only when it
 grows X by a (1+mu) factor.  When the root's own layer collapses the
-root gets matched and the run ends.
+root gets matched and the run ends.  X-edges are pairwise B-disjoint
+and no B-vertex lies in two layers, so a swap never changes which
+X-edges of the collapsing layer are addable: one pass over X decides
+the whole collapse.
 
 If a freshly built layer is too small -- empty for small trees, or not
 larger than delta times the blocking-edge count for large ones -- the
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import AbstractSet, Callable
 
 from .certify import WitnessCertificate, validate_instance, verify_matching, verify_witness
 from .core import (
@@ -59,11 +62,14 @@ TraceSink = Callable[[str], None]  # one formatted event line, no newline
 
 
 class InternalSolverError(RuntimeError):
-    """The solver broke its own contract: always an implementation bug.
+    """The solver broke its own contract.
 
     Raised for a failed debug-mode invariant, an extracted certificate
     that does not verify, a final matching that is not perfect, and an
-    augmenting run that reaches its iteration cap.
+    augmenting run that reaches its iteration cap.  At the mu and u that
+    epsilon sets, each is an implementation bug.  An override of mu or u
+    voids the bound a witness must meet, so a stalled tree can then end
+    in CERTIFICATE_INVALID (SIZE_EXCEEDS_BOUND).
     """
 
     def __init__(self, code: str, message: str):
@@ -227,50 +233,42 @@ class AugmentRun:
     def collapse_layer(self) -> bool:
         """One collapse of the last layer; True when the root got matched.
 
-        Swaps, in edge order over the blockers one level below, each
-        blocker for the least immediately addable X-edge of its
-        A-vertex, re-evaluated against the live matching; then discards
-        the layer and runs the lazy rebuild on the new last layer.
+        One pass over X in edge order takes each A-vertex's least
+        immediately addable X-edge: in layer 1 it is added for the root,
+        in a higher layer it replaces the vertex's blocker one level
+        below.  Then the layer is discarded and the lazy rebuild runs.
+        A swap removes a blocker, whose B-vertices lie in the layer
+        below, and adds an X-edge disjoint from the other X-edges, so no
+        swap changes which X-edges here are addable: the pass picks what
+        re-reading the live matching after every swap would.
         """
-        tree = self.tree
+        h, m, tree = self.h, self.m, self.tree
         level = tree.level()
-        x_by_a = x_by_a_vertex(self.h, tree.layers[-1].x)
-        if level == 1:
-            root = tree.root
-            eid = self._least_addable_for(x_by_a, root)
-            assert eid is not None, "collapsible first layer must offer the root an edge"
-            self.m.add(self.h, eid)
-            tree.discard_last()
-            if self.trace is not None:
-                self.trace("collapse layer=1 swaps=0 root_matched=1")
-            return True
-        below = tree.layers[level - 2]
-        swaps_here = 0
-        for f in sorted(below.y):
-            a = self.h.edge_a[f]
-            eid = self._least_addable_for(x_by_a, a)
-            if eid is None:
+        served: set[int] = set()
+        matched = False
+        for eid in sorted(tree.layers[-1].x):
+            a = h.edge_a[eid]
+            if a in served or not is_immediately_addable(h, m, eid):
                 continue
-            swap(self.h, self.m, f, eid)
+            if level == 1:
+                m.add(h, eid)
+                matched = True
+                break
+            served.add(a)
+            f = m.a_of[a]
+            swap(h, m, f, eid)
             tree.remove_y_edge(level - 1, f)
-            swaps_here += 1
             self.stats.swaps += 1
             if self.debug:
-                v = verify_matching(self.h, self.m)
+                v = verify_matching(h, m)
                 if v is not None:
                     raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
-            self.trace(f"collapse layer={level} swaps={swaps_here} root_matched=0")
-        self.superposed_build()
-        return False
-
-    def _least_addable_for(self, x_by_a: dict[int, list[int]], a: int) -> int | None:
-        """Least X-edge of `a` that is immediately addable under the live M."""
-        for eid in x_by_a.get(a, ()):
-            if is_immediately_addable(self.h, self.m, eid):
-                return eid
-        return None
+            self.trace(f"collapse layer={level} swaps={len(served)} root_matched={int(matched)}")
+        if not matched:
+            self.superposed_build()
+        return matched
 
     def superposed_build(self) -> None:
         """Lazy rebuild of the current last layer.
@@ -282,10 +280,7 @@ class AugmentRun:
         tree = self.tree
         i = tree.level()
         layer = tree.layers[-1]
-        rebuilt = build_layer(
-            self.h, self.m, tree.occupied_b(), tree.parent_a_set(i), self.params.u,
-            x0=layer.x, y0=layer.y, bx0=layer.bx, by0=layer.by,
-        )
+        rebuilt = self._rebuild(i, tree.occupied_b())
         self.stats.build_ops += 1
         x_before, x_after = len(layer.x), len(rebuilt.x)
         committed = self.params.reaches_one_plus_mu(x_after, x_before)
@@ -297,21 +292,16 @@ class AugmentRun:
                 f"x_before={x_before} x_after={x_after}"
             )
 
-    # ------------------------------------------------------------------
-    # witness extraction
-
-    def _prefix_rebuild(self, i: int) -> Layer:
-        """Uncommitted rebuild of layer i against the prefix below it,
-        ignoring all higher layers."""
-        occ: set[int] = set()
-        for layer in self.tree.layers[:i]:
-            occ |= layer.bx
-            occ |= layer.by
+    def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
+        """Uncommitted rebuild of layer i avoiding the B-vertices in `occupied`."""
         layer = self.tree.layers[i - 1]
         return build_layer(
-            self.h, self.m, occ, self.tree.parent_a_set(i), self.params.u,
+            self.h, self.m, occupied, self.tree.parent_a_set(i), self.params.u,
             x0=layer.x, y0=layer.y, bx0=layer.bx, by0=layer.by,
         )
+
+    # ------------------------------------------------------------------
+    # witness extraction
 
     def extract_witness(self) -> WitnessCertificate:
         """Package the growth failure into a verified certificate.
@@ -334,9 +324,12 @@ class AugmentRun:
         hitting = set(tree.occupied_b())
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
-        for i in range(1, level):
-            rebuilt = self._prefix_rebuild(i)
-            served.update(h.edge_a[eid] for eid in rebuilt.x - tree.layers[i - 1].x)
+        prefix: set[int] = set()  # B-vertices of layers 1..i
+        for i, layer in enumerate(tree.layers[: level - 1], start=1):
+            prefix |= layer.bx
+            prefix |= layer.by
+            rebuilt = self._rebuild(i, prefix)
+            served.update(h.edge_a[eid] for eid in rebuilt.x - layer.x)
             hitting |= rebuilt.bx
             hitting |= rebuilt.by
         s -= saturated
@@ -409,9 +402,11 @@ class AugmentRun:
                     "LAYER_GROWTH", f"layer {idx}: |X|={len(layer.x)} vs {y_below} below"
                 )
             y_below += len(layer.y)
-        for i in range(1, tree.level() + 1):
-            layer = tree.layers[i - 1]
-            x2 = len(self._prefix_rebuild(i).x)
+        prefix: set[int] = set()  # B-vertices of layers 1..i
+        for i, layer in enumerate(tree.layers, start=1):
+            prefix |= layer.bx
+            prefix |= layer.by
+            x2 = len(self._rebuild(i, prefix).x)
             if self.params.reaches_one_plus_mu(x2, len(layer.x)):
                 raise InternalSolverError(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",
@@ -433,14 +428,6 @@ class AugmentRun:
             raise InternalSolverError(
                 "MATCHED_SET_CHANGED", "run did not add exactly the root"
             )
-
-
-def x_by_a_vertex(h: BipartiteHypergraph, x: set[int]) -> dict[int, list[int]]:
-    """A layer's X-edges grouped by A-vertex, each group in edge-id order."""
-    out: dict[int, list[int]] = {}
-    for eid in sorted(x):
-        out.setdefault(h.edge_a[eid], []).append(eid)
-    return out
 
 
 def augment(

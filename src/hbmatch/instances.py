@@ -83,6 +83,16 @@ class GeneratorSpec:
     d: int | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Refuse what no instance file can hold: r < 2 or a negative count."""
+        if self.r < 2:
+            raise InfeasibleSpec(f"uniformity r={self.r} must be >= 2")
+        counts = (("na", self.a_count), ("nb", self.b_count),
+                  ("extra_edges", self.extra_edges), ("d", self.d or 0))
+        for name, value in counts:
+            if value < 0:
+                raise InfeasibleSpec(f"{name}={value} must be >= 0")
+
     def describe(self) -> str:
         return (
             f"mode={self.mode} r={self.r} na={self.a_count} nb={self.b_count} "
@@ -104,6 +114,8 @@ def _add_random_edges(
     b_count: int,
     r: int,
 ) -> None:
+    if a_count == 0 or b_count < r - 1:
+        return  # no edge fits
     seen = set(h_edges)
     for _ in range(count):
         for _attempt in range(200):

@@ -46,7 +46,8 @@ class TestImports:
     def test_kernel_imports_only_stdlib_core_and_params(self):
         mods = imported_modules(SRC / "certify.py")
         assert mods == {
-            "__future__", "dataclasses", "fractions", "typing", "hbmatch.core", "hbmatch.params"
+            "__future__", "dataclasses", "fractions", "operator", "typing",
+            "hbmatch.core", "hbmatch.params",
         }
         assert all(m in sys.stdlib_module_names for m in mods if not m.startswith("hbmatch"))
 
@@ -255,6 +256,18 @@ class TestInstanceValidation:
     @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (1, (3, 3))]))
     def test_same_violation_as_per_edge_check(self, h):
         assert certify._first_violation(h) == per_edge_first_violation(h)
+
+    @pytest.mark.parametrize(
+        "r, bs, b", [(3, (2, 2), 2), (4, (1, 1, 3), 1), (4, (1, 3, 3), 3), (4, (5, 5, 5), 5)]
+    )
+    def test_duplicate_b_vertex_in_any_column(self, r, bs, b):
+        # each B-tuple is sorted, so a repeat sits in two adjacent columns
+        clean = [(0, tuple(range(10, 9 + r))), (1, tuple(range(20, 19 + r)))]
+        assert certify._first_violation(BipartiteHypergraph(r, 3, 30, clean)) is None
+        h = BipartiteHypergraph(r, 3, 30, clean + [(2, bs)])
+        assert certify._first_violation(h) == Violation(
+            "DUPLICATE_B_VERTEX", f"edge 2: B-vertex {b}", 2
+        )
 
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])

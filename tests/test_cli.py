@@ -712,6 +712,50 @@ class TestCommands:
         assert main(["solve", "--input", inst, "--epsilon", "1/2", "--output", out]) == 2
         assert main(["verify", "--instance", inst, "--result", out]) == 0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mode", "planted", "--na", "-1", "--nb", "5"], "na=-1 must be >= 0"),
+            (["--mode", "planted", "--r", "1", "--na", "2", "--nb", "5"],
+             "uniformity r=1 must be >= 2"),
+            (["--mode", "graph", "--r", "2", "--na", "2", "--nb", "-3"], "nb=-3 must be >= 0"),
+            (["--mode", "adversarial", "--r", "1", "--na", "3", "--nb", "3"],
+             "uniformity r=1 must be >= 2"),
+            (["--mode", "planted", "--na", "2", "--nb", "5", "--extra-edges", "-1"],
+             "extra_edges=-1 must be >= 0"),
+            (["--mode", "guaranteed", "--na", "2", "--nb", "40", "--d", "-1"], "d=-1 must be >= 0"),
+        ],
+        ids=["negative-na", "planted-r1", "negative-nb", "adversarial-r1", "negative-extra", "negative-d"],
+    )
+    def test_gen_refuses_a_spec_no_instance_file_holds(self, tmp_path, args, message):
+        out = tmp_path / "g.hbm"
+        code, stdout, err = _run_main(["gen", *args, "--output", str(out)])
+        assert (code, stdout, err) == (1, "", message + "\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "gen, override",
+        [
+            (["--mode", "planted", "--r", "2", "--na", "20", "--nb", "20", "--extra-edges", "40"],
+             ["--mu-override", "1/2"]),
+            (["--mode", "adversarial", "--r", "2", "--na", "12", "--nb", "12", "--extra-edges", "12"],
+             ["--u-override", "1"]),
+        ],
+        ids=["mu", "u"],
+    )
+    def test_override_voids_the_witness_bound(self, tmp_path, gen, override):
+        # Without the override the solve ends normally; with it, the tree
+        # stalls and the kernel refuses a witness over the epsilon bound.
+        inst, out = tmp_path / "inst.hbm", tmp_path / "res.txt"
+        assert main(["gen", *gen, "--seed", "0", "--output", str(inst)]) == 0
+        solve = ["solve", "--input", str(inst), "--epsilon", "1", "--output", str(out)]
+        assert main(solve) in (0, 2)
+        out.unlink()
+        code, stdout, err = _run_main(solve + override)
+        assert code == 1 and stdout == "" and err.count("\n") == 1
+        assert err.startswith("CERTIFICATE_INVALID: ") and "SIZE_EXCEEDS_BOUND" in err
+        assert not out.exists()
+
     def test_trace_written_and_checkable(self, tmp_path):
         inst = self.write_instance(tmp_path, shift_chain(6))
         out = str(tmp_path / "res.txt")

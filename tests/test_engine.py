@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import math
@@ -19,8 +20,8 @@ from hbmatch import (
     verify_witness,
 )
 from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
-from hbmatch.core import InstanceError, incident_edges, is_immediately_addable
-from hbmatch.engine import AugmentRun, InternalSolverError, augment, x_by_a_vertex
+from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
+from hbmatch.engine import AugmentRun, InternalSolverError, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import floor_log, signature_from_sizes
 
@@ -197,32 +198,88 @@ class TestAugment:
         assert exc.value.code == "ITERATION_CAP_EXCEEDED"
 
 
-class TestCollapseIndex:
-    @given(hm=hypergraphs_with_matching(), data=st.data())
+def per_blocker_collapse(run: AugmentRun) -> bool:
+    """Reference: the collapse as a walk over the blockers one level below.
+
+    Each blocker, in edge order, is swapped for the least X-edge of its
+    A-vertex that is addable under the live matching; layer 1 adds the
+    root's least addable X-edge.  X is indexed by A-vertex once.
+    """
+    h, m, tree = run.h, run.m, run.tree
+    level = tree.level()
+    x_by_a: dict[int, list[int]] = {}
+    for eid in sorted(tree.layers[-1].x):
+        x_by_a.setdefault(h.edge_a[eid], []).append(eid)
+
+    def least_addable(a):
+        return next((e for e in x_by_a.get(a, ()) if is_immediately_addable(h, m, e)), None)
+
+    if level == 1:
+        m.add(h, least_addable(tree.root))
+        tree.discard_last()
+        if run.trace is not None:
+            run.trace("collapse layer=1 swaps=0 root_matched=1")
+        return True
+    swaps = 0
+    for f in sorted(tree.layers[level - 2].y):
+        eid = least_addable(h.edge_a[f])
+        if eid is None:
+            continue
+        swap(h, m, f, eid)
+        tree.remove_y_edge(level - 1, f)
+        swaps += 1
+        run.stats.swaps += 1
+    tree.discard_last()
+    if run.trace is not None:
+        run.trace(f"collapse layer={level} swaps={swaps} root_matched=0")
+    run.superposed_build()
+    return False
+
+
+def _run_state(run: AugmentRun):
+    m, tree = run.m, run.tree
+    return (
+        m.edge_ids, m.a_of, m.b_of,
+        [tuple(layer) for layer in tree.layers], tree.occupied_b(),
+        vars(run.stats),
+    )
+
+
+class TestCollapseAgainstPerBlockerReference:
+    @given(
+        seed=st.integers(0, 2**16),
+        na=st.integers(10, 60),
+        r=st.integers(2, 4),
+        eps=st.sampled_from([1, "1/2", "1/4"]),
+        u=st.sampled_from([None, 1, 2, 3]),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_per_a_index_picks_what_scanning_all_of_x_picks(self, hm, data):
-        h, m = hm
-        root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
-        if root is None:
-            return
-        run = AugmentRun(h, m, root, params(h.r, 1))
-        x = data.draw(st.sets(st.integers(0, h.m - 1))) if h.m else set()
+    def test_same_matching_layers_and_swaps(self, seed, na, r, eps, u):
+        # Every collapse of a whole solve is first replayed by the reference
+        # on a copy of the run, on the states the engine itself reaches.
+        h = shuffled_planted(seed, na, r)
+        lines: list[str] = []
+        collapse = AugmentRun.collapse_layer
 
-        def scan_all_of_x(a):
-            # reference: the least addable X-edge of a, sorting all of X
-            for eid in sorted(x):
-                e = h.edges[eid]
-                if e.a == a and not any(b in m.b_of for b in e.bs):
-                    return eid
-            return None
+        def checked_collapse(run):
+            shared = {id(x): x for x in (h, run.params, run.memo, lines)}
+            ref = copy.deepcopy(run, shared)
+            ref_lines: list[str] = []
+            ref.trace = ref_lines.append
+            ref_matched = per_blocker_collapse(ref)
+            start = len(lines)
+            matched = collapse(run)
+            assert matched == ref_matched
+            assert _run_state(run) == _run_state(ref)
+            assert lines[start:] == ref_lines
+            return matched
 
-        x_by_a = x_by_a_vertex(h, x)
-        for _ in range(2):
-            for a in range(h.a_count):
-                assert run._least_addable_for(x_by_a, a) == scan_all_of_x(a)
-            # the index is built once per collapse while swaps change M
-            if m.edge_ids:
-                m.remove(h, min(m.edge_ids))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AugmentRun, "collapse_layer", checked_collapse)
+            try:
+                find_perfect_matching(h, eps, u_override=u, trace=lines.append)
+            except InternalSolverError as exc:  # a witness the override voids
+                assert exc.code == "CERTIFICATE_INVALID" and u is not None
 
 
 class TestCollapseSwapStepwise:

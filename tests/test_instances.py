@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import GeneratorSpec, from_bipartite_graph, generate, validate_instance
-from hbmatch.cli import serialize_instance
-from hbmatch.instances import InfeasibleSpec, SplitMix64, default_private_degree
+from hbmatch.cli import parse_instance, serialize_instance
+from hbmatch.instances import MODES, InfeasibleSpec, SplitMix64, default_private_degree
 from hbmatch.oracles import check_haxell
 
 from .conftest import brute_force_perfect_matching
@@ -157,3 +157,40 @@ class TestGenGraph:
         assert h.m == 9
         assert validate_instance(h) is None
         assert serialize_instance(h) == serialize_instance(generate(spec))
+
+
+class TestSpecCheck:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(r=1), dict(r=0), dict(r=-2), dict(a_count=-1), dict(b_count=-3),
+            dict(extra_edges=-1), dict(d=-1),
+        ],
+        ids=["r1", "r0", "negative-r", "negative-na", "negative-nb", "negative-extra", "negative-d"],
+    )
+    def test_refused_at_construction(self, fields):
+        spec = dict(mode="planted", r=2, a_count=2, b_count=8, extra_edges=1, seed=0)
+        with pytest.raises(InfeasibleSpec):
+            GeneratorSpec(**{**spec, **fields})
+
+    @given(
+        mode=st.sampled_from(MODES),
+        r=st.integers(-1, 5),
+        na=st.integers(-2, 8),
+        nb=st.integers(-2, 30),
+        extra=st.integers(-2, 12),
+        d=st.none() | st.integers(-2, 4),
+        seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_generated_instance_parses(self, mode, r, na, nb, extra, d, seed):
+        # A spec is refused with InfeasibleSpec, or its instance serializes
+        # to text the parser takes back unchanged.
+        try:
+            spec = GeneratorSpec(mode, r, na, nb, extra_edges=extra, d=d, seed=seed)
+            h = generate(spec)
+        except InfeasibleSpec:
+            return
+        g = parse_instance(serialize_instance(h, comments=[f"generator: {spec.describe()}"]))
+        assert (g.r, g.a_count, g.b_count) == (h.r, h.a_count, h.b_count)
+        assert (g.edge_a, g.edge_bs) == (h.edge_a, h.edge_bs)
