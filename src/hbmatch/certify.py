@@ -46,11 +46,11 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
     Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
-    DUPLICATE_EDGE.  The incidence index is not rebuilt: it is derived
-    from the immutable edge list at construction, so once every A-vertex
-    is in range it lists every edge.  A violation of an edge carries its
-    id.  The result is kept on the immutable instance, so the parser and
-    the solver share one check.
+    UNSORTED_B_VERTICES, DUPLICATE_EDGE.  The incidence index is not
+    rebuilt: it is derived from the immutable edge list at construction,
+    so once every A-vertex is in range it lists every edge.  A violation
+    of an edge carries its id.  The result is kept on the immutable
+    instance, so the parser and the solver share one check.
     """
     if not h._validated:
         h._violation = _first_violation(h)
@@ -65,9 +65,9 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
     # Whole columns first; only a dirty instance is walked edge by edge to
-    # name its first violation.  bs is sorted, so its ends bound its range,
-    # its B-vertices are distinct when its columns strictly ascend, and a
-    # repeated edge repeats its bs.
+    # name its first violation.  Strictly ascending columns make every bs
+    # sorted and distinct, so its ends bound its range (an unsorted bs is
+    # walked) and a repeated edge repeats its bs.
     if m and (min(edge_a) < 0 or max(edge_a) >= h.a_count):
         return _walk_edges(h, width)
     for bs in edge_bs:
@@ -95,13 +95,14 @@ def _walk_edges(h: BipartiteHypergraph, width: int) -> Violation | None:
             )
         if not 0 <= a < na:
             return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: A-vertex {a}", eid)
-        # bs is sorted, so its ends bound its range and repeats are adjacent.
-        if bs[0] < 0 or bs[-1] >= nb:
+        if min(bs) < 0 or max(bs) >= nb:
             b = next(b for b in bs if not 0 <= b < nb)
             return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: B-vertex {b}", eid)
-        u = next((u for u, v in zip(bs, bs[1:]) if u == v), None)
-        if u is not None:
-            return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
+        for u, v in zip(bs, bs[1:]):  # bs must ascend strictly
+            if u == v:
+                return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
+            if u > v:
+                return Violation("UNSORTED_B_VERTICES", f"edge {eid}: B-vertices {bs}", eid)
         if key in seen:
             return Violation("DUPLICATE_EDGE", f"edge {eid} repeats {key}", eid)
         seen.add(key)

@@ -6,12 +6,12 @@ Each main-loop iteration first builds a fresh layer on top of the tree
 a mu fraction of its X-edges are immediately addable (collapse phase).
 Collapsing swaps addable X-edges into the matching in place of the
 blockers one level below, discards the layer, and lazily re-runs the
-layer build on the new last layer, committing the rebuild only when it
-grows X by a (1+mu) factor.  When the root's own layer collapses the
-root gets matched and the run ends.  X-edges are pairwise B-disjoint
-and no B-vertex lies in two layers, so a swap never changes which
-X-edges of the collapsing layer are addable: one pass over X decides
-the whole collapse.
+layer build on the new last layer, merging the edges the rebuild adds
+only when they grow X by a (1+mu) factor.  When the root's own layer
+collapses the root gets matched and the run ends.  X-edges are pairwise
+B-disjoint and no B-vertex lies in two layers, so a swap never changes
+which X-edges of the collapsing layer are addable: the one pass over X
+that decides the collapse also lists the edges it swaps in.
 
 If a freshly built layer is too small -- empty for small trees, or not
 larger than delta times the blocking-edge count for large ones -- the
@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import AbstractSet, Callable
 
 from .certify import WitnessCertificate, validate_instance, verify_matching, verify_witness
@@ -202,53 +203,46 @@ class AugmentRun:
         return self.params.exceeds_delta(x_new, y_total_before)
 
     def collapse_phase(self) -> bool:
-        """Collapse the last layer while it stays collapsible.
+        """Collapse the last layer while more than mu|X| of its X-edges
+        are immediately addable.
 
-        Returns True when the root was matched, ending the run.
+        Each check walks X in edge order once and hands the addable
+        edges it lists to the collapse.  In layer 1 every X-edge is the
+        root's and the collapse takes only the least, so that walk stops
+        at the least count exceeding mu|X|.  Returns True when the root
+        was matched, ending the run.
         """
-        tree = self.tree
-        while tree.level() >= 1 and self._collapsible(tree.layers[-1].x):
-            if self.collapse_layer():
+        h, m, tree = self.h, self.m, self.tree
+        while tree.level() >= 1:
+            x = tree.layers[-1].x
+            need = self.params.least_exceeding_mu(len(x))
+            found = (eid for eid in sorted(x) if is_immediately_addable(h, m, eid))
+            addable = list(islice(found, need) if tree.level() == 1 else found)
+            if len(addable) < need:
+                return False
+            if self.collapse_layer(addable):
                 return True
         return False
 
-    def _collapsible(self, x: set[int]) -> bool:
-        """More than mu|X| of the X-edges are immediately addable.
-
-        Counting stops once the answer is decided: at the least count
-        that exceeds mu|X|, or when the edges left cannot reach it.
-        """
-        need = self.params.least_exceeding_mu(len(x))
-        left = len(x)
-        for eid in x:
-            if left < need:
-                return False
-            left -= 1
-            if is_immediately_addable(self.h, self.m, eid):
-                need -= 1
-                if need == 0:
-                    return True
-        return False
-
-    def collapse_layer(self) -> bool:
+    def collapse_layer(self, addable: list[int]) -> bool:
         """One collapse of the last layer; True when the root got matched.
 
-        One pass over X in edge order takes each A-vertex's least
-        immediately addable X-edge: in layer 1 it is added for the root,
-        in a higher layer it replaces the vertex's blocker one level
-        below.  Then the layer is discarded and the lazy rebuild runs.
-        A swap removes a blocker, whose B-vertices lie in the layer
-        below, and adds an X-edge disjoint from the other X-edges, so no
-        swap changes which X-edges here are addable: the pass picks what
-        re-reading the live matching after every swap would.
+        `addable` lists the layer's immediately addable X-edges in edge
+        order.  Each A-vertex's least one is taken: in layer 1 it is
+        added for the root, in a higher layer it replaces the vertex's
+        blocker one level below.  Then the layer is discarded and the
+        lazy rebuild runs.  A swap removes a blocker, whose B-vertices
+        lie in the layer below, and adds an X-edge disjoint from the
+        other X-edges, so no swap changes which X-edges here are
+        addable: the list stays what the live matching gives.
         """
         h, m, tree = self.h, self.m, self.tree
         level = tree.level()
         served: set[int] = set()
         matched = False
-        for eid in sorted(tree.layers[-1].x):
+        for eid in addable:
             a = h.edge_a[eid]
-            if a in served or not is_immediately_addable(h, m, eid):
+            if a in served:
                 continue
             if level == 1:
                 m.add(h, eid)
@@ -273,19 +267,20 @@ class AugmentRun:
     def superposed_build(self) -> None:
         """Lazy rebuild of the current last layer.
 
-        The rebuild is computed without committing and kept only if X
-        grew by a full (1+mu) factor (exact comparison, >= at the
-        boundary); otherwise the tentative additions are dropped.
+        The rebuild's additions are computed without committing and
+        merged into the layer only if they grow X by a full (1+mu)
+        factor (exact comparison, >= at the boundary); otherwise they
+        are dropped.
         """
         tree = self.tree
         i = tree.level()
-        layer = tree.layers[-1]
-        rebuilt = self._rebuild(i, tree.occupied_b())
+        added = self._rebuild(i, tree.occupied_b())
         self.stats.build_ops += 1
-        x_before, x_after = len(layer.x), len(rebuilt.x)
+        x_before = len(tree.layers[-1].x)
+        x_after = x_before + len(added.x)
         committed = self.params.reaches_one_plus_mu(x_after, x_before)
         if committed:
-            tree.commit_rebuild(rebuilt)
+            tree.commit_rebuild(added)
         if self.trace is not None:
             self.trace(
                 f"superposed layer={i} committed={int(committed)} "
@@ -293,11 +288,11 @@ class AugmentRun:
             )
 
     def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
-        """Uncommitted rebuild of layer i avoiding the B-vertices in `occupied`."""
-        layer = self.tree.layers[i - 1]
+        """The edges an uncommitted rebuild of layer i adds, avoiding the
+        B-vertices in `occupied`, which holds the layer's own."""
         return build_layer(
             self.h, self.m, occupied, self.tree.parent_a_set(i), self.params.u,
-            x0=layer.x, y0=layer.y, bx0=layer.bx, by0=layer.by,
+            x_held=self.tree.layers[i - 1].x,
         )
 
     # ------------------------------------------------------------------
@@ -328,10 +323,10 @@ class AugmentRun:
         for i, layer in enumerate(tree.layers[: level - 1], start=1):
             prefix |= layer.bx
             prefix |= layer.by
-            rebuilt = self._rebuild(i, prefix)
-            served.update(h.edge_a[eid] for eid in rebuilt.x - layer.x)
-            hitting |= rebuilt.bx
-            hitting |= rebuilt.by
+            added = self._rebuild(i, prefix)
+            served.update(h.edge_a[eid] for eid in added.x)
+            hitting |= added.bx
+            hitting |= added.by
         s -= saturated
         s -= served
         cert = WitnessCertificate.build(h.r, s, hitting, self.params.epsilon)
@@ -389,7 +384,8 @@ class AugmentRun:
             raise InternalSolverError("MATCHED_SET_CHANGED", "A(M) drifted mid-run")
         y_below = 1
         for idx, layer in enumerate(tree.layers, start=1):
-            if self._collapsible(layer.x):
+            addable = sum(is_immediately_addable(h, m, eid) for eid in layer.x)
+            if self.params.exceeds_mu(addable, len(layer.x)):
                 raise InternalSolverError(
                     "COLLAPSIBLE_AT_BOUNDARY", f"layer {idx} is collapsible"
                 )
@@ -406,7 +402,7 @@ class AugmentRun:
         for i, layer in enumerate(tree.layers, start=1):
             prefix |= layer.bx
             prefix |= layer.by
-            x2 = len(self._rebuild(i, prefix).x)
+            x2 = len(layer.x) + len(self._rebuild(i, prefix).x)
             if self.params.reaches_one_plus_mu(x2, len(layer.x)):
                 raise InternalSolverError(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BipartiteHypergraph
+from .certify import validate_instance
+from .core import BipartiteHypergraph, InstanceError
 
 __all__ = [
     "PRNG_ID",
@@ -221,14 +222,15 @@ def from_bipartite_graph(
     """Wrap a bipartite graph as a 2-uniform hypergraph.
 
     In this specialization the minimum hitting set of the edges incident
-    to S is exactly the neighborhood N(S).
+    to S is exactly the neighborhood N(S).  A pair out of range or
+    repeated raises :class:`InstanceError` with the code
+    :func:`validate_instance` gives it.
     """
-    for a, b in adjacency:
-        if not (0 <= a < a_count and 0 <= b < b_count):
-            raise ValueError(f"INDEX_OUT_OF_RANGE: pair ({a}, {b})")
-    if len(set(adjacency)) != len(adjacency):
-        raise ValueError("duplicate pairs in adjacency list")
-    return BipartiteHypergraph(2, a_count, b_count, [(a, (b,)) for a, b in adjacency])
+    h = BipartiteHypergraph(2, a_count, b_count, [(a, (b,)) for a, b in adjacency])
+    v = validate_instance(h)
+    if v is not None:
+        raise InstanceError(v.code, v.detail)
+    return h
 
 
 def generate(spec: GeneratorSpec, epsilon: Fraction = Fraction(1)) -> BipartiteHypergraph:

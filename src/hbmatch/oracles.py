@@ -60,7 +60,8 @@ def _greedy_hitting_set(bsets: list[frozenset[int]]) -> list[int]:
 def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
     """A minimum hitting set of `bsets` if one has at most `budget` vertices.
 
-    Branch and bound on an explicit stack: branch on the B-vertices of
+    Branch and bound on an explicit stack, each frame holding its node's
+    unhit edges for its children to filter: branch on the B-vertices of
     an unhit edge (the one with the fewest vertices not yet excluded,
     ties by list order), vertices in index order, excluding each tried
     vertex from later siblings.  A node is pruned when it cannot beat
@@ -71,11 +72,10 @@ def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
     best: frozenset[int] | None = None
     limit = budget + 1  # a new incumbent must be smaller than this
     chosen: list[int] = []  # one vertex per stack frame whose child is open
-    chosen_set: set[int] = set()
     excluded: set[int] = set()
-    stack: list[tuple[list[int], Iterator[int]]] = []
+    stack: list[tuple[list[int], Iterator[int], list[frozenset[int]]]] = []
+    unhit = bsets
     while True:
-        unhit = [bs for bs in bsets if not (bs & chosen_set)]
         if not unhit:
             if len(chosen) < limit:
                 limit = len(chosen)
@@ -96,17 +96,15 @@ def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
             else:
                 target = min(unhit, key=lambda bs: len(bs - excluded))
                 candidates = sorted(target - excluded)
-                stack.append((candidates, iter(candidates)))
+                stack.append((candidates, iter(candidates), unhit))
         while stack:
-            candidates, untried = stack[-1]
+            candidates, untried, node_unhit = stack[-1]
             if len(chosen) == len(stack):  # back from this frame's child
-                v = chosen.pop()
-                chosen_set.discard(v)
-                excluded.add(v)
+                excluded.add(chosen.pop())
             v = next(untried, None)
             if v is not None:
                 chosen.append(v)
-                chosen_set.add(v)
+                unhit = [bs for bs in node_unhit if v not in bs]
                 break
             excluded.difference_update(candidates)
             stack.pop()

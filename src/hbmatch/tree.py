@@ -34,7 +34,8 @@ class Layer(NamedTuple):
     the B-vertices of X (`bx`) and of Y (`by`).
 
     The four sets are owned by the layer once it is built; the tree
-    updates them in place as blockers leave Y.
+    updates them in place as blockers leave Y and as a committed rebuild
+    merges its additions in.
     """
 
     x: set[int]
@@ -106,14 +107,15 @@ class AlternatingTree:
         layer.by.difference_update(bs)
         self._b_occ -= set(bs) - layer.bx
 
-    def commit_rebuild(self, layer: Layer) -> None:
-        """Replace the last layer by a superset produced by a rebuild."""
+    def commit_rebuild(self, added: Layer) -> None:
+        """Merge the edges a rebuild of the last layer adds into it, in place."""
         last = self.layers[-1]
-        if not (layer.x >= last.x and layer.y >= last.y):
-            raise ValueError("rebuild must extend the existing layer")
-        self._b_occ |= layer.bx
-        self._b_occ |= layer.by
-        self.layers[-1] = layer
+        if not last.x.isdisjoint(added.x):
+            raise ValueError("rebuild additions must be disjoint from the layer's X")
+        for own, new in zip(last, added):
+            own |= new
+        self._b_occ |= added.bx
+        self._b_occ |= added.by
 
 
 def build_layer(
@@ -122,26 +124,22 @@ def build_layer(
     occupied_b: AbstractSet[int],
     parent_a_set: Iterable[int],
     u_bound: int,
-    x0: Iterable[int] = (),
-    y0: Iterable[int] = (),
-    bx0: Iterable[int] | None = None,
-    by0: Iterable[int] | None = None,
+    *,
+    x_held: Iterable[int] = (),
 ) -> Layer:
-    """Grow a layer from (x0, y0) until no addable edge remains.
-
-    A seed layer's `bx` and `by` come as `bx0` and `by0`, and are copied.
+    """The edges a layer build takes, until no addable edge remains.
 
     Repeatedly takes the least addable (a, edge) pair, by vertex index
     and then edge id: `a` is a parent with fewer than `u_bound` X-edges,
-    and the edge is not in `m` and avoids every occupied B-vertex.  It
-    adds the edge to X and its blockers under `m` to Y, and treats all
-    their B-vertices as occupied from then on.  `occupied_b` is the set
-    of B-vertices to avoid, such as the tree's live set
-    (:meth:`AlternatingTree.occupied_b`); it is only read.  The result
-    is a fresh :class:`Layer` whose `bx` and `by` hold the B-vertices of
-    its X- and Y-edges, ready for the tree to take.  Neither `m` nor the
-    caller's collections are modified; committing the result is the
-    caller's decision.
+    counting those in `x_held`, and the edge is not in `m` and avoids
+    every occupied B-vertex.  It adds the edge to X and its blockers
+    under `m` to Y, and treats all their B-vertices as occupied from
+    then on.  `occupied_b` is the set of B-vertices to avoid, such as
+    the tree's live set (:meth:`AlternatingTree.occupied_b`); it is only
+    read.  A rebuild passes the layer's X as `x_held` and an
+    `occupied_b` that holds the layer's B-vertices.  The result is a
+    fresh :class:`Layer` of the taken edges and their B-vertices, for
+    the tree to take or merge; `m` and the caller's sets are not touched.
 
     Occupancy only grows during a build and taking an edge for one
     parent never frees another, so each parent, in vertex order, takes
@@ -150,14 +148,11 @@ def build_layer(
     """
     edge_a, edge_bs = h.edge_a, h.edge_bs
     matched, b_of, a_edges = m.edge_ids, m.b_of, h.a_edges
-    x = set(x0)
-    y = set(y0)
-    bx = set(bx0) if bx0 is not None else {b for eid in x for b in edge_bs[eid]}
-    by = set(by0) if by0 is not None else {b for eid in y for b in edge_bs[eid]}
+    taken = Layer(set(), set(), set(), set())
+    x, y, bx, by = taken
     x_counts: dict[int, int] = {}
-    for eid in x:
-        a = edge_a[eid]
-        x_counts[a] = x_counts.get(a, 0) + 1
+    for eid in x_held:
+        x_counts[edge_a[eid]] = x_counts.get(edge_a[eid], 0) + 1
 
     for a in sorted(set(parent_a_set)):
         room = u_bound - x_counts.get(a, 0)
@@ -179,7 +174,7 @@ def build_layer(
             room -= 1
             if room == 0:
                 break
-    return Layer(x, y, bx, by)
+    return taken
 
 
 def validate_tree(

@@ -24,7 +24,7 @@ from hbmatch import (
     verify_witness,
 )
 
-from hbmatch.core import Violation
+from hbmatch.core import InstanceError, Violation
 
 from .conftest import hypergraphs_with_matching, make_h, shift_chain
 
@@ -177,6 +177,15 @@ class TestKernelChecks:
         assert check_result(SQUARE, matching_doc("0 2")) is None
         assert with_maps == [True, False]  # the solver's live matching, then a document
 
+    def test_hitting_set_vertex_at_nb_is_out_of_range(self):
+        # a witness that holds in every other respect: all edges hit, 2 <= bound 3
+        h = make_h(2, 3, 1, [(a, (0,)) for a in range(3)])
+        assert verify_witness(h, WitnessCertificate.build(2, {0, 1, 2}, {0}, Fraction(1, 2))) is None
+        cert = WitnessCertificate.build(2, {0, 1, 2}, {0, 1}, Fraction(1, 2))
+        assert verify_witness(h, cert) == Violation(
+            "INDEX_OUT_OF_RANGE", "B-vertex 1 in hitting set"
+        )
+
 
 def per_edge_first_violation(h: BipartiteHypergraph) -> Violation | None:
     """The kernel's instance check before the column checks, kept as the
@@ -268,6 +277,32 @@ class TestInstanceValidation:
         assert certify._first_violation(h) == Violation(
             "DUPLICATE_B_VERTEX", f"edge 2: B-vertex {b}", 2
         )
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_out_of_range_b_vertex_in_an_unsorted_tuple(self, r):
+        # from_columns keeps each B-tuple as given, so its ends need not bound it
+        h = BipartiteHypergraph.from_columns(r, 1, 5, [0], [(7,) + tuple(range(1, r - 1))])
+        assert certify.validate_instance(h) == Violation(
+            "INDEX_OUT_OF_RANGE", "edge 0: B-vertex 7", 0
+        )
+        with pytest.raises(InstanceError):
+            find_perfect_matching(h, 1)
+
+    @pytest.mark.parametrize(
+        "r, bs, detail",
+        [
+            (3, (3, 1), "B-vertices (3, 1)"),
+            (4, (3, 1, 2), "B-vertices (3, 1, 2)"),
+            (4, (1, 3, 2), "B-vertices (1, 3, 2)"),
+            (4, (3, 1, 3), "B-vertices (3, 1, 3)"),  # a repeat that is not adjacent
+            (4, (3, 3, 1), "B-vertex 3"),  # an equal pair stays a duplicate
+        ],
+    )
+    def test_b_tuple_must_ascend(self, r, bs, detail):
+        code = "DUPLICATE_B_VERTEX" if detail.startswith("B-vertex ") else "UNSORTED_B_VERTICES"
+        clean = tuple(range(r - 1))
+        h = BipartiteHypergraph.from_columns(r, 2, 5, [1, 0], [clean, bs])
+        assert certify.validate_instance(h) == Violation(code, f"edge 1: {detail}", 1)
 
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])

@@ -24,6 +24,7 @@ from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, 
 from hbmatch.engine import AugmentRun, InternalSolverError, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import floor_log, signature_from_sizes
+from hbmatch.tree import Layer
 
 from .conftest import (
     brute_force_perfect_matching,
@@ -62,17 +63,46 @@ class TestGrowthCheck:
         assert run.growth_check(2, 45)
 
 
+def collapsible(run: AugmentRun, x) -> bool:
+    """Reference collapse decision, read from the live matching by
+    counting every X-edge: more than mu|X| are immediately addable."""
+    addable = sum(1 for eid in x if is_immediately_addable(run.h, run.m, eid))
+    return run.params.exceeds_mu(addable, len(x))
+
+
+def handed_to_collapse(run: AugmentRun, x, level: int = 1):
+    """The list collapse_phase hands to collapse_layer when the last
+    layer, at `level` over empty ones, has X-edges `x`; None when that
+    layer does not collapse.  The collapse itself is stubbed out."""
+    for _ in range(level - 1):
+        run.tree.append_layer(Layer(set(), set(), set(), set()))
+    run.tree.append_layer(Layer(set(x), set(), set(), set()))
+    handed = []
+    run.collapse_layer = lambda addable: handed.append(addable) or True
+    assert run.collapse_phase() == bool(handed)
+    return handed[0] if handed else None
+
+
 class TestCollapseThreshold:
     def test_single_addable_edge_collapses(self):
         # 1 > mu*1 for any mu < 1
         h = make_h(3, 1, 2, [(0, (0, 1))])
         run = AugmentRun(h, PartialMatching(), 0, params())
-        assert run._collapsible({0})
+        assert handed_to_collapse(run, {0}) == [0]
 
     def test_empty_layer_never_collapsible(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         run = AugmentRun(h, PartialMatching(), 0, params())
-        assert not run._collapsible(set())
+        assert handed_to_collapse(run, set()) is None
+
+    def test_only_layer_1_stops_at_the_deciding_count(self):
+        # both edges addable and mu*2 < 1: layer 1 hands over the least one,
+        # a higher layer both, in edge order (the set iterates 8 before 1)
+        h = make_h(3, 1, 20, [(0, (2 * j, 2 * j + 1)) for j in range(10)])
+        assert list({1, 8}) == [8, 1]
+        for level, expected in ((1, [1]), (2, [1, 8]), (3, [1, 8])):
+            run = AugmentRun(h, PartialMatching(), 0, params())
+            assert handed_to_collapse(run, {1, 8}, level) == expected
 
     def test_exact_mu_fraction_boundary(self):
         # 90 edges, exactly one addable: 1 > 90 * (1/90) is false
@@ -82,14 +112,13 @@ class TestCollapseThreshold:
         m = PartialMatching()
         for j in range(89):
             m.add(h, 90 + j)
-        run = AugmentRun(h, m, 0, params(3, 1))
         x = set(range(90))
         addable = [eid for eid in x if not any(b in m.b_of for b in h.edges[eid].bs)]
         assert len(addable) == 1
-        assert not run._collapsible(x)
+        assert handed_to_collapse(AugmentRun(h, m, 0, params(3, 1)), x) is None
         # one fewer blocker: 2 > 1 holds
         m.remove(h, 90)
-        assert run._collapsible(x)
+        assert handed_to_collapse(AugmentRun(h, m, 0, params(3, 1)), x) == [0, 89]
 
 
 class TestSuperposedCommitThreshold:
@@ -206,6 +235,7 @@ def per_blocker_collapse(run: AugmentRun) -> bool:
     root's least addable X-edge.  X is indexed by A-vertex once.
     """
     h, m, tree = run.h, run.m, run.tree
+    assert collapsible(run, tree.layers[-1].x)
     level = tree.level()
     x_by_a: dict[int, list[int]] = {}
     for eid in sorted(tree.layers[-1].x):
@@ -257,24 +287,33 @@ class TestCollapseAgainstPerBlockerReference:
     def test_same_matching_layers_and_swaps(self, seed, na, r, eps, u):
         # Every collapse of a whole solve is first replayed by the reference
         # on a copy of the run, on the states the engine itself reaches.
+        # The reference decides from the live matching, not from the list
+        # the engine hands over, and so does the check of every layer the
+        # collapse phase leaves standing.
         h = shuffled_planted(seed, na, r)
         lines: list[str] = []
-        collapse = AugmentRun.collapse_layer
+        phase, collapse = AugmentRun.collapse_phase, AugmentRun.collapse_layer
 
-        def checked_collapse(run):
+        def checked_phase(run):
+            matched = phase(run)
+            assert matched or not collapsible(run, run.tree.layers[-1].x)
+            return matched
+
+        def checked_collapse(run, addable):
             shared = {id(x): x for x in (h, run.params, run.memo, lines)}
             ref = copy.deepcopy(run, shared)
             ref_lines: list[str] = []
             ref.trace = ref_lines.append
             ref_matched = per_blocker_collapse(ref)
             start = len(lines)
-            matched = collapse(run)
+            matched = collapse(run, addable)
             assert matched == ref_matched
             assert _run_state(run) == _run_state(ref)
             assert lines[start:] == ref_lines
             return matched
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AugmentRun, "collapse_phase", checked_phase)
             mp.setattr(AugmentRun, "collapse_layer", checked_collapse)
             try:
                 find_perfect_matching(h, eps, u_override=u, trace=lines.append)
@@ -292,14 +331,14 @@ class TestCollapseSwapStepwise:
         run = AugmentRun(h, m, 0, params(3, 1))
         assert run.build_phase() is None
         assert run.tree.layers[0].x == {0} and run.tree.layers[0].y == {1}
-        assert not run._collapsible(run.tree.layers[0].x)
+        assert not collapsible(run, run.tree.layers[0].x)
         assert run.build_phase() is None
         assert run.tree.layers[1].x == {2} and run.tree.layers[1].y == set()
-        assert run._collapsible(run.tree.layers[1].x)
+        assert collapsible(run, run.tree.layers[1].x)
         from hbmatch.tree import validate_tree
 
         assert validate_tree(h, m, run.tree) is None
-        matched_root = run.collapse_layer()
+        matched_root = run.collapse_layer([2])
         assert not matched_root
         assert m.edge_ids == {2}, "f swapped out, e swapped in"
         assert run.tree.level() == 1
@@ -524,18 +563,25 @@ class TestCollapsibleEarlyExit:
     @given(
         hm=hypergraphs_with_matching(max_edges=20),
         mu=st.sampled_from(["1/90", "1/4", "1/3", "1/2", "2/3", "9/10"]),
+        level=st.integers(1, 3),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_answer_as_counting_every_edge(self, hm, mu, data):
+    def test_same_answer_as_counting_every_edge(self, hm, mu, level, data):
+        # Layer 1 hands over the least addable edges up to the count that
+        # decides; a higher layer hands over every addable edge.
         h, m = hm
         root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
         if root is None or h.m == 0:
             return
         run = AugmentRun(h, m, root, params(h.r, 1, mu_override=mu))
         x = data.draw(st.sets(st.sampled_from(range(h.m))))
-        addable = sum(1 for eid in x if is_immediately_addable(h, m, eid))
-        assert run._collapsible(x) == run.params.exceeds_mu(addable, len(x))
+        addable = sorted(eid for eid in x if is_immediately_addable(h, m, eid))
+        need = run.params.least_exceeding_mu(len(x))
+        expected = None
+        if collapsible(run, x):
+            expected = addable[:need] if level == 1 else addable
+        assert handed_to_collapse(run, x, level) == expected
 
 
 class TestInputValidation:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hbmatch import GeneratorSpec, from_bipartite_graph, generate, validate_instance
 from hbmatch.cli import parse_instance, serialize_instance
+from hbmatch.core import InstanceError
 from hbmatch.instances import MODES, InfeasibleSpec, SplitMix64, default_private_degree
 from hbmatch.oracles import check_haxell
 
@@ -126,6 +127,21 @@ class TestFromBipartiteGraph:
     def test_empty(self):
         h = from_bipartite_graph([], 2, 3)
         assert h.m == 0 and h.r == 2
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 0), (2, 1)], "INDEX_OUT_OF_RANGE: edge 1: A-vertex 2"),
+            ([(0, 0), (1, 3)], "INDEX_OUT_OF_RANGE: edge 1: B-vertex 3"),
+            ([(1, -1)], "INDEX_OUT_OF_RANGE: edge 0: B-vertex -1"),
+            ([(0, 1), (1, 0), (0, 1)], "DUPLICATE_EDGE: edge 2 repeats (0, (1,))"),
+        ],
+    )
+    def test_bad_pairs_raise_the_kernel_violation(self, pairs, message):
+        with pytest.raises(InstanceError) as exc:
+            from_bipartite_graph(pairs, 2, 3)
+        assert isinstance(exc.value, ValueError)
+        assert (exc.value.code, str(exc.value)) == (message.split(":")[0], message)
 
     def test_k22(self):
         h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)

@@ -9,6 +9,7 @@ a silent 0.  These tests only read `perfbench/`.
 from __future__ import annotations
 
 import importlib.util
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 import hbmatch
 from hbmatch.cli import main, serialize_instance
 
-from .conftest import shuffled_planted, superposed_commit_instance
+from .conftest import shuffled_planted, superposed_commit_instance, trace_event
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -45,14 +46,24 @@ def test_target_resolves(owner_path, attr, name):
     assert callable(getattr(_owner(owner_path), attr, None)), f"{owner_path}.{attr} ({name})"
 
 
-def test_every_span_records_calls(tmp_path):
-    """A traced witness solve, a traced matching solve with a committed
-    rebuild, a trace check and a generator call reach every span."""
+@contextmanager
+def _instrumented():
+    """A fresh recorder with every span target patched, restored on exit."""
     owners = [(_owner(path), attr) for path, attr, _ in spans.TARGETS]
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr in owners]
     rec = spans.Recorder()
     try:
         spans.instrument(hbmatch, rec)
+        yield rec
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+
+
+def test_every_span_records_calls(tmp_path):
+    """A traced witness solve, a traced matching solve with a committed
+    rebuild, a trace check and a generator call reach every span."""
+    with _instrumented() as rec:
         spec = hbmatch.GeneratorSpec(mode="planted", r=3, a_count=4, b_count=12)
         hbmatch.instances.generate(spec)
         solves = (("witness", shuffled_planted(1, 60)), ("commit", superposed_commit_instance()))
@@ -63,8 +74,18 @@ def test_every_span_records_calls(tmp_path):
                     "--output", str(tmp_path / f"{name}.res")]
             assert main(argv) in (0, 2)
             assert main(["check-trace", "--trace", str(trace)]) == 0
-    finally:
-        for owner, attr, fn in saved:
-            setattr(owner, attr, fn)
     missing = [name for _, _, name in spans.TARGETS if name not in rec.totals]
     assert not missing
+
+
+def test_x_added_counts_the_edges_each_build_adds():
+    """`tree.x_added` is each fresh layer's |X| plus what each lazy
+    rebuild adds, committed or not, as the solve's own trace logs them."""
+    lines: list[str] = []
+    with _instrumented() as rec:
+        hbmatch.find_perfect_matching(superposed_commit_instance(), 1, trace=lines.append)
+    events = [trace_event(line) for line in lines]
+    built = sum(f["x"] for name, f in events if name == "layer_built")
+    grown = sum(f["x_after"] - f["x_before"] for name, f in events if name == "superposed")
+    assert grown > 0
+    assert rec.counters["tree.x_added"] == built + grown

@@ -159,12 +159,16 @@ class TestBuildLayer:
     @settings(max_examples=200)
     def test_equals_reference_from_seed_and_occupancy(self, inputs, as_counter):
         h, m, occupied, parents, u_bound, x0, y0 = inputs
-        # any read-only set view works: the tree passes its live set, a dict's keys view too
-        occ = {b: 1 + b % 2 for b in occupied} if as_counter else set(occupied)
+        # a rebuild's occupancy holds the seed's own B-vertices, and it
+        # returns the reference layer minus the seed; any read-only set
+        # view works: the tree passes its live set, a dict's keys view too
+        seed_b = {b for eid in x0 | y0 for b in h.edges[eid].bs}
+        occ = {b: 1 + b % 2 for b in occupied | seed_b} if as_counter else occupied | seed_b
         before = dict(occ) if as_counter else set(occ)
-        expected = iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0, y0)
+        x, y = iterated_find_addable_edge(h, m, occupied, parents, u_bound, x0, y0)
         view = occ.keys() if as_counter else occ
-        assert build_layer(h, m, view, parents, u_bound, x0=x0, y0=y0)[:2] == expected
+        added = build_layer(h, m, view, parents, u_bound, x_held=x0)
+        assert added == make_layer(h, x - x0, y - y0)
         assert occ == before, "occupancy is read-only"
 
     @given(hypergraphs_with_matching(max_a=5, max_b=8, max_edges=12))
@@ -266,6 +270,26 @@ class TestAlternatingTree:
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "COUNTER_MISMATCH"
 
+    def test_commit_rebuild_merges_additions_in_place(self):
+        # a0's second edge is held back by a cap of 1, then added by a
+        # rebuild under a cap of 2; its blocker joins Y of the same layer
+        h = make_h(3, 2, 6, [(0, (0, 1)), (0, (2, 3)), (1, (3, 5))])
+        m = PartialMatching()
+        m.add(h, 2)
+        tree = fresh_tree(h, m, u_bound=1)
+        tree.append_layer(build_layer(h, m, tree.occupied_b(), {0}, 1))
+        layer = tree.layers[0]
+        added = build_layer(h, m, tree.occupied_b(), {0}, 2, x_held=layer.x)
+        assert added == make_layer(h, {1}, {2})
+        tree.commit_rebuild(added)
+        assert tree.layers[0] is layer and layer == make_layer(h, {0, 1}, {2})
+        assert tree.occupied_b() == {0, 1, 2, 3, 5}
+        tree.u_bound = 2
+        assert validate_tree(h, m, tree) is None
+        with pytest.raises(ValueError, match="disjoint"):
+            tree.commit_rebuild(make_layer(h, {1}, set()))
+        assert layer == make_layer(h, {0, 1}, {2})
+
 
 class TestTreeDegree:
     def test_absent_vertex_is_zero(self):
@@ -354,7 +378,7 @@ class TestOccupancyUnderTreeOperations:
                 top = tree.layers[-1]
                 tree.commit_rebuild(build_layer(
                     h, m, tree.occupied_b(), tree.parent_a_set(level), u_bound,
-                    x0=top.x, y0=top.y,
+                    x_held=top.x,
                 ))
             elif op == "discard" and level:
                 tree.discard_last()
