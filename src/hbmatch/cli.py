@@ -19,15 +19,15 @@ import sys
 from fractions import Fraction
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 from .certify import ParseError, check_result, parse_result, validate_instance
 from .core import BipartiteHypergraph
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
 from .instances import MODES, GeneratorSpec, default_private_degree, generate
 from .oracles import check_haxell
-from .params import parse_epsilon, parse_rational
-from .signature import SignatureVector, check_signature_step
+from .params import parse_epsilon
+from .signature import check_signature_step
 
 __all__ = [
     "parse_instance",
@@ -190,20 +190,13 @@ class TraceWriter:
         self.stream.write(line + "\n")
 
 
-_TRACE_RULE_MESSAGES = {
-    "SIGNATURE_SIGN": "sign pattern broken at position {pos}",
-    "SIGNATURE_NOT_MONOTONE": "|coords| not non-decreasing",
-    "SIGNATURE_NOT_DECREASING": "signature did not decrease",
-}
-
-
 def check_trace_lines(lines: Iterable[str]) -> str | None:
     """Independent check of a trace: per augmenting run, the signature
     vectors must strictly decrease lexicographically, carry the fixed
     sign pattern with coordinates non-decreasing in absolute value, and
     report zero unresolved floor boundaries.  Returns an error message
     or None."""
-    prev: SignatureVector | None = None
+    prev: tuple[int, ...] | None = None
     in_run = False
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
@@ -222,12 +215,10 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
                 return f"line {lineno}: non-integer coords or unresolved field"
             if unresolved != 0:
                 return f"line {lineno}: unresolved floor boundary"
-            sig = SignatureVector(coords)
-            broken = check_signature_step(sig, prev)
-            if broken is not None:
-                code, pos = broken
-                return f"line {lineno}: " + _TRACE_RULE_MESSAGES[code].format(pos=pos)
-            prev = sig
+            v = check_signature_step(coords, prev)
+            if v is not None:
+                return f"line {lineno}: {v.detail}"
+            prev = coords
         elif event == "augment_end":
             in_run = False
     return None
@@ -258,7 +249,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = find_perfect_matching(
             h,
             epsilon,
-            mu_override=parse_rational(args.mu_override) if args.mu_override else None,
+            mu_override=args.mu_override,
             u_override=args.u_override,
             max_iterations=args.max_iters,
             trace=TraceWriter(trace_stream) if trace_stream else None,
@@ -336,8 +327,16 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: exit 2 means a witness."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hbmatch",
         description="Perfect matchings in r-uniform bipartite hypergraphs, "
         "with violation certificates when the strengthened condition fails.",

@@ -42,12 +42,7 @@ from .core import (
     swap,
 )
 from .params import Parameters
-from .signature import (
-    SignatureMemo,
-    SignatureVector,
-    check_signature_step,
-    signature_from_sizes,
-)
+from .signature import SignatureMemo, check_signature_step, signature_from_sizes
 from .tree import AlternatingTree, Layer, build_layer, validate_tree
 
 __all__ = [
@@ -120,7 +115,7 @@ class AugmentRun:
         self.stats = stats if stats is not None else SolveStats()
         self.memo = memo if memo is not None else SignatureMemo(params)
         self.tree = AlternatingTree(h, m, root, params.u)
-        self.prev_signature: SignatureVector | None = None
+        self.prev_signature: tuple[int, ...] | None = None
         self._matched_before = m.matched_a_vertices() if debug_invariants else None
 
     # ------------------------------------------------------------------
@@ -347,30 +342,17 @@ class AugmentRun:
         if trace is not None:
             trace(f"iteration iter={iteration} layers={self.tree.level()}")
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
-        sig, unresolved = signature_from_sizes(sizes, self.params, self.memo)
+        sig, unresolved = signature_from_sizes(sizes, self.memo)
         self.stats.sig_ambiguities += unresolved
         if trace is not None:
-            coords = ",".join(map(str, sig.coords))
+            coords = ",".join(map(str, sig))
             trace(f"signature iter={iteration} coords={coords} unresolved={unresolved}")
         if self.debug:
-            self._check_signature(sig)
+            v = check_signature_step(sig, self.prev_signature)
+            if v is not None:
+                raise InternalSolverError(v.code, v.detail)
             self._check_boundary_invariants()
         self.prev_signature = sig
-
-    def _check_signature(self, sig: SignatureVector) -> None:
-        broken = check_signature_step(sig, self.prev_signature)
-        if broken is None:
-            return
-        code, pos = broken
-        if code == "SIGNATURE_SIGN":
-            c = sig.coords[pos - 1]
-            detail = f"odd coordinate {c} > 0" if pos % 2 else f"even coordinate {c} < 0"
-        elif code == "SIGNATURE_NOT_MONOTONE":
-            detail = f"|coords| decrease at position {pos}: {sig.coords}"
-        else:
-            assert self.prev_signature is not None
-            detail = f"{self.prev_signature.coords} -> {sig.coords}"
-        raise InternalSolverError(code, detail)
 
     def _check_boundary_invariants(self) -> None:
         h, m, tree = self.h, self.m, self.tree

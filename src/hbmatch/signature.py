@@ -5,11 +5,12 @@ Each layer i contributes the pair
     ( -floor(log_b(c_i |X_i|)),  +floor(log_b(d_i |Y_i|)) )
 
 with c_i = (5r^2/eps)^i / (1-mu)^(i-1), d_i = c_i / (1-mu) and base
-b = 1/(1-mu^3); the vector ends with an implicit top symbol that
-compares greater than every integer.  Across every completed main-loop
-iteration the vector strictly decreases lexicographically, which is
-what bounds the iteration count.  The solver's control flow never reads
-these values; they exist for tracing, debugging, and tests.
+b = 1/(1-mu^3).  A signature is the tuple of these integers; it ends
+with an implicit top symbol that compares greater than every integer.
+Across every completed main-loop iteration the vector strictly
+decreases lexicographically, which is what bounds the iteration count.
+The solver's control flow never reads these values; they exist for
+tracing, debugging, and tests.
 
 Since b-1 can be ~1e-10, the floors are numerically delicate.  They are
 computed with :mod:`decimal`, whose ``ln`` is correctly rounded, as
@@ -33,22 +34,22 @@ layer and side costs a dict lookup; the unresolved flags are summed on
 every call, hit or miss.
 
 :func:`check_signature_step` holds the monitor's rules (sign pattern,
-non-decreasing magnitudes, strict lexicographic decrease) for both the
-debug-mode engine check and ``hbmatch check-trace``.
+non-decreasing magnitudes, strict lexicographic decrease) and the one
+wording of each, for both the debug-mode engine check and
+``hbmatch check-trace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
+from .core import Violation
 from .params import Parameters
 
 __all__ = [
-    "SignatureVector",
     "SignatureError",
     "SignatureMemo",
     "floor_log",
@@ -64,16 +65,6 @@ class SignatureError(ValueError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(f"{code}: {message}")
-
-
-@dataclass(frozen=True)
-class SignatureVector:
-    """Integer coordinates s_1..s_{2l}; the terminal top symbol is implicit."""
-
-    coords: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 # (lo, hi) with lo <= the exact real value <= hi
@@ -248,22 +239,16 @@ class SignatureMemo:
 
 
 def signature_from_sizes(
-    sizes: Sequence[tuple[int, int]],
-    params: Parameters,
-    memo: SignatureMemo | None = None,
-) -> tuple[SignatureVector, int]:
+    sizes: Sequence[tuple[int, int]], memo: SignatureMemo
+) -> tuple[tuple[int, ...], int]:
     """Signature for layers of the given (|X_i|, |Y_i|) sizes.
 
     Returns the vector together with the count of floor boundaries left
     unresolved at doubled precision.  Raises LOG_OF_ZERO when a layer is
     empty on either side; at iteration boundaries that cannot happen.
-    `memo` carries floors over from earlier calls of the same solve;
-    without one the call starts an empty memo.
+    `memo` holds the parameters and carries floors over from earlier
+    calls of the same solve.
     """
-    if memo is None:
-        memo = SignatureMemo(params)
-    elif memo.params is not params and memo.params != params:
-        raise ValueError("signature memo belongs to other parameters")
     coords: list[int] = []
     unresolved = 0
     for i, (x_size, y_size) in enumerate(sizes, start=1):
@@ -274,41 +259,40 @@ def signature_from_sizes(
         coords.append(-s_odd)
         coords.append(s_even)
         unresolved += int(amb1) + int(amb2)
-    return SignatureVector(tuple(coords)), unresolved
+    return tuple(coords), unresolved
 
 
-def lex_less(a: SignatureVector, b: SignatureVector) -> bool:
-    """Strict lexicographic order with the implicit terminal top symbol.
+_TOP = (math.inf,)  # int-float comparisons are exact, so inf tops every int
+
+
+def lex_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Strict lexicographic order with the terminal top symbol.
 
     A longer vector extends a shorter equal prefix with an integer where
     the shorter one has the top symbol, so the longer vector is smaller.
     """
-    for x, y in zip(a.coords, b.coords):
-        if x != y:
-            return x < y
-    if len(a.coords) == len(b.coords):
-        return False
-    return len(a.coords) > len(b.coords)
+    return a + _TOP < b + _TOP
 
 
-def check_signature_step(
-    sig: SignatureVector, prev: SignatureVector | None
-) -> tuple[str, int] | None:
+def check_signature_step(sig: tuple[int, ...], prev: tuple[int, ...] | None) -> Violation | None:
     """First monitor rule that `sig` breaks, following `prev` in one run.
 
     Odd coordinates are <= 0 and even ones >= 0 (SIGNATURE_SIGN), their
     magnitudes never decrease (SIGNATURE_NOT_MONOTONE), and the vector is
     lexicographically below `prev` (SIGNATURE_NOT_DECREASING).  Returns
-    the code with the 1-based coordinate position (0 for the last rule),
-    or None when every rule holds.
+    the violation, worded once for every caller, or None when every rule
+    holds.
     """
     last = 0
-    for pos, c in enumerate(sig.coords, start=1):
+    for pos, c in enumerate(sig, start=1):
         if (c > 0) if pos % 2 else (c < 0):
-            return "SIGNATURE_SIGN", pos
+            broken = f"odd coordinate {c} > 0" if pos % 2 else f"even coordinate {c} < 0"
+            return Violation("SIGNATURE_SIGN", f"sign pattern broken at position {pos}: {broken}")
         if abs(c) < last:
-            return "SIGNATURE_NOT_MONOTONE", pos
+            return Violation(
+                "SIGNATURE_NOT_MONOTONE", f"|coords| not non-decreasing at position {pos}: {sig}"
+            )
         last = abs(c)
     if prev is not None and not lex_less(sig, prev):
-        return "SIGNATURE_NOT_DECREASING", 0
+        return Violation("SIGNATURE_NOT_DECREASING", f"signature did not decrease: {prev} -> {sig}")
     return None

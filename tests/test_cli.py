@@ -569,17 +569,19 @@ class TestTraceChecker:
         ]
         assert check_trace_lines(lines) is None
 
-    def test_rejects_nondecreasing(self):
-        lines = [
-            "augment_start root=0 matched=0",
-            "signature iter=1 coords=-6,7 unresolved=0",
-            "signature iter=2 coords=-5,7 unresolved=0",
-        ]
-        assert "did not decrease" in check_trace_lines(lines)
-
-    def test_rejects_sign_pattern_break(self):
-        lines = ["augment_start root=0", "signature iter=1 coords=5,7 unresolved=0"]
-        assert "sign pattern" in check_trace_lines(lines)
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (["-6,7", "-5,7"], "line 3: signature did not decrease: (-6, 7) -> (-5, 7)"),
+            (["5,7"], "line 2: sign pattern broken at position 1: odd coordinate 5 > 0"),
+            (["-5,4"], "line 2: |coords| not non-decreasing at position 2: (-5, 4)"),
+        ],
+        ids=["not-decreasing", "sign", "not-monotone"],
+    )
+    def test_rejects_each_rule_at_its_line(self, coords, message):
+        lines = ["augment_start root=0 matched=0"]
+        lines += [f"signature iter={i} coords={c} unresolved=0" for i, c in enumerate(coords, 1)]
+        assert check_trace_lines(lines) == message
 
     def test_rejects_unresolved_boundary(self):
         lines = ["augment_start root=0", "signature iter=1 coords=-5,7 unresolved=1"]
@@ -852,6 +854,7 @@ class TestCommands:
                 ("1e" + "9" * 5000, "exponent beyond", "-exponent-digits"),
                 ("1" * 5000, "characters is longer than", "-mantissa-digits"),
                 ("1e" + "0" * 5000 + "5", "characters is longer than", "-exponent-zeros"),
+                ("", "Invalid literal for Fraction", "-empty"),
             ]
             for name in _RATIONAL_INPUTS
         ],
@@ -868,6 +871,24 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "epsilon must be > 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--input", "x"], "the following arguments are required: --epsilon"),
+            (["solve", "--input", "x", "--epsilon", "1", "--max-iters", "abc"], "invalid int"),
+            (["gen", "--mode", "nope", "--na", "1", "--nb", "1"], "invalid choice: 'nope'"),
+            (["nope"], "invalid choice: 'nope'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["missing-option", "bad-int", "bad-choice", "unknown-subcommand", "no-subcommand"],
+    )
+    def test_usage_error_is_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: hbmatch")
+        assert ": error: " in err.splitlines()[-1] and message in err.splitlines()[-1]
     def test_help_lists_five_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

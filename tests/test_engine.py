@@ -23,7 +23,7 @@ from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
 from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
 from hbmatch.engine import AugmentRun, InternalSolverError, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
-from hbmatch.signature import floor_log, signature_from_sizes
+from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
 from hbmatch.tree import Layer
 
 from .conftest import (
@@ -525,7 +525,22 @@ class TestAugmentContract:
 class TestTreeSignature:
     def test_matches_layer_sizes(self):
         p = params(3, 1)
-        assert signature_from_sizes([(1, 1)], p)[0].coords == (-2775055, 2783200)
+        assert signature_from_sizes([(1, 1)], SignatureMemo(p))[0] == (-2775055, 2783200)
+
+    def test_debug_check_raises_the_rule_of_check_signature_step(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        const = (-1, 1)
+        calls = []
+        monkeypatch.setattr(
+            engine, "signature_from_sizes", lambda sizes, memo: calls.append(sizes) or (const, 0)
+        )
+        with pytest.raises(InternalSolverError) as exc:
+            find_perfect_matching(shift_chain(3), 1, debug_invariants=True)
+        assert len(calls) >= 2
+        v = check_signature_step(const, const)
+        assert exc.value.code == v.code == "SIGNATURE_NOT_DECREASING"
+        assert str(exc.value) == f"{v.code}: {v.detail}"
 
 
 class TestTraceEvents:
@@ -645,9 +660,9 @@ class TestSignatureMemoPerSolve:
         seen = []
         real = engine.signature_from_sizes
 
-        def recording(sizes, p, *rest):
-            out = real(sizes, p, *rest)
-            seen.append((tuple(sizes), p, out[0].coords))
+        def recording(sizes, memo):
+            out = real(sizes, memo)
+            seen.append((tuple(sizes), memo.params, out[0]))
             return out
 
         monkeypatch.setattr(engine, "signature_from_sizes", recording)

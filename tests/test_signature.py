@@ -19,7 +19,6 @@ from hbmatch.params import (
 from hbmatch.signature import (
     SignatureError,
     SignatureMemo,
-    SignatureVector,
     check_signature_step,
     floor_log,
     lex_less,
@@ -217,33 +216,33 @@ def test_traced_solve_imports_no_mpmath():
 
 class TestSignature:
     def test_empty_tree_is_top_symbol_only(self):
-        sig, unresolved = signature_from_sizes([], params_r3_eps1())
-        assert sig.coords == () and unresolved == 0
+        sig, unresolved = signature_from_sizes([], SignatureMemo(params_r3_eps1()))
+        assert sig == () and unresolved == 0
 
     def test_frozen_fixture_r3_eps1(self):
         # |X_1| = |Y_1| = 1: floors of log_{729000/728999}(45) and
         # of log(4050/89), evaluated at >= 120-bit precision.
-        sig, unresolved = signature_from_sizes([(1, 1)], params_r3_eps1())
-        assert sig.coords == (-2775055, 2783200)
+        sig, unresolved = signature_from_sizes([(1, 1)], SignatureMemo(params_r3_eps1()))
+        assert sig == (-2775055, 2783200)
         assert unresolved == 0
 
     def test_doubling_y_strictly_increases_even_coordinate(self):
         p = params_r3_eps1()
-        one, _ = signature_from_sizes([(1, 1)], p)
-        two, _ = signature_from_sizes([(1, 2)], p)
-        assert two.coords[1] > one.coords[1]
-        assert two.coords[1] == 3288504
+        one, _ = signature_from_sizes([(1, 1)], SignatureMemo(p))
+        two, _ = signature_from_sizes([(1, 2)], SignatureMemo(p))
+        assert two[1] > one[1]
+        assert two[1] == 3288504
 
     def test_log_of_zero(self):
         with pytest.raises(SignatureError) as exc:
-            signature_from_sizes([(0, 1)], params_r3_eps1())
+            signature_from_sizes([(0, 1)], SignatureMemo(params_r3_eps1()))
         assert exc.value.code == "LOG_OF_ZERO"
 
     def test_sign_pattern_and_monotone_magnitudes(self):
         p = params_r3_eps1()
-        sig, _ = signature_from_sizes([(3, 4), (2, 2), (5, 7)], p)
-        mags = [abs(c) for c in sig.coords]
-        for i, c in enumerate(sig.coords):
+        sig, _ = signature_from_sizes([(3, 4), (2, 2), (5, 7)], SignatureMemo(p))
+        mags = [abs(c) for c in sig]
+        for i, c in enumerate(sig):
             assert (c <= 0) if i % 2 == 0 else (c >= 0)
         assert mags == sorted(mags)
 
@@ -264,13 +263,13 @@ class TestSignatureMemo:
         memo = SignatureMemo(p)
         for sizes in seq:
             try:
-                fresh = signature_from_sizes(sizes, p)
+                fresh = signature_from_sizes(sizes, SignatureMemo(p))
             except SignatureError as exc:
                 with pytest.raises(SignatureError) as shared:
-                    signature_from_sizes(sizes, p, memo)
+                    signature_from_sizes(sizes, memo)
                 assert shared.value.code == exc.code == "LOG_OF_ZERO"
                 continue
-            assert signature_from_sizes(sizes, p, memo) == fresh
+            assert signature_from_sizes(sizes, memo) == fresh
 
     def test_repeated_sizes_reuse_floor_log(self, monkeypatch):
         import hbmatch.signature as signature
@@ -282,72 +281,73 @@ class TestSignatureMemo:
         )
         p = params_r3_eps1()
         memo = SignatureMemo(p)
-        first = signature_from_sizes([(3, 4), (2, 2)], p, memo)
+        first = signature_from_sizes([(3, 4), (2, 2)], memo)
         assert len(calls) == 4
-        assert signature_from_sizes([(3, 4), (2, 2), (5, 1)], p, memo)[0].coords[:4] == (
-            first[0].coords
-        )
+        assert signature_from_sizes([(3, 4), (2, 2), (5, 1)], memo)[0][:4] == first[0]
         assert len(calls) == 6
         # the same size on the other side or another layer is a new key
-        signature_from_sizes([(4, 3)], p, memo)
+        signature_from_sizes([(4, 3)], memo)
         assert len(calls) == 8
-
-    def test_memo_of_other_parameters_rejected(self):
-        memo = SignatureMemo(Parameters.for_instance(3, "1/2"))
-        with pytest.raises(ValueError):
-            signature_from_sizes([(1, 1)], params_r3_eps1(), memo)
 
 
 class TestCheckSignatureStep:
     def test_clean_step(self):
-        prev = SignatureVector((-5, 7))
-        assert check_signature_step(SignatureVector((-6, 7)), prev) is None
-        assert check_signature_step(SignatureVector(()), None) is None
+        prev = (-5, 7)
+        assert check_signature_step((-6, 7), prev) is None
+        assert check_signature_step((), None) is None
 
     @pytest.mark.parametrize(
         "coords,expected",
         [
-            ((5, 7), ("SIGNATURE_SIGN", 1)),
-            ((-5, -7), ("SIGNATURE_SIGN", 2)),
-            ((-5, 7, -6, 8), ("SIGNATURE_NOT_MONOTONE", 3)),
-            ((-5, 4), ("SIGNATURE_NOT_MONOTONE", 2)),
+            ((5, 7), ("SIGNATURE_SIGN", "sign pattern broken at position 1: odd coordinate 5 > 0")),
+            ((-5, -7), ("SIGNATURE_SIGN", "sign pattern broken at position 2: even coordinate -7 < 0")),
+            ((-5, 7, -6, 8), ("SIGNATURE_NOT_MONOTONE", "|coords| not non-decreasing at position 3: ")),
+            ((-5, 4), ("SIGNATURE_NOT_MONOTONE", "|coords| not non-decreasing at position 2: ")),
         ],
     )
     def test_first_broken_rule_and_position(self, coords, expected):
-        assert check_signature_step(SignatureVector(coords), None) == expected
+        code, detail = expected
+        v = check_signature_step(coords, None)
+        assert v.code == code and v.detail.startswith(detail)
 
     def test_not_decreasing(self):
-        prev = SignatureVector((-6, 7))
-        assert check_signature_step(SignatureVector((-5, 7)), prev) == (
-            "SIGNATURE_NOT_DECREASING", 0
-        )
-        assert check_signature_step(prev, prev) == ("SIGNATURE_NOT_DECREASING", 0)
+        prev = (-6, 7)
+        for sig in [(-5, 7), prev]:
+            v = check_signature_step(sig, prev)
+            assert v.code == "SIGNATURE_NOT_DECREASING"
+            assert v.detail == f"signature did not decrease: {prev} -> {sig}"
 
 
 class TestLexLess:
     def test_extension_reduces_value(self):
-        top = SignatureVector(())
-        ext = SignatureVector((-3, 5))
+        top = ()
+        ext = (-3, 5)
         assert lex_less(ext, top)
         assert not lex_less(top, ext)
 
     def test_smaller_even_coordinate(self):
-        a = SignatureVector((-3, 5))
-        b = SignatureVector((-3, 4))
+        a = (-3, 5)
+        b = (-3, 4)
         assert lex_less(b, a)
         assert not lex_less(a, b)
 
     def test_smaller_odd_coordinate(self):
-        a = SignatureVector((-4, 9))
-        b = SignatureVector((-3, 2))
+        a = (-4, 9)
+        b = (-3, 2)
         assert lex_less(a, b)
 
     def test_equal_vectors(self):
-        a = SignatureVector((-3, 5))
+        a = (-3, 5)
         assert not lex_less(a, a)
 
     def test_prefix_comparison(self):
-        longer = SignatureVector((-3, 5, -9, 11))
-        shorter = SignatureVector((-3, 5))
+        longer = (-3, 5, -9, 11)
+        shorter = (-3, 5)
         assert lex_less(longer, shorter)
         assert not lex_less(shorter, longer)
+
+    def test_top_symbol_tops_integers_beyond_float_range(self):
+        huge = 10**400
+        assert lex_less((-3, huge), (-3,))
+        assert not lex_less((-3,), (-3, huge))
+        assert lex_less((-3, huge), (-3, huge + 1))
