@@ -13,6 +13,12 @@ B-disjoint and no B-vertex lies in two layers, so a swap never changes
 which X-edges of the collapsing layer are addable: the one pass over X
 that decides the collapse also lists the edges it swaps in.
 
+An untraced, non-debug run first tries to match the root in one step
+(:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
+one addable X-edge collapses layer 1, and a walk over the root's edges
+with the build's take rule finds the edge that collapse adds, without
+building the layer.  Traced and debug runs build the full layer.
+
 If a freshly built layer is too small -- empty for small trees, or not
 larger than delta times the blocking-edge count for large ones -- the
 strengthened matching-existence condition must be violated, and the run
@@ -124,12 +130,20 @@ class AugmentRun:
     def run(self) -> WitnessCertificate | None:
         """Augment until the root is matched (returns None; `m` now
         covers the root) or a layer fails to grow (returns the verified
-        witness; `m` is unchanged)."""
+        witness; `m` is unchanged).
+
+        An untraced, non-debug run first tries :meth:`match_in_one_step`,
+        which matches most roots without building layer 1; traced and
+        debug runs always build the full layer, so that the trace logs
+        it and the debug checks see the whole tree.
+        """
         root = self.tree.root
         trace = self.trace
+        cap = self.params.iteration_cap(self.h.a_count)
+        if trace is None and not self.debug and cap >= 1 and self.match_in_one_step():
+            return None
         if trace is not None:
             trace(f"augment_start root={root} matched={len(self.m)}")
-        cap = self.params.iteration_cap(self.h.a_count)
         iteration = 0
         while True:
             iteration += 1
@@ -153,6 +167,55 @@ class AugmentRun:
                 if trace is not None:
                     trace(f"augment_end outcome=matched iterations={iteration}")
                 return None
+
+    def match_in_one_step(self) -> bool:
+        """Match the root by the edge that decides its first layer's
+        collapse, without building the layer; False, with nothing
+        changed, when no such edge turns up.
+
+        Layer 1 holds at most k = min(deg(root), u) X-edges, and any
+        nonempty one passes the growth test, as the root's count of 1
+        lies below the small-tree threshold.  When mu*k < 1 one addable
+        X-edge collapses it, and the collapse adds the least.  The root
+        is unmatched, so none of its edges is in M,
+        and the build takes them in edge-id order: the least addable
+        X-edge is the first taken edge with no blocker.  The walk below
+        applies the build's take rule, u stop included, up to that edge
+        and counts the stats of that one iteration, so matchings,
+        witnesses and stats equal those of the full loop.
+
+        This is a second layer-1 path, kept because a trace logs the
+        whole layer and the debug checks need the whole tree.  Once
+        traces are versioned (ROADMAP item 4), a traced run can log this
+        step as one event and the full layer-1 build can go.
+        """
+        h, m, params = self.h, self.m, self.params
+        edges = h.a_edges.get(self.tree.root, ())
+        if params.least_exceeding_mu(min(len(edges), params.u)) != 1:
+            return False
+        edge_bs, b_of = h.edge_bs, m.b_of
+        occupied: set[int] = set()
+        room = params.u
+        for eid in edges:
+            bs = edge_bs[eid]
+            if not occupied.isdisjoint(bs):
+                continue
+            if is_immediately_addable(h, m, eid):
+                m.add(h, eid)
+                stats = self.stats
+                stats.iterations += 1
+                stats.build_ops += 1
+                stats.max_layers = max(stats.max_layers, 1)
+                return True
+            occupied.update(bs)
+            for b in bs:
+                f = b_of.get(b)
+                if f is not None:
+                    occupied.update(edge_bs[f])
+            room -= 1
+            if room == 0:
+                break
+        return False
 
     # ------------------------------------------------------------------
     # phases

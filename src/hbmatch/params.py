@@ -22,13 +22,14 @@ MAX_DECIMAL_EXPONENT = 1000
 MAX_RATIONAL_CHARS = 4300
 
 
-def parse_rational(text: str | int | Fraction) -> Fraction:
+def parse_rational(text: str | int | Fraction, name: str = "rational") -> Fraction:
     """Exact conversion from "p/q" or decimal strings; floats rejected.
 
-    A decimal exponent beyond MAX_DECIMAL_EXPONENT (counted without its
-    leading zeros) is rejected before the power of ten is built, and a
-    text longer than MAX_RATIONAL_CHARS before any of its digits are
-    converted.
+    Every error is a ValueError that starts with `name`, the parameter
+    or field being read.  A decimal exponent beyond MAX_DECIMAL_EXPONENT
+    (counted without its leading zeros) is rejected before the power of
+    ten is built, and a text longer than MAX_RATIONAL_CHARS before any
+    of its digits are converted.
     """
     if isinstance(text, float):
         raise TypeError("rational parameters must not pass through floats")
@@ -40,21 +41,23 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
             len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
         ):
             raise ValueError(
-                f"rational {text!r} has an exponent beyond {MAX_DECIMAL_EXPONENT}"
+                f"{name} {text!r} has an exponent beyond {MAX_DECIMAL_EXPONENT}"
             )
         if len(text) > MAX_RATIONAL_CHARS:
             raise ValueError(
-                f"rational text of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
+                f"{name} text of {len(text)} characters is longer than {MAX_RATIONAL_CHARS}"
             )
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has a zero denominator") from None
+        raise ValueError(f"{name} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not p/q or a decimal") from None
 
 
 def parse_epsilon(text: str | int | Fraction) -> Fraction:
     """The condition slack epsilon: a rational that must be > 0."""
-    epsilon = parse_rational(text)
+    epsilon = parse_rational(text, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     return epsilon
@@ -92,7 +95,7 @@ class Parameters:
         epsilon = parse_epsilon(epsilon)
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
-        mu = parse_rational(mu_override) if mu_override is not None else (
+        mu = parse_rational(mu_override, "mu") if mu_override is not None else (
             epsilon**2 / (10 * r * r)
         )
         if not 0 < mu < 1:

@@ -854,7 +854,8 @@ class TestCommands:
                 ("1e" + "9" * 5000, "exponent beyond", "-exponent-digits"),
                 ("1" * 5000, "characters is longer than", "-mantissa-digits"),
                 ("1e" + "0" * 5000 + "5", "characters is longer than", "-exponent-zeros"),
-                ("", "Invalid literal for Fraction", "-empty"),
+                ("", "'' is not p/q or a decimal", "-empty"),
+                ("abc", "'abc' is not p/q or a decimal", "-abc"),
             ]
             for name in _RATIONAL_INPUTS
         ],
@@ -863,6 +864,14 @@ class TestCommands:
         code, _, err, seconds = self.run_bad_rational(tmp_path, name, bad)
         assert code == 1 and seconds < 1
         assert err.count("\n") == 1 and message in err
+
+    def test_zero_iteration_cap_is_exit_1(self, tmp_path):
+        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=2, b_count=20, seed=0))
+        argv = ["solve", "--input", self.write_instance(tmp_path, h), "--epsilon", "1"]
+        assert _run_main(argv)[0] == 0
+        code, out, err = _run_main(argv + ["--max-iters", "0"])
+        assert code == 1 and out == ""
+        assert err == "ITERATION_CAP_EXCEEDED: augmenting A-vertex 0\n"
 
     @pytest.mark.parametrize("epsilon", ["-1", "0"])
     @pytest.mark.parametrize("name", ["solve-epsilon", "check-haxell", "gen", "verify-epsilon"])

@@ -22,6 +22,7 @@ from hbmatch import (
 from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
 from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
 from hbmatch.engine import AugmentRun, InternalSolverError, augment
+from hbmatch.instances import SplitMix64
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
 from hbmatch.tree import Layer
@@ -225,6 +226,114 @@ class TestAugment:
         with pytest.raises(InternalSolverError) as exc:
             find_perfect_matching(h, "1/2", max_iterations=1)
         assert exc.value.code == "ITERATION_CAP_EXCEEDED"
+
+
+def solve_outcome(h, epsilon, **kw):
+    """Status, matching edge ids, witness S and hitting set, and stats of
+    one solve, or the code and message of its InternalSolverError."""
+    try:
+        res = find_perfect_matching(h, epsilon, **kw)
+    except InternalSolverError as exc:
+        return ("error", exc.code, str(exc))
+    w = res.witness
+    return (
+        res.status,
+        sorted(res.matching.edge_ids) if res.matching is not None else None,
+        (sorted(w.s), sorted(w.hitting_set)) if w is not None else None,
+        vars(res.stats),
+    )
+
+
+@st.composite
+def shuffled_generated(draw):
+    """A shuffled r = 2..4 planted (tight or not) or guaranteed instance."""
+    r = draw(st.integers(2, 4))
+    na = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**16))
+    mode = draw(st.sampled_from(["planted", "tight", "guaranteed"]))
+    if mode == "guaranteed":
+        d = draw(st.integers(1, 4))
+        spec = GeneratorSpec(
+            mode="guaranteed", r=r, a_count=na, b_count=d * (r - 1) * na + na, d=d,
+            extra_edges=draw(st.integers(0, 3 * na)), seed=seed,
+        )
+    else:
+        spec = GeneratorSpec(
+            mode="planted", r=r, a_count=na, b_count=(r - 1) * na + (mode == "planted") * na,
+            extra_edges=draw(st.integers(0, 3 * na)), seed=seed,
+        )
+    edges = [(e.a, e.bs) for e in generate(spec).edges]
+    SplitMix64(seed ^ 0x5EED).shuffle(edges)
+    return BipartiteHypergraph(r, na, spec.b_count, edges)
+
+
+def counting_build_layer(monkeypatch) -> list[int]:
+    """Patch `engine.build_layer` to record each call; returns the record."""
+    import hbmatch.engine as engine
+
+    calls: list[int] = []
+    real = engine.build_layer
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_layer", counted)
+    return calls
+
+
+class TestOneStepMatch:
+    """An untraced solve matches a root in one step when one addable edge
+    decides its first layer; a no-op trace forces the full layer build."""
+
+    @given(
+        h=shuffled_generated(),
+        eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]),
+        mu=st.sampled_from([None, "1/2", "1/3"]),
+        u=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_untraced_solve_equals_full_path(self, h, eps, mu, u):
+        kw = dict(mu_override=mu, u_override=u)
+        full = solve_outcome(h, eps, trace=lambda line: None, **kw)
+        assert solve_outcome(h, eps, **kw) == full
+
+    def test_zero_iteration_cap_still_raises(self):
+        h = make_h(3, 1, 2, [(0, (0, 1))])
+        with pytest.raises(InternalSolverError) as exc:
+            find_perfect_matching(h, 1, max_iterations=0)
+        assert exc.value.code == "ITERATION_CAP_EXCEEDED"
+
+    def test_builds_no_layer_untraced_and_one_per_root_otherwise(self, monkeypatch):
+        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
+        calls = counting_build_layer(monkeypatch)
+        plain = find_perfect_matching(h, 1)
+        assert plain.status == "perfect_matching" and len(calls) == 0
+        for kw in (dict(trace=lambda line: None), dict(debug_invariants=True)):
+            calls.clear()
+            res = find_perfect_matching(h, 1, **kw)
+            assert len(calls) == h.a_count
+            assert res.matching.edge_ids == plain.matching.edge_ids
+            assert vars(res.stats) == vars(plain.stats)
+
+    def test_edges_meeting_only_a_blocker_do_not_use_up_the_cap(self, monkeypatch):
+        # Root 1's first edge is blocked by edge 0, whose B-vertex 2 its
+        # second edge meets: the build skips that edge, so at u = 2 the
+        # third edge is taken, found free and added in one step.
+        h = make_h(3, 2, 7, [(0, (1, 2)), (1, (0, 1)), (1, (2, 4)), (1, (5, 6))])
+        full = solve_outcome(h, 1, u_override=2, trace=lambda line: None)
+        calls = counting_build_layer(monkeypatch)
+        assert solve_outcome(h, 1, u_override=2) == full and len(calls) == 0
+        assert full[1] == [0, 3]
+
+    def test_root_needing_two_addable_edges_takes_the_full_loop(self, monkeypatch):
+        # deg 2 at mu = 1/2: least_exceeding_mu(2) == 2
+        h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
+        calls = counting_build_layer(monkeypatch)
+        res = find_perfect_matching(h, 1, mu_override="1/2")
+        assert res.matching.edge_ids == {0} and len(calls) == 1
+        calls.clear()
+        assert find_perfect_matching(h, 1).matching.edge_ids == {0} and len(calls) == 0
 
 
 def per_blocker_collapse(run: AugmentRun) -> bool:

@@ -80,6 +80,20 @@ class TestParameters:
             with pytest.raises(ValueError, match="epsilon must be > 0"):
                 parse_epsilon(text)
 
+    @pytest.mark.parametrize("text", ["", "abc", "1/2/3", " "])
+    def test_message_names_the_parameter_and_quotes_the_text(self, text):
+        for name, call in (
+            ("rational", lambda: parse_rational(text)),
+            ("epsilon", lambda: parse_epsilon(text)),
+            ("epsilon", lambda: Parameters.for_instance(3, text)),
+            ("mu", lambda: Parameters.for_instance(3, 1, mu_override=text)),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"{name} {text!r} is not p/q or a decimal"
+        with pytest.raises(ValueError, match=r"^mu '1/0' has a zero denominator$"):
+            Parameters.for_instance(3, 1, mu_override="1/0")
+
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()
         n = 10
