@@ -1,9 +1,11 @@
 """The augmenting algorithm and the perfect-matching driver.
 
-One augmenting run grows an alternating tree from an unmatched root.
-Each main-loop iteration first builds a fresh layer on top of the tree
-(build phase), then repeatedly collapses the last layer while more than
-a mu fraction of its X-edges are immediately addable (collapse phase).
+A solve is one :class:`AugmentRun`: one matching, parameter set, stats
+and signature memo, shared by every root.  Each unmatched root grows its
+own alternating tree.  Each main-loop iteration first builds a fresh
+layer on top of the tree (build phase), then repeatedly collapses the
+last layer while more than a mu fraction of its X-edges are immediately
+addable (collapse phase).
 Collapsing swaps addable X-edges into the matching in place of the
 blockers one level below, discards the layer, and lazily re-runs the
 layer build on the new last layer, merging the edges the rebuild adds
@@ -100,35 +102,37 @@ class SolveResult:
 
 
 class AugmentRun:
-    """State of one augmenting computation; single-threaded, single-owner."""
+    """State of one solve; single-threaded, single-owner.  :meth:`start`
+    gives a root its tree, previous signature and debug-mode matched set."""
 
     def __init__(
         self,
         h: BipartiteHypergraph,
         m: PartialMatching,
-        root: int,
         params: Parameters,
         trace: TraceSink | None = None,
         debug_invariants: bool = False,
-        stats: SolveStats | None = None,
-        memo: SignatureMemo | None = None,
     ):
         self.h = h
         self.m = m
         self.params = params
         self.trace = trace
         self.debug = debug_invariants
-        self.stats = stats if stats is not None else SolveStats()
-        self.memo = memo if memo is not None else SignatureMemo(params)
-        self.tree = AlternatingTree(h, m, root, params.u)
+        self.stats = SolveStats()
+        self.memo = SignatureMemo(params)
+        self.cap = params.iteration_cap(h.a_count)
+
+    def start(self, root: int) -> None:
+        """Plant a fresh tree at `root`; ValueError if it is matched."""
+        self.tree = AlternatingTree(self.h, self.m, root, self.params.u)
         self.prev_signature: tuple[int, ...] | None = None
-        self._matched_before = m.matched_a_vertices() if debug_invariants else None
+        self._matched_before = self.m.matched_a_vertices() if self.debug else None
 
     # ------------------------------------------------------------------
     # main loop
 
-    def run(self) -> WitnessCertificate | None:
-        """Augment until the root is matched (returns None; `m` now
+    def run(self, root: int) -> WitnessCertificate | None:
+        """Augment from `root` until it is matched (returns None; `m` now
         covers the root) or a layer fails to grow (returns the verified
         witness; `m` is unchanged).
 
@@ -137,9 +141,8 @@ class AugmentRun:
         debug runs always build the full layer, so that the trace logs
         it and the debug checks see the whole tree.
         """
-        root = self.tree.root
-        trace = self.trace
-        cap = self.params.iteration_cap(self.h.a_count)
+        self.start(root)
+        trace, cap = self.trace, self.cap
         if trace is None and not self.debug and cap >= 1 and self.match_in_one_step():
             return None
         if trace is not None:
@@ -163,7 +166,7 @@ class AugmentRun:
                 return witness
             if self.collapse_phase():
                 if self.debug:
-                    self._check_matched_exactly_root(root)
+                    self._check_matched_exactly_root()
                 if trace is not None:
                     trace(f"augment_end outcome=matched iterations={iteration}")
                 return None
@@ -462,42 +465,23 @@ class AugmentRun:
                 "LAYER_COUNT_BOUND", f"(1+gamma)^{level} > n={n}"
             )
 
-    def _check_matched_exactly_root(self, root: int) -> None:
+    def _check_matched_exactly_root(self) -> None:
         assert self._matched_before is not None
         now = self.m.matched_a_vertices()
-        if now != self._matched_before | {root}:
+        if now != self._matched_before | {self.tree.root}:
             raise InternalSolverError(
                 "MATCHED_SET_CHANGED", "run did not add exactly the root"
             )
 
 
-def augment(
-    h: BipartiteHypergraph,
-    m: PartialMatching,
-    root: int,
-    params: Parameters,
-    trace: TraceSink | None = None,
-    debug_invariants: bool = False,
-    stats: SolveStats | None = None,
-    memo: SignatureMemo | None = None,
-) -> WitnessCertificate | None:
-    """Run one augmenting computation for an unmatched root.
+def augment(run: AugmentRun, root: int) -> WitnessCertificate | None:
+    """Augment the solve `run` from the unmatched `root`.
 
-    Returns None once the root is matched (`m` is extended in place), or
-    the verified witness when the tree stalls.  Internal faults raise
-    :class:`InternalSolverError`.
+    Returns None once the root is matched (`run.m` is extended in
+    place), or the verified witness when the tree stalls.  Internal
+    faults raise :class:`InternalSolverError`.
     """
-    run = AugmentRun(
-        h,
-        m,
-        root,
-        params,
-        trace=trace,
-        debug_invariants=debug_invariants,
-        stats=stats,
-        memo=memo,
-    )
-    return run.run()
+    return run.run(root)
 
 
 def find_perfect_matching(
@@ -526,25 +510,14 @@ def find_perfect_matching(
         u_override=u_override,
         max_iterations=max_iterations,
     )
-    m = PartialMatching()
-    stats = SolveStats()
-    memo = SignatureMemo(params)
+    run = AugmentRun(h, PartialMatching(), params, trace, debug_invariants)
     for a in range(h.a_count):
-        if m.matches_a(a):
+        if run.m.matches_a(a):
             continue
-        witness = augment(
-            h,
-            m,
-            a,
-            params,
-            trace=trace,
-            debug_invariants=debug_invariants,
-            stats=stats,
-            memo=memo,
-        )
+        witness = augment(run, a)
         if witness is not None:
-            return SolveResult(matching=None, witness=witness, stats=stats)
-    v = verify_matching(h, m, require_perfect=True)
+            return SolveResult(matching=None, witness=witness, stats=run.stats)
+    v = verify_matching(h, run.m, require_perfect=True)
     if v is not None:
         raise InternalSolverError("RESULT_INVALID", str(v))
-    return SolveResult(matching=m, witness=None, stats=stats)
+    return SolveResult(matching=run.m, witness=None, stats=run.stats)

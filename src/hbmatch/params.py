@@ -92,6 +92,9 @@ class Parameters:
         u_override: int | None = None,
         max_iterations: int | None = None,
     ) -> "Parameters":
+        """The parameters at uniformity r and slack epsilon.  mu_override
+        replaces mu and u_override replaces u; u_override and
+        max_iterations must be ints, else a ValueError names them."""
         epsilon = parse_epsilon(epsilon)
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
@@ -100,6 +103,9 @@ class Parameters:
         )
         if not 0 < mu < 1:
             raise ValueError(f"mu={mu} out of range (0, 1)")
+        for name, value in (("u_override", u_override), ("max_iterations", max_iterations)):
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise ValueError(f"{name} {value!r} is not an integer")
         u = u_override if u_override is not None else math.ceil(1 / mu)
         if u < 1:
             raise ValueError("u must be >= 1")

@@ -42,12 +42,20 @@ def params(r=3, eps=1, **kw):
     return Parameters.for_instance(r, eps, **kw)
 
 
+def started(h, m, root, p):
+    """A solve's run with a tree planted at `root`, for driving the
+    phases by hand."""
+    run = AugmentRun(h, m, p)
+    run.start(root)
+    return run
+
+
 class TestGrowthCheck:
     """Exact-arithmetic thresholds of the layer growth test."""
 
     def run_for(self, r=3, eps=1):
         h = make_h(r, 1, r - 1, [(0, tuple(range(r - 1)))])
-        return AugmentRun(h, PartialMatching(), 0, params(r, eps))
+        return started(h, PartialMatching(), 0, params(r, eps))
 
     def test_small_tree_needs_one_edge(self):
         run = self.run_for()
@@ -88,12 +96,12 @@ class TestCollapseThreshold:
     def test_single_addable_edge_collapses(self):
         # 1 > mu*1 for any mu < 1
         h = make_h(3, 1, 2, [(0, (0, 1))])
-        run = AugmentRun(h, PartialMatching(), 0, params())
+        run = started(h, PartialMatching(), 0, params())
         assert handed_to_collapse(run, {0}) == [0]
 
     def test_empty_layer_never_collapsible(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
-        run = AugmentRun(h, PartialMatching(), 0, params())
+        run = started(h, PartialMatching(), 0, params())
         assert handed_to_collapse(run, set()) is None
 
     def test_only_layer_1_stops_at_the_deciding_count(self):
@@ -102,7 +110,7 @@ class TestCollapseThreshold:
         h = make_h(3, 1, 20, [(0, (2 * j, 2 * j + 1)) for j in range(10)])
         assert list({1, 8}) == [8, 1]
         for level, expected in ((1, [1]), (2, [1, 8]), (3, [1, 8])):
-            run = AugmentRun(h, PartialMatching(), 0, params())
+            run = started(h, PartialMatching(), 0, params())
             assert handed_to_collapse(run, {1, 8}, level) == expected
 
     def test_exact_mu_fraction_boundary(self):
@@ -116,10 +124,10 @@ class TestCollapseThreshold:
         x = set(range(90))
         addable = [eid for eid in x if not any(b in m.b_of for b in h.edges[eid].bs)]
         assert len(addable) == 1
-        assert handed_to_collapse(AugmentRun(h, m, 0, params(3, 1)), x) is None
+        assert handed_to_collapse(started(h, m, 0, params(3, 1)), x) is None
         # one fewer blocker: 2 > 1 holds
         m.remove(h, 90)
-        assert handed_to_collapse(AugmentRun(h, m, 0, params(3, 1)), x) == [0, 89]
+        assert handed_to_collapse(started(h, m, 0, params(3, 1)), x) == [0, 89]
 
 
 class TestSuperposedCommitThreshold:
@@ -184,12 +192,12 @@ class TestAugment:
     def test_unblocked_edge_matches_in_one_iteration(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         m = PartialMatching()
-        assert augment(h, m, 0, params(), debug_invariants=True) is None
+        assert augment(AugmentRun(h, m, params(), debug_invariants=True), 0) is None
         assert m.edge_ids == {0}
 
     def test_edgeless_root_yields_empty_witness(self):
         h = make_h(3, 1, 2, [])
-        w = augment(h, PartialMatching(), 0, params(), debug_invariants=True)
+        w = augment(AugmentRun(h, PartialMatching(), params(), debug_invariants=True), 0)
         assert w is not None and w.s == {0} and w.hitting_set == frozenset()
         assert w.bound == 0
         assert verify_witness(h, w) is None
@@ -198,7 +206,7 @@ class TestAugment:
         h = from_bipartite_graph([(0, 0), (1, 0), (1, 1)], 2, 2)
         m = PartialMatching()
         m.add(h, 1)
-        assert augment(h, m, 0, params(2, 1), debug_invariants=True) is None
+        assert augment(AugmentRun(h, m, params(2, 1), debug_invariants=True), 0) is None
         assert sorted(m.edge_ids) == [0, 2]
         assert brute_force_perfect_matching(h) is not None
 
@@ -207,7 +215,7 @@ class TestAugment:
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
         m = PartialMatching()
         m.add(h, 1)
-        w = augment(h, m, 0, params(2, "1/2"), debug_invariants=True)
+        w = augment(AugmentRun(h, m, params(2, "1/2"), debug_invariants=True), 0)
         assert w is not None
         assert w.s == {0, 1} and w.hitting_set == {0}
         assert verify_witness(h, w) is None
@@ -217,7 +225,7 @@ class TestAugment:
         m = PartialMatching()
         m.add(h, 0)
         with pytest.raises(ValueError):
-            augment(h, m, 0, params())
+            augment(AugmentRun(h, m, params()), 0)
 
     def test_iteration_cap_reports_internal_error(self):
         # the last root of the chain needs several iterations; cap at one
@@ -336,6 +344,28 @@ class TestOneStepMatch:
         assert find_perfect_matching(h, 1).matching.edge_ids == {0} and len(calls) == 0
 
 
+class TestOneRunPerSolve:
+    def test_one_run_and_one_iteration_cap_per_solve(self, monkeypatch):
+        # 30 augmented roots, untraced and traced: the solve's state is
+        # built once, not once per root.
+        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
+        calls = []
+        init, cap = AugmentRun.__init__, Parameters.iteration_cap
+        monkeypatch.setattr(
+            AugmentRun, "__init__", lambda run, *a, **kw: calls.append("run") or init(run, *a, **kw)
+        )
+        monkeypatch.setattr(
+            Parameters, "iteration_cap", lambda p, n: calls.append("cap") or cap(p, n)
+        )
+        outcomes = []
+        for kw in ({}, dict(trace=lambda line: None)):
+            calls.clear()
+            res = find_perfect_matching(h, 1, **kw)
+            assert sorted(calls) == ["cap", "run"]
+            outcomes.append((res.matching.edge_ids, vars(res.stats)))
+        assert outcomes[0] == outcomes[1]
+
+
 def per_blocker_collapse(run: AugmentRun) -> bool:
     """Reference: the collapse as a walk over the blockers one level below.
 
@@ -437,7 +467,7 @@ class TestCollapseSwapStepwise:
         h = make_h(3, 2, 5, [(0, (0, 1)), (1, (1, 4)), (1, (2, 3))])
         m = PartialMatching()
         m.add(h, 1)
-        run = AugmentRun(h, m, 0, params(3, 1))
+        run = started(h, m, 0, params(3, 1))
         assert run.build_phase() is None
         assert run.tree.layers[0].x == {0} and run.tree.layers[0].y == {1}
         assert not collapsible(run, run.tree.layers[0].x)
@@ -576,7 +606,7 @@ class TestWitnessExtractionRegimes:
         m.add(h, 0)
         m.add(h, 1)
         m.add(h, 5)
-        w = augment(h, m, 2, params(2, 1, u_override=2), debug_invariants=True)
+        w = augment(AugmentRun(h, m, params(2, 1, u_override=2), debug_invariants=True), 2)
         assert w is not None and verify_witness(h, w) is None
         assert w.s == frozenset({0, 1})
         assert w.hitting_set == frozenset({0, 1})
@@ -622,7 +652,7 @@ class TestAugmentContract:
         if root is None:
             return
         before = m.matched_a_vertices()
-        w = augment(h, m, root, params(h.r, "1/2"), debug_invariants=True)
+        w = augment(AugmentRun(h, m, params(h.r, "1/2"), debug_invariants=True), root)
         if w is None:
             assert m.matched_a_vertices() == before | {root}
             assert verify_matching(h, m) is None
@@ -698,7 +728,7 @@ class TestCollapsibleEarlyExit:
         root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
         if root is None or h.m == 0:
             return
-        run = AugmentRun(h, m, root, params(h.r, 1, mu_override=mu))
+        run = started(h, m, root, params(h.r, 1, mu_override=mu))
         x = data.draw(st.sets(st.sampled_from(range(h.m))))
         addable = sorted(eid for eid in x if is_immediately_addable(h, m, eid))
         need = run.params.least_exceeding_mu(len(x))

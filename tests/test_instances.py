@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,24 @@ class TestGenPlanted:
     def test_infeasible(self):
         with pytest.raises(InfeasibleSpec):
             generate(GeneratorSpec(mode="planted", r=3, a_count=5, b_count=9, seed=0))
+
+    def test_extra_edges_stop_once_every_slot_is_taken(self, monkeypatch):
+        # 2 * C(4, 2) = 12 slots; a billion requested edges must not each
+        # spend their 200 draws once the slots run out.
+        draws = []
+        real = SplitMix64.next_u64
+
+        def counted(rng):
+            draws.append(1)
+            assert len(draws) <= 10_000, "drawing past a full edge space"
+            return real(rng)
+
+        monkeypatch.setattr(SplitMix64, "next_u64", counted)
+        spec = GeneratorSpec(mode="planted", r=3, a_count=2, b_count=4, extra_edges=10, seed=0)
+        full = generate(spec)
+        assert full.m == 12
+        huge = generate(dataclasses.replace(spec, extra_edges=10**9))
+        assert serialize_instance(huge) == serialize_instance(full)
 
 
 class TestGenAdversarial:

@@ -94,6 +94,16 @@ class TestParameters:
         with pytest.raises(ValueError, match=r"^mu '1/0' has a zero denominator$"):
             Parameters.for_instance(3, 1, mu_override="1/0")
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("u_override", 1.5), ("u_override", "2"), ("u_override", True),
+         ("max_iterations", "3"), ("max_iterations", 1.5)],
+    )
+    def test_non_integer_counts_are_refused_by_name(self, name, value):
+        with pytest.raises(ValueError) as exc:
+            Parameters.for_instance(3, 1, **{name: value})
+        assert str(exc.value) == f"{name} {value!r} is not an integer"
+
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()
         n = 10
