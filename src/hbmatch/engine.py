@@ -15,11 +15,11 @@ B-disjoint and no B-vertex lies in two layers, so a swap never changes
 which X-edges of the collapsing layer are addable: the one pass over X
 that decides the collapse also lists the edges it swaps in.
 
-An untraced, non-debug run first tries to match the root in one step
+Every run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
 one addable X-edge collapses layer 1, and a walk over the root's edges
 with the build's take rule finds the edge that collapse adds, without
-building the layer.  Traced and debug runs build the full layer.
+building the layer.  A traced walk logs what the full loop would.
 
 If a freshly built layer is too small -- empty for small trees, or not
 larger than delta times the blocking-edge count for large ones -- the
@@ -118,6 +118,7 @@ class AugmentRun:
         self.params = params
         self.trace = trace
         self.debug = debug_invariants
+        self.monitored = trace is not None or debug_invariants  # boundaries traced or checked
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
@@ -136,39 +137,30 @@ class AugmentRun:
         covers the root) or a layer fails to grow (returns the verified
         witness; `m` is unchanged).
 
-        An untraced, non-debug run first tries :meth:`match_in_one_step`,
-        which matches most roots without building layer 1; traced and
-        debug runs always build the full layer, so that the trace logs
-        it and the debug checks see the whole tree.
+        It first tries :meth:`match_in_one_step`, which matches most roots.
         """
         self.start(root)
-        trace, cap = self.trace, self.cap
-        if trace is None and not self.debug and cap >= 1 and self.match_in_one_step():
+        if self.trace is not None:
+            self.trace(f"augment_start root={root} matched={len(self.m)}")
+        if self.cap >= 1 and self.match_in_one_step():
             return None
-        if trace is not None:
-            trace(f"augment_start root={root} matched={len(self.m)}")
         iteration = 0
         while True:
             iteration += 1
-            if iteration > cap:
-                if trace is not None:
-                    trace(f"augment_end outcome=internal_error iterations={iteration - 1}")
-                raise InternalSolverError(
-                    "ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}"
-                )
+            if iteration > self.cap:
+                self._log_end("internal_error", iteration - 1)
+                raise InternalSolverError("ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}")
             self.stats.iterations += 1
-            if trace is not None or self.debug:
+            if self.monitored:
                 self._iteration_boundary(iteration)
             witness = self.build_phase()
             if witness is not None:
-                if trace is not None:
-                    trace(f"augment_end outcome=witness iterations={iteration}")
+                self._log_end("witness", iteration)
                 return witness
             if self.collapse_phase():
                 if self.debug:
                     self._check_matched_exactly_root()
-                if trace is not None:
-                    trace(f"augment_end outcome=matched iterations={iteration}")
+                self._log_end("matched", iteration)
                 return None
 
     def match_in_one_step(self) -> bool:
@@ -179,18 +171,17 @@ class AugmentRun:
         Layer 1 holds at most k = min(deg(root), u) X-edges, and any
         nonempty one passes the growth test, as the root's count of 1
         lies below the small-tree threshold.  When mu*k < 1 one addable
-        X-edge collapses it, and the collapse adds the least.  The root
-        is unmatched, so none of its edges is in M,
-        and the build takes them in edge-id order: the least addable
-        X-edge is the first taken edge with no blocker.  The walk below
-        applies the build's take rule, u stop included, up to that edge
-        and counts the stats of that one iteration, so matchings,
-        witnesses and stats equal those of the full loop.
+        X-edge collapses it, and the collapse adds the least.  The root is
+        unmatched, so none of its edges is in M, and the build takes them in
+        edge-id order: the least addable X-edge is the first taken edge with
+        no blocker.  The walk below applies the build's take rule, u stop
+        included, up to that edge and counts the stats of that one
+        iteration, so matchings, witnesses and stats equal the full loop's.
 
-        This is a second layer-1 path, kept because a trace logs the
-        whole layer and the debug checks need the whole tree.  Once
-        traces are versioned (ROADMAP item 4), a traced run can log this
-        step as one event and the full layer-1 build can go.
+        A traced walk goes on to the u stop and logs what the full loop
+        would: |X| counts the taken edges, |Y| the matched edges on the
+        B-vertices it occupied, which are their blockers.  Debug checks
+        lose nothing: the full loop's collapse discards layer 1 unchecked.
         """
         h, m, params = self.h, self.m, self.params
         edges = h.a_edges.get(self.tree.root, ())
@@ -198,18 +189,22 @@ class AugmentRun:
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
         occupied: set[int] = set()
-        room = params.u
+        room, found = params.u, None
         for eid in edges:
             bs = edge_bs[eid]
             if not occupied.isdisjoint(bs):
                 continue
-            if is_immediately_addable(h, m, eid):
-                m.add(h, eid)
+            if is_immediately_addable(h, m, eid) and found is None:
                 stats = self.stats
                 stats.iterations += 1
                 stats.build_ops += 1
                 stats.max_layers = max(stats.max_layers, 1)
-                return True
+                if not self.monitored:
+                    m.add(h, eid)
+                    return True
+                found = eid
+                if self.trace is None:
+                    break
             occupied.update(bs)
             for b in bs:
                 f = b_of.get(b)
@@ -218,7 +213,18 @@ class AugmentRun:
             room -= 1
             if room == 0:
                 break
-        return False
+        if found is None:
+            return False
+        self._iteration_boundary(1)
+        if self.trace is not None:
+            ny = len({b_of[b] for b in occupied if b in b_of})
+            self._log_layer(1, params.u - room, ny, True, 1)
+            self._log_collapse(1, 0, True)
+        m.add(h, found)
+        if self.debug:
+            self._check_matched_exactly_root()
+        self._log_end("matched", 1)
+        return True
 
     # ------------------------------------------------------------------
     # phases
@@ -237,15 +243,13 @@ class AugmentRun:
         self.stats.max_layers = max(self.stats.max_layers, tree.level())
         nx = len(layer.x)
         ok = self.growth_check(nx, y_total_before)
-        trace = self.trace
-        if trace is not None:
-            trace(f"layer_built index={tree.level()} x={nx} y={len(layer.y)}")
-            trace(f"growth result={'pass' if ok else 'fail'} x={nx} y_total={y_total_before}")
+        if self.trace is not None:
+            self._log_layer(tree.level(), nx, len(layer.y), ok, y_total_before)
         if not ok:
             cert = self.extract_witness()
-            if trace is not None:
+            if self.trace is not None:
                 s, hitting = len(cert.s), len(cert.hitting_set)
-                trace(f"witness s={s} hitting={hitting} bound={cert.bound!s}")
+                self.trace(f"witness s={s} hitting={hitting} bound={cert.bound!s}")
             return cert
         if self.debug:
             # Fresh layer excluded: its collapse status is still unresolved.
@@ -320,7 +324,7 @@ class AugmentRun:
                     raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
-            self.trace(f"collapse layer={level} swaps={len(served)} root_matched={int(matched)}")
+            self._log_collapse(level, len(served), matched)
         if not matched:
             self.superposed_build()
         return matched
@@ -399,7 +403,19 @@ class AugmentRun:
         return cert
 
     # ------------------------------------------------------------------
+    # trace events (_log_layer and _log_collapse only when tracing) and
     # iteration-boundary monitoring
+
+    def _log_end(self, outcome: str, iterations: int) -> None:
+        if self.trace is not None:
+            self.trace(f"augment_end outcome={outcome} iterations={iterations}")
+
+    def _log_layer(self, index: int, nx: int, ny: int, ok: bool, y_total: int) -> None:
+        self.trace(f"layer_built index={index} x={nx} y={ny}")
+        self.trace(f"growth result={'pass' if ok else 'fail'} x={nx} y_total={y_total}")
+
+    def _log_collapse(self, level: int, swaps: int, matched: bool) -> None:
+        self.trace(f"collapse layer={level} swaps={swaps} root_matched={int(matched)}")
 
     def _iteration_boundary(self, iteration: int) -> None:
         """Trace the iteration and the progress signature, and in debug

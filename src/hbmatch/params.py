@@ -93,8 +93,8 @@ class Parameters:
         max_iterations: int | None = None,
     ) -> "Parameters":
         """The parameters at uniformity r and slack epsilon.  mu_override
-        replaces mu and u_override replaces u; u_override and
-        max_iterations must be ints, else a ValueError names them."""
+        replaces mu and u_override replaces u; a ValueError names a
+        non-int u_override or max_iterations, or a negative max_iterations."""
         epsilon = parse_epsilon(epsilon)
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
@@ -106,6 +106,8 @@ class Parameters:
         for name, value in (("u_override", u_override), ("max_iterations", max_iterations)):
             if value is not None and (type(value) is bool or not isinstance(value, int)):
                 raise ValueError(f"{name} {value!r} is not an integer")
+        if max_iterations is not None and max_iterations < 0:
+            raise ValueError(f"max_iterations {max_iterations} is negative")
         u = u_override if u_override is not None else math.ceil(1 / mu)
         if u < 1:
             raise ValueError("u must be >= 1")

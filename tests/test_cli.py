@@ -873,6 +873,13 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err == "ITERATION_CAP_EXCEEDED: augmenting A-vertex 0\n"
 
+    def test_negative_iteration_cap_is_refused_by_name(self, tmp_path):
+        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=2, b_count=20, seed=0))
+        argv = ["solve", "--input", self.write_instance(tmp_path, h), "--epsilon", "1"]
+        code, out, err = _run_main(argv + ["--max-iters", "-1"])
+        assert code == 1 and out == ""
+        assert err == "max_iterations -1 is negative\n"
+
     @pytest.mark.parametrize("epsilon", ["-1", "0"])
     @pytest.mark.parametrize("name", ["solve-epsilon", "check-haxell", "gen", "verify-epsilon"])
     def test_nonpositive_epsilon_is_exit_1(self, tmp_path, name, epsilon):

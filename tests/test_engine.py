@@ -3,9 +3,10 @@ import hashlib
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbmatch import (
@@ -275,6 +276,11 @@ def shuffled_generated(draw):
     return BipartiteHypergraph(r, na, spec.b_count, edges)
 
 
+def full_path():
+    """Turn the one-step walk off, so every root runs the full loop."""
+    return mock.patch.object(AugmentRun, "match_in_one_step", lambda run: False)
+
+
 def counting_build_layer(monkeypatch) -> list[int]:
     """Patch `engine.build_layer` to record each call; returns the record."""
     import hbmatch.engine as engine
@@ -291,20 +297,35 @@ def counting_build_layer(monkeypatch) -> list[int]:
 
 
 class TestOneStepMatch:
-    """An untraced solve matches a root in one step when one addable edge
-    decides its first layer; a no-op trace forces the full layer build."""
+    """Every solve matches a root in one step when one addable edge
+    decides its first layer; `full_path` forces the full layer build."""
 
     @given(
         h=shuffled_generated(),
         eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]),
         mu=st.sampled_from([None, "1/2", "1/3"]),
         u=st.sampled_from([None, 1, 2, 3]),
+        traced=st.booleans(),
+        debug=st.booleans(),
+    )
+    # Root 1's first edge has one blocker on both of its B-vertices: |Y| = 1.
+    @example(
+        h=make_h(3, 2, 4, [(0, (0, 1)), (1, (0, 1)), (1, (2, 3))]),
+        eps=Fraction(1), mu=None, u=None, traced=True, debug=False,
     )
     @settings(max_examples=150, deadline=None)
-    def test_untraced_solve_equals_full_path(self, h, eps, mu, u):
-        kw = dict(mu_override=mu, u_override=u)
-        full = solve_outcome(h, eps, trace=lambda line: None, **kw)
-        assert solve_outcome(h, eps, **kw) == full
+    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, u, traced, debug):
+        # Plain, traced, debug and traced+debug: same result (all that the
+        # result document prints), stats and trace lines.
+        kw = dict(mu_override=mu, u_override=u, debug_invariants=debug)
+
+        def solve():
+            lines: list[str] = []
+            return solve_outcome(h, eps, trace=lines.append if traced else None, **kw), lines
+
+        with full_path():
+            full = solve()
+        assert solve() == full
 
     def test_zero_iteration_cap_still_raises(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
@@ -312,24 +333,25 @@ class TestOneStepMatch:
             find_perfect_matching(h, 1, max_iterations=0)
         assert exc.value.code == "ITERATION_CAP_EXCEEDED"
 
-    def test_builds_no_layer_untraced_and_one_per_root_otherwise(self, monkeypatch):
+    def test_builds_no_layer_in_any_mode(self, monkeypatch):
         h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
         calls = counting_build_layer(monkeypatch)
         plain = find_perfect_matching(h, 1)
         assert plain.status == "perfect_matching" and len(calls) == 0
-        for kw in (dict(trace=lambda line: None), dict(debug_invariants=True)):
-            calls.clear()
-            res = find_perfect_matching(h, 1, **kw)
-            assert len(calls) == h.a_count
-            assert res.matching.edge_ids == plain.matching.edge_ids
-            assert vars(res.stats) == vars(plain.stats)
+        for trace in (None, lambda line: None):
+            for debug in (False, True):
+                res = find_perfect_matching(h, 1, trace=trace, debug_invariants=debug)
+                assert len(calls) == 0
+                assert res.matching.edge_ids == plain.matching.edge_ids
+                assert vars(res.stats) == vars(plain.stats)
 
     def test_edges_meeting_only_a_blocker_do_not_use_up_the_cap(self, monkeypatch):
         # Root 1's first edge is blocked by edge 0, whose B-vertex 2 its
         # second edge meets: the build skips that edge, so at u = 2 the
         # third edge is taken, found free and added in one step.
         h = make_h(3, 2, 7, [(0, (1, 2)), (1, (0, 1)), (1, (2, 4)), (1, (5, 6))])
-        full = solve_outcome(h, 1, u_override=2, trace=lambda line: None)
+        with full_path():
+            full = solve_outcome(h, 1, u_override=2)
         calls = counting_build_layer(monkeypatch)
         assert solve_outcome(h, 1, u_override=2) == full and len(calls) == 0
         assert full[1] == [0, 3]

@@ -104,6 +104,11 @@ class TestParameters:
             Parameters.for_instance(3, 1, **{name: value})
         assert str(exc.value) == f"{name} {value!r} is not an integer"
 
+    def test_negative_iteration_cap_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^max_iterations -1 is negative$"):
+            Parameters.for_instance(3, 1, max_iterations=-1)
+        assert Parameters.for_instance(3, 1, max_iterations=0).iteration_cap(10) == 0
+
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()
         n = 10

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -80,9 +81,11 @@ def test_every_span_records_calls(tmp_path):
 
 def test_x_added_counts_the_edges_each_build_adds():
     """`tree.x_added` is each fresh layer's |X| plus what each lazy
-    rebuild adds, committed or not, as the solve's own trace logs them."""
+    rebuild adds, committed or not, as the solve's own trace logs them.
+    The one-step walk is off, so every `layer_built` line is a build's."""
     lines: list[str] = []
-    with _instrumented() as rec:
+    no_walk = mock.patch.object(hbmatch.engine.AugmentRun, "match_in_one_step", lambda run: False)
+    with _instrumented() as rec, no_walk:
         hbmatch.find_perfect_matching(superposed_commit_instance(), 1, trace=lines.append)
     events = [trace_event(line) for line in lines]
     built = sum(f["x"] for name, f in events if name == "layer_built")
