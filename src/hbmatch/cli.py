@@ -237,12 +237,8 @@ def _read_text(path: str) -> str:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
-def _read_instance(path: str) -> BipartiteHypergraph:
-    return parse_instance(_read_text(path))
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    h = _read_instance(args.input)
+    h = parse_instance(_read_text(args.input))
     epsilon = parse_epsilon(args.epsilon)
     trace_stream = open(args.trace, "w") if args.trace else None
     try:
@@ -267,7 +263,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    h = _read_instance(args.instance)
+    h = parse_instance(_read_text(args.instance))
     v = check_result(h, parse_result(_read_text(args.result)))
     if v is not None:
         print(str(v), file=sys.stderr)
@@ -277,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_check_haxell(args: argparse.Namespace) -> int:
-    h = _read_instance(args.input)
+    h = parse_instance(_read_text(args.input))
     epsilon = parse_epsilon(args.epsilon)
     mode = "classic" if args.classic else "strengthened"
     res = check_haxell(h, epsilon, mode=mode, max_a=args.max_a)

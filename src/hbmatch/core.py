@@ -18,6 +18,7 @@ __all__ = [
     "BipartiteHypergraph",
     "PartialMatching",
     "Violation",
+    "CodedError",
     "InstanceError",
     "MatchingError",
     "incident_edges",
@@ -51,20 +52,20 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-class InstanceError(ValueError):
+class CodedError(Exception):
+    """An error with a machine-readable `code`; its text is `CODE: message`."""
+
+    def __init__(self, code: str, message: str):
+        self.code = code
+        super().__init__(f"{code}: {message}")
+
+
+class InstanceError(CodedError, ValueError):
     """An instance breaks a structural invariant; `code` is the Violation code."""
 
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
-
-class MatchingError(ValueError):
+class MatchingError(CodedError, ValueError):
     """A matching operation was called outside its preconditions."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
 
 class BipartiteHypergraph:

@@ -13,7 +13,8 @@ only when they grow X by a (1+mu) factor.  When the root's own layer
 collapses the root gets matched and the run ends.  X-edges are pairwise
 B-disjoint and no B-vertex lies in two layers, so a swap never changes
 which X-edges of the collapsing layer are addable: the one pass over X
-that decides the collapse also lists the edges it swaps in.
+that decides the collapse, the same at every level, also lists the
+edges it swaps in or adds.
 
 Every run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
@@ -38,12 +39,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import AbstractSet, Callable
+from typing import AbstractSet, Callable, Iterator
 
 from .certify import WitnessCertificate, validate_instance, verify_matching, verify_witness
 from .core import (
     BipartiteHypergraph,
+    CodedError,
     InstanceError,
     PartialMatching,
     is_immediately_addable,
@@ -65,7 +66,7 @@ __all__ = [
 TraceSink = Callable[[str], None]  # one formatted event line, no newline
 
 
-class InternalSolverError(RuntimeError):
+class InternalSolverError(CodedError, RuntimeError):
     """The solver broke its own contract.
 
     Raised for a failed debug-mode invariant, an extracted certificate
@@ -75,10 +76,6 @@ class InternalSolverError(RuntimeError):
     voids the bound a witness must meet, so a stalled tree can then end
     in CERTIFICATE_INVALID (SIZE_EXCEEDS_BOUND).
     """
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
 
 @dataclass
@@ -271,19 +268,15 @@ class AugmentRun:
         """Collapse the last layer while more than mu|X| of its X-edges
         are immediately addable.
 
-        Each check walks X in edge order once and hands the addable
-        edges it lists to the collapse.  In layer 1 every X-edge is the
-        root's and the collapse takes only the least, so that walk stops
-        at the least count exceeding mu|X|.  Returns True when the root
-        was matched, ending the run.
+        Each check walks X in edge order once, at every level, and hands
+        the addable edges it lists to the collapse.  Returns True when
+        the root was matched, ending the run.
         """
         h, m, tree = self.h, self.m, self.tree
         while tree.level() >= 1:
             x = tree.layers[-1].x
-            need = self.params.least_exceeding_mu(len(x))
-            found = (eid for eid in sorted(x) if is_immediately_addable(h, m, eid))
-            addable = list(islice(found, need) if tree.level() == 1 else found)
-            if len(addable) < need:
+            addable = [eid for eid in sorted(x) if is_immediately_addable(h, m, eid)]
+            if not self.params.exceeds_mu(len(addable), len(x)):
                 return False
             if self.collapse_layer(addable):
                 return True
@@ -360,6 +353,15 @@ class AugmentRun:
             x_held=self.tree.layers[i - 1].x,
         )
 
+    def _prefix_rebuilds(self, k: int) -> Iterator[tuple[int, Layer, Layer]]:
+        """(i, layer i, the edges its uncommitted rebuild adds) for layers
+        1..k, each rebuild avoiding the B-vertices of layers 1..i only."""
+        prefix: set[int] = set()
+        for i, layer in enumerate(self.tree.layers[:k], start=1):
+            prefix |= layer.bx
+            prefix |= layer.by
+            yield i, layer, self._rebuild(i, prefix)
+
     # ------------------------------------------------------------------
     # witness extraction
 
@@ -384,11 +386,7 @@ class AugmentRun:
         hitting = set(tree.occupied_b())
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
-        prefix: set[int] = set()  # B-vertices of layers 1..i
-        for i, layer in enumerate(tree.layers[: level - 1], start=1):
-            prefix |= layer.bx
-            prefix |= layer.by
-            added = self._rebuild(i, prefix)
+        for _, _, added in self._prefix_rebuilds(level - 1):
             served.update(h.edge_a[eid] for eid in added.x)
             hitting |= added.bx
             hitting |= added.by
@@ -462,11 +460,8 @@ class AugmentRun:
                     "LAYER_GROWTH", f"layer {idx}: |X|={len(layer.x)} vs {y_below} below"
                 )
             y_below += len(layer.y)
-        prefix: set[int] = set()  # B-vertices of layers 1..i
-        for i, layer in enumerate(tree.layers, start=1):
-            prefix |= layer.bx
-            prefix |= layer.by
-            x2 = len(layer.x) + len(self._rebuild(i, prefix).x)
+        for i, layer, added in self._prefix_rebuilds(tree.level()):
+            x2 = len(layer.x) + len(added.x)
             if self.params.reaches_one_plus_mu(x2, len(layer.x)):
                 raise InternalSolverError(
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",

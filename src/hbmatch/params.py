@@ -67,10 +67,11 @@ def parse_epsilon(text: str | int | Fraction) -> Fraction:
 class Parameters:
     """Degree bound and threshold constants for one (epsilon, r) pair.
 
-    mu = epsilon^2/(10 r^2) is the lazy-collapse fraction, u = ceil(1/mu)
-    the per-vertex edge cap, delta = epsilon/(5 r^2) the required layer
+    mu = e^2/(10 r^2) is the lazy-collapse fraction, u = ceil(1/mu)
+    the per-vertex edge cap, delta = e/(5 r^2) the required layer
     growth rate, gamma = (1-mu) delta the blocking-edge growth rate, and
-    b = 1/(1-mu^3) the logarithm base of the progress monitor.
+    b = 1/(1-mu^3) the logarithm base of the progress monitor, where
+    e = min(epsilon, 1); `epsilon` keeps the value given.
     """
 
     epsilon: Fraction
@@ -94,12 +95,20 @@ class Parameters:
     ) -> "Parameters":
         """The parameters at uniformity r and slack epsilon.  mu_override
         replaces mu and u_override replaces u; a ValueError names a
-        non-int u_override or max_iterations, or a negative max_iterations."""
+        non-int u_override or max_iterations, or a negative max_iterations.
+
+        The thresholds use e = min(epsilon, 1): with a large slack, u
+        falls to 2 and a stalled tree can yield an over-bound witness,
+        then mu leaves (0, 1).  This is sound: the condition at epsilon
+        implies it at e, and a witness at e meets the bound
+        (2r-3+epsilon)(|S|-1) that `epsilon` keeps, as |S| >= 1.
+        """
         epsilon = parse_epsilon(epsilon)
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
+        e = min(epsilon, Fraction(1))
         mu = parse_rational(mu_override, "mu") if mu_override is not None else (
-            epsilon**2 / (10 * r * r)
+            e**2 / (10 * r * r)
         )
         if not 0 < mu < 1:
             raise ValueError(f"mu={mu} out of range (0, 1)")
@@ -111,7 +120,7 @@ class Parameters:
         u = u_override if u_override is not None else math.ceil(1 / mu)
         if u < 1:
             raise ValueError("u must be >= 1")
-        delta = epsilon / (5 * r * r)
+        delta = e / (5 * r * r)
         gamma = (1 - mu) * delta
         return cls(
             epsilon=epsilon,
@@ -121,7 +130,7 @@ class Parameters:
             delta=delta,
             gamma=gamma,
             b=1 / (1 - mu**3),
-            small_tree_threshold=math.ceil(Fraction(5 * r * r) / epsilon),
+            small_tree_threshold=math.ceil(1 / delta),
             max_iterations=max_iterations,
         )
 

@@ -46,7 +46,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Violation
+from .core import CodedError, Violation
 from .params import Parameters
 
 __all__ = [
@@ -59,12 +59,8 @@ __all__ = [
 ]
 
 
-class SignatureError(ValueError):
+class SignatureError(CodedError, ValueError):
     """Raised for layers where the signature is undefined."""
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
 
 
 # (lo, hi) with lo <= the exact real value <= hi
@@ -220,7 +216,7 @@ class SignatureMemo:
 
     def _extend(self, layers: int) -> None:
         p = self.params
-        scale = Fraction(5 * p.r * p.r) / p.epsilon
+        scale = 1 / p.delta  # 5r^2/eps, at the slack the thresholds use
         logs = self._logs
         if logs is None:
             logs = self._logs = _Logs(p.b, _working_digits(p.b))

@@ -47,14 +47,16 @@ def superposed_commit_instance() -> BipartiteHypergraph:
     ])
 
 
-def shuffled_planted(seed: int, na: int, r: int = 3) -> BipartiteHypergraph:
+def shuffled_planted(seed: int, na: int, r: int = 3, tight: bool = False) -> BipartiteHypergraph:
     """Planted instance with its edge list shuffled by splitmix64.
 
     The planted edge stops being each vertex's first choice, so the
-    solver grows multi-layer trees with swaps and lazy rebuilds.
+    solver grows multi-layer trees with swaps and lazy rebuilds.  A
+    tight instance has nb = (r-1)na, so the planted matching uses every
+    B-vertex.
     """
     h = generate(GeneratorSpec(
-        mode="planted", r=r, a_count=na, b_count=(r - 1) * na + na,
+        mode="planted", r=r, a_count=na, b_count=(r - 1) * na + (0 if tight else na),
         extra_edges=2 * na, seed=seed,
     ))
     edges = [(e.a, e.bs) for e in h.edges]

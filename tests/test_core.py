@@ -14,12 +14,16 @@ from hbmatch import (
 )
 from hbmatch.cli import TraceWriter, format_result, parse_instance, serialize_instance
 from hbmatch.core import (
+    CodedError,
+    InstanceError,
     MatchingError,
     blocking_edges,
     incident_edges,
     is_immediately_addable,
     swap,
 )
+from hbmatch.engine import InternalSolverError
+from hbmatch.signature import SignatureError
 
 from .conftest import (
     hypergraphs,
@@ -240,3 +244,22 @@ class TestVerifyMatching:
         m.a_of[1] = 0
         v = verify_matching(h, m)
         assert v is not None and v.code == "MAP_INCONSISTENT"
+
+
+class TestCodedErrors:
+    # cli.main catches these as ValueError and InternalSolverError.
+    @pytest.mark.parametrize(
+        "cls,base,other",
+        [
+            (InstanceError, ValueError, RuntimeError),
+            (MatchingError, ValueError, RuntimeError),
+            (SignatureError, ValueError, RuntimeError),
+            (InternalSolverError, RuntimeError, ValueError),
+        ],
+    )
+    def test_code_text_and_builtin_base(self, cls, base, other):
+        err = cls("SOME_CODE", "what went wrong")
+        assert isinstance(err, CodedError) and isinstance(err, base)
+        assert not isinstance(err, other)
+        assert err.code == "SOME_CODE"
+        assert str(err) == "SOME_CODE: what went wrong"

@@ -105,14 +105,14 @@ class TestCollapseThreshold:
         run = started(h, PartialMatching(), 0, params())
         assert handed_to_collapse(run, set()) is None
 
-    def test_only_layer_1_stops_at_the_deciding_count(self):
-        # both edges addable and mu*2 < 1: layer 1 hands over the least one,
-        # a higher layer both, in edge order (the set iterates 8 before 1)
+    def test_every_level_hands_over_every_addable_edge(self):
+        # both edges addable and mu*2 < 1: every level, layer 1 included,
+        # hands over both, in edge order (the set iterates 8 before 1)
         h = make_h(3, 1, 20, [(0, (2 * j, 2 * j + 1)) for j in range(10)])
         assert list({1, 8}) == [8, 1]
-        for level, expected in ((1, [1]), (2, [1, 8]), (3, [1, 8])):
+        for level in (1, 2, 3):
             run = started(h, PartialMatching(), 0, params())
-            assert handed_to_collapse(run, {1, 8}, level) == expected
+            assert handed_to_collapse(run, {1, 8}, level) == [1, 8]
 
     def test_exact_mu_fraction_boundary(self):
         # 90 edges, exactly one addable: 1 > 90 * (1/90) is false
@@ -305,19 +305,21 @@ class TestOneStepMatch:
         eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]),
         mu=st.sampled_from([None, "1/2", "1/3"]),
         u=st.sampled_from([None, 1, 2, 3]),
+        cap=st.sampled_from([None, 0, 1, 2]),
         traced=st.booleans(),
         debug=st.booleans(),
     )
     # Root 1's first edge has one blocker on both of its B-vertices: |Y| = 1.
     @example(
         h=make_h(3, 2, 4, [(0, (0, 1)), (1, (0, 1)), (1, (2, 3))]),
-        eps=Fraction(1), mu=None, u=None, traced=True, debug=False,
+        eps=Fraction(1), mu=None, u=None, cap=None, traced=True, debug=False,
     )
     @settings(max_examples=150, deadline=None)
-    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, u, traced, debug):
-        # Plain, traced, debug and traced+debug: same result (all that the
-        # result document prints), stats and trace lines.
-        kw = dict(mu_override=mu, u_override=u, debug_invariants=debug)
+    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, u, cap, traced, debug):
+        # Plain, traced, debug and traced+debug, at the default and small
+        # iteration caps: same result (all that the result document
+        # prints) or error code and message, stats and trace lines.
+        kw = dict(mu_override=mu, u_override=u, max_iterations=cap, debug_invariants=debug)
 
         def solve():
             lines: list[str] = []
@@ -597,26 +599,49 @@ class TestFindPerfectMatching:
             assert verify_matching(h, res.matching, require_perfect=True) is None
 
 
+class TestLargeEpsilon:
+    @pytest.mark.parametrize("eps", ["2", "5", "8", "9", "12", "1000", "1e1000"])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_every_solve_is_verified(self, r, eps):
+        # Thresholds at min(eps, 1); the witness bound at the given eps.
+        corpus = [shuffled_planted(seed, 5 + seed, r, tight=True) for seed in range(6)]
+        corpus += [
+            generate(GeneratorSpec(
+                mode="adversarial", r=r, a_count=4 + seed, b_count=3 + seed,
+                extra_edges=seed % 3, seed=seed,
+            ))
+            for seed in range(6)
+        ]
+        for h in corpus:
+            res = find_perfect_matching(h, eps, debug_invariants=True)
+            if res.witness is not None:
+                assert res.witness.epsilon == Fraction(eps)
+                assert verify_witness(h, res.witness) is None
+            else:
+                assert verify_matching(h, res.matching, require_perfect=True) is None
+
+
 class TestWitnessExtractionRegimes:
     def test_large_tree_growth_failure(self):
-        # eps=2, r=2: threshold 10, delta=1/10.  Nine blocked root edges
-        # give y_total=10, entering the large regime; the next layer has
-        # exactly one edge and 1 > 1 fails.  The failing layer is
-        # nonempty, and its B-vertex must appear in the hitting set.
-        edges = [(i, (i,)) for i in range(9)]          # f_0..f_8, matched first
-        edges += [(9, (i,)) for i in range(9)]         # root edges, all blocked
-        edges += [(0, (9,))]                           # a0's free alternative
-        h = make_h(2, 10, 10, edges)
+        # eps=2, r=2: the thresholds use min(eps, 1) = 1, so threshold 20
+        # and delta=1/20.  Nineteen blocked root edges give y_total=20,
+        # entering the large regime; the next layer has exactly one edge
+        # and 1 > 1 fails.  The failing layer is nonempty, and its
+        # B-vertex must appear in the hitting set.
+        edges = [(i, (i,)) for i in range(19)]         # f_0..f_18, matched first
+        edges += [(19, (i,)) for i in range(19)]       # root edges, all blocked
+        edges += [(0, (19,))]                          # a0's free alternative
+        h = make_h(2, 20, 20, edges)
         events = []
         res = find_perfect_matching(
             h, 2, trace=lambda line: events.append(trace_event(line)), debug_invariants=True
         )
         fails = [f for n, f in events if n == "growth" and f["result"] == "fail"]
-        assert fails == [{"result": "fail", "x": 1, "y_total": 10}]
+        assert fails == [{"result": "fail", "x": 1, "y_total": 20}]
         w = res.witness
         assert w is not None and verify_witness(h, w) is None
-        assert w.s == frozenset(range(10))
-        assert w.hitting_set == frozenset(range(10)), "fresh layer's b9 must be included"
+        assert w.s == frozenset(range(20))
+        assert w.hitting_set == frozenset(range(20)), "fresh layer's b19 must be included"
         assert not check_haxell(h, Fraction(2)).satisfied
 
     def test_saturated_vertices_leave_the_violating_set(self):
@@ -744,8 +769,7 @@ class TestCollapsibleEarlyExit:
     )
     @settings(max_examples=150, deadline=None)
     def test_same_answer_as_counting_every_edge(self, hm, mu, level, data):
-        # Layer 1 hands over the least addable edges up to the count that
-        # decides; a higher layer hands over every addable edge.
+        # Every level, layer 1 included, hands over every addable edge.
         h, m = hm
         root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
         if root is None or h.m == 0:
@@ -753,10 +777,7 @@ class TestCollapsibleEarlyExit:
         run = started(h, m, root, params(h.r, 1, mu_override=mu))
         x = data.draw(st.sets(st.sampled_from(range(h.m))))
         addable = sorted(eid for eid in x if is_immediately_addable(h, m, eid))
-        need = run.params.least_exceeding_mu(len(x))
-        expected = None
-        if collapsible(run, x):
-            expected = addable[:need] if level == 1 else addable
+        expected = addable if collapsible(run, x) else None
         assert handed_to_collapse(run, x, level) == expected
 
 

@@ -46,6 +46,19 @@ class TestParameters:
         assert p.u == 640
         assert p.small_tree_threshold == 80
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("eps", ["3/2", "8", "1e1000"])
+    def test_thresholds_use_epsilon_at_most_1(self, r, eps):
+        # The given epsilon is kept; every derived constant, and the
+        # monitor's floors, are those at epsilon = 1.
+        p, p1 = Parameters.for_instance(r, eps), Parameters.for_instance(r, 1)
+        assert p.epsilon == Fraction(eps)
+        assert vars(p) == {**vars(p1), "epsilon": p.epsilon}
+        for layer, side, size in ((1, 0, 3), (2, 1, 5), (3, 0, 40)):
+            assert SignatureMemo(p).floor(layer, side, size) == SignatureMemo(p1).floor(
+                layer, side, size
+            )
+
     def test_overrides(self):
         p = Parameters.for_instance(3, 1, mu_override="1/8", u_override=4)
         assert p.mu == Fraction(1, 8) and p.u == 4
