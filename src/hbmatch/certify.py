@@ -45,12 +45,12 @@ class ParseError(ValueError):
 def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
-    Codes: NON_UNIFORM_EDGE, INDEX_OUT_OF_RANGE, DUPLICATE_B_VERTEX,
-    UNSORTED_B_VERTICES, DUPLICATE_EDGE.  The incidence index is not
-    rebuilt: it is derived from the immutable edge list at construction,
-    so once every A-vertex is in range it lists every edge.  A violation
-    of an edge carries its id.  The result is kept on the immutable
-    instance, so the parser and the solver share one check.
+    Codes: NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
+    DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
+    checks only syntax and leaves every one of these rules to this check.
+    The incidence index lists every edge, so it is not rebuilt.  A
+    violation of an edge carries its id.  The result is kept on the
+    immutable instance, so the parser and the solver share one check.
     """
     if not h._validated:
         h._violation = _first_violation(h)
@@ -62,6 +62,8 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     r, nb = h.r, h.b_count
     if r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
+    if min(h.a_count, nb) < 0:
+        return Violation("NEGATIVE_VERTEX_COUNT", f"nA={h.a_count}, nB={nb} must be >= 0")
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
     # Whole columns first; only a dirty instance is walked edge by edge to
@@ -281,10 +283,14 @@ def parse_result(text: str) -> dict:
 def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
     """Check a document read by :func:`parse_result` against its instance.
 
-    A matching must use edges of the instance, be vertex-disjoint and
-    cover A.  A witness must pass :func:`verify_witness`, and its
-    recorded bound, if any, must be the one its S and epsilon give.
+    The instance must pass :func:`validate_instance`.  A matching must
+    use edges of the instance, be vertex-disjoint and cover A.  A witness
+    must pass :func:`verify_witness`, and its recorded bound, if any,
+    must be the one its S and epsilon give.
     """
+    v = validate_instance(h)
+    if v is not None:
+        return v
     if doc["status"] == "perfect_matching":
         ids = doc.get("matching", [])
         if any(not 0 <= i < h.m for i in ids):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from operator import lt
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence, TextIO
 
@@ -54,13 +53,13 @@ def parse_instance(text: str) -> BipartiteHypergraph:
     """Parse the instance format; line-numbered errors on malformed input.
 
     Each line is split once.  The parser checks the syntax: record types,
-    the header (with r >= 2), the field count of each edge line, integer
-    fields and ascending B-vertices.  Edge lines are converted a block at
-    a time, column by column, into the instance's `edge_a` and `edge_bs`;
-    pending rows are converted before any later line is rejected, so the
-    first error in the file is raised.  Every structural rule (ranges,
-    repeated edges) is checked once, by :func:`validate_instance`, and
-    its violation is reported at the line of the offending edge.
+    the header (with r >= 2), the field count of each edge line and
+    integer fields.  Edge lines are converted a block at a time, column
+    by column, into the instance's `edge_a` and `edge_bs`; pending rows
+    are converted before any later line is rejected, so the first syntax
+    error in the file is raised.  Every structural rule (ranges, B-vertex
+    order, repeated edges) is checked once, by :func:`validate_instance`,
+    and its violation is reported at the line of the offending edge.
     """
     header: tuple[int, ...] | None = None
     width = -1  # fields of an edge line, "e" plus r vertices; set by the header
@@ -113,7 +112,8 @@ def _take_rows(
     text: str, rows: list[list[str]], edge_a: list[int], edge_bs: list[tuple[int, ...]]
 ) -> None:
     """Move split edge rows into the columns, converting a column at a
-    time; a bad row is a ParseError at the line of the first one."""
+    time; a non-integer field is a ParseError at the line of the first
+    row that holds one.  Their order is left to the kernel."""
     if not rows:
         return
     _, a_col, *b_cols = zip(*rows)
@@ -121,20 +121,15 @@ def _take_rows(
         a_ints = list(map(int, a_col))
         b_ints = [list(map(int, col)) for col in b_cols]
     except ValueError:
-        pass
-    else:
-        if all(all(map(lt, u, v)) for u, v in zip(b_ints, b_ints[1:])):
-            edge_a += a_ints
-            edge_bs += zip(*b_ints)
-            rows.clear()
-            return
-    for k, fields in enumerate(rows, start=len(edge_a)):
-        try:
-            nums = tuple(map(int, fields[1:]))
-        except ValueError:
-            raise ParseError(_edge_line(text, k), "non-integer vertex index") from None
-        if not all(map(lt, nums[1:], nums[2:])):
-            raise ParseError(_edge_line(text, k), "B-vertices must be strictly ascending")
+        for k, fields in enumerate(rows, start=len(edge_a)):
+            try:
+                list(map(int, fields[1:]))
+            except ValueError:
+                raise ParseError(_edge_line(text, k), "non-integer vertex index") from None
+        raise  # not reached: the field a column failed on lies in some row
+    edge_a += a_ints
+    edge_bs += zip(*b_ints)
+    rows.clear()
 
 
 def _edge_line(text: str, k: int) -> int:

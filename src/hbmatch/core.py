@@ -76,10 +76,10 @@ class BipartiteHypergraph:
     `a_edges` maps each A-vertex that has edges to their ids in edge-id
     order; read it with `a_edges.get(a, ())`, so memory follows the
     edges, not the declared vertex count.  No B-side index is kept.
-    Construction sorts arbitrary (a, bs) pairs, so that malformed input
-    can be inspected by :func:`certify.validate_instance`; an edge whose
-    A-vertex is out of range is left out of the index.  The parser uses
-    :meth:`from_columns`, which takes sorted columns as they are.
+    Construction sorts arbitrary (a, bs) pairs and indexes every edge;
+    :func:`certify.validate_instance` refuses malformed input before the
+    index is read.  The parser uses :meth:`from_columns`, which takes the
+    columns as they are.
     `edges` is an :class:`Edge` view for outside callers, built on first
     access.
     """
@@ -103,7 +103,7 @@ class BipartiteHypergraph:
     def from_columns(
         cls, r: int, a_count: int, b_count: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
     ) -> "BipartiteHypergraph":
-        """An instance that owns the given columns; each tuple must be sorted."""
+        """An instance owning the columns as given; validation refuses an unsorted tuple."""
         h = cls.__new__(cls)
         h._init(r, a_count, b_count, edge_a, edge_bs)
         return h
@@ -119,7 +119,7 @@ class BipartiteHypergraph:
         a_edges: defaultdict[int, list[int]] = defaultdict(list)
         for eid, a in enumerate(edge_a):
             a_edges[a].append(eid)
-        self.a_edges = {a: ids for a, ids in a_edges.items() if 0 <= a < a_count}
+        self.a_edges = dict(a_edges)
         self._edges: tuple[Edge, ...] | None = None
         self._validated = False
         self._violation: Violation | None = None

@@ -175,10 +175,11 @@ class AugmentRun:
         included, up to that edge and counts the stats of that one
         iteration, so matchings, witnesses and stats equal the full loop's.
 
-        A traced walk goes on to the u stop and logs what the full loop
-        would: |X| counts the taken edges, |Y| the matched edges on the
-        B-vertices it occupied, which are their blockers.  Debug checks
-        lose nothing: the full loop's collapse discards layer 1 unchecked.
+        A monitored walk (traced or debug) goes on to the u stop, and a
+        traced one logs what the full loop would: |X| counts the taken
+        edges, |Y| the matched edges on the B-vertices it occupied, which
+        are their blockers.  Debug checks lose nothing: the full loop's
+        collapse discards layer 1 unchecked.
         """
         h, m, params = self.h, self.m, self.params
         edges = h.a_edges.get(self.tree.root, ())
@@ -200,8 +201,6 @@ class AugmentRun:
                     m.add(h, eid)
                     return True
                 found = eid
-                if self.trace is None:
-                    break
             occupied.update(bs)
             for b in bs:
                 f = b_of.get(b)
@@ -506,10 +505,12 @@ def find_perfect_matching(
 ) -> SolveResult:
     """Match every A-vertex starting from the empty matching.
 
-    Roots are processed in vertex order.  Returns the perfect matching,
-    or the first violation certificate encountered.  A malformed
-    instance raises :class:`InstanceError`; internal faults (the
-    iteration cap, a failed check) raise :class:`InternalSolverError`.
+    Roots are processed in vertex order; each augment matches exactly
+    its root, so every root is unmatched when its turn comes.  Returns
+    the perfect matching, or the first violation certificate
+    encountered.  A malformed instance raises :class:`InstanceError`;
+    internal faults (the iteration cap, a failed check) raise
+    :class:`InternalSolverError`.
     """
     v = validate_instance(h)
     if v is not None:
@@ -523,8 +524,6 @@ def find_perfect_matching(
     )
     run = AugmentRun(h, PartialMatching(), params, trace, debug_invariants)
     for a in range(h.a_count):
-        if run.m.matches_a(a):
-            continue
         witness = augment(run, a)
         if witness is not None:
             return SolveResult(matching=None, witness=witness, stats=run.stats)

@@ -66,8 +66,10 @@ def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
     ties by list order), vertices in index order, excluding each tried
     vertex from later siblings.  A node is pruned when it cannot beat
     the incumbent (or, before one is found, the budget): a greedy
-    B-disjoint subfamily of its unhit edges bounds what it still needs,
-    and an unhit edge with every vertex excluded cannot be hit.
+    B-disjoint subfamily of its unhit edges bounds what it still needs.
+    No unhit edge loses its last vertex to exclusion: the j-th child of
+    an edge with k vertices left excludes j-1 < k of them, and every
+    other unhit edge of the node has at least k left.
     """
     best: frozenset[int] | None = None
     limit = budget + 1  # a new incumbent must be smaller than this
@@ -81,13 +83,11 @@ def _search(bsets: list[frozenset[int]], budget: int) -> frozenset[int] | None:
                 limit = len(chosen)
                 best = frozenset(chosen)
         else:
-            # prune on a dead edge or once a greedy B-disjoint subfamily
-            # (one vertex each) fills the room; branch only past both
+            # prune once a greedy B-disjoint subfamily (one vertex each)
+            # fills the room; branch otherwise
             used: set[int] = set()
             room = limit - len(chosen)
             for bs in unhit:
-                if bs <= excluded:
-                    break
                 if not (bs & used):
                     used |= bs
                     room -= 1

@@ -160,7 +160,5 @@ class Parameters:
         """Generous polynomial cap; reaching it signals a bug, not input."""
         if self.max_iterations is not None:
             return self.max_iterations
-        if n <= 0:
-            return 1000
         log_term = (math.ceil(math.log2(n)) if n > 1 else 0) + 2
         return 10 * n * n * log_term * log_term + 1000

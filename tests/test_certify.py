@@ -304,6 +304,17 @@ class TestInstanceValidation:
         h = BipartiteHypergraph.from_columns(r, 2, 5, [1, 0], [clean, bs])
         assert certify.validate_instance(h) == Violation(code, f"edge 1: {detail}", 1)
 
+    @pytest.mark.parametrize("na, nb", [(-2, -1), (2, -1), (-1, 3)])
+    def test_negative_vertex_count_is_refused(self, na, nb):
+        h = BipartiteHypergraph(3, na, nb, [])
+        assert certify.validate_instance(h) == Violation(
+            "NEGATIVE_VERTEX_COUNT", f"nA={na}, nB={nb} must be >= 0"
+        )
+        with pytest.raises(InstanceError, match="NEGATIVE_VERTEX_COUNT"):
+            find_perfect_matching(h, 1)
+        v = check_result(h, {"status": "perfect_matching", "matching": []})
+        assert v is not None and v.code == "NEGATIVE_VERTEX_COUNT"
+
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])
         first = certify.validate_instance(h)

@@ -3,7 +3,6 @@ import io
 import re
 import time
 import tracemalloc
-from operator import lt
 from pathlib import Path
 
 import pytest
@@ -39,8 +38,9 @@ def reference_parse_instance(text: str) -> BipartiteHypergraph:
     """The instance parser before the one-pass rewrite, kept as a reference.
 
     It checks repeated edges itself, and again through validate_instance,
-    and reports structural violations at line 0.  A header with r < 2
-    followed by an edge line makes it raise IndexError.
+    and reports structural violations at line 0.  B-vertex order is left
+    to validate_instance, as in the parser.  A header with r < 2 followed
+    by an edge line makes it raise IndexError.
     """
     header: tuple[int, int, int, int] | None = None
     edges: list[tuple[int, tuple[int, ...]]] = []
@@ -72,8 +72,6 @@ def reference_parse_instance(text: str) -> BipartiteHypergraph:
             except ValueError:
                 raise ParseError(lineno, "non-integer vertex index") from None
             a, bs = nums[0], tuple(nums[1:])
-            if any(u >= v for u, v in zip(bs, bs[1:])):
-                raise ParseError(lineno, "B-vertices must be strictly ascending")
             if (a, bs) in seen:
                 raise ParseError(lineno, "duplicate edge")
             seen.add((a, bs))
@@ -85,7 +83,9 @@ def reference_parse_instance(text: str) -> BipartiteHypergraph:
     r, na, nb, m = header
     if len(edges) != m:
         raise ParseError(0, f"header declares m={m} but found {len(edges)} edges")
-    h = BipartiteHypergraph(r, na, nb, edges)
+    h = BipartiteHypergraph.from_columns(
+        r, na, nb, [a for a, _ in edges], [bs for _, bs in edges]
+    )
     v = validate_instance(h)
     if v is not None:
         raise ParseError(0, str(v))
@@ -94,10 +94,12 @@ def reference_parse_instance(text: str) -> BipartiteHypergraph:
 
 def line_parse_instance(text: str) -> BipartiteHypergraph:
     """The instance parser before the columnar rewrite, kept as a second
-    reference: it converts and checks each edge line as it reads it."""
+    reference: it converts each edge line as it reads it, and leaves
+    every structural rule, B-vertex order included, to validate_instance."""
     header: tuple[int, ...] | None = None
     width = -1
-    edges: list[tuple[int, tuple[int, ...]]] = []
+    edge_a: list[int] = []
+    edge_bs: list[tuple[int, ...]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -114,9 +116,8 @@ def line_parse_instance(text: str) -> BipartiteHypergraph:
                 bs = tuple(map(int, fields[2:]))
             except ValueError:
                 raise ParseError(lineno, "non-integer vertex index") from None
-            if not all(map(lt, bs, bs[1:])):
-                raise ParseError(lineno, "B-vertices must be strictly ascending")
-            edges.append((a, bs))
+            edge_a.append(a)
+            edge_bs.append(bs)
             edge_lines.append(lineno)
         elif tag.startswith("c"):
             continue
@@ -139,9 +140,9 @@ def line_parse_instance(text: str) -> BipartiteHypergraph:
     if header is None:
         raise ParseError(0, "missing header")
     r, na, nb, m = header
-    if len(edges) != m:
-        raise ParseError(0, f"header declares m={m} but found {len(edges)} edges")
-    h = BipartiteHypergraph(r, na, nb, edges)
+    if len(edge_a) != m:
+        raise ParseError(0, f"header declares m={m} but found {len(edge_a)} edges")
+    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, edge_bs)
     v = validate_instance(h)
     if v is not None:
         raise ParseError(0 if v.edge is None else edge_lines[v.edge], str(v))
@@ -254,6 +255,11 @@ def block_text(m: int, bad: dict[int, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def block_line(k: int) -> int:
+    """The line number of edge slot k of a block_text document."""
+    return 2 + k + (k + 1) // 1000
+
+
 # Each kind of bad edge line, as a function of its edge index.
 _BAD_LINES = {
     "non_integer": lambda k: f"e {k // 4} {2 * k} x",
@@ -261,6 +267,16 @@ _BAD_LINES = {
     "arity": lambda k: f"e {k // 4} {2 * k}",
     "unknown_tag": lambda k: f"q {k // 4} {2 * k} {2 * k + 1}",
     "repeated_edge": lambda k: f"e {(k - 1) // 4} {2 * k - 2} {2 * k - 1}",
+}
+
+# The start of the reason each kind is rejected with: syntax faults are
+# the parser's, order and repeats the kernel's.
+_BAD_REASONS = {
+    "non_integer": "non-integer vertex index",
+    "unsorted": "UNSORTED_B_VERTICES",
+    "arity": "expected 3 vertex fields",
+    "unknown_tag": "unknown record type",
+    "repeated_edge": "DUPLICATE_EDGE",
 }
 
 
@@ -334,10 +350,11 @@ class TestParseInstance:
         [
             ("p hbm 3 2 4 2\ne 0 0 1\nc\ne 1 2 9\n", 4, "INDEX_OUT_OF_RANGE"),
             ("p hbm 2 2 2 2\ne 0 0\ne 2 1\n", 3, "INDEX_OUT_OF_RANGE"),
-            ("p hbm 3 1 4 1\n\ne 0 2 2\n", 3, "strictly ascending"),
+            ("p hbm 3 1 4 1\n\ne 0 2 2\n", 3, "DUPLICATE_B_VERTEX"),
+            ("p hbm 3 1 4 1\ne 0 3 1\n", 2, "UNSORTED_B_VERTICES"),
             ("p hbm 3 2 4 3\ne 0 0 1\ne 1 2 3\nc\ne 0 0 1\n", 5, "DUPLICATE_EDGE"),
         ],
-        ids=["b_out_of_range", "a_out_of_range", "repeated_b", "duplicate_edge"],
+        ids=["b_out_of_range", "a_out_of_range", "repeated_b", "unsorted_b", "duplicate_edge"],
     )
     def test_edge_errors_name_their_line(self, text, line, code):
         with pytest.raises(ParseError) as exc:
@@ -411,18 +428,25 @@ class TestParseBlocks:
         text = block_text(2 * _BLOCK, {k: _BAD_LINES[kind](k)})
         got = _exact_outcome(parse_instance, text)
         assert got == _exact_outcome(line_parse_instance, text)
-        assert len(got) == 2  # rejected
+        assert got[0] == block_line(k) and got[1].startswith(_BAD_REASONS[kind])
 
     @pytest.mark.parametrize("late", ["arity", "unknown_tag", "header"])
     @pytest.mark.parametrize("early", ["non_integer", "unsorted"])
     def test_pending_bad_row_wins_over_later_line_error(self, early, late):
+        """A pending non-integer row is converted, and rejected, before the
+        later line.  An unsorted row is a structural fault, which the
+        kernel reports only for a file free of syntax errors, so there the
+        later line wins, as it does over a range or repeated-edge fault."""
         k = _BLOCK + 1
         bad = {k: _BAD_LINES[early](k)}
         bad[k + 5] = "p hbm 3 1 1 1" if late == "header" else _BAD_LINES[late](k + 5)
         text = block_text(2 * _BLOCK, bad)
         got = _exact_outcome(parse_instance, text)
         assert got == _exact_outcome(line_parse_instance, text)
-        assert got[1] in ("non-integer vertex index", "B-vertices must be strictly ascending")
+        if early == "non_integer":
+            assert got == (block_line(k), "non-integer vertex index")
+        else:
+            assert got[0] == block_line(k + 5) and not got[1].startswith("UNSORTED")
 
     def test_clean_instance_of_more_than_two_blocks(self):
         m = 2 * _BLOCK + 17

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import PartialMatching
-from hbmatch.core import blocking_edges, is_immediately_addable, swap
+from hbmatch.core import Violation, blocking_edges, is_immediately_addable, swap
 from hbmatch.tree import AlternatingTree, Layer, build_layer, validate_tree
 
 from .conftest import hypergraphs_with_matching, make_h, shuffled_planted
@@ -230,6 +230,60 @@ class TestAlternatingTree:
         tree.append_layer(make_layer(h, {2}, set()))
         v = validate_tree(h, m, tree)
         assert v is not None and v.code == "CROSS_LAYER_B_OVERLAP"
+
+    def test_matched_root_detected(self):
+        h = make_h(3, 1, 2, [(0, (0, 1))])
+        m = PartialMatching()
+        tree = fresh_tree(h, m)
+        m.add(h, 0)
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "ROOT_MATCHED"
+
+    def test_matching_edge_in_x_detected(self):
+        h = make_h(3, 2, 4, [(0, (0, 1)), (1, (2, 3))])
+        m = PartialMatching()
+        m.add(h, 1)
+        tree = fresh_tree(h, m)
+        tree.append_layer(make_layer(h, {1}, set()))
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "X_IN_MATCHING"
+
+    def test_x_edges_sharing_a_b_vertex_detected(self):
+        h = make_h(3, 1, 3, [(0, (0, 1)), (0, (1, 2))])
+        m = PartialMatching()
+        tree = fresh_tree(h, m)
+        tree.append_layer(make_layer(h, {0, 1}, set()))
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "X_B_OVERLAP_WITHIN_LAYER"
+
+    def test_y_missing_a_blocker_detected(self):
+        h = make_h(3, 2, 3, [(0, (0, 1)), (1, (1, 2))])
+        m = PartialMatching()
+        m.add(h, 1)
+        tree = fresh_tree(h, m)
+        tree.append_layer(make_layer(h, {0}, set()))  # edge 1 blocks edge 0
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "Y_NOT_BLOCKERS"
+
+    def test_blocker_in_two_layers_detected(self):
+        # edge 1 blocks edge 0 in layer 1 and edge 2 in layer 2; the
+        # blocker count trips before the B-overlap across layers
+        h = make_h(3, 2, 4, [(0, (0, 1)), (1, (1, 2)), (1, (2, 3))])
+        m = PartialMatching()
+        m.add(h, 1)
+        tree = fresh_tree(h, m)
+        tree.append_layer(make_layer(h, {0}, {1}))
+        tree.append_layer(make_layer(h, {2}, {1}))
+        v = validate_tree(h, m, tree)
+        assert v is not None and v.code == "MULTIPLE_BLOCKING_EDGES"
+
+    def test_x_edges_beyond_the_cap_detected(self):
+        h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
+        m = PartialMatching()
+        tree = fresh_tree(h, m, u_bound=1)
+        tree.append_layer(make_layer(h, {0, 1}, set()))
+        v = validate_tree(h, m, tree)
+        assert v == Violation("DEGREE_EXCEEDED", "A-vertex 0 has 2 X-edges")
 
     def test_parent_outside_lower_y_detected(self):
         h = make_h(3, 3, 4, [(0, (0, 1)), (2, (2, 3))])
