@@ -189,8 +189,8 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
     """Independent check of a trace: per augmenting run, the signature
     vectors must strictly decrease lexicographically, carry the fixed
     sign pattern with coordinates non-decreasing in absolute value, and
-    report zero unresolved floor boundaries.  Returns an error message
-    or None."""
+    report zero unresolved floor boundaries; every signature line carries
+    both fields.  Returns an error message or None."""
     prev: tuple[int, ...] | None = None
     in_run = False
     for lineno, raw in enumerate(lines, start=1):
@@ -203,9 +203,11 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
             prev = None
             in_run = True
         elif event == "signature" and in_run:
+            if "coords" not in kv or "unresolved" not in kv:
+                return f"line {lineno}: signature without coords or unresolved field"
             try:
-                coords = tuple(int(c) for c in kv.get("coords", "").split(",") if c)
-                unresolved = int(kv.get("unresolved", "0"))
+                coords = tuple(int(c) for c in kv["coords"].split(",") if c)
+                unresolved = int(kv["unresolved"])
             except ValueError:
                 return f"line {lineno}: non-integer coords or unresolved field"
             if unresolved != 0:

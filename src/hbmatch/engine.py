@@ -22,11 +22,11 @@ one addable X-edge collapses layer 1, and a walk over the root's edges
 with the build's take rule finds the edge that collapse adds, without
 building the layer.  A traced walk logs what the full loop would.
 
-If a freshly built layer is too small -- empty for small trees, or not
-larger than delta times the blocking-edge count for large ones -- the
-strengthened matching-existence condition must be violated, and the run
-extracts an explicit violating set with a hitting-set certificate
-instead of a matching.
+If a freshly built layer is too small -- not larger than delta times the
+blocking-edge count, which asks only for a nonempty layer while that
+count is below 1/delta -- the strengthened matching-existence condition
+must be violated, and the run extracts an explicit violating set with a
+hitting-set certificate instead of a matching.
 
 All threshold comparisons (mu |X|, (1+mu)|X|, delta |Y|) are exact:
 :class:`Parameters` compares integer cross-products of the counts with
@@ -166,14 +166,14 @@ class AugmentRun:
         changed, when no such edge turns up.
 
         Layer 1 holds at most k = min(deg(root), u) X-edges, and any
-        nonempty one passes the growth test, as the root's count of 1
-        lies below the small-tree threshold.  When mu*k < 1 one addable
-        X-edge collapses it, and the collapse adds the least.  The root is
-        unmatched, so none of its edges is in M, and the build takes them in
-        edge-id order: the least addable X-edge is the first taken edge with
-        no blocker.  The walk below applies the build's take rule, u stop
-        included, up to that edge and counts the stats of that one
-        iteration, so matchings, witnesses and stats equal the full loop's.
+        nonempty one passes the growth test x > delta*1, as delta < 1.
+        When mu*k < 1 one addable X-edge collapses it, and the collapse
+        adds the least.  The root is unmatched, so none of its edges is in
+        M, and the build takes them in edge-id order: the least addable
+        X-edge is the first taken edge with no blocker.  The walk below
+        applies the build's take rule, u stop included, up to that edge
+        and counts the stats of that one iteration, so matchings,
+        witnesses and stats equal the full loop's.
 
         A monitored walk (traced or debug) goes on to the u stop, and a
         traced one logs what the full loop would: |X| counts the taken
@@ -183,7 +183,7 @@ class AugmentRun:
         """
         h, m, params = self.h, self.m, self.params
         edges = h.a_edges.get(self.tree.root, ())
-        if params.least_exceeding_mu(min(len(edges), params.u)) != 1:
+        if not params.exceeds_mu(1, min(len(edges), params.u)):
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
         occupied: set[int] = set()
@@ -238,7 +238,7 @@ class AugmentRun:
         tree.append_layer(layer)
         self.stats.max_layers = max(self.stats.max_layers, tree.level())
         nx = len(layer.x)
-        ok = self.growth_check(nx, y_total_before)
+        ok = self.params.exceeds_delta(nx, y_total_before)
         if self.trace is not None:
             self._log_layer(tree.level(), nx, len(layer.y), ok, y_total_before)
         if not ok:
@@ -247,21 +247,7 @@ class AugmentRun:
                 s, hitting = len(cert.s), len(cert.hitting_set)
                 self.trace(f"witness s={s} hitting={hitting} bound={cert.bound!s}")
             return cert
-        if self.debug:
-            # Fresh layer excluded: its collapse status is still unresolved.
-            self._check_layer_count_bound(tree.level() - 1)
         return None
-
-    def growth_check(self, x_new: int, y_total_before: int) -> bool:
-        """Minimum-growth test for a freshly built layer.
-
-        Small trees (blocking count below the threshold, root counted as
-        one) only need a nonempty layer; past the threshold the layer
-        must exceed delta times the blocking count, compared exactly.
-        """
-        if y_total_before < self.params.small_tree_threshold:
-            return x_new >= 1
-        return self.params.exceeds_delta(x_new, y_total_before)
 
     def collapse_phase(self) -> bool:
         """Collapse the last layer while more than mu|X| of its X-edges
@@ -272,14 +258,13 @@ class AugmentRun:
         the root was matched, ending the run.
         """
         h, m, tree = self.h, self.m, self.tree
-        while tree.level() >= 1:
+        while True:  # a collapse of layer 1 matches the root, so a layer remains
             x = tree.layers[-1].x
             addable = [eid for eid in sorted(x) if is_immediately_addable(h, m, eid)]
             if not self.params.exceeds_mu(len(addable), len(x)):
                 return False
             if self.collapse_layer(addable):
                 return True
-        return False
 
     def collapse_layer(self, addable: list[int]) -> bool:
         """One collapse of the last layer; True when the root got matched.
@@ -434,6 +419,18 @@ class AugmentRun:
         self.prev_signature = sig
 
     def _check_boundary_invariants(self) -> None:
+        """The tree, the matching, A(M), and per layer: not collapsible,
+        grown past delta times the blocking count below, and no rebuild
+        reaching (1+mu)|X|.
+
+        Two bounds follow and are not checked.  Blocker ratio: the tree
+        is valid, so Y is exactly X's blockers and each Y-edge meets one
+        X-edge; the non-addable X-edges number at most |Y|, so
+        |X|-|Y| <= addable <= mu|X|.  Depth: hence |Y_i| >= (1-mu)|X_i|,
+        and with |X_i| > delta*y_below(i) the blocking count after L
+        layers exceeds (1+gamma)^L, gamma = (1-mu)delta; the blockers'
+        A-vertices are distinct and none is the root, so it is at most n.
+        """
         h, m, tree = self.h, self.m, self.tree
         v = validate_tree(h, m, tree)
         if v is not None:
@@ -441,7 +438,7 @@ class AugmentRun:
         v = verify_matching(h, m)
         if v is not None:
             raise InternalSolverError("MATCHING_INVALID", str(v))
-        if self._matched_before is not None and m.matched_a_vertices() != self._matched_before:
+        if m.matched_a_vertices() != self._matched_before:
             raise InternalSolverError("MATCHED_SET_CHANGED", "A(M) drifted mid-run")
         y_below = 1
         for idx, layer in enumerate(tree.layers, start=1):
@@ -449,10 +446,6 @@ class AugmentRun:
             if self.params.exceeds_mu(addable, len(layer.x)):
                 raise InternalSolverError(
                     "COLLAPSIBLE_AT_BOUNDARY", f"layer {idx} is collapsible"
-                )
-            if self.params.exceeds_mu(len(layer.x) - len(layer.y), len(layer.x)):
-                raise InternalSolverError(
-                    "BLOCKER_RATIO", f"layer {idx}: |Y|={len(layer.y)} |X|={len(layer.x)}"
                 )
             if not self.params.exceeds_delta(len(layer.x), y_below):
                 raise InternalSolverError(
@@ -466,14 +459,6 @@ class AugmentRun:
                     "SUPERPOSED_GROWTH_AT_BOUNDARY",
                     f"layer {i}: rebuild reaches {x2} from {len(layer.x)}",
                 )
-        self._check_layer_count_bound(tree.level())
-
-    def _check_layer_count_bound(self, level: int) -> None:
-        n = self.h.a_count
-        if (1 + self.params.gamma) ** level > n:
-            raise InternalSolverError(
-                "LAYER_COUNT_BOUND", f"(1+gamma)^{level} > n={n}"
-            )
 
     def _check_matched_exactly_root(self) -> None:
         assert self._matched_before is not None

@@ -69,9 +69,8 @@ class Parameters:
 
     mu = e^2/(10 r^2) is the lazy-collapse fraction, u = ceil(1/mu)
     the per-vertex edge cap, delta = e/(5 r^2) the required layer
-    growth rate, gamma = (1-mu) delta the blocking-edge growth rate, and
-    b = 1/(1-mu^3) the logarithm base of the progress monitor, where
-    e = min(epsilon, 1); `epsilon` keeps the value given.
+    growth rate, and b = 1/(1-mu^3) the logarithm base of the progress
+    monitor, where e = min(epsilon, 1); `epsilon` keeps the value given.
     """
 
     epsilon: Fraction
@@ -79,9 +78,7 @@ class Parameters:
     mu: Fraction
     u: int
     delta: Fraction
-    gamma: Fraction
     b: Fraction
-    small_tree_threshold: int
     max_iterations: int | None = None
 
     @classmethod
@@ -120,17 +117,13 @@ class Parameters:
         u = u_override if u_override is not None else math.ceil(1 / mu)
         if u < 1:
             raise ValueError("u must be >= 1")
-        delta = e / (5 * r * r)
-        gamma = (1 - mu) * delta
         return cls(
             epsilon=epsilon,
             r=r,
             mu=mu,
             u=u,
-            delta=delta,
-            gamma=gamma,
+            delta=e / (5 * r * r),
             b=1 / (1 - mu**3),
-            small_tree_threshold=math.ceil(1 / delta),
             max_iterations=max_iterations,
         )
 
@@ -143,17 +136,15 @@ class Parameters:
         """k > mu*n: the collapse test, k addable edges of n."""
         return k * self.mu.denominator > self.mu.numerator * n
 
-    def least_exceeding_mu(self, n: int) -> int:
-        """Least k with k > mu*n, so exceeds_mu(k, n) holds exactly from k on."""
-        return self.mu.numerator * n // self.mu.denominator + 1
-
     def reaches_one_plus_mu(self, new: int, old: int) -> bool:
         """new >= (1+mu)*old: the superposed-rebuild commit test."""
         d = self.mu.denominator
         return new * d >= (d + self.mu.numerator) * old
 
     def exceeds_delta(self, x: int, y: int) -> bool:
-        """x > delta*y: the layer-growth test past the small-tree threshold."""
+        """x > delta*y: the layer-growth test, x new X-edges over the
+        blocking count y (root counted as one).  Below y = 1/delta it asks
+        only for x >= 1, as 0 < delta*y < 1 there."""
         return x * self.delta.denominator > self.delta.numerator * y
 
     def iteration_cap(self, n: int) -> int:

@@ -189,7 +189,7 @@ def validate_tree(
         return Violation("ROOT_MATCHED", f"root {tree.root} is matched")
     edge_a, edge_bs = h.edge_a, h.edge_bs
     seen_b: dict[int, int] = {}
-    blocking_count: dict[int, int] = {}
+    blocking_a: set[int] = set()
     for idx, layer in enumerate(tree.layers, start=1):
         for eid in layer.x:
             if eid in m.edge_ids:
@@ -218,11 +218,11 @@ def validate_tree(
                 return Violation(
                     "Y_INTERSECTS_MULTIPLE_X", f"layer {idx}: edge {f} hits {hits} X-edges"
                 )
-            blocking_count[fa] = blocking_count.get(fa, 0) + 1
-            if blocking_count[fa] > 1:
+            if fa in blocking_a:
                 return Violation(
                     "MULTIPLE_BLOCKING_EDGES", f"A-vertex {fa} in layer {idx}"
                 )
+            blocking_a.add(fa)
         parents = tree.parent_a_set(idx)
         for eid in sorted(layer.x):
             if edge_a[eid] not in parents:
@@ -238,12 +238,12 @@ def validate_tree(
                         f"B-vertex {b} in layers {seen_b[b]} and {idx}",
                     )
                 seen_b[b] = idx
+    # With MULTIPLE_BLOCKING_EDGES above, this also bounds a vertex's
+    # X-edges plus its blocking edge by u_bound + 1.
     x_per_vertex = Counter(edge_a[eid] for layer in tree.layers for eid in layer.x)
     for a, count in sorted(x_per_vertex.items()):
         if count > tree.u_bound:
             return Violation("DEGREE_EXCEEDED", f"A-vertex {a} has {count} X-edges")
-        if a != tree.root and count + blocking_count.get(a, 0) > tree.u_bound + 1:
-            return Violation("DEGREE_EXCEEDED", f"A-vertex {a} total degree")
     occ: set[int] = set()
     for idx, layer in enumerate(tree.layers, start=1):
         bx = {b for eid in layer.x for b in edge_bs[eid]}

@@ -616,6 +616,13 @@ class TestTraceChecker:
         lines = ["augment_start root=0", f"signature iter=1 {fields}"]
         assert check_trace_lines(lines) == "line 2: non-integer coords or unresolved field"
 
+    @pytest.mark.parametrize("fields", ["=x coords", "coords=-5,7", "unresolved=0", ""])
+    def test_signature_without_both_fields_names_its_line(self, fields):
+        lines = ["augment_start root=0", f"signature {fields}".strip()]
+        assert check_trace_lines(lines) == (
+            "line 2: signature without coords or unresolved field"
+        )
+
     def test_scopes_reset_between_runs(self):
         lines = [
             "augment_start root=0",

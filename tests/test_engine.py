@@ -26,7 +26,7 @@ from hbmatch.engine import AugmentRun, InternalSolverError, augment
 from hbmatch.instances import SplitMix64
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
-from hbmatch.tree import Layer
+from hbmatch.tree import Layer, build_layer
 
 from .conftest import (
     brute_force_perfect_matching,
@@ -51,26 +51,42 @@ def started(h, m, root, p):
     return run
 
 
-class TestGrowthCheck:
-    """Exact-arithmetic thresholds of the layer growth test."""
+def growth_by_regime(p: Parameters, x: int, y: int) -> bool:
+    """Reference growth test with its two regimes written out: below the
+    threshold t = ceil(1/delta) a nonempty layer passes, from t on the
+    layer must exceed delta*y."""
+    if y < math.ceil(1 / p.delta):
+        return x >= 1
+    return x > p.delta * y
 
-    def run_for(self, r=3, eps=1):
-        h = make_h(r, 1, r - 1, [(0, tuple(range(r - 1)))])
-        return started(h, PartialMatching(), 0, params(r, eps))
+
+class TestGrowthCheck:
+    """Exact-arithmetic thresholds of the layer growth test x > delta*y."""
 
     def test_small_tree_needs_one_edge(self):
-        run = self.run_for()
-        assert run.growth_check(1, 1)
-        assert not run.growth_check(0, 1)
+        # r=3, eps=1: delta = 1/45, so below y = 45 one edge passes
+        p = params()
+        for y in range(1, 45):
+            assert p.exceeds_delta(1, y)
+            assert not p.exceeds_delta(0, y)
 
     def test_big_tree_rational_boundary(self):
-        # r=3, eps=1: threshold 45, delta=1/45; 2 > 50/45 passes
-        run = self.run_for()
-        assert run.growth_check(2, 50)
-        assert not run.growth_check(1, 50)
+        # r=3, eps=1: delta=1/45; 2 > 50/45 passes
+        p = params()
+        assert p.exceeds_delta(2, 50)
+        assert not p.exceeds_delta(1, 50)
         # exact boundary: 1 > 45/45 is false
-        assert not run.growth_check(1, 45)
-        assert run.growth_check(2, 45)
+        assert not p.exceeds_delta(1, 45)
+        assert p.exceeds_delta(2, 45)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", [1, "1/2", "1/3", "2/3", "3/2", 8])
+    def test_one_inequality_equals_the_two_regimes(self, r, eps):
+        p = params(r, eps)
+        t = math.ceil(1 / p.delta)
+        for y in range(1, t + 6):
+            for x in range(5):
+                assert p.exceeds_delta(x, y) == growth_by_regime(p, x, y), (x, y)
 
 
 def collapsible(run: AugmentRun, x) -> bool:
@@ -154,10 +170,10 @@ class TestSuperposedCommitThreshold:
                 for n in sorted(ns):
                     for k in near(q, n) | near(1 + q, n):
                         assert p.exceeds_mu(k, n) == (k > p.mu * n)
-                        assert p.exceeds_mu(k, n) == (k >= p.least_exceeding_mu(n))
                         assert p.reaches_one_plus_mu(k, n) == (Fraction(k) >= (1 + p.mu) * n)
                         assert p.exceeds_delta(k, n) == (k > p.delta * n)
-                        # the debug-mode blocker-ratio test |Y| < (1-mu)|X|
+                        # |X|-|Y| > mu|X| is |Y| < (1-mu)|X|, the blocker
+                        # ratio the boundary invariants imply
                         assert p.exceeds_mu(n - k, n) == (Fraction(k) < (1 - p.mu) * n)
                         boundaries += (k == p.mu * n) + (k == (1 + p.mu) * n)
                         boundaries += k == p.delta * n
@@ -359,7 +375,7 @@ class TestOneStepMatch:
         assert full[1] == [0, 3]
 
     def test_root_needing_two_addable_edges_takes_the_full_loop(self, monkeypatch):
-        # deg 2 at mu = 1/2: least_exceeding_mu(2) == 2
+        # deg 2 at mu = 1/2: one addable edge of 2 is not > mu*2
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         calls = counting_build_layer(monkeypatch)
         res = find_perfect_matching(h, 1, mu_override="1/2")
@@ -554,6 +570,110 @@ class TestDebugInvariantsOnDeepTrees:
                 assert verify_witness(h, res.witness) is None
             else:
                 assert verify_matching(h, res.matching, require_perfect=True) is None
+
+
+def debug_run(h, m=None, root=0):
+    """A debug-mode run of `h` at epsilon 1, started at `root`."""
+    run = AugmentRun(h, m if m is not None else PartialMatching(), params(h.r, 1),
+                     debug_invariants=True)
+    run.start(root)
+    return run
+
+
+def append_built_layer(run, u_bound=None):
+    """Build the run's next layer and stack it, as build_phase does."""
+    tree = run.tree
+    layer = build_layer(run.h, run.m, tree.occupied_b(), tree.parent_a_set(tree.level() + 1),
+                        run.params.u if u_bound is None else u_bound)
+    tree.append_layer(layer)
+    return layer
+
+
+def raised(call) -> InternalSolverError:
+    with pytest.raises(InternalSolverError) as exc:
+        call()
+    return exc.value
+
+
+class TestEachEngineCodeFires:
+    """Each engine check, on a fault built by hand or by a faulty step."""
+
+    def test_collapsible_layer_at_a_boundary(self):
+        # Root 0 has three edges, one blocked by vertex 1's matched edge:
+        # |X| - |Y| = 2 > mu|X|, and two X-edges are addable.
+        h = make_h(2, 2, 3, [(0, (0,)), (0, (1,)), (0, (2,)), (1, (0,))])
+        m = PartialMatching()
+        m.add(h, 3)
+        run = debug_run(h, m)
+        layer = append_built_layer(run)
+        assert (layer.x, layer.y) == ({0, 1, 2}, {3})
+        assert run.params.exceeds_mu(len(layer.x) - len(layer.y), len(layer.x))
+        err = raised(run._check_boundary_invariants)
+        assert str(err) == "COLLAPSIBLE_AT_BOUNDARY: layer 1 is collapsible"
+
+    def test_layer_not_grown_past_delta(self):
+        # Layer 2 grows from vertex 1, whose only edge is matched: empty.
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        m = PartialMatching()
+        m.add(h, 1)
+        run = debug_run(h, m)
+        append_built_layer(run)
+        assert append_built_layer(run).x == set()
+        err = raised(run._check_boundary_invariants)
+        assert str(err) == "LAYER_GROWTH: layer 2: |X|=0 vs 2 below"
+
+    def test_rebuild_reaching_one_plus_mu(self):
+        # Layer 1 built at cap 1 holds one of the root's two blocked
+        # edges; the rebuild at u adds the other, 2 >= (1+mu)*1.
+        h = make_h(2, 3, 2, [(0, (0,)), (0, (1,)), (1, (0,)), (2, (1,))])
+        m = PartialMatching()
+        m.add(h, 2)
+        m.add(h, 3)
+        run = debug_run(h, m)
+        assert append_built_layer(run, u_bound=1).x == {0}
+        err = raised(run._check_boundary_invariants)
+        assert str(err) == "SUPERPOSED_GROWTH_AT_BOUNDARY: layer 1: rebuild reaches 2 from 1"
+
+    def test_matched_set_drifting_mid_run(self):
+        h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
+        run = debug_run(h)
+        run.m.add(h, 1)
+        err = raised(run._check_boundary_invariants)
+        assert str(err) == "MATCHED_SET_CHANGED: A(M) drifted mid-run"
+
+    def test_run_ending_with_more_than_the_root_matched(self):
+        h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
+        run = debug_run(h)
+        run.m.add(h, 0)
+        run._check_matched_exactly_root()
+        run.m.add(h, 1)
+        err = raised(run._check_matched_exactly_root)
+        assert str(err) == "MATCHED_SET_CHANGED: run did not add exactly the root"
+
+    def test_matching_maps_out_of_step(self):
+        h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
+        run = debug_run(h)
+        run.m.b_of[0] = 1  # a stale B-vertex entry
+        err = raised(run._check_boundary_invariants)
+        assert err.code == "MATCHING_INVALID" and "MAP_INCONSISTENT" in str(err)
+
+    def test_swap_leaving_its_blocker_in_the_matching(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        def faulty_swap(h, m, f_out, e_in):
+            swap(h, m, f_out, e_in)
+            m.edge_ids.add(f_out)
+
+        monkeypatch.setattr(engine, "swap", faulty_swap)
+        err = raised(lambda: find_perfect_matching(shift_chain(3), 1, debug_invariants=True))
+        assert err.code == "MATCHING_AFTER_SWAP" and "OVERLAP" in str(err)
+
+    def test_augment_leaving_a_root_bare(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        monkeypatch.setattr(engine, "augment", lambda run, root: None)
+        err = raised(lambda: find_perfect_matching(make_h(2, 1, 1, [(0, (0,))]), 1))
+        assert str(err) == "RESULT_INVALID: UNMATCHED: A-vertex 0"
 
 
 class TestFindPerfectMatching:

@@ -1,9 +1,11 @@
 """Package-wide rules: every name a module exports resolves, so a
-deletion leaves no stale export, and no function recurses."""
+deletion leaves no stale export, no function recurses, and every error
+code the package raises is named by some test."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,42 @@ def test_no_function_calls_itself():
                     and node.func.id == fn.name
                 )
     assert recursive == []
+
+
+def coded_error_names() -> set[str]:
+    """`CodedError` and the names of all its subclasses in the package."""
+    names, todo = set(), [hbmatch.core.CodedError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names
+
+
+def test_every_raised_code_is_named_by_a_test():
+    # A code no test names is a check no test makes fire.  The codes are
+    # the string constants passed first to `Violation` or a `CodedError`.
+    src = Path(hbmatch.__file__).resolve().parent
+    callees = coded_error_names() | {"Violation"}
+    codes = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in callees
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                codes.setdefault(node.args[0].value, f"{path.name}:{node.lineno}")
+    assert {"COLLAPSIBLE_AT_BOUNDARY", "INDEX_OUT_OF_RANGE", "LOG_OF_ZERO"} <= set(codes)
+    tests = "\n".join(
+        path.read_text() for path in sorted(Path(__file__).parent.glob("test_*.py"))
+    )
+    unnamed = [
+        f"{code} ({where})"
+        for code, where in sorted(codes.items())
+        if not re.search(rf"\b{code}\b", tests)
+    ]
+    assert unnamed == []

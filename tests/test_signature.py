@@ -36,15 +36,13 @@ class TestParameters:
         assert p.mu == Fraction(1, 90)
         assert p.u == 90
         assert p.delta == Fraction(1, 45)
-        assert p.gamma == Fraction(89, 90) * Fraction(1, 45)
         assert p.b == Fraction(729000, 728999)
-        assert p.small_tree_threshold == 45
 
     def test_derived_constants_r2_eps_quarter(self):
         p = Parameters.for_instance(2, "1/4")
         assert p.mu == Fraction(1, 640)
         assert p.u == 640
-        assert p.small_tree_threshold == 80
+        assert p.delta == Fraction(1, 80)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("eps", ["3/2", "8", "1e1000"])
