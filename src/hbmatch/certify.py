@@ -120,9 +120,9 @@ def verify_matching(
 ) -> Violation | None:
     """Re-check a live matching from scratch; None when clean.
 
-    Besides the checks of :func:`_matching_violation`, reports
-    MAP_INCONSISTENT when the incremental maps of `m` disagree with its
-    edge set.
+    Runs :func:`_matching_violation` on the edges `m.a_of` names, and
+    reports MAP_INCONSISTENT when `a_of` maps a vertex to another
+    vertex's edge or `b_of` differs from the members' B-vertices.
     """
     return _matching_violation(h, m.edge_ids, require_perfect, (m.a_of, m.b_of))
 

@@ -189,8 +189,8 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
     """Independent check of a trace: per augmenting run, the signature
     vectors must strictly decrease lexicographically, carry the fixed
     sign pattern with coordinates non-decreasing in absolute value, and
-    report zero unresolved floor boundaries; every signature line carries
-    both fields.  Returns an error message or None."""
+    report zero unresolved floor boundaries; every signature line lies in
+    a run and carries both fields.  Returns an error message or None."""
     prev: tuple[int, ...] | None = None
     in_run = False
     for lineno, raw in enumerate(lines, start=1):
@@ -202,7 +202,9 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
         if event == "augment_start":
             prev = None
             in_run = True
-        elif event == "signature" and in_run:
+        elif event == "signature":
+            if not in_run:
+                return f"line {lineno}: signature outside an augmenting run"
             if "coords" not in kv or "unresolved" not in kv:
                 return f"line {lineno}: signature without coords or unresolved field"
             try:
@@ -272,8 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_check_haxell(args: argparse.Namespace) -> int:
     h = parse_instance(_read_text(args.input))
     epsilon = parse_epsilon(args.epsilon)
-    mode = "classic" if args.classic else "strengthened"
-    res = check_haxell(h, epsilon, mode=mode, max_a=args.max_a)
+    res = check_haxell(h, Fraction(0) if args.classic else epsilon, max_a=args.max_a)
     if res.satisfied:
         print("SATISFIED")
         return EXIT_OK

@@ -155,25 +155,25 @@ def incident_edges(h: BipartiteHypergraph, s: Iterable[int]) -> set[int]:
 
 
 class PartialMatching:
-    """A mutable set of pairwise vertex-disjoint edges.
+    """A mutable set of pairwise vertex-disjoint edges, kept as two maps.
 
-    `a_of` / `b_of` map each covered vertex to the id of the member edge
-    covering it; they are maintained incrementally so blocking queries
-    run in O(r).
+    `a_of` / `b_of` map each covered vertex to the member edge covering
+    it, so blocking queries run in O(r).  An edge has one A-vertex, so
+    `e` is a member iff `a_of[edge_a[e]] == e`; `edge_ids` is a new set.
     """
 
-    __slots__ = ("edge_ids", "a_of", "b_of")
+    __slots__ = ("a_of", "b_of")
 
     def __init__(self) -> None:
-        self.edge_ids: set[int] = set()
         self.a_of: dict[int, int] = {}
         self.b_of: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.edge_ids)
+    @property
+    def edge_ids(self) -> set[int]:
+        return set(self.a_of.values())
 
-    def __contains__(self, edge_id: int) -> bool:
-        return edge_id in self.edge_ids
+    def __len__(self) -> int:
+        return len(self.a_of)
 
     def matches_a(self, a: int) -> bool:
         return a in self.a_of
@@ -183,9 +183,7 @@ class PartialMatching:
 
     def add(self, h: BipartiteHypergraph, edge_id: int) -> None:
         a, bs = h.edge_a[edge_id], h.edge_bs[edge_id]
-        if edge_id in self.edge_ids:
-            raise MatchingError("OVERLAP", f"edge {edge_id} already in matching")
-        if a in self.a_of:
+        if a in self.a_of:  # a member's own A-vertex included
             raise MatchingError(
                 "OVERLAP", f"A-vertex {a} already matched by edge {self.a_of[a]}"
             )
@@ -194,16 +192,15 @@ class PartialMatching:
                 raise MatchingError(
                     "OVERLAP", f"B-vertex {b} already used by edge {self.b_of[b]}"
                 )
-        self.edge_ids.add(edge_id)
         self.a_of[a] = edge_id
         for b in bs:
             self.b_of[b] = edge_id
 
     def remove(self, h: BipartiteHypergraph, edge_id: int) -> None:
-        if edge_id not in self.edge_ids:
+        a = h.edge_a[edge_id]
+        if self.a_of.get(a) != edge_id:
             raise MatchingError("NOT_IN_MATCHING", f"edge {edge_id}")
-        self.edge_ids.discard(edge_id)
-        del self.a_of[h.edge_a[edge_id]]
+        del self.a_of[a]
         for b in h.edge_bs[edge_id]:
             del self.b_of[b]
 
@@ -226,11 +223,9 @@ def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, edge_id: 
 def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> PartialMatching:
     """Replace `f_out` by the immediately addable `e_in` for the same A-vertex.
 
-    Mutates `m` in place and returns it.  The set of matched A-vertices
-    is unchanged.
+    Checks every precondition (a non-member `f_out` in `m.remove`) before
+    mutating `m` in place; returns `m`, with the same matched A-vertices.
     """
-    if f_out not in m.edge_ids:
-        raise MatchingError("NOT_IN_MATCHING", f"edge {f_out}")
     a_out, a_in = h.edge_a[f_out], h.edge_a[e_in]
     if a_out != a_in:
         raise MatchingError(

@@ -36,6 +36,7 @@ thresholds sit exactly on integer boundaries.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .core import (
     swap,
 )
 from .params import Parameters
-from .signature import SignatureMemo, check_signature_step, signature_from_sizes
+from .signature import SignatureMemo, check_signature_step, signature_from_sizes, working_digits
 from .tree import AlternatingTree, Layer, build_layer, validate_tree
 
 __all__ = [
@@ -119,6 +120,12 @@ class AugmentRun:
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if trace is not None and 0 < limit < (digits := working_digits(params.b)):
+            raise ValueError(
+                f"epsilon too small to trace: signature coordinates may have up to {digits} "
+                f"digits, over Python's {limit}-digit limit on int/str conversion"
+            )
 
     def start(self, root: int) -> None:
         """Plant a fresh tree at `root`; ValueError if it is matched."""
@@ -461,7 +468,6 @@ class AugmentRun:
                 )
 
     def _check_matched_exactly_root(self) -> None:
-        assert self._matched_before is not None
         now = self.m.matched_a_vertices()
         if now != self._matched_before | {self.tree.root}:
             raise InternalSolverError(

@@ -115,13 +115,11 @@ def _add_random_edges(
     b_count: int,
     r: int,
 ) -> None:
-    if a_count == 0 or b_count < r - 1:
-        return  # no edge fits
     seen = set(h_edges)
     slots = a_count * math.comb(b_count, r - 1)
     for _ in range(count):
         if len(seen) >= slots:
-            break  # every (a, bs) slot is taken
+            break  # every (a, bs) slot is taken, or none exists
         for _attempt in range(200):
             a = rng.below(a_count)
             bs = tuple(rng.distinct(b_count, r - 1))

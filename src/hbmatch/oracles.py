@@ -134,24 +134,20 @@ def min_hitting_set(
 def check_haxell(
     h: BipartiteHypergraph,
     epsilon: Fraction,
-    mode: str = "strengthened",
     max_a: int = DEFAULT_SUBSET_CAP,
 ) -> HaxellResult:
-    """Exhaustively test tau(E_S) > factor * (|S|-1) over all nonempty S.
+    """Exhaustively test tau(E_S) > (2r-3+epsilon)(|S|-1) over all nonempty S.
 
-    `mode` is "strengthened" (factor 2r-3+epsilon) or "classic"
-    (factor 2r-3).  Subsets are enumerated by increasing size, then
-    lexicographically, and the first violator is returned.  Comparisons
-    use exact rationals; the per-subset hitting-set search stops at the
-    floored bound.
+    At epsilon 0 this is the classic condition.  Subsets are enumerated
+    by increasing size, then lexicographically, and the first violator
+    is returned.  Comparisons use exact rationals; the per-subset
+    hitting-set search stops at the floored bound.
     """
-    if mode not in ("strengthened", "classic"):
-        raise ValueError(f"unknown mode {mode!r}")
     if h.a_count > max_a:
         raise InstanceTooLarge(
             f"|A|={h.a_count} exceeds the subset-enumeration cap {max_a}"
         )
-    factor = condition_factor(h.r, epsilon if mode == "strengthened" else Fraction(0))
+    factor = condition_factor(h.r, epsilon)
     bsets = [frozenset(bs) for bs in h.edge_bs]
     for k in range(1, h.a_count + 1):
         for subset in combinations(range(h.a_count), k):

@@ -103,12 +103,8 @@ class _Logs:
         self.ln_base = self.ln(base.numerator, base.denominator)
 
     def ln(self, n: int, d: int = 1) -> Enclosure:
-        """ln(n/d) for positive integers n and d."""
-        if d == 1:
-            return _ln_int(n, self.prec)
-        if n == 1:
-            lo, hi = _ln_int(d, self.prec)
-            return hi.copy_negate(), lo.copy_negate()
+        """ln(n/d) for positive integers n and d, rounded outward; ln(1) is
+        exactly 0, so ln(n) and -ln(d) take this one path too."""
         # ln(n) - ln(d) cancels: |ln(n/d)| >= |n-d|/max(n,d) and
         # ln(max) < bit_length(max), so this many more bits keep prec
         big = max(n, d)
@@ -130,11 +126,11 @@ class _Logs:
         return math.floor(x_lo), math.floor(x_hi)
 
 
-def _working_digits(base: Fraction) -> int:
+def working_digits(base: Fraction) -> int:
     """First-pass precision in digits.  ln(base) is about base-1, so the
     quotient log_base(value) has about gap_bits bits ahead of its point;
-    the guard bits follow them.  (ln() adds the digits its own
-    cancellation loses.)"""
+    the guard bits follow them, so no signature coordinate has as many
+    digits.  (ln() adds the digits its own cancellation loses.)"""
     gap = base - 1
     gap_bits = max(0, gap.denominator.bit_length() - gap.numerator.bit_length())
     return _digits(gap_bits + _GUARD_BITS)
@@ -162,7 +158,7 @@ def floor_log(
     if base <= 1:
         raise ValueError("floor_log requires base > 1")
     if logs is None:
-        logs = _Logs(base, _working_digits(base))
+        logs = _Logs(base, working_digits(base))
     if ln_value is None:
         ln_value = logs.ln(value.numerator, value.denominator)
     lo, hi = logs.floors(ln_value)
@@ -219,7 +215,7 @@ class SignatureMemo:
         scale = 1 / p.delta  # 5r^2/eps, at the slack the thresholds use
         logs = self._logs
         if logs is None:
-            logs = self._logs = _Logs(p.b, _working_digits(p.b))
+            logs = self._logs = _Logs(p.b, working_digits(p.b))
             self._ln_scale = logs.ln(scale.numerator, scale.denominator)
             # ln(1/(1-mu)), the log of d_i / c_i
             self._ln_grow = logs.ln(p.mu.denominator, p.mu.denominator - p.mu.numerator)

@@ -131,10 +131,10 @@ def build_layer(
 
     Repeatedly takes the least addable (a, edge) pair, by vertex index
     and then edge id: `a` is a parent with fewer than `u_bound` X-edges,
-    counting those in `x_held`, and the edge is not in `m` and avoids
-    every occupied B-vertex.  It adds the edge to X and its blockers
-    under `m` to Y, and treats all their B-vertices as occupied from
-    then on.  `occupied_b` is the set of B-vertices to avoid, such as
+    counting those in `x_held`, and the edge is not `a`'s own edge in
+    `m` and avoids every occupied B-vertex.  It adds the edge to X and
+    its blockers under `m` to Y, and treats all their B-vertices as
+    occupied from then on.  `occupied_b` is the set of B-vertices to avoid, such as
     the tree's live set (:meth:`AlternatingTree.occupied_b`); it is only
     read.  A rebuild passes the layer's X as `x_held` and an
     `occupied_b` that holds the layer's B-vertices.  The result is a
@@ -147,7 +147,7 @@ def build_layer(
     `u_bound` or runs out, and is never revisited.
     """
     edge_a, edge_bs = h.edge_a, h.edge_bs
-    matched, b_of, a_edges = m.edge_ids, m.b_of, h.a_edges
+    a_of, b_of, a_edges = m.a_of, m.b_of, h.a_edges
     taken = Layer(set(), set(), set(), set())
     x, y, bx, by = taken
     x_counts: dict[int, int] = {}
@@ -158,8 +158,9 @@ def build_layer(
         room = u_bound - x_counts.get(a, 0)
         if room <= 0:
             continue
+        own = a_of.get(a)
         for eid in a_edges.get(a, ()):
-            if eid in matched:
+            if eid == own:
                 continue
             bs = edge_bs[eid]
             if not (occupied_b.isdisjoint(bs) and bx.isdisjoint(bs) and by.isdisjoint(bs)):
@@ -192,7 +193,7 @@ def validate_tree(
     blocking_a: set[int] = set()
     for idx, layer in enumerate(tree.layers, start=1):
         for eid in layer.x:
-            if eid in m.edge_ids:
+            if m.a_of.get(edge_a[eid]) == eid:
                 return Violation("X_IN_MATCHING", f"layer {idx}: edge {eid}")
         layer_b: set[int] = set()
         for eid in sorted(layer.x):

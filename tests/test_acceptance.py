@@ -207,7 +207,7 @@ def test_criterion_6_oracle_cross_validation():
                 extra_edges=2 + i % 7, seed=i,
             )
             h = generate(spec)
-            if check_haxell(h, Fraction(0), mode="classic").satisfied:
+            if check_haxell(h, Fraction(0)).satisfied:
                 satisfied += 1
                 assert brute_force_perfect_matching(h) is not None
         assert satisfied >= 50, "classic-satisfied sample too small to be meaningful"

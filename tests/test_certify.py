@@ -94,6 +94,8 @@ class TestParseResult:
             ("status: witness\nepsilon: 1\nbound: 1/0\n", 3, "zero denominator"),
             ("\nstatus: done\n", 2, "unknown status 'done'"),
             ("status: witness\nS: 0\n", 0, "missing epsilon"),
+            ("status: witness\nepsilon 1\n", 2, "expected 'key: value'"),
+            ("matching: 0\n", 0, "missing status"),
         ],
     )
     def test_malformed_field_is_parse_error_at_its_line(self, text, line, reason):

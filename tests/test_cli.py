@@ -14,6 +14,7 @@ from hbmatch import (
     BipartiteHypergraph,
     GeneratorSpec,
     find_perfect_matching,
+    from_bipartite_graph,
     generate,
     validate_instance,
 )
@@ -322,6 +323,20 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance("p hbm 2 1 1 1\ne 0 5\n")
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("c x\np hbm 3 x 4 1\ne 0 0 1\n", 2, "non-integer header field"),
+            ("c x\np hbm 3 1 2\n", 2, "expected 'p hbm <r> <nA> <nB> <m>'"),
+            ("c only a comment\n", 0, "missing header"),
+        ],
+        ids=["non-integer", "shape", "missing"],
+    )
+    def test_header_errors_name_their_line(self, text, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
     def test_negative_header_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("p hbm 2 -1 0 0\n")
@@ -623,6 +638,18 @@ class TestTraceChecker:
             "line 2: signature without coords or unresolved field"
         )
 
+    @pytest.mark.parametrize(
+        "before",
+        [[], ["augment_start root=0", "augment_end outcome=matched iterations=1"]],
+        ids=["before-any-run", "after-a-run"],
+    )
+    def test_rejects_a_signature_outside_a_run(self, tmp_path, before):
+        lines = before + ["signature iter=1 coords=5,7 unresolved=3"]
+        trace = tmp_path / "trace.txt"
+        trace.write_text("\n".join(lines) + "\n")
+        message = f"line {len(lines)}: signature outside an augmenting run\n"
+        assert _run_main(["check-trace", "--trace", str(trace)]) == (1, "", message)
+
     def test_scopes_reset_between_runs(self):
         lines = [
             "augment_start root=0",
@@ -727,6 +754,13 @@ class TestCommands:
         assert main(["check-haxell", "--input", funnel, "--epsilon", "1"]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
+    def test_check_haxell_classic_is_epsilon_zero(self, tmp_path):
+        k22 = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
+        inst = self.write_instance(tmp_path, k22)
+        argv = ["check-haxell", "--input", inst, "--epsilon", "1"]
+        assert _run_main(argv + ["--classic"]) == (0, "SATISFIED\n", "")
+        assert _run_main(argv) == (2, "VIOLATED S=0,1 tau=2 bound=2\n", "")
+
     def test_gen_then_check_pipeline(self, tmp_path, capsys):
         inst = str(tmp_path / "g.hbm")
         assert main([
@@ -805,6 +839,14 @@ class TestCommands:
         bad = tmp_path / "bad_trace.txt"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["check-trace", "--trace", str(bad)]) == 1
+
+    def test_trace_at_a_tiny_epsilon_is_refused_in_one_line(self, tmp_path):
+        inst = self.write_instance(tmp_path, shift_chain(2))
+        trace = str(tmp_path / "trace.txt")
+        argv = ["solve", "--input", inst, "--epsilon", "1e-1000", "--trace", trace]
+        code, out, err = _run_main(argv)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("epsilon too small to trace: ") and "4300-digit limit" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         inst = self.write_instance(tmp_path, shift_chain(7))

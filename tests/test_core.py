@@ -17,6 +17,7 @@ from hbmatch.core import (
     CodedError,
     InstanceError,
     MatchingError,
+    Violation,
     blocking_edges,
     incident_edges,
     is_immediately_addable,
@@ -87,6 +88,10 @@ class TestValidateInstance:
         v = validate_instance(h)
         assert v is not None and v.code == "NON_UNIFORM_EDGE"
 
+    def test_uniformity_below_two(self):
+        v = validate_instance(BipartiteHypergraph(1, 1, 1, []))
+        assert v == Violation("NON_UNIFORM_EDGE", "uniformity r=1 must be >= 2")
+
     def test_duplicate_edge(self):
         h = make_h(2, 1, 2, [(0, (1,)), (0, (1,))])
         v = validate_instance(h)
@@ -155,6 +160,27 @@ class TestBlockingAndAddable:
             assert (not blockers) == is_immediately_addable(h, m, e.id)
             for f in blockers:
                 assert set(h.edges[f].bs) & set(e.bs)
+
+
+class TestAdd:
+    def test_refuses_a_matched_a_vertex(self):
+        h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
+        m = PartialMatching()
+        m.add(h, 0)
+        for eid in (0, 1):  # the member itself, and another edge of its A-vertex
+            with pytest.raises(MatchingError) as exc:
+                m.add(h, eid)
+            assert str(exc.value) == "OVERLAP: A-vertex 0 already matched by edge 0"
+        assert m.edge_ids == {0}
+
+    def test_refuses_a_used_b_vertex(self):
+        h = make_h(3, 2, 3, [(0, (0, 1)), (1, (1, 2))])
+        m = PartialMatching()
+        m.add(h, 0)
+        with pytest.raises(MatchingError) as exc:
+            m.add(h, 1)
+        assert str(exc.value) == "OVERLAP: B-vertex 1 already used by edge 0"
+        assert m.edge_ids == {0} and m.b_of == {0: 0, 1: 0}
 
 
 class TestSwap:
@@ -231,7 +257,6 @@ class TestVerifyMatching:
         m = PartialMatching()
         m.add(h, 0)
         # bypass add() to fabricate the overlap
-        m.edge_ids.add(1)
         m.a_of[1] = 1
         m.b_of[2] = 1
         v = verify_matching(h, m)

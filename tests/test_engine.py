@@ -2,6 +2,8 @@ import copy
 import hashlib
 import io
 import math
+import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -662,11 +664,11 @@ class TestEachEngineCodeFires:
 
         def faulty_swap(h, m, f_out, e_in):
             swap(h, m, f_out, e_in)
-            m.edge_ids.add(f_out)
+            m.b_of.update(dict.fromkeys(h.edge_bs[f_out], f_out))
 
         monkeypatch.setattr(engine, "swap", faulty_swap)
         err = raised(lambda: find_perfect_matching(shift_chain(3), 1, debug_invariants=True))
-        assert err.code == "MATCHING_AFTER_SWAP" and "OVERLAP" in str(err)
+        assert err.code == "MATCHING_AFTER_SWAP" and "MAP_INCONSISTENT" in str(err)
 
     def test_augment_leaving_a_root_bare(self, monkeypatch):
         import hbmatch.engine as engine
@@ -943,6 +945,33 @@ class TestTraceBytes:
         buf = io.StringIO()
         find_perfect_matching(shuffled_planted(seed, 60), 1, trace=TraceWriter(buf))
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TRACE_SHA256[seed]
+
+
+class TestTinyEpsilonTrace:
+    """A coordinate has about log10(1/mu^3) digits; a trace whose
+    coordinates could pass Python's int/str limit is refused up front."""
+
+    def test_refused_before_the_first_root(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            find_perfect_matching(shuffled_planted(1, 60), "1e-1000", trace=lambda line: None)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == (
+            "epsilon too small to trace: signature coordinates may have up to 6030 digits, "
+            "over Python's 4300-digit limit on int/str conversion"
+        )
+
+    def test_traced_solve_at_1e_minus_100_unchanged(self):
+        buf = io.StringIO()
+        res = find_perfect_matching(shuffled_planted(1, 60), "1e-100", trace=TraceWriter(buf))
+        assert res.status == "witness"
+        digest = "0a38222aff6820dc120627681b76357d442f210ae0a902d0b898fe56b4cef055"
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    def test_no_refusal_without_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        p = Parameters.for_instance(3, "1e-1000")
+        AugmentRun(shuffled_planted(1, 60), PartialMatching(), p, trace=lambda line: None)
 
 
 def reference_signature(sizes, p):

@@ -29,6 +29,16 @@ class TestSplitMix64:
         picks = rng.distinct(8, 5)
         assert len(set(picks)) == 5 and picks == sorted(picks)
 
+    def test_below_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match=r"^below\(\) needs n >= 1$"):
+            SplitMix64(0).below(0)
+
+    def test_distinct_refuses_more_values_than_the_range_before_any_draw(self, monkeypatch):
+        rng = SplitMix64(0)
+        monkeypatch.setattr(rng, "below", lambda n: pytest.fail("drew before refusing"))
+        with pytest.raises(ValueError, match="^cannot draw more distinct values than the range$"):
+            rng.distinct(2, 3)
+
     def test_shuffle_is_deterministic(self):
         a, b = list(range(20)), list(range(20))
         SplitMix64(7).shuffle(a)
@@ -124,6 +134,11 @@ class TestGenAdversarial:
         assert {(e.a, e.bs) for e in h.edges} == {(0, (0,)), (1, (0,))}
         assert brute_force_perfect_matching(h) is None
 
+    def test_fewer_b_vertices_than_an_edge_needs(self):
+        spec = GeneratorSpec(mode="adversarial", r=3, a_count=2, b_count=1, seed=0)
+        with pytest.raises(InfeasibleSpec, match="^b_count must be at least r-1$"):
+            generate(spec)
+
     def test_common_vertex_funnel_violates(self):
         # all edges through b0: tau(E_A) = 1
         pairs = [(a, 0) for a in range(4)]
@@ -207,6 +222,11 @@ class TestSpecCheck:
         spec = dict(mode="planted", r=2, a_count=2, b_count=8, extra_edges=1, seed=0)
         with pytest.raises(InfeasibleSpec):
             GeneratorSpec(**{**spec, **fields})
+
+    def test_generate_refuses_an_unknown_mode(self):
+        spec = GeneratorSpec(mode="bogus", r=2, a_count=2, b_count=2, seed=0)
+        with pytest.raises(ValueError, match="^unknown generator mode 'bogus'$"):
+            generate(spec)
 
     @given(
         mode=st.sampled_from(MODES),

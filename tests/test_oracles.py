@@ -204,9 +204,10 @@ class TestCheckHaxell:
         assert not res.satisfied
         assert res.violator == (0, 1) and res.tau == 2 and res.bound == 2
 
-    def test_classic_mode_ignores_epsilon(self):
+    def test_classic_condition_is_epsilon_zero(self):
         h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
-        assert check_haxell(h, Fraction(1), mode="classic").satisfied
+        assert check_haxell(h, Fraction(0)).satisfied
+        assert not check_haxell(h, Fraction(1)).satisfied
 
     def test_subset_cap(self):
         h = make_h(2, 21, 1, [])
@@ -256,7 +257,7 @@ class TestHaxellImpliesMatching:
     @given(hypergraphs(max_a=4, max_b=7, max_edges=12))
     @settings(max_examples=60)
     def test_on_random_instances(self, h):
-        if check_haxell(h, Fraction(0), mode="classic").satisfied:
+        if check_haxell(h, Fraction(0)).satisfied:
             assert brute_force_perfect_matching(h) is not None
 
 

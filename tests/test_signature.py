@@ -115,6 +115,19 @@ class TestParameters:
             Parameters.for_instance(3, 1, **{name: value})
         assert str(exc.value) == f"{name} {value!r} is not an integer"
 
+    def test_uniformity_below_two_is_refused(self):
+        with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
+            Parameters.for_instance(1, 1)
+
+    @pytest.mark.parametrize("mu", ["1", "0"])
+    def test_mu_override_outside_the_open_unit_interval_is_refused(self, mu):
+        with pytest.raises(ValueError, match=rf"^mu={mu} out of range \(0, 1\)$"):
+            Parameters.for_instance(3, 1, mu_override=mu)
+
+    def test_u_override_below_one_is_refused(self):
+        with pytest.raises(ValueError, match=r"^u must be >= 1$"):
+            Parameters.for_instance(3, 1, u_override=0)
+
     def test_negative_iteration_cap_is_refused_by_name(self):
         with pytest.raises(ValueError, match=r"^max_iterations -1 is negative$"):
             Parameters.for_instance(3, 1, max_iterations=-1)

@@ -201,6 +201,21 @@ class TestAlternatingTree:
         with pytest.raises(ValueError):
             fresh_tree(h, m)
 
+    def test_layer_index_below_one_is_refused(self):
+        h = make_h(3, 1, 2, [(0, (0, 1))])
+        with pytest.raises(ValueError, match=r"^layer index must be >= 1$"):
+            fresh_tree(h, PartialMatching()).parent_a_set(0)
+
+    def test_removing_an_edge_not_in_y_is_refused(self):
+        h = make_h(3, 2, 5, [(0, (0, 1)), (1, (1, 4)), (1, (2, 3))])
+        m = PartialMatching()
+        m.add(h, 1)
+        tree = fresh_tree(h, m)
+        tree.append_layer(make_layer(h, {0}, {1}))
+        with pytest.raises(ValueError, match=r"^edge 2 not in Y of layer 1$"):
+            tree.remove_y_edge(1, 2)
+        assert tree.layers[0].y == {1} and validate_tree(h, m, tree) is None
+
     def test_fresh_tree_validates(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         m = PartialMatching()
