@@ -59,6 +59,13 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
 
 
 def _first_violation(h: BipartiteHypergraph) -> Violation | None:
+    """Whole-column checks, no Python step per edge; only a dirty (or
+    empty) instance is walked edge by edge, to name its first violation.
+    Strictly ascending columns make every bs sorted and distinct, so the
+    first and last columns bound the range, and a repeated edge repeats
+    its bs.  Equal edges hash equal, so m distinct hashes prove m
+    distinct edges (zip reuses its pair tuple); a collision costs a walk.
+    """
     r, nb = h.r, h.b_count
     if r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
@@ -66,19 +73,13 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
         return Violation("NEGATIVE_VERTEX_COUNT", f"nA={h.a_count}, nB={nb} must be >= 0")
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
-    # Whole columns first; only a dirty instance is walked edge by edge to
-    # name its first violation.  Strictly ascending columns make every bs
-    # sorted and distinct, so its ends bound its range (an unsorted bs is
-    # walked) and a repeated edge repeats its bs.
-    if m and (min(edge_a) < 0 or max(edge_a) >= h.a_count):
+    if set(map(len, edge_bs)) != {width} or min(edge_a) < 0 or max(edge_a) >= h.a_count:
         return _walk_edges(h, width)
-    for bs in edge_bs:
-        if len(bs) != width or bs[0] < 0 or bs[-1] >= nb:
-            return _walk_edges(h, width)
     cols = list(zip(*edge_bs))
-    if not all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:])):
+    ascending = all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:]))
+    if not ascending or min(cols[0]) < 0 or max(cols[-1]) >= nb:
         return _walk_edges(h, width)
-    if len(set(edge_bs)) == m or len(set(zip(edge_a, edge_bs))) == m:
+    if len(set(edge_bs)) == m or len(set(map(hash, zip(edge_a, edge_bs)))) == m:
         return None
     return _walk_edges(h, width)
 

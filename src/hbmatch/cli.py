@@ -15,6 +15,7 @@ commands: 0 matching/ok, 2 witness/violated, 1 error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,56 +47,68 @@ EXIT_WITNESS = 2
 # instance format
 
 
-_BLOCK = 4096  # edge rows converted at a time, which bounds the split rows held
+_BLOCK = 4096  # edge lines converted at a time, which bounds the fields held
 
 
 def parse_instance(text: str) -> BipartiteHypergraph:
     """Parse the instance format; line-numbered errors on malformed input.
 
-    Each line is split once.  The parser checks the syntax: record types,
-    the header (with r >= 2), the field count of each edge line and
-    integer fields.  Edge lines are converted a block at a time, column
-    by column, into the instance's `edge_a` and `edge_bs`; pending rows
-    are converted before any later line is rejected, so the first syntax
-    error in the file is raised.  Every structural rule (ranges, B-vertex
-    order, repeated edges) is checked once, by :func:`validate_instance`,
-    and its violation is reported at the line of the offending edge.
+    The parser checks the syntax: record types, the header (with r >= 2),
+    the field count of each edge line and integer fields.  Each run of
+    lines that start `e ` is converted a block at a time, column by
+    column, into the instance's `edge_a` and `edge_bs`; every other line
+    is read on its own.  Lines are taken in file order, so the first
+    syntax error in the file is raised.  Every structural rule (ranges,
+    B-vertex order, repeated edges) is checked once, by
+    :func:`validate_instance`, and its violation is reported at the line
+    of the offending edge.
     """
+    lines = text.splitlines()
     header: tuple[int, ...] | None = None
     width = -1  # fields of an edge line, "e" plus r vertices; set by the header
+    edges_to_end = False  # every line after the header starts "e "
     edge_a: list[int] = []
     edge_bs: list[tuple[int, ...]] = []
-    rows: list[list[str]] = []
-    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
-        if len(fields) == width and fields[0] == "e":
-            rows.append(fields)
-            if len(rows) == _BLOCK:
-                _take_rows(text, rows, edge_a, edge_bs)
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if width > 0 and line.startswith("e "):
+            stop = len(lines) if edges_to_end else i + 1
+            while stop < len(lines) and lines[stop].startswith("e "):
+                stop += 1
+            for lo in range(i, stop, _BLOCK):
+                _take_edges(lines[lo : min(lo + _BLOCK, stop)], lo + 1, width, edge_a, edge_bs)
+            i = stop
             continue
+        i += 1  # now the number of `line`, from 1
+        fields = line.split()
         if not fields or fields[0].startswith("c"):
             continue
-        _take_rows(text, rows, edge_a, edge_bs)
         tag = fields[0]
         if tag == "e":
             if header is None:
-                raise ParseError(lineno, "edge before header")
-            raise ParseError(lineno, f"expected {header[0]} vertex fields for r={header[0]}")
+                raise ParseError(i, "edge before header")
+            _take_edges([line], i, width, edge_a, edge_bs)
+            continue
         if tag != "p":
-            raise ParseError(lineno, f"unknown record type {tag!r}")
+            raise ParseError(i, f"unknown record type {tag!r}")
         if header is not None:
-            raise ParseError(lineno, "duplicate header")
+            raise ParseError(i, "duplicate header")
         if len(fields) != 6 or fields[1] != "hbm":
-            raise ParseError(lineno, "expected 'p hbm <r> <nA> <nB> <m>'")
+            raise ParseError(i, "expected 'p hbm <r> <nA> <nB> <m>'")
         try:
             header = tuple(map(int, fields[2:]))
         except ValueError:
-            raise ParseError(lineno, "non-integer header field") from None
+            raise ParseError(i, "non-integer header field") from None
         if min(header) < 0:
-            raise ParseError(lineno, "negative header field")
+            raise ParseError(i, "negative header field")
         if header[0] < 2:
-            raise ParseError(lineno, f"uniformity r={header[0]} must be >= 2")
+            raise ParseError(i, f"uniformity r={header[0]} must be >= 2")
         width = 1 + header[0]
-    _take_rows(text, rows, edge_a, edge_bs)
+        # Each newline-"e " match starts a distinct line, and no line up to
+        # here starts "e ", so one count shows that all later lines do.
+        edges_to_end = text.count("\ne ") == len(lines) - i
+    del lines  # not held through validation
     if header is None:
         raise ParseError(0, "missing header")
     r, na, nb, m = header
@@ -108,28 +121,38 @@ def parse_instance(text: str) -> BipartiteHypergraph:
     return h
 
 
-def _take_rows(
-    text: str, rows: list[list[str]], edge_a: list[int], edge_bs: list[tuple[int, ...]]
+def _take_edges(
+    block: list[str], lineno: int, width: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
 ) -> None:
-    """Move split edge rows into the columns, converting a column at a
-    time; a non-integer field is a ParseError at the line of the first
-    row that holds one.  Their order is left to the kernel."""
-    if not rows:
-        return
-    _, a_col, *b_cols = zip(*rows)
-    try:
-        a_ints = list(map(int, a_col))
-        b_ints = [list(map(int, col)) for col in b_cols]
-    except ValueError:
-        for k, fields in enumerate(rows, start=len(edge_a)):
-            try:
-                list(map(int, fields[1:]))
-            except ValueError:
-                raise ParseError(_edge_line(text, k), "non-integer vertex index") from None
-        raise  # not reached: the field a column failed on lies in some row
-    edge_a += a_ints
-    edge_bs += zip(*b_ints)
-    rows.clear()
+    """Append a block of edge lines, the first at `lineno`, to the columns.
+
+    The block is joined and split once.  Each of its n lines starts with
+    an "e" field and every other field must pass int(), so when there are
+    width*n fields with an "e" at each multiple of `width`, and every
+    other column converts, the "e" fields are the line starts and each
+    line holds `width` fields.  Any other block is walked to its first
+    bad line: a wrong field count, else a non-integer field.
+    """
+    n = len(block)
+    fields = " ".join(block).split()
+    if len(fields) == width * n and fields[::width].count("e") == n:
+        try:
+            a_col, *b_cols = [list(map(int, fields[k::width])) for k in range(1, width)]
+        except ValueError:
+            pass
+        else:
+            edge_a += a_col
+            edge_bs += zip(*b_cols)
+            return
+    for lineno, line in enumerate(block, start=lineno):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(lineno, f"expected {width - 1} vertex fields for r={width - 1}")
+        try:
+            list(map(int, fields[1:]))
+        except ValueError:
+            break
+    raise ParseError(lineno, "non-integer vertex index")
 
 
 def _edge_line(text: str, k: int) -> int:
@@ -241,18 +264,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     epsilon = parse_epsilon(args.epsilon)
     trace_stream = open(args.trace, "w") if args.trace else None
     try:
-        result = find_perfect_matching(
-            h,
-            epsilon,
-            mu_override=args.mu_override,
-            u_override=args.u_override,
-            max_iterations=args.max_iters,
-            trace=TraceWriter(trace_stream) if trace_stream else None,
-            debug_invariants=args.debug_invariants,
-        )
-    finally:
-        if trace_stream:
-            trace_stream.close()
+        with trace_stream or contextlib.nullcontext():
+            result = find_perfect_matching(
+                h,
+                epsilon,
+                mu_override=args.mu_override,
+                u_override=args.u_override,
+                max_iterations=args.max_iters,
+                trace=TraceWriter(trace_stream) if trace_stream else None,
+                debug_invariants=args.debug_invariants,
+            )
+    except BaseException:  # a failed solve leaves no trace document
+        path = Path(args.trace) if args.trace else None
+        if path and path.is_file() and not path.is_symlink():  # links and devices stay
+            path.unlink()
+        raise
     doc = format_result(result, epsilon)
     if args.output:
         Path(args.output).write_text(doc)

@@ -20,7 +20,8 @@ Every run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
 one addable X-edge collapses layer 1, and a walk over the root's edges
 with the build's take rule finds the edge that collapse adds, without
-building the layer.  A traced walk logs what the full loop would.
+building the layer.  An untraced, non-debug walk plants no tree; a
+traced walk logs what the full loop would.
 
 If a freshly built layer is too small -- not larger than delta times the
 blocking-edge count, which asks only for a nonempty layer while that
@@ -128,10 +129,13 @@ class AugmentRun:
             )
 
     def start(self, root: int) -> None:
-        """Plant a fresh tree at `root`; ValueError if it is matched."""
+        """Plant a fresh tree at `root`, ValueError if it is matched, and
+        log the run's start."""
         self.tree = AlternatingTree(self.h, self.m, root, self.params.u)
         self.prev_signature: tuple[int, ...] | None = None
         self._matched_before = self.m.matched_a_vertices() if self.debug else None
+        if self.trace is not None:
+            self.trace(f"augment_start root={root} matched={len(self.m)}")
 
     # ------------------------------------------------------------------
     # main loop
@@ -141,13 +145,13 @@ class AugmentRun:
         covers the root) or a layer fails to grow (returns the verified
         witness; `m` is unchanged).
 
-        It first tries :meth:`match_in_one_step`, which matches most roots.
+        It first tries :meth:`match_in_one_step`, which matches most roots;
+        the tree is planted only when the full loop runs, or when a traced
+        or debug walk matches the root.
         """
-        self.start(root)
-        if self.trace is not None:
-            self.trace(f"augment_start root={root} matched={len(self.m)}")
-        if self.cap >= 1 and self.match_in_one_step():
+        if self.cap >= 1 and self.match_in_one_step(root):
             return None
+        self.start(root)
         iteration = 0
         while True:
             iteration += 1
@@ -167,8 +171,8 @@ class AugmentRun:
                 self._log_end("matched", iteration)
                 return None
 
-    def match_in_one_step(self) -> bool:
-        """Match the root by the edge that decides its first layer's
+    def match_in_one_step(self, root: int) -> bool:
+        """Match `root` by the edge that decides its first layer's
         collapse, without building the layer; False, with nothing
         changed, when no such edge turns up.
 
@@ -182,14 +186,17 @@ class AugmentRun:
         and counts the stats of that one iteration, so matchings,
         witnesses and stats equal the full loop's.
 
-        A monitored walk (traced or debug) goes on to the u stop, and a
-        traced one logs what the full loop would: |X| counts the taken
-        edges, |Y| the matched edges on the B-vertices it occupied, which
-        are their blockers.  Debug checks lose nothing: the full loop's
-        collapse discards layer 1 unchecked.
+        An unmonitored walk plants no tree: it reads `root` and adds the
+        edge, and a matched root fails in `m.add` with a ValueError.  A
+        monitored walk (traced or debug) goes on to the u stop and plants
+        the tree before it logs or checks, and a traced one logs what the
+        full loop would: |X| counts the taken edges, |Y| the matched edges
+        on the B-vertices it occupied, which are their blockers.  Debug
+        checks lose nothing: the full loop's collapse discards layer 1
+        unchecked.
         """
         h, m, params = self.h, self.m, self.params
-        edges = h.a_edges.get(self.tree.root, ())
+        edges = h.a_edges.get(root, ())
         if not params.exceeds_mu(1, min(len(edges), params.u)):
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
@@ -199,15 +206,10 @@ class AugmentRun:
             bs = edge_bs[eid]
             if not occupied.isdisjoint(bs):
                 continue
-            if is_immediately_addable(h, m, eid) and found is None:
-                stats = self.stats
-                stats.iterations += 1
-                stats.build_ops += 1
-                stats.max_layers = max(stats.max_layers, 1)
-                if not self.monitored:
-                    m.add(h, eid)
-                    return True
+            if found is None and is_immediately_addable(h, m, eid):
                 found = eid
+                if not self.monitored:
+                    break
             occupied.update(bs)
             for b in bs:
                 f = b_of.get(b)
@@ -218,15 +220,22 @@ class AugmentRun:
                 break
         if found is None:
             return False
-        self._iteration_boundary(1)
-        if self.trace is not None:
-            ny = len({b_of[b] for b in occupied if b in b_of})
-            self._log_layer(1, params.u - room, ny, True, 1)
-            self._log_collapse(1, 0, True)
+        if self.monitored:
+            self.start(root)
+            self._iteration_boundary(1)
+            if self.trace is not None:
+                ny = len({b_of[b] for b in occupied if b in b_of})
+                self._log_layer(1, params.u - room, ny, True, 1)
+                self._log_collapse(1, 0, True)
         m.add(h, found)
-        if self.debug:
-            self._check_matched_exactly_root()
-        self._log_end("matched", 1)
+        stats = self.stats
+        stats.iterations += 1
+        stats.build_ops += 1
+        stats.max_layers = max(stats.max_layers, 1)
+        if self.monitored:
+            if self.debug:
+                self._check_matched_exactly_root()
+            self._log_end("matched", 1)
         return True
 
     # ------------------------------------------------------------------

@@ -265,6 +265,12 @@ class TestInstanceValidation:
     @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (1, (1, 2)), (1, (2, 1))]))
     @example(BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (-1,)), (-1, ())]))
     @example(BipartiteHypergraph(3, 2, 4, [(0, (1, 2)), (1, (3, 3))]))
+    # a repeated B-set, and two distinct edges of equal hash (hash(2**61 + 1)
+    # == hash(2)): clean, and with a real repeat of the second
+    @example(BipartiteHypergraph(3, 2, 2**62, [(0, (1, 2)), (1, (1, 2)), (0, (1, 2**61 + 1))]))
+    @example(BipartiteHypergraph.from_columns(
+        3, 2, 2**62, [0, 1, 0, 0], [(1, 2), (1, 2), (1, 2**61 + 1), (1, 2**61 + 1)]
+    ))
     def test_same_violation_as_per_edge_check(self, h):
         assert certify._first_violation(h) == per_edge_first_violation(h)
 

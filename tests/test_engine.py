@@ -24,7 +24,7 @@ from hbmatch import (
 )
 from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
 from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
-from hbmatch.engine import AugmentRun, InternalSolverError, augment
+from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
 from hbmatch.instances import SplitMix64
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
@@ -246,6 +246,19 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment(AugmentRun(h, m, params()), 0)
 
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_rejects_matched_root_with_a_free_edge(self, traced, debug):
+        # The one-step walk finds the free edge 1 before any tree is planted.
+        h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
+        m = PartialMatching()
+        m.add(h, 0)
+        lines: list[str] = []
+        run = AugmentRun(h, m, params(), lines.append if traced else None, debug)
+        with pytest.raises(ValueError):
+            augment(run, 0)
+        assert m.edge_ids == {0} and lines == [] and vars(run.stats) == vars(SolveStats())
+
     def test_iteration_cap_reports_internal_error(self):
         # the last root of the chain needs several iterations; cap at one
         h = shift_chain(6)
@@ -296,7 +309,7 @@ def shuffled_generated(draw):
 
 def full_path():
     """Turn the one-step walk off, so every root runs the full loop."""
-    return mock.patch.object(AugmentRun, "match_in_one_step", lambda run: False)
+    return mock.patch.object(AugmentRun, "match_in_one_step", lambda run, root: False)
 
 
 def counting_build_layer(monkeypatch) -> list[int]:

@@ -84,7 +84,7 @@ def test_x_added_counts_the_edges_each_build_adds():
     rebuild adds, committed or not, as the solve's own trace logs them.
     The one-step walk is off, so every `layer_built` line is a build's."""
     lines: list[str] = []
-    no_walk = mock.patch.object(hbmatch.engine.AugmentRun, "match_in_one_step", lambda run: False)
+    no_walk = mock.patch.object(hbmatch.engine.AugmentRun, "match_in_one_step", lambda run, root: False)
     with _instrumented() as rec, no_walk:
         hbmatch.find_perfect_matching(superposed_commit_instance(), 1, trace=lines.append)
     events = [trace_event(line) for line in lines]
