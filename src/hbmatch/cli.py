@@ -268,8 +268,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             result = find_perfect_matching(
                 h,
                 epsilon,
-                mu_override=args.mu_override,
-                u_override=args.u_override,
                 max_iterations=args.max_iters,
                 trace=TraceWriter(trace_stream) if trace_stream else None,
                 debug_invariants=args.debug_invariants,
@@ -369,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="result document path (default stdout)")
     p.add_argument("--trace", help="write trace events to this file")
     p.add_argument("--max-iters", type=int, default=None)
-    voids = "; voids the witness bound, so a stall can exit 1 with CERTIFICATE_INVALID"
-    p.add_argument("--mu-override", default=None, help="rational override for mu" + voids)
-    p.add_argument("--u-override", type=int, default=None, help="override for u" + voids)
     p.add_argument("--debug-invariants", action="store_true")
     p.set_defaults(func=cmd_solve)
 

@@ -73,10 +73,10 @@ class InternalSolverError(CodedError, RuntimeError):
 
     Raised for a failed debug-mode invariant, an extracted certificate
     that does not verify, a final matching that is not perfect, and an
-    augmenting run that reaches its iteration cap.  At the mu and u that
-    epsilon sets, each is an implementation bug.  An override of mu or u
-    voids the bound a witness must meet, so a stalled tree can then end
-    in CERTIFICATE_INVALID (SIZE_EXCEEDS_BOUND).
+    augmenting run that reaches its iteration cap.  Epsilon alone sets
+    mu and u, so each is an implementation bug, CERTIFICATE_INVALID
+    included; only a cap the caller sets with `max_iterations` can be
+    reached by a correct solve.
     """
 
 
@@ -497,8 +497,6 @@ def augment(run: AugmentRun, root: int) -> WitnessCertificate | None:
 def find_perfect_matching(
     h: BipartiteHypergraph,
     epsilon: Fraction | str | int,
-    mu_override: Fraction | str | None = None,
-    u_override: int | None = None,
     max_iterations: int | None = None,
     trace: TraceSink | None = None,
     debug_invariants: bool = False,
@@ -508,9 +506,10 @@ def find_perfect_matching(
     Roots are processed in vertex order; each augment matches exactly
     its root, so every root is unmatched when its turn comes.  Returns
     the perfect matching, or the first violation certificate
-    encountered.  A malformed instance raises :class:`InstanceError`;
-    internal faults (the iteration cap, a failed check) raise
-    :class:`InternalSolverError`.
+    encountered.  Epsilon alone sets mu and u, so every witness meets
+    its bound.  A malformed instance raises :class:`InstanceError`;
+    internal faults (a failed check, or the iteration cap, which
+    `max_iterations` replaces) raise :class:`InternalSolverError`.
     """
     v = validate_instance(h)
     if v is not None:
@@ -518,8 +517,6 @@ def find_perfect_matching(
     params = Parameters.for_instance(
         h.r,
         epsilon,
-        mu_override=mu_override,
-        u_override=u_override,
         max_iterations=max_iterations,
     )
     run = AugmentRun(h, PartialMatching(), params, trace, debug_invariants)

@@ -86,17 +86,15 @@ class Parameters:
         cls,
         r: int,
         epsilon: Fraction | str | int,
-        mu_override: Fraction | str | None = None,
-        u_override: int | None = None,
         max_iterations: int | None = None,
     ) -> "Parameters":
-        """The parameters at uniformity r and slack epsilon.  mu_override
-        replaces mu and u_override replaces u; a ValueError names a
-        non-int u_override or max_iterations, or a negative max_iterations.
+        """The parameters at uniformity r and slack epsilon; a ValueError
+        names a non-int or negative max_iterations.
 
-        The thresholds use e = min(epsilon, 1): with a large slack, u
-        falls to 2 and a stalled tree can yield an over-bound witness,
-        then mu leaves (0, 1).  This is sound: the condition at epsilon
+        The thresholds use e = min(epsilon, 1), so mu lies in (0, 1/40]
+        and u >= 40 at every epsilon > 0 and r >= 2; at a large epsilon
+        itself, u would fall to 2 and a stalled tree could yield an
+        over-bound witness.  This is sound: the condition at epsilon
         implies it at e, and a witness at e meets the bound
         (2r-3+epsilon)(|S|-1) that `epsilon` keeps, as |S| >= 1.
         """
@@ -104,24 +102,17 @@ class Parameters:
         if r < 2:
             raise ValueError("uniformity r must be >= 2")
         e = min(epsilon, Fraction(1))
-        mu = parse_rational(mu_override, "mu") if mu_override is not None else (
-            e**2 / (10 * r * r)
-        )
-        if not 0 < mu < 1:
-            raise ValueError(f"mu={mu} out of range (0, 1)")
-        for name, value in (("u_override", u_override), ("max_iterations", max_iterations)):
-            if value is not None and (type(value) is bool or not isinstance(value, int)):
-                raise ValueError(f"{name} {value!r} is not an integer")
-        if max_iterations is not None and max_iterations < 0:
-            raise ValueError(f"max_iterations {max_iterations} is negative")
-        u = u_override if u_override is not None else math.ceil(1 / mu)
-        if u < 1:
-            raise ValueError("u must be >= 1")
+        mu = e**2 / (10 * r * r)
+        if max_iterations is not None:
+            if type(max_iterations) is bool or not isinstance(max_iterations, int):
+                raise ValueError(f"max_iterations {max_iterations!r} is not an integer")
+            if max_iterations < 0:
+                raise ValueError(f"max_iterations {max_iterations} is negative")
         return cls(
             epsilon=epsilon,
             r=r,
             mu=mu,
-            u=u,
+            u=math.ceil(1 / mu),
             delta=e / (5 * r * r),
             b=1 / (1 - mu**3),
             max_iterations=max_iterations,

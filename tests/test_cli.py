@@ -703,9 +703,6 @@ class TestTraceChecker:
 # in its place: (argv, fields of a witness document).
 _RATIONAL_INPUTS = {
     "solve-epsilon": (["solve", "--input", "{inst}", "--epsilon", "{bad}"], ""),
-    "solve-mu-override": (
-        ["solve", "--input", "{inst}", "--epsilon", "1", "--mu-override", "{bad}"], ""
-    ),
     "check-haxell": (["check-haxell", "--input", "{inst}", "--epsilon", "{bad}"], ""),
     "gen": (["gen", "--mode", "guaranteed", "--na", "2", "--nb", "20", "--epsilon", "{bad}"], ""),
     "verify-epsilon": (
@@ -838,29 +835,6 @@ class TestCommands:
         assert (code, stdout, err) == (1, "", message + "\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "gen, override",
-        [
-            (["--mode", "planted", "--r", "2", "--na", "20", "--nb", "20", "--extra-edges", "40"],
-             ["--mu-override", "1/2"]),
-            (["--mode", "adversarial", "--r", "2", "--na", "12", "--nb", "12", "--extra-edges", "12"],
-             ["--u-override", "1"]),
-        ],
-        ids=["mu", "u"],
-    )
-    def test_override_voids_the_witness_bound(self, tmp_path, gen, override):
-        # Without the override the solve ends normally; with it, the tree
-        # stalls and the kernel refuses a witness over the epsilon bound.
-        inst, out = tmp_path / "inst.hbm", tmp_path / "res.txt"
-        assert main(["gen", *gen, "--seed", "0", "--output", str(inst)]) == 0
-        solve = ["solve", "--input", str(inst), "--epsilon", "1", "--output", str(out)]
-        assert main(solve) in (0, 2)
-        out.unlink()
-        code, stdout, err = _run_main(solve + override)
-        assert code == 1 and stdout == "" and err.count("\n") == 1
-        assert err.startswith("CERTIFICATE_INVALID: ") and "SIZE_EXCEEDS_BOUND" in err
-        assert not out.exists()
-
     def test_trace_written_and_checkable(self, tmp_path):
         inst = self.write_instance(tmp_path, shift_chain(6))
         out = str(tmp_path / "res.txt")
@@ -933,15 +907,6 @@ class TestCommands:
             "solve", "--input", inst, "--epsilon", "1/2", "--debug-invariants",
             "--output", str(tmp_path / "r.txt"),
         ]) == 0
-
-    def test_parameter_overrides(self, tmp_path):
-        inst = self.write_instance(tmp_path, shift_chain(5))
-        out = str(tmp_path / "r.txt")
-        assert main([
-            "solve", "--input", inst, "--epsilon", "1/2",
-            "--mu-override", "1/6", "--u-override", "5", "--output", out,
-        ]) == 0
-        assert main(["verify", "--instance", inst, "--result", out]) == 0
 
     def test_verify_witness_without_epsilon_is_parse_error(self, tmp_path, capsys):
         h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
@@ -1048,3 +1013,29 @@ class TestCommands:
         out = capsys.readouterr().out
         listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
         assert listed == ["solve", "verify", "check-haxell", "gen", "check-trace"]
+
+    def test_solve_help_lists_no_override_of_mu_or_u(self, capsys):
+        # Epsilon alone sets mu and u; --max-iters is the one solver knob.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "override" not in out
+        assert sorted(set(re.findall(r"--[a-z-]+", out))) == sorted([
+            "--help", "--input", "--epsilon", "--output", "--trace", "--max-iters",
+            "--debug-invariants",
+        ])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--mu-override", "1/2"), ("--u-override", "1")], ids=["mu", "u"]
+    )
+    def test_override_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        inst, res = self.write_instance(tmp_path, shift_chain(2)), tmp_path / "res.txt"
+        argv = ["solve", "--input", inst, "--epsilon", "1", "--output", str(res)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: hbmatch")
+        assert err.splitlines()[-1] == f"hbmatch: error: unrecognized arguments: {flag} {value}"
+        assert not res.exists()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import io
 import math
@@ -41,8 +42,27 @@ from .conftest import (
 )
 
 
-def params(r=3, eps=1, **kw):
-    return Parameters.for_instance(r, eps, **kw)
+_for_instance = Parameters.for_instance
+
+
+def params(r=3, eps=1, mu=None, u=None, max_iterations=None):
+    """The parameters at (r, eps), with mu and u substituted when given.
+    A given mu sets u = ceil(1/mu) and b = 1/(1-mu^3), unless u is given
+    too.  Small fixtures reach the full loop only at such a mu or u."""
+    p = _for_instance(r, eps, max_iterations)
+    if mu is not None:
+        mu = Fraction(mu)
+        p = dataclasses.replace(p, mu=mu, u=math.ceil(1 / mu), b=1 / (1 - mu**3))
+    return p if u is None else dataclasses.replace(p, u=u)
+
+
+def substituted(mu=None, u=None):
+    """Solve at `params(r, eps, mu, u)` in place of the parameters that
+    epsilon alone sets."""
+    return mock.patch.object(
+        Parameters, "for_instance",
+        lambda r, eps, max_iterations=None: params(r, eps, mu, u, max_iterations),
+    )
 
 
 def started(h, m, root, p):
@@ -163,7 +183,7 @@ class TestSuperposedCommitThreshold:
             return {-1, 0, t - 1, t, t + 1, t + 2, n}
 
         cases = [params(r, eps) for r in (2, 3, 4) for eps in (1, "1/2", "2/3", 3)]
-        cases += [params(3, 1, mu_override=mu) for mu in ("1/6", "1/8", "2/7", "5/9")]
+        cases += [params(3, 1, mu) for mu in ("1/6", "1/8", "2/7", "5/9")]
         boundaries = 0
         for p in cases:
             for q in (p.mu, p.delta):
@@ -327,6 +347,29 @@ def counting_build_layer(monkeypatch) -> list[int]:
     return calls
 
 
+class TestSubstitutedParameters:
+    """The ported properties compare two programs, so they would still
+    pass if `substituted` never reached the solve; this pins that it does."""
+
+    @pytest.mark.parametrize(
+        "mu, u, expected",
+        [
+            ("1/2", None, (Fraction(1, 2), 2, Fraction(8, 7))),
+            (None, 3, (Fraction(1, 40), 3, Fraction(64000, 63999))),
+            ("1/3", 1, (Fraction(1, 3), 1, Fraction(27, 26))),
+        ],
+    )
+    def test_reaches_the_run(self, monkeypatch, mu, u, expected):
+        seen = []
+        init = AugmentRun.__init__
+        monkeypatch.setattr(
+            AugmentRun, "__init__", lambda run, h, m, p, *a: seen.append(p) or init(run, h, m, p, *a)
+        )
+        with substituted(mu, u):
+            solve_outcome(shift_chain(2), 1, max_iterations=5)
+        assert [(p.mu, p.u, p.b, p.max_iterations) for p in seen] == [(*expected, 5)]
+
+
 class TestOneStepMatch:
     """Every solve matches a root in one step when one addable edge
     decides its first layer; `full_path` forces the full layer build."""
@@ -350,11 +393,12 @@ class TestOneStepMatch:
         # Plain, traced, debug and traced+debug, at the default and small
         # iteration caps: same result (all that the result document
         # prints) or error code and message, stats and trace lines.
-        kw = dict(mu_override=mu, u_override=u, max_iterations=cap, debug_invariants=debug)
+        kw = dict(max_iterations=cap, debug_invariants=debug)
 
         def solve():
             lines: list[str] = []
-            return solve_outcome(h, eps, trace=lines.append if traced else None, **kw), lines
+            with substituted(mu, u):
+                return solve_outcome(h, eps, trace=lines.append if traced else None, **kw), lines
 
         with full_path():
             full = solve()
@@ -383,17 +427,19 @@ class TestOneStepMatch:
         # second edge meets: the build skips that edge, so at u = 2 the
         # third edge is taken, found free and added in one step.
         h = make_h(3, 2, 7, [(0, (1, 2)), (1, (0, 1)), (1, (2, 4)), (1, (5, 6))])
-        with full_path():
-            full = solve_outcome(h, 1, u_override=2)
-        calls = counting_build_layer(monkeypatch)
-        assert solve_outcome(h, 1, u_override=2) == full and len(calls) == 0
+        with substituted(u=2):
+            with full_path():
+                full = solve_outcome(h, 1)
+            calls = counting_build_layer(monkeypatch)
+            assert solve_outcome(h, 1) == full and len(calls) == 0
         assert full[1] == [0, 3]
 
     def test_root_needing_two_addable_edges_takes_the_full_loop(self, monkeypatch):
         # deg 2 at mu = 1/2: one addable edge of 2 is not > mu*2
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         calls = counting_build_layer(monkeypatch)
-        res = find_perfect_matching(h, 1, mu_override="1/2")
+        with substituted(mu="1/2"):
+            res = find_perfect_matching(h, 1)
         assert res.matching.edge_ids == {0} and len(calls) == 1
         calls.clear()
         assert find_perfect_matching(h, 1).matching.edge_ids == {0} and len(calls) == 0
@@ -506,12 +552,12 @@ class TestCollapseAgainstPerBlockerReference:
             assert lines[start:] == ref_lines
             return matched
 
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, substituted(u=u):
             mp.setattr(AugmentRun, "collapse_phase", checked_phase)
             mp.setattr(AugmentRun, "collapse_layer", checked_collapse)
             try:
-                find_perfect_matching(h, eps, u_override=u, trace=lines.append)
-            except InternalSolverError as exc:  # a witness the override voids
+                find_perfect_matching(h, eps, trace=lines.append)
+            except InternalSolverError as exc:  # a witness a small u voids
                 assert exc.code == "CERTIFICATE_INVALID" and u is not None
 
 
@@ -780,7 +826,7 @@ class TestWitnessExtractionRegimes:
         assert not check_haxell(h, Fraction(2)).satisfied
 
     def test_saturated_vertices_leave_the_violating_set(self):
-        # u_override=2 caps the root at two blocked edges; at extraction
+        # u = 2 caps the root at two blocked edges; at extraction
         # the root is saturated and S keeps only the blockers' vertices.
         edges = [(0, (0,)), (1, (1,)), (2, (0,)), (2, (1,)), (2, (3,)), (3, (3,))]
         h = make_h(2, 4, 4, edges)
@@ -788,7 +834,7 @@ class TestWitnessExtractionRegimes:
         m.add(h, 0)
         m.add(h, 1)
         m.add(h, 5)
-        w = augment(AugmentRun(h, m, params(2, 1, u_override=2), debug_invariants=True), 2)
+        w = augment(AugmentRun(h, m, params(2, 1, u=2), debug_invariants=True), 2)
         assert w is not None and verify_witness(h, w) is None
         assert w.s == frozenset({0, 1})
         assert w.hitting_set == frozenset({0, 1})
@@ -909,7 +955,7 @@ class TestCollapsibleEarlyExit:
         root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
         if root is None or h.m == 0:
             return
-        run = started(h, m, root, params(h.r, 1, mu_override=mu))
+        run = started(h, m, root, params(h.r, 1, mu))
         x = data.draw(st.sets(st.sampled_from(range(h.m))))
         addable = sorted(eid for eid in x if is_immediately_addable(h, m, eid))
         expected = addable if collapsible(run, x) else None

@@ -4,6 +4,7 @@ code the package raises is named by some test."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -37,6 +38,21 @@ def test_package_exports_the_solver_kernel_and_generators():
         # the data types
         "BipartiteHypergraph", "PartialMatching", "Parameters",
     ])
+
+
+@pytest.mark.parametrize(
+    "function, names",
+    [
+        (hbmatch.find_perfect_matching,
+         ["h", "epsilon", "max_iterations", "trace", "debug_invariants"]),
+        (hbmatch.Parameters.for_instance, ["r", "epsilon", "max_iterations"]),
+    ],
+    ids=["find_perfect_matching", "Parameters.for_instance"],
+)
+def test_epsilon_alone_sets_the_thresholds(function, names):
+    # No knob may replace the mu or u that epsilon sets: the witness
+    # bound holds only at those.
+    assert list(inspect.signature(function).parameters) == names
 
 
 def test_no_function_calls_itself():

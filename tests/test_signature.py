@@ -57,10 +57,6 @@ class TestParameters:
                 layer, side, size
             )
 
-    def test_overrides(self):
-        p = Parameters.for_instance(3, 1, mu_override="1/8", u_override=4)
-        assert p.mu == Fraction(1, 8) and p.u == 4
-
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             Parameters.for_instance(3, 0)
@@ -97,18 +93,16 @@ class TestParameters:
             ("rational", lambda: parse_rational(text)),
             ("epsilon", lambda: parse_epsilon(text)),
             ("epsilon", lambda: Parameters.for_instance(3, text)),
-            ("mu", lambda: Parameters.for_instance(3, 1, mu_override=text)),
         ):
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == f"{name} {text!r} is not p/q or a decimal"
-        with pytest.raises(ValueError, match=r"^mu '1/0' has a zero denominator$"):
-            Parameters.for_instance(3, 1, mu_override="1/0")
+        with pytest.raises(ValueError, match=r"^epsilon '1/0' has a zero denominator$"):
+            Parameters.for_instance(3, "1/0")
 
     @pytest.mark.parametrize(
         "name,value",
-        [("u_override", 1.5), ("u_override", "2"), ("u_override", True),
-         ("max_iterations", "3"), ("max_iterations", 1.5)],
+        [("max_iterations", "3"), ("max_iterations", 1.5), ("max_iterations", True)],
     )
     def test_non_integer_counts_are_refused_by_name(self, name, value):
         with pytest.raises(ValueError) as exc:
@@ -118,15 +112,6 @@ class TestParameters:
     def test_uniformity_below_two_is_refused(self):
         with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
             Parameters.for_instance(1, 1)
-
-    @pytest.mark.parametrize("mu", ["1", "0"])
-    def test_mu_override_outside_the_open_unit_interval_is_refused(self, mu):
-        with pytest.raises(ValueError, match=rf"^mu={mu} out of range \(0, 1\)$"):
-            Parameters.for_instance(3, 1, mu_override=mu)
-
-    def test_u_override_below_one_is_refused(self):
-        with pytest.raises(ValueError, match=r"^u must be >= 1$"):
-            Parameters.for_instance(3, 1, u_override=0)
 
     def test_negative_iteration_cap_is_refused_by_name(self):
         with pytest.raises(ValueError, match=r"^max_iterations -1 is negative$"):
