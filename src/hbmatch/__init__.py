@@ -23,10 +23,10 @@ from .engine import InternalSolverError, SolveResult, find_perfect_matching
 from .instances import (
     GeneratorSpec,
     from_bipartite_graph,
-    gen_adversarial,
     gen_graph,
     gen_guaranteed,
     gen_planted,
+    gen_shuffled,
     generate,
 )
 from .params import Parameters
@@ -49,7 +49,7 @@ __all__ = [
     "generate",
     "gen_guaranteed",
     "gen_planted",
-    "gen_adversarial",
+    "gen_shuffled",
     "gen_graph",
     "from_bipartite_graph",
     "BipartiteHypergraph",

@@ -388,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--na", type=int, required=True)
     p.add_argument("--nb", type=int, required=True)
     p.add_argument("--extra-edges", type=int, default=0)
-    p.add_argument("--d", type=int, default=None, help="private degree (guaranteed mode)")
+    p.add_argument(
+        "--d", type=int, default=None,
+        help="private degree (guaranteed mode); the condition holds only for d >= ceil(2r-2+eps)",
+    )
     p.add_argument("--epsilon", default="1", help="sets the default private degree")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")

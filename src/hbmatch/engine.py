@@ -188,8 +188,8 @@ class AugmentRun:
 
         An unmonitored walk plants no tree: it reads `root` and adds the
         edge, and a matched root fails in `m.add` with a ValueError.  A
-        monitored walk (traced or debug) goes on to the u stop and plants
-        the tree before it logs or checks, and a traced one logs what the
+        monitored walk (traced or debug) plants the tree before it logs or
+        checks.  Only a traced walk goes on to the u stop, to log what the
         full loop would: |X| counts the taken edges, |Y| the matched edges
         on the B-vertices it occupied, which are their blockers.  Debug
         checks lose nothing: the full loop's collapse discards layer 1
@@ -208,7 +208,7 @@ class AugmentRun:
                 continue
             if found is None and is_immediately_addable(h, m, eid):
                 found = eid
-                if not self.monitored:
+                if self.trace is None:
                     break
             occupied.update(bs)
             for b in bs:

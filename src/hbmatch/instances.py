@@ -25,7 +25,7 @@ __all__ = [
     "generate",
     "gen_guaranteed",
     "gen_planted",
-    "gen_adversarial",
+    "gen_shuffled",
     "gen_graph",
     "from_bipartite_graph",
 ]
@@ -33,7 +33,7 @@ __all__ = [
 PRNG_ID = "splitmix64"
 _MASK64 = (1 << 64) - 1
 
-MODES = ("planted", "guaranteed", "graph", "adversarial")
+MODES = ("planted", "guaranteed", "graph", "shuffled")
 
 
 class InfeasibleSpec(ValueError):
@@ -173,34 +173,16 @@ def gen_planted(spec: GeneratorSpec) -> BipartiteHypergraph:
     return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, edges)
 
 
-def gen_adversarial(spec: GeneratorSpec) -> BipartiteHypergraph:
-    """Sparse instance funneling many A-vertices through few B-vertices.
+def gen_shuffled(spec: GeneratorSpec) -> BipartiteHypergraph:
+    """`planted` with its edge list shuffled by SplitMix64(seed ^ 0x5EED).
 
-    Each A-vertex gets one to three edges drawn mostly from a small
-    bottleneck pool, so tau over large S stays near the pool size and
-    condition violations are common; extra_edges adds fully random
-    edges for variety.  No guarantee either way.
+    The planted edge stops being each vertex's first choice, so the
+    solver grows multi-layer trees with swaps and lazy rebuilds.  At
+    nb = (r-1)na, the tight case, the planted matching uses every B-vertex.
     """
-    if spec.b_count < spec.r - 1:
-        raise InfeasibleSpec("b_count must be at least r-1")
-    rng = SplitMix64(spec.seed)
-    pool = max(spec.r - 1, min(spec.b_count, (spec.r - 1) + spec.a_count // 3))
-    edges: list[tuple[int, tuple[int, ...]]] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for a in range(spec.a_count):
-        degree = 1 + rng.below(3)
-        for _ in range(degree):
-            for _attempt in range(60):
-                bs = rng.distinct(pool, spec.r - 1)
-                if spec.b_count > pool and rng.below(4) == 0:
-                    stray = pool + rng.below(spec.b_count - pool)
-                    bs[rng.below(len(bs))] = stray
-                key = (a, tuple(sorted(set(bs))))
-                if len(key[1]) == spec.r - 1 and key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-                    break
-    _add_random_edges(edges, rng, spec.extra_edges, spec.a_count, spec.b_count, spec.r)
+    h = gen_planted(spec)
+    edges = list(zip(h.edge_a, h.edge_bs))
+    SplitMix64(spec.seed ^ 0x5EED).shuffle(edges)
     return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, edges)
 
 
@@ -240,8 +222,8 @@ def generate(spec: GeneratorSpec, epsilon: Fraction = Fraction(1)) -> BipartiteH
         return gen_guaranteed(spec, epsilon)
     if spec.mode == "planted":
         return gen_planted(spec)
-    if spec.mode == "adversarial":
-        return gen_adversarial(spec)
+    if spec.mode == "shuffled":
+        return gen_shuffled(spec)
     if spec.mode == "graph":
         return gen_graph(spec)
     raise ValueError(f"unknown generator mode {spec.mode!r}")

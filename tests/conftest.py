@@ -12,7 +12,6 @@ from hbmatch import (
     from_bipartite_graph,
     generate,
 )
-from hbmatch.instances import SplitMix64
 from hbmatch.oracles import DEFAULT_SUBSET_CAP, InstanceTooLarge
 
 
@@ -48,20 +47,13 @@ def superposed_commit_instance() -> BipartiteHypergraph:
 
 
 def shuffled_planted(seed: int, na: int, r: int = 3, tight: bool = False) -> BipartiteHypergraph:
-    """Planted instance with its edge list shuffled by splitmix64.
-
-    The planted edge stops being each vertex's first choice, so the
-    solver grows multi-layer trees with swaps and lazy rebuilds.  A
-    tight instance has nb = (r-1)na, so the planted matching uses every
-    B-vertex.
-    """
-    h = generate(GeneratorSpec(
-        mode="planted", r=r, a_count=na, b_count=(r - 1) * na + (0 if tight else na),
+    """`shuffled` instance with 2na extra edges and nb = (r-1)na + na,
+    or nb = (r-1)na when tight, so the planted matching uses every
+    B-vertex."""
+    return generate(GeneratorSpec(
+        mode="shuffled", r=r, a_count=na, b_count=(r - 1) * na + (0 if tight else na),
         extra_edges=2 * na, seed=seed,
     ))
-    edges = [(e.a, e.bs) for e in h.edges]
-    SplitMix64(seed ^ 0x5EED).shuffle(edges)
-    return BipartiteHypergraph(h.r, h.a_count, h.b_count, edges)
 
 
 def trace_event(line: str) -> tuple[str, dict]:

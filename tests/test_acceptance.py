@@ -84,12 +84,13 @@ def guaranteed_corpus():
 
 
 @pytest.fixture(scope="module")
-def adversarial_corpus():
+def shuffled_corpus():
     out = []
     for i in range(200):
+        r, na = 2 + i % 3, 4 + i % 9
         spec = GeneratorSpec(
-            mode="adversarial", r=2 + i % 3, a_count=4 + i % 9,
-            b_count=max(1 + i % 3, 2 + i % 5), extra_edges=i % 4, seed=i,
+            mode="shuffled", r=r, a_count=na, b_count=(r - 1) * na,
+            extra_edges=na + i % 4, seed=i,
         )
         out.append(generate(spec))
     return out
@@ -121,10 +122,10 @@ def test_criterion_2_guaranteed_instances(guaranteed_corpus):
         assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_3_witness_soundness(adversarial_corpus):
+def test_criterion_3_witness_soundness(shuffled_corpus):
     with criterion(3, "witness soundness"):
         witnesses = 0
-        for h in adversarial_corpus:
+        for h in shuffled_corpus:
             res = find_perfect_matching(h, "1/2")
             if res.matching is not None:
                 assert verify_matching(h, res.matching, require_perfect=True) is None
@@ -135,27 +136,27 @@ def test_criterion_3_witness_soundness(adversarial_corpus):
             assert verify_witness(h, w) is None
             tau = len(min_hitting_set(h, incident_edges(h, w.s)))
             assert Fraction(tau) <= w.bound
-        assert witnesses >= 50, "adversarial corpus must actually exercise witnesses"
+        assert witnesses >= 50, "shuffled corpus must actually exercise witnesses"
 
 
-def test_criterion_4_invariant_suite(graph_corpus, guaranteed_corpus, adversarial_corpus):
+def test_criterion_4_invariant_suite(graph_corpus, guaranteed_corpus, shuffled_corpus):
     # debug mode re-checks every tree/layer invariant, collapsibility,
     # blocker ratios, superposed growth caps, the layer-count bound, and
     # signature monotonicity at every iteration boundary; any violation
     # raises and fails the test.
     with criterion(4, "per-iteration invariants (debug mode)"):
         sample = (
-            graph_corpus[::12] + guaranteed_corpus[::5] + adversarial_corpus[::5]
+            graph_corpus[::12] + guaranteed_corpus[::5] + shuffled_corpus[::5]
         )
         assert len(sample) >= 120
         for h in sample:
             find_perfect_matching(h, "1/2", debug_invariants=True)
 
 
-def test_criterion_5_signature_monotonicity(graph_corpus, guaranteed_corpus, adversarial_corpus):
+def test_criterion_5_signature_monotonicity(graph_corpus, guaranteed_corpus, shuffled_corpus):
     with criterion(5, "signature monotonicity"):
         sample = (
-            graph_corpus[::12] + guaranteed_corpus[::6] + adversarial_corpus[::6]
+            graph_corpus[::12] + guaranteed_corpus[::6] + shuffled_corpus[::6]
         )
         checked = 0
         for h in sample:
@@ -213,11 +214,11 @@ def test_criterion_6_oracle_cross_validation():
         assert satisfied >= 50, "classic-satisfied sample too small to be meaningful"
 
 
-def test_criterion_7_termination_and_speed(graph_corpus, guaranteed_corpus, adversarial_corpus):
+def test_criterion_7_termination_and_speed(graph_corpus, guaranteed_corpus, shuffled_corpus):
     with criterion(7, "termination and caps"):
         # find_perfect_matching raises on ITERATION_CAP_EXCEEDED; none of
         # the corpus runs may do so.
-        for h in graph_corpus[::10] + guaranteed_corpus[::10] + adversarial_corpus[::10]:
+        for h in graph_corpus[::10] + guaranteed_corpus[::10] + shuffled_corpus[::10]:
             find_perfect_matching(h, "1/2")
         times = []
         for seed in range(16):
@@ -231,7 +232,7 @@ def test_criterion_7_termination_and_speed(graph_corpus, guaranteed_corpus, adve
             times.append(time.perf_counter() - start)
         for seed in range(15):
             spec = GeneratorSpec(
-                mode="adversarial", r=3, a_count=50, b_count=30, extra_edges=10, seed=seed
+                mode="shuffled", r=3, a_count=50, b_count=100, extra_edges=100, seed=seed
             )
             h = generate(spec)
             assert h.a_count <= 50 and h.m <= 500
@@ -241,10 +242,10 @@ def test_criterion_7_termination_and_speed(graph_corpus, guaranteed_corpus, adve
         assert statistics.median(times) < 1.0
 
 
-def test_criterion_8_interface_fidelity(tmp_path, guaranteed_corpus, adversarial_corpus):
+def test_criterion_8_interface_fidelity(tmp_path, guaranteed_corpus, shuffled_corpus):
     with criterion(8, "interface fidelity"):
         # parse . serialize round-trips byte-identically
-        corpus = guaranteed_corpus[::8] + adversarial_corpus[::8]
+        corpus = guaranteed_corpus[::8] + shuffled_corpus[::8]
         for h in corpus:
             text = serialize_instance(h)
             assert serialize_instance(parse_instance(text)) == text

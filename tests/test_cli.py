@@ -32,7 +32,12 @@ from hbmatch.cli import (
 from hbmatch.core import Violation
 from hbmatch.params import parse_rational
 
-from .conftest import hypergraphs, shift_chain, superposed_commit_instance
+from .conftest import hypergraphs, make_h, shift_chain, superposed_commit_instance
+
+
+def funnel():
+    """Two A-vertices whose only edges share b0: no perfect matching."""
+    return make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
 
 
 def reference_parse_instance(text: str) -> BipartiteHypergraph:
@@ -535,7 +540,10 @@ def _solved_documents() -> list[tuple[str, str, str]]:
     """(instance text, result document, trace document) of a matching
     solve and of a witness solve."""
     out = []
-    witness = generate(GeneratorSpec(mode="adversarial", r=2, a_count=6, b_count=2, seed=5))
+    witness = make_h(2, 6, 2, [
+        (0, (0,)), (0, (1,)), (1, (0,)), (2, (1,)), (2, (0,)),
+        (3, (1,)), (3, (0,)), (4, (1,)), (5, (1,)),
+    ])
     for h, eps in ((shift_chain(4), "1/2"), (witness, "1/2")):
         trace = io.StringIO()
         result = format_result(
@@ -730,7 +738,7 @@ class TestCommands:
         assert main(["verify", "--instance", inst, "--result", out]) == 0
 
     def test_solve_verify_roundtrip_witness(self, tmp_path):
-        h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
+        h = funnel()
         inst = self.write_instance(tmp_path, h)
         out = str(tmp_path / "result.txt")
         code = main(["solve", "--input", inst, "--epsilon", "1/2", "--output", out])
@@ -781,12 +789,8 @@ class TestCommands:
         inst = self.write_instance(tmp_path, generate(spec))
         assert main(["check-haxell", "--input", inst, "--epsilon", "1"]) == 0
         assert "SATISFIED" in capsys.readouterr().out
-        funnel = self.write_instance(
-            tmp_path,
-            generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0)),
-            "funnel.hbm",
-        )
-        assert main(["check-haxell", "--input", funnel, "--epsilon", "1"]) == 2
+        inst = self.write_instance(tmp_path, funnel(), "funnel.hbm")
+        assert main(["check-haxell", "--input", inst, "--epsilon", "1"]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
     def test_check_haxell_classic_is_epsilon_zero(self, tmp_path):
@@ -804,11 +808,11 @@ class TestCommands:
         ]) == 0
         assert main(["check-haxell", "--input", inst, "--epsilon", "1"]) == 0
 
-    def test_gen_adversarial_then_solve_witness(self, tmp_path):
-        inst = str(tmp_path / "adv.hbm")
+    def test_gen_shuffled_then_solve_witness(self, tmp_path):
+        inst = str(tmp_path / "shuffled.hbm")
         assert main([
-            "gen", "--mode", "adversarial", "--r", "2", "--na", "6", "--nb", "2",
-            "--seed", "5", "--output", inst,
+            "gen", "--mode", "shuffled", "--r", "3", "--na", "6", "--nb", "12",
+            "--extra-edges", "6", "--seed", "2", "--output", inst,
         ]) == 0
         out = str(tmp_path / "res.txt")
         assert main(["solve", "--input", inst, "--epsilon", "1/2", "--output", out]) == 2
@@ -821,13 +825,13 @@ class TestCommands:
             (["--mode", "planted", "--r", "1", "--na", "2", "--nb", "5"],
              "uniformity r=1 must be >= 2"),
             (["--mode", "graph", "--r", "2", "--na", "2", "--nb", "-3"], "nb=-3 must be >= 0"),
-            (["--mode", "adversarial", "--r", "1", "--na", "3", "--nb", "3"],
+            (["--mode", "shuffled", "--r", "1", "--na", "3", "--nb", "3"],
              "uniformity r=1 must be >= 2"),
             (["--mode", "planted", "--na", "2", "--nb", "5", "--extra-edges", "-1"],
              "extra_edges=-1 must be >= 0"),
             (["--mode", "guaranteed", "--na", "2", "--nb", "40", "--d", "-1"], "d=-1 must be >= 0"),
         ],
-        ids=["negative-na", "planted-r1", "negative-nb", "adversarial-r1", "negative-extra", "negative-d"],
+        ids=["negative-na", "planted-r1", "negative-nb", "shuffled-r1", "negative-extra", "negative-d"],
     )
     def test_gen_refuses_a_spec_no_instance_file_holds(self, tmp_path, args, message):
         out = tmp_path / "g.hbm"
@@ -909,7 +913,7 @@ class TestCommands:
         ]) == 0
 
     def test_verify_witness_without_epsilon_is_parse_error(self, tmp_path, capsys):
-        h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
+        h = funnel()
         inst = self.write_instance(tmp_path, h)
         res = tmp_path / "no-eps.txt"
         res.write_text("status: witness\nS: 0 1\nhitting_set: 0\n")
@@ -938,7 +942,7 @@ class TestCommands:
         """Exit code, stderr and seconds of the command of `name` in
         _RATIONAL_INPUTS run with `bad` in place of its rational."""
         argv, fields = _RATIONAL_INPUTS[name]
-        h = generate(GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=0))
+        h = funnel()
         inst = self.write_instance(tmp_path, h)
         res = tmp_path / "res.txt"
         res.write_text("status: witness\n" + fields.format(bad=bad) + "S: 0 1\nhitting_set: 0\n")
@@ -1039,3 +1043,14 @@ class TestCommands:
         assert out == "" and err.startswith("usage: hbmatch")
         assert err.splitlines()[-1] == f"hbmatch: error: unrecognized arguments: {flag} {value}"
         assert not res.exists()
+
+    def test_gen_mode_outside_the_four_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.hbm"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--mode", "adversarial", "--na", "2", "--nb", "2", "--output", str(out)])
+        assert exc.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("hbmatch gen: error: argument --mode: invalid choice: 'adversarial'")
+        choices = re.findall(r"\w+", last.split("choose from", 1)[1])
+        assert choices == ["planted", "guaranteed", "graph", "shuffled"]
+        assert not out.exists()

@@ -26,7 +26,6 @@ from hbmatch import (
 from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
 from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
 from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
-from hbmatch.instances import SplitMix64
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
 from hbmatch.tree import Layer, build_layer
@@ -311,20 +310,18 @@ def shuffled_generated(draw):
     na = draw(st.integers(1, 20))
     seed = draw(st.integers(0, 2**16))
     mode = draw(st.sampled_from(["planted", "tight", "guaranteed"]))
-    if mode == "guaranteed":
-        d = draw(st.integers(1, 4))
-        spec = GeneratorSpec(
-            mode="guaranteed", r=r, a_count=na, b_count=d * (r - 1) * na + na, d=d,
+    if mode != "guaranteed":
+        return generate(GeneratorSpec(
+            mode="shuffled", r=r, a_count=na, b_count=(r - 1) * na + (mode == "planted") * na,
             extra_edges=draw(st.integers(0, 3 * na)), seed=seed,
-        )
-    else:
-        spec = GeneratorSpec(
-            mode="planted", r=r, a_count=na, b_count=(r - 1) * na + (mode == "planted") * na,
-            extra_edges=draw(st.integers(0, 3 * na)), seed=seed,
-        )
-    edges = [(e.a, e.bs) for e in generate(spec).edges]
-    SplitMix64(seed ^ 0x5EED).shuffle(edges)
-    return BipartiteHypergraph(r, na, spec.b_count, edges)
+        ))
+    d = draw(st.integers(1, 4))
+    h = generate(GeneratorSpec(
+        mode="guaranteed", r=r, a_count=na, b_count=d * (r - 1) * na + na, d=d,
+        extra_edges=draw(st.integers(0, 3 * na)), seed=seed,
+    ))
+    edges = draw(st.permutations(list(zip(h.edge_a, h.edge_bs))))
+    return BipartiteHypergraph(r, na, h.b_count, edges)
 
 
 def full_path():
@@ -632,6 +629,27 @@ class TestDebugInvariantsOnDeepTrees:
             else:
                 assert verify_matching(h, res.matching, require_perfect=True) is None
 
+    def test_tight_corpus_reaches_the_growth_threshold_and_commits_rebuilds(self):
+        # At r=3, eps=1, 1/delta = 45: from y_total = 45 on, the growth
+        # test asks for more than a nonempty layer.  Tight shuffled
+        # instances pass and fail it there and commit (1+mu) rebuilds, and
+        # debug checks stay clean on them.
+        assert Parameters.for_instance(3, 1).delta == Fraction(1, 45)
+        seen = set()
+        for seed in range(3000, 3006):
+            h = generate(GeneratorSpec(
+                mode="shuffled", r=3, a_count=300, b_count=600, extra_edges=1500, seed=seed,
+            ))
+            events = []
+            res = find_perfect_matching(h, 1, trace=lambda line: events.append(trace_event(line)))
+            for name, f in events:
+                if name == "growth" and f["y_total"] >= 45:
+                    seen.add(f["result"])
+                elif name == "superposed" and f["committed"] == 1:
+                    seen.add("committed")
+            assert find_perfect_matching(h, 1, debug_invariants=True).stats == res.stats
+        assert seen == {"pass", "fail", "committed"}
+
 
 def debug_run(h, m=None, root=0):
     """A debug-mode run of `h` at epsilon 1, started at `root`."""
@@ -767,10 +785,11 @@ class TestFindPerfectMatching:
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
-    def test_adversarial_never_internal_error(self, seed):
+    def test_shuffled_never_internal_error(self, seed):
+        r, na = 2 + seed % 3, 4 + seed % 6
         spec = GeneratorSpec(
-            mode="adversarial", r=2 + seed % 3, a_count=4 + seed % 6,
-            b_count=4 + seed % 5, extra_edges=seed % 3, seed=seed,
+            mode="shuffled", r=r, a_count=na, b_count=(r - 1) * na,
+            extra_edges=na + seed % 3, seed=seed,
         )
         h = generate(spec)
         res = find_perfect_matching(h, "1/2", debug_invariants=True)
@@ -788,11 +807,14 @@ class TestLargeEpsilon:
         corpus = [shuffled_planted(seed, 5 + seed, r, tight=True) for seed in range(6)]
         corpus += [
             generate(GeneratorSpec(
-                mode="adversarial", r=r, a_count=4 + seed, b_count=3 + seed,
-                extra_edges=seed % 3, seed=seed,
+                mode="shuffled", r=r, a_count=4 + seed, b_count=(r - 1) * (4 + seed),
+                extra_edges=4 + seed + seed % 3, seed=seed,
             ))
             for seed in range(6)
         ]
+        # No perfect matching, so every r has a witness; at r = 2 the
+        # planted instances above all end in a matching.
+        corpus.append(make_h(r, 2, r - 1, [(0, tuple(range(r - 1))), (1, tuple(range(r - 1)))]))
         for h in corpus:
             res = find_perfect_matching(h, eps, debug_invariants=True)
             if res.witness is not None:
@@ -850,7 +872,7 @@ class TestSolverAgreesWithExhaustiveCheck:
     def test_outcomes_match_condition_status(self, seed):
         rng_r = 2 + seed % 2
         spec = GeneratorSpec(
-            mode="planted" if seed % 3 else "adversarial",
+            mode="planted" if seed % 3 else "shuffled",
             r=rng_r,
             a_count=2 + seed % 5,
             b_count=(rng_r - 1) * (2 + seed % 5) + seed % 3,

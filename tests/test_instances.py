@@ -1,10 +1,14 @@
 import dataclasses
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbmatch
 from hbmatch import GeneratorSpec, from_bipartite_graph, generate, validate_instance
 from hbmatch.cli import parse_instance, serialize_instance
 from hbmatch.core import InstanceError
@@ -12,6 +16,21 @@ from hbmatch.instances import MODES, InfeasibleSpec, SplitMix64, default_private
 from hbmatch.oracles import check_haxell
 
 from .conftest import brute_force_perfect_matching
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path; its dataclasses look
+    their module up in sys.modules."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 
 class TestSplitMix64:
@@ -127,18 +146,39 @@ class TestGenPlanted:
         assert serialize_instance(huge) == serialize_instance(full)
 
 
-class TestGenAdversarial:
-    def test_two_a_one_b_is_the_funnel_instance(self):
-        spec = GeneratorSpec(mode="adversarial", r=2, a_count=2, b_count=1, seed=123)
-        h = generate(spec)
-        assert {(e.a, e.bs) for e in h.edges} == {(0, (0,)), (1, (0,))}
-        assert brute_force_perfect_matching(h) is None
-
-    def test_fewer_b_vertices_than_an_edge_needs(self):
-        spec = GeneratorSpec(mode="adversarial", r=3, a_count=2, b_count=1, seed=0)
-        with pytest.raises(InfeasibleSpec, match="^b_count must be at least r-1$"):
+class TestGenShuffled:
+    def test_too_few_b_vertices_is_the_planted_refusal(self):
+        spec = GeneratorSpec(mode="shuffled", r=3, a_count=5, b_count=9, seed=0)
+        with pytest.raises(InfeasibleSpec, match="^need b_count >= 10 to plant a perfect matching$"):
             generate(spec)
 
+    @given(seed=st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_instances_are_well_formed_and_deterministic(self, seed):
+        spec = GeneratorSpec(
+            mode="shuffled", r=3, a_count=7, b_count=14, extra_edges=7, seed=seed
+        )
+        h1, h2 = generate(spec), generate(spec)
+        assert validate_instance(h1) is None
+        assert serialize_instance(h1) == serialize_instance(h2)
+        assert brute_force_perfect_matching(h1) is not None
+
+    @pytest.mark.parametrize("run_seed", [3, 18])
+    def test_mode_writes_the_benchmark_deep_corpus(self, tmp_path, run_seed):
+        # perfbench shuffles planted instances itself; the mode must give
+        # the same instance bytes below the comment line.
+        paths = workloads.write_corpus(hbmatch, workloads.DEEP, run_seed, 2, tmp_path)
+        for i, path in enumerate(paths):
+            spec = GeneratorSpec(
+                mode="shuffled", r=3, a_count=600, b_count=1800, extra_edges=1200,
+                seed=1000 * run_seed + i,
+            )
+            comment, body = path.read_text().split("\n", 1)
+            assert comment.startswith("c generator: mode=planted ")
+            assert body == serialize_instance(generate(spec))
+
+
+class TestFromBipartiteGraph:
     def test_common_vertex_funnel_violates(self):
         # all edges through b0: tau(E_A) = 1
         pairs = [(a, 0) for a in range(4)]
@@ -146,18 +186,6 @@ class TestGenAdversarial:
         res = check_haxell(h, Fraction(1))
         assert not res.satisfied
 
-    @given(seed=st.integers(0, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_instances_are_well_formed_and_deterministic(self, seed):
-        spec = GeneratorSpec(
-            mode="adversarial", r=3, a_count=7, b_count=8, extra_edges=2, seed=seed
-        )
-        h1, h2 = generate(spec), generate(spec)
-        assert validate_instance(h1) is None
-        assert serialize_instance(h1) == serialize_instance(h2)
-
-
-class TestFromBipartiteGraph:
     def test_empty(self):
         h = from_bipartite_graph([], 2, 3)
         assert h.m == 0 and h.r == 2
