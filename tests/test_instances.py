@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import importlib.util
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -250,6 +252,24 @@ class TestSpecCheck:
         spec = dict(mode="planted", r=2, a_count=2, b_count=8, extra_edges=1, seed=0)
         with pytest.raises(InfeasibleSpec):
             GeneratorSpec(**{**spec, **fields})
+
+    def test_every_mode_gives_its_pinned_bytes(self):
+        # One digest over a grid of specs in every mode: each instance's
+        # serialized text, or the refusal message of a spec it cannot meet.
+        digest = hashlib.sha256()
+        grid = product(
+            MODES, (2, 3, 4), (0, 1, 5, 30), (0, 3, 40, 200), (0, 7, 60), (None, 0, 2), (0, 1, 77)
+        )
+        for mode, r, na, nb, extra, d, seed in grid:
+            spec = GeneratorSpec(mode, r, na, nb, extra_edges=extra, d=d, seed=seed)
+            try:
+                text = serialize_instance(generate(spec))
+            except InfeasibleSpec as exc:
+                text = str(exc)
+            digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "dc5f8bdf277e6098b16f94b6a39347d8d31127e59b5bf83db334359488d7cb0e"
+        )
 
     def test_generate_refuses_an_unknown_mode(self):
         spec = GeneratorSpec(mode="bogus", r=2, a_count=2, b_count=2, seed=0)
