@@ -20,15 +20,7 @@ from .certify import (
 )
 from .core import BipartiteHypergraph, PartialMatching
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
-from .instances import (
-    GeneratorSpec,
-    from_bipartite_graph,
-    gen_graph,
-    gen_guaranteed,
-    gen_planted,
-    gen_shuffled,
-    generate,
-)
+from .instances import GeneratorSpec, from_bipartite_graph, generate
 from .params import Parameters
 
 __version__ = "0.1.0"
@@ -47,10 +39,6 @@ __all__ = [
     "check_result",
     "GeneratorSpec",
     "generate",
-    "gen_guaranteed",
-    "gen_planted",
-    "gen_shuffled",
-    "gen_graph",
     "from_bipartite_graph",
     "BipartiteHypergraph",
     "PartialMatching",

@@ -26,7 +26,7 @@ from .core import BipartiteHypergraph
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
 from .instances import MODES, GeneratorSpec, default_private_degree, generate
 from .oracles import check_haxell
-from .params import parse_epsilon
+from .params import parse_epsilon, parse_rational
 from .signature import check_signature_step
 
 __all__ = [
@@ -272,16 +272,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 trace=TraceWriter(trace_stream) if trace_stream else None,
                 debug_invariants=args.debug_invariants,
             )
-    except BaseException:  # a failed solve leaves no trace document
+        doc = format_result(result, epsilon)
+        if args.output:
+            Path(args.output).write_text(doc)
+        else:
+            sys.stdout.write(doc)
+    except BaseException:  # a failed solve or result write leaves no trace document
         path = Path(args.trace) if args.trace else None
         if path and path.is_file() and not path.is_symlink():  # links and devices stay
             path.unlink()
         raise
-    doc = format_result(result, epsilon)
-    if args.output:
-        Path(args.output).write_text(doc)
-    else:
-        sys.stdout.write(doc)
     return EXIT_OK if result.matching is not None else EXIT_WITNESS
 
 
@@ -297,8 +297,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_check_haxell(args: argparse.Namespace) -> int:
     h = parse_instance(_read_text(args.input))
-    epsilon = parse_epsilon(args.epsilon)
-    res = check_haxell(h, Fraction(0) if args.classic else epsilon, max_a=args.max_a)
+    epsilon = parse_rational(args.epsilon, "epsilon")
+    if epsilon < 0:  # epsilon 0 is the classic condition
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    res = check_haxell(h, epsilon, max_a=args.max_a)
     if res.satisfied:
         print("SATISFIED")
         return EXIT_OK
@@ -377,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-haxell", help="exhaustive condition check (desk scale)")
     p.add_argument("--input", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--classic", action="store_true", help="factor 2r-3 instead of 2r-3+eps")
+    p.add_argument("--epsilon", required=True, help="rational >= 0; 0 is the classic condition")
     p.add_argument("--max-a", type=int, default=20)
     p.set_defaults(func=cmd_check_haxell)
 

@@ -1,10 +1,13 @@
 """Seeded instance generation and the r=2 graph specialization.
 
-All generators are deterministic functions of (spec, seed).  Randomness
-comes from splitmix64, chosen over a stdlib generator because instances
-must regenerate bit-identically from any implementation of the same
-formats; the full generator fits in a dozen lines and its identifier is
-recorded in generated file headers.
+:func:`generate` is the one entry point.  Each mode in `MODES` is a
+private builder, looked up in one table, that returns the edge list of
+(spec, epsilon); `generate` builds the instance from it.  Every mode is
+a deterministic function of (spec, seed).  Randomness comes from
+splitmix64, chosen over a stdlib generator because instances must
+regenerate bit-identically from any implementation of the same formats;
+the full generator fits in a dozen lines and its identifier is recorded
+in generated file headers.
 """
 
 from __future__ import annotations
@@ -23,21 +26,17 @@ __all__ = [
     "InfeasibleSpec",
     "default_private_degree",
     "generate",
-    "gen_guaranteed",
-    "gen_planted",
-    "gen_shuffled",
-    "gen_graph",
     "from_bipartite_graph",
 ]
 
 PRNG_ID = "splitmix64"
 _MASK64 = (1 << 64) - 1
 
-MODES = ("planted", "guaranteed", "graph", "shuffled")
+Edges = list[tuple[int, tuple[int, ...]]]
 
 
 class InfeasibleSpec(ValueError):
-    code = "INFEASIBLE_SPEC"
+    """A spec that no instance can meet."""
 
 
 class SplitMix64:
@@ -107,31 +106,25 @@ def default_private_degree(r: int, epsilon: Fraction) -> int:
     return math.ceil(Fraction(2 * r - 2) + epsilon)
 
 
-def _add_random_edges(
-    h_edges: list[tuple[int, tuple[int, ...]]],
-    rng: SplitMix64,
-    count: int,
-    a_count: int,
-    b_count: int,
-    r: int,
-) -> None:
-    seen = set(h_edges)
-    slots = a_count * math.comb(b_count, r - 1)
-    for _ in range(count):
+def _add_random_edges(edges: Edges, rng: SplitMix64, spec: GeneratorSpec) -> None:
+    """Append spec.extra_edges new random edges, or fewer once no slot is free."""
+    seen = set(edges)
+    slots = spec.a_count * math.comb(spec.b_count, spec.r - 1)
+    for _ in range(spec.extra_edges):
         if len(seen) >= slots:
             break  # every (a, bs) slot is taken, or none exists
         for _attempt in range(200):
-            a = rng.below(a_count)
-            bs = tuple(rng.distinct(b_count, r - 1))
+            a = rng.below(spec.a_count)
+            bs = tuple(rng.distinct(spec.b_count, spec.r - 1))
             if (a, bs) not in seen:
                 seen.add((a, bs))
-                h_edges.append((a, bs))
+                edges.append((a, bs))
                 break
         # else: edge space is (nearly) exhausted; silently add fewer.
 
 
-def gen_guaranteed(spec: GeneratorSpec, epsilon: Fraction = Fraction(1)) -> BipartiteHypergraph:
-    """Instance provably satisfying the strengthened condition.
+def _guaranteed(spec: GeneratorSpec, epsilon: Fraction) -> Edges:
+    """Edges provably satisfying the strengthened condition.
 
     Every A-vertex receives d pairwise-B-disjoint edges on B-vertices no
     other edge touches, so hitting its incident edges costs d vertices
@@ -146,18 +139,18 @@ def gen_guaranteed(spec: GeneratorSpec, epsilon: Fraction = Fraction(1)) -> Bipa
             f"with {d} private edges"
         )
     rng = SplitMix64(spec.seed)
-    edges: list[tuple[int, tuple[int, ...]]] = []
+    edges: Edges = []
     for a in range(spec.a_count):
         base = a * width
         for j in range(d):
             lo = base + j * (spec.r - 1)
             edges.append((a, tuple(range(lo, lo + spec.r - 1))))
-    _add_random_edges(edges, rng, spec.extra_edges, spec.a_count, spec.b_count, spec.r)
-    return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, edges)
+    _add_random_edges(edges, rng, spec)
+    return edges
 
 
-def gen_planted(spec: GeneratorSpec) -> BipartiteHypergraph:
-    """Instance with a hidden perfect matching; no condition guarantee."""
+def _planted(spec: GeneratorSpec, epsilon: Fraction) -> Edges:
+    """Edges with a hidden perfect matching; no condition guarantee."""
     if spec.b_count < (spec.r - 1) * spec.a_count:
         raise InfeasibleSpec(
             f"need b_count >= {(spec.r - 1) * spec.a_count} to plant a perfect matching"
@@ -165,38 +158,40 @@ def gen_planted(spec: GeneratorSpec) -> BipartiteHypergraph:
     rng = SplitMix64(spec.seed)
     perm = list(range(spec.b_count))
     rng.shuffle(perm)
-    edges: list[tuple[int, tuple[int, ...]]] = []
+    edges: Edges = []
     for a in range(spec.a_count):
         slot = perm[a * (spec.r - 1) : (a + 1) * (spec.r - 1)]
         edges.append((a, tuple(sorted(slot))))
-    _add_random_edges(edges, rng, spec.extra_edges, spec.a_count, spec.b_count, spec.r)
-    return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, edges)
+    _add_random_edges(edges, rng, spec)
+    return edges
 
 
-def gen_shuffled(spec: GeneratorSpec) -> BipartiteHypergraph:
-    """`planted` with its edge list shuffled by SplitMix64(seed ^ 0x5EED).
+def _shuffled(spec: GeneratorSpec, epsilon: Fraction) -> Edges:
+    """`planted` edges shuffled by SplitMix64(seed ^ 0x5EED).
 
     The planted edge stops being each vertex's first choice, so the
     solver grows multi-layer trees with swaps and lazy rebuilds.  At
     nb = (r-1)na, the tight case, the planted matching uses every B-vertex.
     """
-    h = gen_planted(spec)
-    edges = list(zip(h.edge_a, h.edge_bs))
+    edges = _planted(spec, epsilon)
     SplitMix64(spec.seed ^ 0x5EED).shuffle(edges)
-    return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, edges)
+    return edges
 
 
-def gen_graph(spec: GeneratorSpec) -> BipartiteHypergraph:
+def _graph(spec: GeneratorSpec, epsilon: Fraction) -> Edges:
     """Random bipartite graph (r=2): extra_edges distinct uniform pairs."""
     if spec.r != 2:
         raise InfeasibleSpec("graph mode is the r=2 specialization")
     rng = SplitMix64(spec.seed)
-    total = spec.a_count * spec.b_count
-    count = min(spec.extra_edges, total)
+    count = min(spec.extra_edges, spec.a_count * spec.b_count)
     pairs: set[tuple[int, int]] = set()
     while len(pairs) < count:
         pairs.add((rng.below(spec.a_count), rng.below(spec.b_count)))
-    return from_bipartite_graph(sorted(pairs), spec.a_count, spec.b_count)
+    return [(a, (b,)) for a, b in sorted(pairs)]
+
+
+_BUILDERS = {"planted": _planted, "guaranteed": _guaranteed, "graph": _graph, "shuffled": _shuffled}
+MODES = tuple(_BUILDERS)
 
 
 def from_bipartite_graph(
@@ -217,13 +212,8 @@ def from_bipartite_graph(
 
 
 def generate(spec: GeneratorSpec, epsilon: Fraction = Fraction(1)) -> BipartiteHypergraph:
-    """Dispatch on spec.mode; epsilon only affects guaranteed defaults."""
-    if spec.mode == "guaranteed":
-        return gen_guaranteed(spec, epsilon)
-    if spec.mode == "planted":
-        return gen_planted(spec)
-    if spec.mode == "shuffled":
-        return gen_shuffled(spec)
-    if spec.mode == "graph":
-        return gen_graph(spec)
-    raise ValueError(f"unknown generator mode {spec.mode!r}")
+    """The instance of spec.mode; epsilon only sets guaranteed's default d."""
+    builder = _BUILDERS.get(spec.mode)
+    if builder is None:
+        raise ValueError(f"unknown generator mode {spec.mode!r}")
+    return BipartiteHypergraph(spec.r, spec.a_count, spec.b_count, builder(spec, epsilon))

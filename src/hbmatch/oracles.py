@@ -32,8 +32,6 @@ DEFAULT_SUBSET_CAP = 20
 class InstanceTooLarge(ValueError):
     """Instance exceeds the cap for an exhaustive oracle."""
 
-    code = "INSTANCE_TOO_LARGE"
-
 
 @dataclass(frozen=True)
 class HaxellResult:

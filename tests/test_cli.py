@@ -796,9 +796,16 @@ class TestCommands:
     def test_check_haxell_classic_is_epsilon_zero(self, tmp_path):
         k22 = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
         inst = self.write_instance(tmp_path, k22)
-        argv = ["check-haxell", "--input", inst, "--epsilon", "1"]
-        assert _run_main(argv + ["--classic"]) == (0, "SATISFIED\n", "")
-        assert _run_main(argv) == (2, "VIOLATED S=0,1 tau=2 bound=2\n", "")
+        argv = ["check-haxell", "--input", inst, "--epsilon"]
+        assert _run_main(argv + ["0"]) == (0, "SATISFIED\n", "")
+        assert _run_main(argv + ["1"]) == (2, "VIOLATED S=0,1 tau=2 bound=2\n", "")
+
+    @pytest.mark.parametrize("epsilon", ["-1", "-1/2"])
+    def test_check_haxell_refuses_a_negative_epsilon(self, tmp_path, epsilon):
+        inst = self.write_instance(tmp_path, funnel())
+        code, out, err = _run_main(["check-haxell", "--input", inst, f"--epsilon={epsilon}"])
+        assert (code, out) == (1, "")
+        assert err == f"epsilon must be >= 0, got {parse_rational(epsilon)}\n"
 
     def test_gen_then_check_pipeline(self, tmp_path, capsys):
         inst = str(tmp_path / "g.hbm")
@@ -878,6 +885,16 @@ class TestCommands:
         trace = tmp_path / "trace.txt"
         code, out, err = _run_main(["solve", "--input", inst, "--trace", str(trace)] + flags)
         assert (code, out) == (1, "") and err.count("\n") == 1 and err.startswith(reason)
+        assert not trace.exists()
+
+    def test_failed_result_write_leaves_no_trace_document(self, tmp_path):
+        # The solve succeeds but its result cannot be written, since the
+        # output path is a directory; before, the trace stayed behind.
+        inst = self.write_instance(tmp_path, shift_chain(2))
+        trace = tmp_path / "trace.txt"
+        argv = ["solve", "--input", inst, "--epsilon", "1", "--trace", str(trace)]
+        code, out, err = _run_main(argv + ["--output", str(tmp_path)])
+        assert (code, out) == (1, "") and err.count("\n") == 1 and "Is a directory" in err
         assert not trace.exists()
 
     def test_failed_solve_leaves_a_trace_link_in_place(self, tmp_path):
@@ -987,7 +1004,7 @@ class TestCommands:
         assert err == "max_iterations -1 is negative\n"
 
     @pytest.mark.parametrize("epsilon", ["-1", "0"])
-    @pytest.mark.parametrize("name", ["solve-epsilon", "check-haxell", "gen", "verify-epsilon"])
+    @pytest.mark.parametrize("name", ["solve-epsilon", "gen", "verify-epsilon"])
     def test_nonpositive_epsilon_is_exit_1(self, tmp_path, name, epsilon):
         code, out, err, _ = self.run_bad_rational(tmp_path, name, epsilon)
         assert code == 1 and out == ""
@@ -999,10 +1016,15 @@ class TestCommands:
             (["solve", "--input", "x"], "the following arguments are required: --epsilon"),
             (["solve", "--input", "x", "--epsilon", "1", "--max-iters", "abc"], "invalid int"),
             (["gen", "--mode", "nope", "--na", "1", "--nb", "1"], "invalid choice: 'nope'"),
+            (["check-haxell", "--input", "x", "--epsilon", "0", "--classic"],
+             "unrecognized arguments: --classic"),
             (["nope"], "invalid choice: 'nope'"),
             ([], "the following arguments are required: command"),
         ],
-        ids=["missing-option", "bad-int", "bad-choice", "unknown-subcommand", "no-subcommand"],
+        ids=[
+            "missing-option", "bad-int", "bad-choice", "classic-flag", "unknown-subcommand",
+            "no-subcommand",
+        ],
     )
     def test_usage_error_is_exit_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

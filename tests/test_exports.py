@@ -33,8 +33,7 @@ def test_package_exports_the_solver_kernel_and_generators():
         "ParseError", "validate_instance", "verify_matching", "condition_factor",
         "WitnessCertificate", "verify_witness", "parse_result", "check_result",
         # the generators
-        "GeneratorSpec", "generate", "gen_guaranteed", "gen_planted", "gen_shuffled",
-        "gen_graph", "from_bipartite_graph",
+        "GeneratorSpec", "generate", "from_bipartite_graph",
         # the data types
         "BipartiteHypergraph", "PartialMatching", "Parameters",
     ])
