@@ -268,7 +268,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             result = find_perfect_matching(
                 h,
                 epsilon,
-                max_iterations=args.max_iters,
                 trace=TraceWriter(trace_stream) if trace_stream else None,
                 debug_invariants=args.debug_invariants,
             )
@@ -300,7 +299,7 @@ def cmd_check_haxell(args: argparse.Namespace) -> int:
     epsilon = parse_rational(args.epsilon, "epsilon")
     if epsilon < 0:  # epsilon 0 is the classic condition
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    res = check_haxell(h, epsilon, max_a=args.max_a)
+    res = check_haxell(h, epsilon)
     if res.satisfied:
         print("SATISFIED")
         return EXIT_OK
@@ -368,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="rational, e.g. 1/2 or 0.25")
     p.add_argument("--output", help="result document path (default stdout)")
     p.add_argument("--trace", help="write trace events to this file")
-    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--debug-invariants", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -380,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-haxell", help="exhaustive condition check (desk scale)")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True, help="rational >= 0; 0 is the classic condition")
-    p.add_argument("--max-a", type=int, default=20)
     p.set_defaults(func=cmd_check_haxell)
 
     p = sub.add_parser("gen", help="generate a seeded instance")

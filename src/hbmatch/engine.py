@@ -73,10 +73,9 @@ class InternalSolverError(CodedError, RuntimeError):
 
     Raised for a failed debug-mode invariant, an extracted certificate
     that does not verify, a final matching that is not perfect, and an
-    augmenting run that reaches its iteration cap.  Epsilon alone sets
-    mu and u, so each is an implementation bug, CERTIFICATE_INVALID
-    included; only a cap the caller sets with `max_iterations` can be
-    reached by a correct solve.
+    augmenting run that reaches its iteration cap.  The instance and
+    epsilon alone set mu, u and the cap, so each is an implementation
+    bug, CERTIFICATE_INVALID and ITERATION_CAP_EXCEEDED included.
     """
 
 
@@ -86,7 +85,6 @@ class SolveStats:
     max_layers: int = 0
     swaps: int = 0
     build_ops: int = 0
-    sig_ambiguities: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ class AugmentRun:
         the tree is planted only when the full loop runs, or when a traced
         or debug walk matches the root.
         """
-        if self.cap >= 1 and self.match_in_one_step(root):
+        if self.match_in_one_step(root):
             return None
         self.start(root)
         iteration = 0
@@ -423,7 +421,6 @@ class AugmentRun:
             trace(f"iteration iter={iteration} layers={self.tree.level()}")
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
         sig, unresolved = signature_from_sizes(sizes, self.memo)
-        self.stats.sig_ambiguities += unresolved
         if trace is not None:
             coords = ",".join(map(str, sig))
             trace(f"signature iter={iteration} coords={coords} unresolved={unresolved}")
@@ -497,7 +494,6 @@ def augment(run: AugmentRun, root: int) -> WitnessCertificate | None:
 def find_perfect_matching(
     h: BipartiteHypergraph,
     epsilon: Fraction | str | int,
-    max_iterations: int | None = None,
     trace: TraceSink | None = None,
     debug_invariants: bool = False,
 ) -> SolveResult:
@@ -508,17 +504,13 @@ def find_perfect_matching(
     the perfect matching, or the first violation certificate
     encountered.  Epsilon alone sets mu and u, so every witness meets
     its bound.  A malformed instance raises :class:`InstanceError`;
-    internal faults (a failed check, or the iteration cap, which
-    `max_iterations` replaces) raise :class:`InternalSolverError`.
+    internal faults (a failed check, or the derived iteration cap) raise
+    :class:`InternalSolverError`.
     """
     v = validate_instance(h)
     if v is not None:
         raise InstanceError(v.code, v.detail)
-    params = Parameters.for_instance(
-        h.r,
-        epsilon,
-        max_iterations=max_iterations,
-    )
+    params = Parameters.for_instance(h.r, epsilon)
     run = AugmentRun(h, PartialMatching(), params, trace, debug_invariants)
     for a in range(h.a_count):
         witness = augment(run, a)

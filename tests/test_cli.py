@@ -33,6 +33,7 @@ from hbmatch.core import Violation
 from hbmatch.params import parse_rational
 
 from .conftest import hypergraphs, make_h, shift_chain, superposed_commit_instance
+from .test_engine import capped
 
 
 def funnel():
@@ -872,18 +873,20 @@ class TestCommands:
         assert err.startswith("epsilon too small to trace: ") and "4300-digit limit" in err
 
     @pytest.mark.parametrize(
-        "flags, reason",
-        [(["--epsilon", "1e-1000"], "epsilon too small to trace: "),
-         (["--epsilon", "1", "--max-iters", "0"], "ITERATION_CAP_EXCEEDED: ")],
+        "epsilon, cap, reason",
+        [("1e-1000", None, "epsilon too small to trace: "),
+         ("1", 1, "ITERATION_CAP_EXCEEDED: ")],
         ids=["refused-before-the-first-root", "failed-mid-run"],
     )
-    def test_failed_solve_leaves_no_trace_document(self, tmp_path, flags, reason):
+    def test_failed_solve_leaves_no_trace_document(self, tmp_path, epsilon, cap, reason):
         # Before, the first left an empty file and the second a partial
-        # trace, and check-trace printed ok on both.
-        spec = GeneratorSpec(mode="planted", r=3, a_count=6, b_count=18)
-        inst = self.write_instance(tmp_path, generate(spec))
+        # trace, and check-trace printed ok on both.  At cap 1 the chain's
+        # first roots are traced before its last one fails.
+        inst = self.write_instance(tmp_path, shift_chain(6))
         trace = tmp_path / "trace.txt"
-        code, out, err = _run_main(["solve", "--input", inst, "--trace", str(trace)] + flags)
+        argv = ["solve", "--input", inst, "--epsilon", epsilon, "--trace", str(trace)]
+        with capped(cap) if cap else contextlib.nullcontext():
+            code, out, err = _run_main(argv)
         assert (code, out) == (1, "") and err.count("\n") == 1 and err.startswith(reason)
         assert not trace.exists()
 
@@ -899,12 +902,13 @@ class TestCommands:
 
     def test_failed_solve_leaves_a_trace_link_in_place(self, tmp_path):
         # A link (such as /dev/stderr) is written through and never removed.
-        inst = self.write_instance(tmp_path, shift_chain(2))
+        inst = self.write_instance(tmp_path, shift_chain(6))
         target, link = tmp_path / "target.txt", tmp_path / "link.txt"
         target.write_text("")
         link.symlink_to(target)
-        argv = ["solve", "--input", inst, "--epsilon", "1", "--max-iters", "0", "--trace", str(link)]
-        assert _run_main(argv)[0] == 1
+        argv = ["solve", "--input", inst, "--epsilon", "1", "--trace", str(link)]
+        with capped(1):
+            assert _run_main(argv)[0] == 1
         assert link.is_symlink() and target.read_text().startswith("augment_start ")
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -989,19 +993,14 @@ class TestCommands:
         assert err.count("\n") == 1 and message in err
 
     def test_zero_iteration_cap_is_exit_1(self, tmp_path):
-        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=2, b_count=20, seed=0))
-        argv = ["solve", "--input", self.write_instance(tmp_path, h), "--epsilon", "1"]
+        # No correct solve reaches the derived cap; one forced to 1 is
+        # reached at the chain's last root, which needs several iterations.
+        argv = ["solve", "--input", self.write_instance(tmp_path, shift_chain(6)), "--epsilon", "1"]
         assert _run_main(argv)[0] == 0
-        code, out, err = _run_main(argv + ["--max-iters", "0"])
+        with capped(1):
+            code, out, err = _run_main(argv)
         assert code == 1 and out == ""
-        assert err == "ITERATION_CAP_EXCEEDED: augmenting A-vertex 0\n"
-
-    def test_negative_iteration_cap_is_refused_by_name(self, tmp_path):
-        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=2, b_count=20, seed=0))
-        argv = ["solve", "--input", self.write_instance(tmp_path, h), "--epsilon", "1"]
-        code, out, err = _run_main(argv + ["--max-iters", "-1"])
-        assert code == 1 and out == ""
-        assert err == "max_iterations -1 is negative\n"
+        assert err == "ITERATION_CAP_EXCEEDED: augmenting A-vertex 6\n"
 
     @pytest.mark.parametrize("epsilon", ["-1", "0"])
     @pytest.mark.parametrize("name", ["solve-epsilon", "gen", "verify-epsilon"])
@@ -1014,16 +1013,20 @@ class TestCommands:
         "argv, message",
         [
             (["solve", "--input", "x"], "the following arguments are required: --epsilon"),
-            (["solve", "--input", "x", "--epsilon", "1", "--max-iters", "abc"], "invalid int"),
+            (["gen", "--mode", "planted", "--na", "abc", "--nb", "1"], "invalid int"),
             (["gen", "--mode", "nope", "--na", "1", "--nb", "1"], "invalid choice: 'nope'"),
             (["check-haxell", "--input", "x", "--epsilon", "0", "--classic"],
              "unrecognized arguments: --classic"),
+            (["solve", "--input", "x", "--epsilon", "1", "--max-iters", "1"],
+             "unrecognized arguments: --max-iters 1"),
+            (["check-haxell", "--input", "x", "--epsilon", "1", "--max-a", "30"],
+             "unrecognized arguments: --max-a 30"),
             (["nope"], "invalid choice: 'nope'"),
             ([], "the following arguments are required: command"),
         ],
         ids=[
-            "missing-option", "bad-int", "bad-choice", "classic-flag", "unknown-subcommand",
-            "no-subcommand",
+            "missing-option", "bad-int", "bad-choice", "classic-flag", "max-iters-flag",
+            "max-a-flag", "unknown-subcommand", "no-subcommand",
         ],
     )
     def test_usage_error_is_exit_1(self, capsys, argv, message):
@@ -1041,15 +1044,24 @@ class TestCommands:
         assert listed == ["solve", "verify", "check-haxell", "gen", "check-trace"]
 
     def test_solve_help_lists_no_override_of_mu_or_u(self, capsys):
-        # Epsilon alone sets mu and u; --max-iters is the one solver knob.
+        # Epsilon alone sets mu and u, and with the instance the iteration cap.
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "override" not in out
         assert sorted(set(re.findall(r"--[a-z-]+", out))) == sorted([
-            "--help", "--input", "--epsilon", "--output", "--trace", "--max-iters",
-            "--debug-invariants",
+            "--help", "--input", "--epsilon", "--output", "--trace", "--debug-invariants",
+        ])
+
+    def test_check_haxell_help_lists_no_subset_cap(self, capsys):
+        # The oracle's |A| cap is fixed, like the solver's bounds.
+        with pytest.raises(SystemExit) as exc:
+            main(["check-haxell", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert sorted(set(re.findall(r"--[a-z-]+", out))) == sorted([
+            "--help", "--input", "--epsilon",
         ])
 
     @pytest.mark.parametrize(

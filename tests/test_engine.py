@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -44,11 +45,11 @@ from .conftest import (
 _for_instance = Parameters.for_instance
 
 
-def params(r=3, eps=1, mu=None, u=None, max_iterations=None):
+def params(r=3, eps=1, mu=None, u=None):
     """The parameters at (r, eps), with mu and u substituted when given.
     A given mu sets u = ceil(1/mu) and b = 1/(1-mu^3), unless u is given
     too.  Small fixtures reach the full loop only at such a mu or u."""
-    p = _for_instance(r, eps, max_iterations)
+    p = _for_instance(r, eps)
     if mu is not None:
         mu = Fraction(mu)
         p = dataclasses.replace(p, mu=mu, u=math.ceil(1 / mu), b=1 / (1 - mu**3))
@@ -60,8 +61,14 @@ def substituted(mu=None, u=None):
     epsilon alone sets."""
     return mock.patch.object(
         Parameters, "for_instance",
-        lambda r, eps, max_iterations=None: params(r, eps, mu, u, max_iterations),
+        lambda r, eps: params(r, eps, mu, u),
     )
+
+
+def capped(cap):
+    """Solve with every run's iteration cap set to `cap` in place of the
+    one derived from the instance size."""
+    return mock.patch.object(Parameters, "iteration_cap", lambda self, n: cap)
 
 
 def started(h, m, root, p):
@@ -283,7 +290,8 @@ class TestAugment:
         h = shift_chain(6)
         assert find_perfect_matching(h, "1/2").status == "perfect_matching"
         with pytest.raises(InternalSolverError) as exc:
-            find_perfect_matching(h, "1/2", max_iterations=1)
+            with capped(1):
+                find_perfect_matching(h, "1/2")
         assert exc.value.code == "ITERATION_CAP_EXCEEDED"
 
 
@@ -344,9 +352,18 @@ def counting_build_layer(monkeypatch) -> list[int]:
     return calls
 
 
+def recorded_runs(monkeypatch) -> list[AugmentRun]:
+    """Patch `AugmentRun.__init__` to record each run; returns the record."""
+    runs: list[AugmentRun] = []
+    init = AugmentRun.__init__
+    monkeypatch.setattr(AugmentRun, "__init__", lambda run, *a: runs.append(run) or init(run, *a))
+    return runs
+
+
 class TestSubstitutedParameters:
     """The ported properties compare two programs, so they would still
-    pass if `substituted` never reached the solve; this pins that it does."""
+    pass if `substituted` or `capped` never reached the solve; this pins
+    that they do."""
 
     @pytest.mark.parametrize(
         "mu, u, expected",
@@ -357,14 +374,16 @@ class TestSubstitutedParameters:
         ],
     )
     def test_reaches_the_run(self, monkeypatch, mu, u, expected):
-        seen = []
-        init = AugmentRun.__init__
-        monkeypatch.setattr(
-            AugmentRun, "__init__", lambda run, h, m, p, *a: seen.append(p) or init(run, h, m, p, *a)
-        )
+        runs = recorded_runs(monkeypatch)
         with substituted(mu, u):
-            solve_outcome(shift_chain(2), 1, max_iterations=5)
-        assert [(p.mu, p.u, p.b, p.max_iterations) for p in seen] == [(*expected, 5)]
+            solve_outcome(shift_chain(2), 1)
+        assert [(run.params.mu, run.params.u, run.params.b) for run in runs] == [expected]
+
+    def test_capped_reaches_the_run(self, monkeypatch):
+        runs = recorded_runs(monkeypatch)
+        with capped(5):
+            solve_outcome(shift_chain(2), 1)
+        assert [run.cap for run in runs] == [5]
 
 
 class TestOneStepMatch:
@@ -376,7 +395,7 @@ class TestOneStepMatch:
         eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]),
         mu=st.sampled_from([None, "1/2", "1/3"]),
         u=st.sampled_from([None, 1, 2, 3]),
-        cap=st.sampled_from([None, 0, 1, 2]),
+        cap=st.sampled_from([None, 1, 2]),
         traced=st.booleans(),
         debug=st.booleans(),
     )
@@ -390,22 +409,15 @@ class TestOneStepMatch:
         # Plain, traced, debug and traced+debug, at the default and small
         # iteration caps: same result (all that the result document
         # prints) or error code and message, stats and trace lines.
-        kw = dict(max_iterations=cap, debug_invariants=debug)
-
         def solve():
             lines: list[str] = []
-            with substituted(mu, u):
-                return solve_outcome(h, eps, trace=lines.append if traced else None, **kw), lines
+            with substituted(mu, u), capped(cap) if cap else contextlib.nullcontext():
+                trace = lines.append if traced else None
+                return solve_outcome(h, eps, trace=trace, debug_invariants=debug), lines
 
         with full_path():
             full = solve()
         assert solve() == full
-
-    def test_zero_iteration_cap_still_raises(self):
-        h = make_h(3, 1, 2, [(0, (0, 1))])
-        with pytest.raises(InternalSolverError) as exc:
-            find_perfect_matching(h, 1, max_iterations=0)
-        assert exc.value.code == "ITERATION_CAP_EXCEEDED"
 
     def test_builds_no_layer_in_any_mode(self, monkeypatch):
         h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))

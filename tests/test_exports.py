@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hbmatch
+from hbmatch.oracles import check_haxell
 
 MODULES = [hbmatch] + [
     importlib.import_module(f"hbmatch.{info.name}")
@@ -42,15 +43,17 @@ def test_package_exports_the_solver_kernel_and_generators():
 @pytest.mark.parametrize(
     "function, names",
     [
-        (hbmatch.find_perfect_matching,
-         ["h", "epsilon", "max_iterations", "trace", "debug_invariants"]),
-        (hbmatch.Parameters.for_instance, ["r", "epsilon", "max_iterations"]),
+        (hbmatch.find_perfect_matching, ["h", "epsilon", "trace", "debug_invariants"]),
+        (hbmatch.Parameters.for_instance, ["r", "epsilon"]),
+        (check_haxell, ["h", "epsilon"]),
     ],
-    ids=["find_perfect_matching", "Parameters.for_instance"],
+    ids=["find_perfect_matching", "Parameters.for_instance", "check_haxell"],
 )
 def test_epsilon_alone_sets_the_thresholds(function, names):
-    # No knob may replace the mu or u that epsilon sets: the witness
-    # bound holds only at those.
+    # No knob may replace a bound that the instance and epsilon set: the
+    # witness bound holds only at the mu and u that epsilon sets, a run
+    # that reaches the derived iteration cap is a bug, and the oracle's
+    # subset cap is fixed.
     assert list(inspect.signature(function).parameters) == names
 
 

@@ -100,23 +100,9 @@ class TestParameters:
         with pytest.raises(ValueError, match=r"^epsilon '1/0' has a zero denominator$"):
             Parameters.for_instance(3, "1/0")
 
-    @pytest.mark.parametrize(
-        "name,value",
-        [("max_iterations", "3"), ("max_iterations", 1.5), ("max_iterations", True)],
-    )
-    def test_non_integer_counts_are_refused_by_name(self, name, value):
-        with pytest.raises(ValueError) as exc:
-            Parameters.for_instance(3, 1, **{name: value})
-        assert str(exc.value) == f"{name} {value!r} is not an integer"
-
     def test_uniformity_below_two_is_refused(self):
         with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
             Parameters.for_instance(1, 1)
-
-    def test_negative_iteration_cap_is_refused_by_name(self):
-        with pytest.raises(ValueError, match=r"^max_iterations -1 is negative$"):
-            Parameters.for_instance(3, 1, max_iterations=-1)
-        assert Parameters.for_instance(3, 1, max_iterations=0).iteration_cap(10) == 0
 
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()
@@ -124,7 +110,6 @@ class TestParameters:
         expected = 10 * n * n * (math.ceil(math.log2(n)) + 2) ** 2 + 1000
         assert p.iteration_cap(n) == expected
         assert p.iteration_cap(1) == 10 * 4 + 1000
-        assert Parameters.for_instance(3, 1, max_iterations=7).iteration_cap(10) == 7
 
 
 class TestFloorLog:
