@@ -26,7 +26,7 @@ from .core import BipartiteHypergraph
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
 from .instances import MODES, GeneratorSpec, default_private_degree, generate
 from .oracles import check_haxell
-from .params import parse_epsilon, parse_rational
+from .params import parse_epsilon
 from .signature import check_signature_step
 
 __all__ = [
@@ -296,10 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_check_haxell(args: argparse.Namespace) -> int:
     h = parse_instance(_read_text(args.input))
-    epsilon = parse_rational(args.epsilon, "epsilon")
-    if epsilon < 0:  # epsilon 0 is the classic condition
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    res = check_haxell(h, epsilon)
+    res = check_haxell(h, args.epsilon)
     if res.satisfied:
         print("SATISFIED")
         return EXIT_OK
@@ -405,8 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _join_negative_epsilon(argv: Sequence[str]) -> list[str]:
+    """`argv` with each `--epsilon <value>` whose value looks like a
+    negative number joined into `--epsilon=<value>`.  argparse reads a
+    separate `-1/2` as an option, and would refuse it as a usage error
+    before the epsilon rules could."""
+    joined: list[str] = []
+    for arg in argv:
+        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
+        if negative and joined and joined[-1] == "--epsilon":
+            joined[-1] = f"--epsilon={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_join_negative_epsilon(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OSError, ValueError, InternalSolverError) as exc:

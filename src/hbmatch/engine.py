@@ -20,8 +20,8 @@ Every run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
 one addable X-edge collapses layer 1, and a walk over the root's edges
 with the build's take rule finds the edge that collapse adds, without
-building the layer.  An untraced, non-debug walk plants no tree; a
-traced walk logs what the full loop would.
+building the layer.  A non-debug walk plants no tree and computes no
+signature; a traced one writes the lines the full loop would.
 
 If a freshly built layer is too small -- not larger than delta times the
 blocking-edge count, which asks only for a nonempty layer while that
@@ -66,6 +66,10 @@ __all__ = [
 ]
 
 TraceSink = Callable[[str], None]  # one formatted event line, no newline
+
+# The first iteration boundary of every run is at an empty tree, whose
+# signature is empty.
+_EMPTY_TREE_BOUNDARY = ("iteration iter=1 layers=0", "signature iter=1 coords= unresolved=0")
 
 
 class InternalSolverError(CodedError, RuntimeError):
@@ -119,6 +123,7 @@ class AugmentRun:
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
+        self.one_step_degree = params.one_step_degree()
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if trace is not None and 0 < limit < (digits := working_digits(params.b)):
             raise ValueError(
@@ -144,8 +149,8 @@ class AugmentRun:
         witness; `m` is unchanged).
 
         It first tries :meth:`match_in_one_step`, which matches most roots;
-        the tree is planted only when the full loop runs, or when a traced
-        or debug walk matches the root.
+        the tree is planted only when the full loop runs, or when a debug
+        walk matches the root.
         """
         if self.match_in_one_step(root):
             return None
@@ -176,37 +181,41 @@ class AugmentRun:
 
         Layer 1 holds at most k = min(deg(root), u) X-edges, and any
         nonempty one passes the growth test x > delta*1, as delta < 1.
-        When mu*k < 1 one addable X-edge collapses it, and the collapse
-        adds the least.  The root is unmatched, so none of its edges is in
-        M, and the build takes them in edge-id order: the least addable
-        X-edge is the first taken edge with no blocker.  The walk below
-        applies the build's take rule, u stop included, up to that edge
-        and counts the stats of that one iteration, so matchings,
-        witnesses and stats equal the full loop's.
+        When mu*k < 1 (k at most the one-step degree) one addable X-edge
+        collapses it, and the collapse adds the least.  The root is
+        unmatched, so none of its edges is in M, and the build takes them
+        in edge-id order: the least addable X-edge is the first taken
+        edge with no blocker.  The walk below applies the build's take
+        rule, u stop included, up to that edge and counts the stats of
+        that one iteration, so matchings, witnesses and stats equal the
+        full loop's.
 
-        An unmonitored walk plants no tree: it reads `root` and adds the
-        edge, and a matched root fails in `m.add` with a ValueError.  A
-        monitored walk (traced or debug) plants the tree before it logs or
-        checks.  Only a traced walk goes on to the u stop, to log what the
-        full loop would: |X| counts the taken edges, |Y| the matched edges
-        on the B-vertices it occupied, which are their blockers.  Debug
-        checks lose nothing: the full loop's collapse discards layer 1
-        unchecked.
+        A non-debug walk plants no tree and computes no signature: it
+        adds the edge, so a matched root fails in `m.add` with a
+        ValueError before any line is written.  A traced walk goes on to
+        the u stop and then writes the seven lines of the full loop's
+        first iteration itself: |X| counts the taken edges, |Y| the
+        matched edges on the B-vertices it occupied, which are their
+        blockers, and the boundary is at an empty tree.  A debug walk
+        plants the tree and checks the boundary as the full loop does;
+        the checks lose nothing, as the full loop's collapse discards
+        layer 1 unchecked.
         """
-        h, m, params = self.h, self.m, self.params
+        h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
-        if not params.exceeds_mu(1, min(len(edges), params.u)):
+        u = self.params.u
+        if min(len(edges), u) > self.one_step_degree:
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
         occupied: set[int] = set()
-        room, found = params.u, None
+        room, found = u, None
         for eid in edges:
             bs = edge_bs[eid]
             if not occupied.isdisjoint(bs):
                 continue
-            if found is None and is_immediately_addable(h, m, eid):
+            if found is None and b_of.keys().isdisjoint(bs):
                 found = eid
-                if self.trace is None:
+                if trace is None:
                     break
             occupied.update(bs)
             for b in bs:
@@ -218,22 +227,30 @@ class AugmentRun:
                 break
         if found is None:
             return False
-        if self.monitored:
+        if trace is not None:
+            nx, ny, matched = u - room, len({b_of[b] for b in occupied if b in b_of}), len(m)
+        if self.debug:
             self.start(root)
             self._iteration_boundary(1)
-            if self.trace is not None:
-                ny = len({b_of[b] for b in occupied if b in b_of})
-                self._log_layer(1, params.u - room, ny, True, 1)
+            if trace is not None:
+                self._log_layer(1, nx, ny, True, 1)
                 self._log_collapse(1, 0, True)
         m.add(h, found)
         stats = self.stats
         stats.iterations += 1
         stats.build_ops += 1
         stats.max_layers = max(stats.max_layers, 1)
-        if self.monitored:
-            if self.debug:
-                self._check_matched_exactly_root()
+        if self.debug:
+            self._check_matched_exactly_root()
             self._log_end("matched", 1)
+        elif trace is not None:
+            trace(f"augment_start root={root} matched={matched}")
+            trace(_EMPTY_TREE_BOUNDARY[0])
+            trace(_EMPTY_TREE_BOUNDARY[1])
+            trace(f"layer_built index=1 x={nx} y={ny}")
+            trace(f"growth result=pass x={nx} y_total=1")
+            trace("collapse layer=1 swaps=0 root_matched=1")
+            trace("augment_end outcome=matched iterations=1")
         return True
 
     # ------------------------------------------------------------------
@@ -417,6 +434,10 @@ class AugmentRun:
         """Trace the iteration and the progress signature, and in debug
         mode check them; only called when tracing or debugging."""
         trace = self.trace
+        if iteration == 1 and not self.debug:
+            trace(_EMPTY_TREE_BOUNDARY[0])
+            trace(_EMPTY_TREE_BOUNDARY[1])
+            return
         if trace is not None:
             trace(f"iteration iter={iteration} layers={self.tree.level()}")
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]

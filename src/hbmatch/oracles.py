@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 from .certify import condition_factor
 from .core import BipartiteHypergraph, incident_edges
+from .params import parse_rational
 
 __all__ = [
     "HaxellResult",
@@ -129,15 +130,20 @@ def min_hitting_set(
     return _search(bsets, len(greedy) - 1) or frozenset(greedy)
 
 
-def check_haxell(h: BipartiteHypergraph, epsilon: Fraction) -> HaxellResult:
+def check_haxell(h: BipartiteHypergraph, epsilon: Fraction | str | int) -> HaxellResult:
     """Exhaustively test tau(E_S) > (2r-3+epsilon)(|S|-1) over all nonempty S.
 
-    At epsilon 0 this is the classic condition.  Subsets are enumerated
-    by increasing size, then lexicographically, and the first violator
-    is returned.  Comparisons use exact rationals; the per-subset
-    hitting-set search stops at the floored bound.  An instance with
-    |A| above DEFAULT_SUBSET_CAP raises :class:`InstanceTooLarge`.
+    Epsilon is read as the solver reads it, by :func:`parse_rational`,
+    and must be >= 0; at epsilon 0 this is the classic condition.
+    Subsets are enumerated by increasing size, then lexicographically,
+    and the first violator is returned.  Comparisons use exact
+    rationals; the per-subset hitting-set search stops at the floored
+    bound.  An instance with |A| above DEFAULT_SUBSET_CAP raises
+    :class:`InstanceTooLarge`.
     """
+    epsilon = parse_rational(epsilon, "epsilon")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if h.a_count > DEFAULT_SUBSET_CAP:
         raise InstanceTooLarge(
             f"|A|={h.a_count} exceeds the subset-enumeration cap {DEFAULT_SUBSET_CAP}"

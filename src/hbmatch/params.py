@@ -8,7 +8,7 @@ rational and every comparison in the engine is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["Parameters", "parse_rational", "parse_epsilon", "MAX_DECIMAL_EXPONENT"]
@@ -71,6 +71,8 @@ class Parameters:
     the per-vertex edge cap, delta = e/(5 r^2) the required layer
     growth rate, and b = 1/(1-mu^3) the logarithm base of the progress
     monitor, where e = min(epsilon, 1); `epsilon` keeps the value given.
+    The numerators and denominators of mu and delta are kept as plain
+    ints, derived from them on every construction (`replace` included).
     """
 
     epsilon: Fraction
@@ -79,6 +81,15 @@ class Parameters:
     u: int
     delta: Fraction
     b: Fraction
+    mu_num: int = field(init=False, repr=False, compare=False)
+    mu_den: int = field(init=False, repr=False, compare=False)
+    delta_num: int = field(init=False, repr=False, compare=False)
+    delta_den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ratios = self.mu.as_integer_ratio() + self.delta.as_integer_ratio()
+        for name, value in zip(("mu_num", "mu_den", "delta_num", "delta_den"), ratios):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_instance(cls, r: int, epsilon: Fraction | str | int) -> "Parameters":
@@ -107,24 +118,29 @@ class Parameters:
         )
 
     # Exact threshold tests on counts.  Each compares integer
-    # cross-products with the numerator and denominator of mu or delta
-    # (denominators are positive), which decides the boundary cases such
-    # as 91 >= (1+1/90)*90 exactly without building Fractions.
+    # cross-products with the stored numerator and denominator of mu or
+    # delta (denominators are positive), which decides the boundary cases
+    # such as 91 >= (1+1/90)*90 exactly without building Fractions.
 
     def exceeds_mu(self, k: int, n: int) -> bool:
         """k > mu*n: the collapse test, k addable edges of n."""
-        return k * self.mu.denominator > self.mu.numerator * n
+        return k * self.mu_den > self.mu_num * n
 
     def reaches_one_plus_mu(self, new: int, old: int) -> bool:
         """new >= (1+mu)*old: the superposed-rebuild commit test."""
-        d = self.mu.denominator
-        return new * d >= (d + self.mu.numerator) * old
+        d = self.mu_den
+        return new * d >= (d + self.mu_num) * old
 
     def exceeds_delta(self, x: int, y: int) -> bool:
         """x > delta*y: the layer-growth test, x new X-edges over the
         blocking count y (root counted as one).  Below y = 1/delta it asks
         only for x >= 1, as 0 < delta*y < 1 there."""
-        return x * self.delta.denominator > self.delta.numerator * y
+        return x * self.delta_den > self.delta_num * y
+
+    def one_step_degree(self) -> int:
+        """The largest k with mu*k < 1: one addable edge of k collapses
+        a layer of k X-edges."""
+        return (self.mu_den - 1) // self.mu_num
 
     def iteration_cap(self, n: int) -> int:
         """Generous polynomial cap, at least 1000; reaching it signals a

@@ -218,7 +218,7 @@ class SignatureMemo:
             logs = self._logs = _Logs(p.b, working_digits(p.b))
             self._ln_scale = logs.ln(scale.numerator, scale.denominator)
             # ln(1/(1-mu)), the log of d_i / c_i
-            self._ln_grow = logs.ln(p.mu.denominator, p.mu.denominator - p.mu.numerator)
+            self._ln_grow = logs.ln(p.mu_den, p.mu_den - p.mu_num)
         ln_scale, ln_grow = self._ln_scale, self._ln_grow
         rows = self._layers
         while len(rows) < layers:

@@ -808,6 +808,23 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"epsilon must be >= 0, got {parse_rational(epsilon)}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--input", "{inst}"], "epsilon must be > 0, got -1/2"),
+            (["check-haxell", "--input", "{inst}"], "epsilon must be >= 0, got -1/2"),
+            (["gen", "--mode", "guaranteed", "--na", "2", "--nb", "20"],
+             "epsilon must be > 0, got -1/2"),
+        ],
+        ids=["solve", "check-haxell", "gen"],
+    )
+    def test_negative_fraction_after_a_separate_epsilon_meets_the_typed_refusal(
+        self, tmp_path, argv, message
+    ):
+        inst = self.write_instance(tmp_path, funnel())
+        argv = [a.format(inst=inst) for a in argv] + ["--epsilon", "-1/2"]
+        assert _run_main(argv) == (1, "", message + "\n")
+
     def test_gen_then_check_pipeline(self, tmp_path, capsys):
         inst = str(tmp_path / "g.hbm")
         assert main([
@@ -1021,12 +1038,14 @@ class TestCommands:
              "unrecognized arguments: --max-iters 1"),
             (["check-haxell", "--input", "x", "--epsilon", "1", "--max-a", "30"],
              "unrecognized arguments: --max-a 30"),
+            (["solve", "--input", "x", "--epsilon", "-abc"],
+             "argument --epsilon: expected one argument"),
             (["nope"], "invalid choice: 'nope'"),
             ([], "the following arguments are required: command"),
         ],
         ids=[
             "missing-option", "bad-int", "bad-choice", "classic-flag", "max-iters-flag",
-            "max-a-flag", "unknown-subcommand", "no-subcommand",
+            "max-a-flag", "epsilon-not-a-number", "unknown-subcommand", "no-subcommand",
         ],
     )
     def test_usage_error_is_exit_1(self, capsys, argv, message):

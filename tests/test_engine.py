@@ -24,7 +24,7 @@ from hbmatch import (
     verify_matching,
     verify_witness,
 )
-from hbmatch.cli import TraceWriter, parse_instance, serialize_instance
+from hbmatch.cli import TraceWriter, check_trace_lines, parse_instance, serialize_instance
 from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
 from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
@@ -192,6 +192,9 @@ class TestSuperposedCommitThreshold:
         cases += [params(3, 1, mu) for mu in ("1/6", "1/8", "2/7", "5/9")]
         boundaries = 0
         for p in cases:
+            # the one-step walk's entry test, mu*k < 1
+            ks = range(60)
+            assert [k <= p.one_step_degree() for k in ks] == [p.mu * k < 1 for k in ks]
             for q in (p.mu, p.delta):
                 d = q.denominator
                 ns = set(range(40)) | {j * d + e for j in (1, 2, 3) for e in (-1, 0, 1)}
@@ -430,6 +433,35 @@ class TestOneStepMatch:
                 assert len(calls) == 0
                 assert res.matching.edge_ids == plain.matching.edge_ids
                 assert vars(res.stats) == vars(plain.stats)
+
+    def test_traced_walk_plants_no_tree_and_computes_no_signature(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
+        trees: list[int] = []
+        signatures: list[int] = []
+        tree, signature = engine.AlternatingTree, engine.signature_from_sizes
+        monkeypatch.setattr(engine, "AlternatingTree", lambda *a: trees.append(1) or tree(*a))
+        monkeypatch.setattr(
+            engine, "signature_from_sizes", lambda *a: signatures.append(1) or signature(*a)
+        )
+
+        def traced(debug=False):
+            trees.clear()
+            signatures.clear()
+            lines: list[str] = []
+            find_perfect_matching(h, 1, trace=lines.append, debug_invariants=debug)
+            return lines, len(trees), len(signatures)
+
+        lines, planted, computed = traced()
+        assert (planted, computed) == (0, 0)
+        with full_path():
+            full, planted, computed = traced()
+        assert (planted, computed) == (30, 0)
+        assert lines == full and check_trace_lines(lines) is None
+        # Debug runs keep the monitored path, whose computed signature the
+        # written boundary lines equal.
+        assert traced(debug=True) == (lines, 30, 30)
 
     def test_edges_meeting_only_a_blocker_do_not_use_up_the_cap(self, monkeypatch):
         # Root 1's first edge is blocked by edge 0, whose B-vertex 2 its

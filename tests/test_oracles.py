@@ -209,6 +209,32 @@ class TestCheckHaxell:
         assert check_haxell(h, Fraction(0)).satisfied
         assert not check_haxell(h, Fraction(1)).satisfied
 
+    @pytest.mark.parametrize(
+        "text, value", [("1/2", Fraction(1, 2)), ("1", Fraction(1)), (0, Fraction(0))]
+    )
+    def test_epsilon_is_read_as_the_solver_reads_it(self, text, value):
+        h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
+        res = check_haxell(h, text)
+        assert res == check_haxell(h, value)
+        assert res.bound is None or type(res.bound) is Fraction
+
+    @pytest.mark.parametrize(
+        "epsilon, error, message",
+        [
+            ("abc", ValueError, "epsilon 'abc' is not p/q or a decimal"),
+            ("1/0", ValueError, "epsilon '1/0' has a zero denominator"),
+            (0.5, TypeError, "rational parameters must not pass through floats"),
+            (-1, ValueError, "epsilon must be >= 0, got -1"),
+            ("-1/2", ValueError, "epsilon must be >= 0, got -1/2"),
+        ],
+        ids=["not-a-rational", "zero-denominator", "float", "negative-int", "negative-fraction"],
+    )
+    def test_refuses_a_malformed_or_negative_epsilon(self, epsilon, error, message):
+        h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
+        with pytest.raises(error) as exc:
+            check_haxell(h, epsilon)
+        assert type(exc.value) is error and str(exc.value) == message
+
     def test_subset_cap(self):
         h = make_h(2, 21, 1, [])
         with pytest.raises(InstanceTooLarge):
