@@ -284,12 +284,15 @@ def parse_result(text: str) -> dict:
 def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
     """Check a document read by :func:`parse_result` against its instance.
 
-    The instance must pass :func:`validate_instance`.  A matching must
-    use edges of the instance, be vertex-disjoint and cover A.  A witness
-    must pass :func:`verify_witness`, and its recorded bound, if any,
-    must be the one its S and epsilon give.
+    The instance must pass :func:`validate_instance`, and the document
+    :func:`_document_violation`.  A matching must use edges of the
+    instance, be vertex-disjoint and cover A.  A witness must pass
+    :func:`verify_witness`, and its recorded bound, if any, must be the
+    one its S and epsilon give.
     """
     v = validate_instance(h)
+    if v is None:
+        v = _document_violation(doc)
     if v is not None:
         return v
     if doc["status"] == "perfect_matching":
@@ -303,3 +306,31 @@ def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
     if "bound" in doc and doc["bound"] != cert.bound:
         return Violation("BOUND_MISMATCH", "recorded bound differs")
     return verify_witness(h, cert)
+
+
+def _document_violation(doc: dict) -> Violation | None:
+    """The first way a document built by hand departs from what
+    :func:`parse_result` gives: a missing status or witness epsilon
+    (MISSING_FIELD), an unknown status (UNKNOWN_STATUS), an id list that
+    is not of ints or an epsilon that is not rational (FIELD_TYPE); a
+    bool is not an int here."""
+    status = doc.get("status")
+    if status is None:
+        return Violation("MISSING_FIELD", "result document has no status")
+    if not isinstance(status, str) or status not in _TYPED_FIELDS:
+        return Violation("UNKNOWN_STATUS", f"unknown status {status!r}")
+    if status == "witness" and "epsilon" not in doc:
+        return Violation("MISSING_FIELD", "witness document has no epsilon")
+    for key, read in _TYPED_FIELDS[status].items():
+        if key not in doc or key == "bound":  # a bound of any type is compared
+            continue
+        value = doc[key]
+        if read is _id_list:
+            ok = isinstance(value, (list, tuple, set, frozenset))
+            ok = ok and all(type(i) is int for i in value)
+        else:
+            ok = type(value) in (int, Fraction)
+        if not ok:
+            what = "a list of int ids" if read is _id_list else "an int or a Fraction"
+            return Violation("FIELD_TYPE", f"{key} must be {what}")
+    return None

@@ -199,34 +199,42 @@ def format_result(result: SolveResult, epsilon: Fraction) -> str:
 
 
 class TraceWriter:
-    """Writes each engine event line to the trace document."""
+    """Writes each augmenting run's event lines, handed over as one
+    string, to the trace document, each line ended by a newline."""
 
     def __init__(self, stream: TextIO):
         self.stream = stream
 
-    def __call__(self, line: str) -> None:
-        self.stream.write(line + "\n")
+    def __call__(self, chunk: str) -> None:
+        self.stream.write(chunk + "\n")
 
 
 def check_trace_lines(lines: Iterable[str]) -> str | None:
-    """Independent check of a trace: per augmenting run, the signature
-    vectors must strictly decrease lexicographically, carry the fixed
-    sign pattern with coordinates non-decreasing in absolute value, and
-    report zero unresolved floor boundaries; every signature line lies in
-    a run and carries both fields.  Returns an error message or None."""
+    """Independent check of a trace: every augment_start is closed by an
+    augment_end before the next run starts or the trace ends; per run,
+    the signature vectors must strictly decrease lexicographically,
+    carry the fixed sign pattern with coordinates non-decreasing in
+    absolute value, and report zero unresolved floor boundaries; every
+    signature line lies in a run and carries both fields.  An item may
+    hold several lines joined by newlines, as a trace sink receives a
+    run; lines are numbered across items.  Returns an error message or
+    None."""
     prev: tuple[int, ...] | None = None
-    in_run = False
-    for lineno, raw in enumerate(lines, start=1):
+    opened = 0  # line of the open run's augment_start; 0 outside a run
+    split = (line for item in lines for line in item.split("\n"))
+    for lineno, raw in enumerate(split, start=1):
         fields = raw.split()
         if not fields:
             continue
         event = fields[0]
         kv = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
         if event == "augment_start":
+            if opened:
+                return f"line {lineno}: augment_start inside the run opened at line {opened}"
             prev = None
-            in_run = True
+            opened = lineno
         elif event == "signature":
-            if not in_run:
+            if not opened:
                 return f"line {lineno}: signature outside an augmenting run"
             if "coords" not in kv or "unresolved" not in kv:
                 return f"line {lineno}: signature without coords or unresolved field"
@@ -242,7 +250,11 @@ def check_trace_lines(lines: Iterable[str]) -> str | None:
                 return f"line {lineno}: {v.detail}"
             prev = coords
         elif event == "augment_end":
-            in_run = False
+            if not opened:
+                return f"line {lineno}: augment_end outside an augmenting run"
+            opened = 0
+    if opened:
+        return f"line {opened}: augment_start never closed by an augment_end"
     return None
 
 

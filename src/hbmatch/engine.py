@@ -65,11 +65,13 @@ __all__ = [
     "find_perfect_matching",
 ]
 
-TraceSink = Callable[[str], None]  # one formatted event line, no newline
+# Called once per augmenting run, with the run's event lines joined by
+# "\n" and no trailing newline; the first line is its augment_start.
+TraceSink = Callable[[str], None]
 
 # The first iteration boundary of every run is at an empty tree, whose
-# signature is empty.
-_EMPTY_TREE_BOUNDARY = ("iteration iter=1 layers=0", "signature iter=1 coords= unresolved=0")
+# signature is empty: its two lines.
+_EMPTY_TREE_BOUNDARY = "iteration iter=1 layers=0\nsignature iter=1 coords= unresolved=0"
 
 
 class InternalSolverError(CodedError, RuntimeError):
@@ -104,7 +106,12 @@ class SolveResult:
 
 class AugmentRun:
     """State of one solve; single-threaded, single-owner.  :meth:`start`
-    gives a root its tree, previous signature and debug-mode matched set."""
+    gives a root its tree, previous signature and debug-mode matched set.
+
+    When tracing, `trace` appends event lines to `pending`, the current
+    run's lines, which :meth:`run` hands to the sink in one string
+    before it returns or raises.
+    """
 
     def __init__(
         self,
@@ -117,7 +124,9 @@ class AugmentRun:
         self.h = h
         self.m = m
         self.params = params
-        self.trace = trace
+        self.sink = trace
+        self.pending: list[str] = []
+        self.trace = self.pending.append if trace is not None else None
         self.debug = debug_invariants
         self.monitored = trace is not None or debug_invariants  # boundaries traced or checked
         self.stats = SolveStats()
@@ -150,29 +159,37 @@ class AugmentRun:
 
         It first tries :meth:`match_in_one_step`, which matches most roots;
         the tree is planted only when the full loop runs, or when a debug
-        walk matches the root.
+        walk matches the root.  When tracing, the lines the run wrote
+        reach the sink in one string on every exit, an error's included.
         """
-        if self.match_in_one_step(root):
-            return None
-        self.start(root)
-        iteration = 0
-        while True:
-            iteration += 1
-            if iteration > self.cap:
-                self._log_end("internal_error", iteration - 1)
-                raise InternalSolverError("ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}")
-            self.stats.iterations += 1
-            if self.monitored:
-                self._iteration_boundary(iteration)
-            witness = self.build_phase()
-            if witness is not None:
-                self._log_end("witness", iteration)
-                return witness
-            if self.collapse_phase():
-                if self.debug:
-                    self._check_matched_exactly_root()
-                self._log_end("matched", iteration)
+        try:
+            if self.match_in_one_step(root):
                 return None
+            self.start(root)
+            iteration = 0
+            while True:
+                iteration += 1
+                if iteration > self.cap:
+                    self._log_end("internal_error", iteration - 1)
+                    raise InternalSolverError(
+                        "ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}"
+                    )
+                self.stats.iterations += 1
+                if self.monitored:
+                    self._iteration_boundary(iteration)
+                witness = self.build_phase()
+                if witness is not None:
+                    self._log_end("witness", iteration)
+                    return witness
+                if self.collapse_phase():
+                    if self.debug:
+                        self._check_matched_exactly_root()
+                    self._log_end("matched", iteration)
+                    return None
+        finally:
+            if self.pending:
+                self.sink("\n".join(self.pending))
+                self.pending.clear()
 
     def match_in_one_step(self, root: int) -> bool:
         """Match `root` by the edge that decides its first layer's
@@ -193,13 +210,13 @@ class AugmentRun:
         A non-debug walk plants no tree and computes no signature: it
         adds the edge, so a matched root fails in `m.add` with a
         ValueError before any line is written.  A traced walk goes on to
-        the u stop and then writes the seven lines of the full loop's
-        first iteration itself: |X| counts the taken edges, |Y| the
-        matched edges on the B-vertices it occupied, which are their
-        blockers, and the boundary is at an empty tree.  A debug walk
-        plants the tree and checks the boundary as the full loop does;
-        the checks lose nothing, as the full loop's collapse discards
-        layer 1 unchecked.
+        the u stop and then hands the sink the seven lines of the full
+        loop's first iteration in one string: |X| counts the taken edges,
+        |Y| the matched edges on the B-vertices it occupied, which are
+        their blockers, and the boundary is at an empty tree.  A debug
+        walk plants the tree and checks the boundary as the full loop
+        does, its lines pending for :meth:`run`; the checks lose nothing,
+        as the full loop's collapse discards layer 1 unchecked.
         """
         h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
@@ -244,13 +261,11 @@ class AugmentRun:
             self._check_matched_exactly_root()
             self._log_end("matched", 1)
         elif trace is not None:
-            trace(f"augment_start root={root} matched={matched}")
-            trace(_EMPTY_TREE_BOUNDARY[0])
-            trace(_EMPTY_TREE_BOUNDARY[1])
-            trace(f"layer_built index=1 x={nx} y={ny}")
-            trace(f"growth result=pass x={nx} y_total=1")
-            trace("collapse layer=1 swaps=0 root_matched=1")
-            trace("augment_end outcome=matched iterations=1")
+            self.sink(
+                f"augment_start root={root} matched={matched}\n{_EMPTY_TREE_BOUNDARY}\n"
+                f"layer_built index=1 x={nx} y={ny}\ngrowth result=pass x={nx} y_total=1\n"
+                "collapse layer=1 swaps=0 root_matched=1\naugment_end outcome=matched iterations=1"
+            )
         return True
 
     # ------------------------------------------------------------------
@@ -435,8 +450,7 @@ class AugmentRun:
         mode check them; only called when tracing or debugging."""
         trace = self.trace
         if iteration == 1 and not self.debug:
-            trace(_EMPTY_TREE_BOUNDARY[0])
-            trace(_EMPTY_TREE_BOUNDARY[1])
+            trace(_EMPTY_TREE_BOUNDARY)
             return
         if trace is not None:
             trace(f"iteration iter={iteration} layers={self.tree.level()}")

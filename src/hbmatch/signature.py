@@ -141,29 +141,37 @@ def floor_log(
     base: Fraction,
     logs: _Logs | None = None,
     ln_value: Enclosure | None = None,
+    scale: int = 1,
 ) -> tuple[int, bool]:
-    """floor(log_base(value)) plus a flag for an unresolved floor boundary.
+    """floor(log_base(value * scale)) plus a flag for an unresolved floor
+    boundary.
 
     `logs` holds ln(base) at a working precision, and `ln_value` an
-    enclosure of ln(value) at that precision, for callers that keep
-    them; whatever is missing is computed here.  When the enclosure of
-    the quotient holds an integer k, every logarithm is recomputed at
+    enclosure of ln(value * scale) at that precision, for callers that
+    keep them; `ln_value` needs `logs`, and whatever is missing is
+    computed here.  When both are given and the enclosure of the
+    quotient holds no integer, its floor is returned before any rational
+    arithmetic, so value * scale is formed only for a boundary.  When
+    the enclosure holds an integer k, every logarithm is recomputed at
     raised precision; if that still holds k and |k| is small enough to
-    afford an exact rational power, the boundary is settled by
-    comparing value against base**k directly.  The flag is True only
-    for boundaries that survive both steps.
+    afford an exact rational power, the boundary is settled by comparing
+    value * scale against base**k directly.  The flag is True only for
+    boundaries that survive both steps.  Without an enclosure, a
+    product value * scale <= 0 or a base <= 1 raises ValueError.
     """
-    if value <= 0:
-        raise ValueError("floor_log requires a positive value")
-    if base <= 1:
-        raise ValueError("floor_log requires base > 1")
-    if logs is None:
-        logs = _Logs(base, working_digits(base))
     if ln_value is None:
+        value, scale = value * scale, 1
+        if value <= 0:
+            raise ValueError("floor_log requires a positive value")
+        if base <= 1:
+            raise ValueError("floor_log requires base > 1")
+        if logs is None:
+            logs = _Logs(base, working_digits(base))
         ln_value = logs.ln(value.numerator, value.denominator)
     lo, hi = logs.floors(ln_value)
     if lo == hi:
         return lo, False
+    value *= scale
     magnitude = max(abs(lo), abs(hi)).bit_length()
     logs = _Logs(base, 2 * logs.prec + _digits(magnitude))
     lo, hi = logs.floors(logs.ln(value.numerator, value.denominator))
@@ -206,7 +214,7 @@ class SignatureMemo:
             ln_size = self._ln_sizes.get(size)
             if ln_size is None:
                 ln_size = self._ln_sizes[size] = logs.ln(size)
-            hit = floor_log(coeff * size, self.params.b, logs, logs.add(ln_coeff, ln_size))
+            hit = floor_log(coeff, self.params.b, logs, logs.add(ln_coeff, ln_size), size)
             self._floors[key] = hit
         return hit
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 from hypothesis import strategies as st
 
@@ -54,6 +56,16 @@ def shuffled_planted(seed: int, na: int, r: int = 3, tight: bool = False) -> Bip
         mode="shuffled", r=r, a_count=na, b_count=(r - 1) * na + (0 if tight else na),
         extra_edges=2 * na, seed=seed,
     ))
+
+
+def per_line(sink: Callable[[str], None]) -> Callable[[str], None]:
+    """A trace sink that hands `sink` each line of every run's string."""
+
+    def split(run: str) -> None:
+        for line in run.split("\n"):
+            sink(line)
+
+    return split
 
 
 def trace_event(line: str) -> tuple[str, dict]:

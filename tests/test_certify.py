@@ -140,6 +140,36 @@ class TestCheckResult:
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
         assert check_result(h, witness_doc(fields)).code == code
 
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            ({}, "MISSING_FIELD"),
+            ({"status": "witness", "S": [0], "hitting_set": [0]}, "MISSING_FIELD"),
+            ({"status": "done"}, "UNKNOWN_STATUS"),
+            ({"status": ["witness"]}, "UNKNOWN_STATUS"),
+            ({"status": "perfect_matching", "matching": [0.0, 1]}, "FIELD_TYPE"),
+            ({"status": "perfect_matching", "matching": [False, True]}, "FIELD_TYPE"),
+            ({"status": "perfect_matching", "matching": "0 2"}, "FIELD_TYPE"),
+            ({"status": "witness", "epsilon": Fraction(1), "S": [0, None]}, "FIELD_TYPE"),
+            ({"status": "witness", "epsilon": "1/2", "S": [0, 1]}, "FIELD_TYPE"),
+            ({"status": "witness", "epsilon": True, "S": [0, 1]}, "FIELD_TYPE"),
+        ],
+        ids=[
+            "empty", "witness-without-epsilon", "unknown-status", "unhashable-status",
+            "float-id", "bool-ids", "text-ids", "none-in-s", "text-epsilon", "bool-epsilon",
+        ],
+    )
+    def test_malformed_document_is_a_violation(self, doc, code):
+        # Documents built by hand, not read by parse_result: each used to
+        # raise KeyError or TypeError, or took False and True as edges 0, 1.
+        assert check_result(SQUARE, doc).code == code
+
+    def test_hand_built_documents_of_the_right_shape_are_checked(self):
+        assert check_result(SQUARE, {"status": "perfect_matching", "matching": (0, 2)}) is None
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        doc = {"status": "witness", "epsilon": 1, "S": {0, 1}, "hitting_set": [0], "bound": 2}
+        assert check_result(h, doc) is None
+
     @given(hypergraphs_with_matching(max_a=4, max_b=6, max_edges=10))
     @settings(max_examples=80, deadline=None)
     def test_document_and_live_matching_get_the_same_verdict(self, hm):

@@ -697,6 +697,39 @@ class TestTraceChecker:
         message = f"line {len(lines)}: signature outside an augmenting run\n"
         assert _run_main(["check-trace", "--trace", str(trace)]) == (1, "", message)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["augment_start root=0", "augment_start root=1"],
+             "line 2: augment_start inside the run opened at line 1"),
+            (["augment_start root=0", "augment_end outcome=matched iterations=1",
+              "augment_end outcome=matched iterations=1"],
+             "line 3: augment_end outside an augmenting run"),
+            (["augment_end outcome=matched iterations=1"],
+             "line 1: augment_end outside an augmenting run"),
+            (["augment_start root=0", "augment_end outcome=matched iterations=1",
+              "augment_start root=1", "signature iter=1 coords= unresolved=0"],
+             "line 3: augment_start never closed by an augment_end"),
+        ],
+        ids=["nested", "stray-end", "end-before-any-run", "never-closed"],
+    )
+    def test_refuses_unpaired_runs(self, tmp_path, lines, message):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("\n".join(lines) + "\n")
+        assert _run_main(["check-trace", "--trace", str(trace)]) == (1, "", message + "\n")
+
+    def test_takes_the_strings_a_trace_sink_receives(self):
+        # One item per run, its lines joined by newlines; lines are
+        # numbered as in the document the items make.
+        runs = [
+            "augment_start root=0\nsignature iter=1 coords= unresolved=0\naugment_end",
+            "augment_start root=1\nsignature iter=1 coords=5,7 unresolved=0\naugment_end",
+        ]
+        assert check_trace_lines(runs[:1]) is None
+        assert check_trace_lines(runs) == (
+            "line 5: sign pattern broken at position 1: odd coordinate 5 > 0"
+        )
+
     def test_scopes_reset_between_runs(self):
         lines = [
             "augment_start root=0",
@@ -704,6 +737,7 @@ class TestTraceChecker:
             "augment_end outcome=matched iterations=1",
             "augment_start root=1",
             "signature iter=1 coords=-5,7 unresolved=0",
+            "augment_end outcome=matched iterations=1",
         ]
         assert check_trace_lines(lines) is None
 

@@ -35,6 +35,7 @@ from .conftest import (
     brute_force_perfect_matching,
     hypergraphs_with_matching,
     make_h,
+    per_line,
     shift_chain,
     shuffled_planted,
     superposed_commit_instance,
@@ -218,7 +219,8 @@ class TestSuperposedCommitThreshold:
         h = superposed_commit_instance()
         events = []
         res = find_perfect_matching(
-            h, 1, trace=lambda line: events.append(trace_event(line)), debug_invariants=True
+            h, 1, debug_invariants=True,
+            trace=per_line(lambda line: events.append(trace_event(line))),
         )
         commits = [f for n, f in events if n == "superposed" and f["committed"]]
         assert commits and commits[0]["x_before"] == 2 and commits[0]["x_after"] == 3
@@ -229,7 +231,8 @@ class TestSuperposedCommitThreshold:
         h = shift_chain(4)
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
+            h, "1/2", debug_invariants=True,
+            trace=per_line(lambda line: events.append(trace_event(line))),
         )
         rejected = [f for n, f in events if n == "superposed" and not f["committed"]]
         assert rejected and all(f["x_before"] == f["x_after"] for f in rejected)
@@ -586,18 +589,18 @@ class TestCollapseAgainstPerBlockerReference:
             ref_lines: list[str] = []
             ref.trace = ref_lines.append
             ref_matched = per_blocker_collapse(ref)
-            start = len(lines)
+            start = len(run.pending)
             matched = collapse(run, addable)
             assert matched == ref_matched
             assert _run_state(run) == _run_state(ref)
-            assert lines[start:] == ref_lines
+            assert run.pending[start:] == ref_lines
             return matched
 
         with pytest.MonkeyPatch.context() as mp, substituted(u=u):
             mp.setattr(AugmentRun, "collapse_phase", checked_phase)
             mp.setattr(AugmentRun, "collapse_layer", checked_collapse)
             try:
-                find_perfect_matching(h, eps, trace=lines.append)
+                find_perfect_matching(h, eps, trace=per_line(lines.append))
             except InternalSolverError as exc:  # a witness a small u voids
                 assert exc.code == "CERTIFICATE_INVALID" and u is not None
 
@@ -637,7 +640,8 @@ class TestDeepCascade:
         h = shift_chain(k)
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
+            h, "1/2", debug_invariants=True,
+            trace=per_line(lambda line: events.append(trace_event(line))),
         )
         assert res.status == "perfect_matching"
         assert res.stats.max_layers == k + 1
@@ -651,7 +655,8 @@ class TestDeepCascade:
         h = make_h(2, 2, 4, [(0, (1,)), (1, (1,)), (0, (2,)), (0, (3,))])
         events = []
         res = find_perfect_matching(
-            h, "1/2", trace=lambda line: events.append(trace_event(line)), debug_invariants=True
+            h, "1/2", debug_invariants=True,
+            trace=per_line(lambda line: events.append(trace_event(line))),
         )
         collapses = [f for n, f in events if n == "collapse"]
         assert {"layer": 2, "swaps": 1, "root_matched": 0} in collapses
@@ -685,7 +690,8 @@ class TestDebugInvariantsOnDeepTrees:
                 mode="shuffled", r=3, a_count=300, b_count=600, extra_edges=1500, seed=seed,
             ))
             events = []
-            res = find_perfect_matching(h, 1, trace=lambda line: events.append(trace_event(line)))
+            trace = per_line(lambda line: events.append(trace_event(line)))
+            res = find_perfect_matching(h, 1, trace=trace)
             for name, f in events:
                 if name == "growth" and f["y_total"] >= 45:
                     seen.add(f["result"])
@@ -881,7 +887,8 @@ class TestWitnessExtractionRegimes:
         h = make_h(2, 20, 20, edges)
         events = []
         res = find_perfect_matching(
-            h, 2, trace=lambda line: events.append(trace_event(line)), debug_invariants=True
+            h, 2, debug_invariants=True,
+            trace=per_line(lambda line: events.append(trace_event(line))),
         )
         fails = [f for n, f in events if n == "growth" and f["result"] == "fail"]
         assert fails == [{"result": "fail", "x": 1, "y_total": 20}]
@@ -976,11 +983,69 @@ class TestTreeSignature:
         assert str(exc.value) == f"{v.code}: {v.detail}"
 
 
+class TestTraceSinkRuns:
+    """A traced solve hands its sink one string per augmenting run: the
+    run's lines joined by newlines, every line delivered before the run
+    returns or raises."""
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_one_call_per_augment_start(self, debug):
+        runs: list[str] = []
+        h = shuffled_planted(1, 60)
+        find_perfect_matching(h, 1, trace=runs.append, debug_invariants=debug)
+        lines = "\n".join(runs).split("\n")
+        assert len(runs) > 1 and len(lines) > 7 * len(runs)
+        assert sum(line.startswith("augment_start ") for line in lines) == len(runs)
+
+    def test_each_call_is_one_whole_run_without_a_trailing_newline(self):
+        runs: list[str] = []
+        find_perfect_matching(shuffled_planted(2, 60), 1, trace=runs.append)
+        for run in runs:
+            lines = run.split("\n")
+            assert lines[0].startswith("augment_start ") and lines[-1].startswith("augment_end ")
+            assert all(lines)  # no empty line, so no trailing newline
+
+    def test_a_capped_run_delivers_its_lines_before_the_error(self):
+        runs: list[str] = []
+        with pytest.raises(InternalSolverError) as exc, capped(1):
+            find_perfect_matching(shift_chain(6), "1/2", trace=runs.append)
+        assert exc.value.code == "ITERATION_CAP_EXCEEDED"
+        assert len(runs) == 7
+        last = runs[-1].split("\n")
+        assert last[0] == "augment_start root=6 matched=6"
+        assert last[-1] == "augment_end outcome=internal_error iterations=1"
+
+    def test_a_failed_debug_check_delivers_the_run_so_far(self, monkeypatch):
+        import hbmatch.engine as engine
+
+        monkeypatch.setattr(engine, "signature_from_sizes", lambda sizes, memo: ((-1, 1), 0))
+        runs: list[str] = []
+        with pytest.raises(InternalSolverError) as exc:
+            find_perfect_matching(shift_chain(3), 1, trace=runs.append, debug_invariants=True)
+        assert exc.value.code == "SIGNATURE_NOT_DECREASING"
+        last = runs[-1].split("\n")
+        assert last[0] == "augment_start root=3 matched=3"
+        assert last[-1] == "signature iter=2 coords=-1,1 unresolved=0"
+
+    def test_a_debug_one_step_walk_delivers_one_string(self):
+        h = make_h(3, 1, 2, [(0, (0, 1))])
+        expected = (
+            "augment_start root=0 matched=0\niteration iter=1 layers=0\n"
+            "signature iter=1 coords= unresolved=0\nlayer_built index=1 x=1 y=0\n"
+            "growth result=pass x=1 y_total=1\ncollapse layer=1 swaps=0 root_matched=1\n"
+            "augment_end outcome=matched iterations=1"
+        )
+        for debug in (True, False):
+            runs: list[str] = []
+            find_perfect_matching(h, 1, trace=runs.append, debug_invariants=debug)
+            assert runs == [expected]
+
+
 class TestTraceEvents:
     def test_event_stream_shape(self):
         h = superposed_commit_instance()
         events = []
-        find_perfect_matching(h, 1, trace=lambda line: events.append(trace_event(line)))
+        find_perfect_matching(h, 1, trace=per_line(lambda line: events.append(trace_event(line))))
         names = [n for n, _ in events]
         assert names.count("augment_start") == 3 == names.count("augment_end")
         assert "layer_built" in names and "collapse" in names

@@ -19,10 +19,12 @@ from hbmatch.params import (
 from hbmatch.signature import (
     SignatureError,
     SignatureMemo,
+    _Logs,
     check_signature_step,
     floor_log,
     lex_less,
     signature_from_sizes,
+    working_digits,
 )
 
 
@@ -128,6 +130,14 @@ class TestFloorLog:
             floor_log(Fraction(0), Fraction(2))
         with pytest.raises(ValueError):
             floor_log(Fraction(2), Fraction(1))
+        # without an enclosure the checks see value * scale, with or
+        # without `logs`
+        with pytest.raises(ValueError):
+            floor_log(Fraction(1, 2), Fraction(2), scale=0)
+        with pytest.raises(ValueError):
+            floor_log(Fraction(-1), Fraction(2), _Logs(Fraction(2), 30))
+        with pytest.raises(ValueError):
+            floor_log(Fraction(2), Fraction(1, 2), _Logs(Fraction(2), 30))
 
     def test_near_one_values_settled_exactly(self):
         assert floor_log(Fraction(10**30 + 1, 10**30), Fraction(2)) == (0, False)
@@ -210,6 +220,31 @@ class TestFloorLogOracle:
         fl, unresolved = floor_log(Fraction(2**65), Fraction(2))
         assert unresolved and fl in (64, 65)
         assert floor_log(Fraction(2**65 + 1), Fraction(2)) == (65, False)
+
+
+class TestFloorLogEnclosureFirst:
+    """The memo's call floor_log(value, b, logs, ln, scale), with ln an
+    enclosure of ln(value * scale), equals floor_log(value * scale, b):
+    from the enclosure alone when it holds no integer, by the raised
+    precision and exact powers when it straddles one, as it does at
+    every exact power b**k but b**0."""
+
+    @pytest.mark.parametrize("eps", ["1", "1/100"])
+    def test_equals_the_call_on_the_product(self, eps):
+        b = Parameters.for_instance(3, eps).b
+        logs = _Logs(b, working_digits(b))
+        nudge = Fraction(1, 10**40)
+        cases = straddled = 0
+        for k in (-5, 0, 1, 2, 17, 64):
+            for scale in (1, 2, 45, 4050):
+                for target in (b**k, b**k * (1 + nudge), b**k * (1 - nudge), b**k * 3 / 2):
+                    value = target / scale
+                    ln = logs.add(logs.ln(value.numerator, value.denominator), logs.ln(scale))
+                    lo, hi = logs.floors(ln)
+                    cases += 1
+                    straddled += lo != hi
+                    assert floor_log(value, b, logs, ln, scale) == floor_log(target, b)
+        assert 0 < straddled < cases
 
 
 def test_traced_solve_imports_no_mpmath():

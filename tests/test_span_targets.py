@@ -18,7 +18,7 @@ import pytest
 import hbmatch
 from hbmatch.cli import main, serialize_instance
 
-from .conftest import shuffled_planted, superposed_commit_instance, trace_event
+from .conftest import per_line, shuffled_planted, superposed_commit_instance, trace_event
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -86,7 +86,7 @@ def test_x_added_counts_the_edges_each_build_adds():
     lines: list[str] = []
     no_walk = mock.patch.object(hbmatch.engine.AugmentRun, "match_in_one_step", lambda run, root: False)
     with _instrumented() as rec, no_walk:
-        hbmatch.find_perfect_matching(superposed_commit_instance(), 1, trace=lines.append)
+        hbmatch.find_perfect_matching(superposed_commit_instance(), 1, trace=per_line(lines.append))
     events = [trace_event(line) for line in lines]
     built = sum(f["x"] for name, f in events if name == "layer_built")
     grown = sum(f["x_after"] - f["x_before"] for name, f in events if name == "superposed")
