@@ -197,12 +197,16 @@ def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violatio
     """Polynomial-time check of a violation certificate.
 
     Confirms that the certificate is for the instance's uniformity, that
-    the hitting set lies in B and meets every edge incident to S, and
-    that its cardinality is at most the bound, in exact rational
-    arithmetic.
+    S and the hitting set hold ints only (a bool is not one), that the
+    hitting set lies in B and meets every edge incident to S, and that
+    its cardinality is at most the bound, in exact rational arithmetic.
     """
     if cert.r != h.r:
         return Violation("UNIFORMITY_MISMATCH", f"certificate r={cert.r}, instance r={h.r}")
+    for where, members in (("S", cert.s), ("hitting set", cert.hitting_set)):
+        if not {int}.issuperset(map(type, members)):
+            x = next(x for x in members if type(x) is not int)
+            return Violation("MEMBER_TYPE", f"{x!r} in {where} is not an int")
     for a in cert.s:
         if not 0 <= a < h.a_count:
             return Violation("INDEX_OUT_OF_RANGE", f"A-vertex {a} in S")
@@ -312,8 +316,8 @@ def _document_violation(doc: dict) -> Violation | None:
     """The first way a document built by hand departs from what
     :func:`parse_result` gives: a missing status or witness epsilon
     (MISSING_FIELD), an unknown status (UNKNOWN_STATUS), an id list that
-    is not of ints or an epsilon that is not rational (FIELD_TYPE); a
-    bool is not an int here."""
+    is not of ints or an epsilon that is not rational (FIELD_TYPE), or
+    an epsilon <= 0 (EPSILON_NOT_POSITIVE); a bool is not an int here."""
     status = doc.get("status")
     if status is None:
         return Violation("MISSING_FIELD", "result document has no status")
@@ -333,4 +337,6 @@ def _document_violation(doc: dict) -> Violation | None:
         if not ok:
             what = "a list of int ids" if read is _id_list else "an int or a Fraction"
             return Violation("FIELD_TYPE", f"{key} must be {what}")
+    if status == "witness" and doc["epsilon"] <= 0:
+        return Violation("EPSILON_NOT_POSITIVE", f"epsilon must be > 0, got {doc['epsilon']}")
     return None

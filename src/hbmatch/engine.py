@@ -16,12 +16,12 @@ which X-edges of the collapsing layer are addable: the one pass over X
 that decides the collapse, the same at every level, also lists the
 edges it swaps in or adds.
 
-Every run first tries to match the root in one step
+Outside debug runs, each run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
 one addable X-edge collapses layer 1, and a walk over the root's edges
 with the build's take rule finds the edge that collapse adds, without
-building the layer.  A non-debug walk plants no tree and computes no
-signature; a traced one writes the lines the full loop would.
+planting a tree; a traced walk writes the lines the full loop would.
+Debug runs take the full loop, whose checks need the tree.
 
 If a freshly built layer is too small -- not larger than delta times the
 blocking-edge count, which asks only for a nonempty layer while that
@@ -132,7 +132,8 @@ class AugmentRun:
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
-        self.one_step_degree = params.one_step_degree()
+        # Debug runs take the full loop at every root: its checks see a tree.
+        self.one_step_degree = -1 if debug_invariants else params.one_step_degree()
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if trace is not None and 0 < limit < (digits := working_digits(params.b)):
             raise ValueError(
@@ -157,10 +158,10 @@ class AugmentRun:
         covers the root) or a layer fails to grow (returns the verified
         witness; `m` is unchanged).
 
-        It first tries :meth:`match_in_one_step`, which matches most roots;
-        the tree is planted only when the full loop runs, or when a debug
-        walk matches the root.  When tracing, the lines the run wrote
-        reach the sink in one string on every exit, an error's included.
+        It first tries :meth:`match_in_one_step`, which matches most roots
+        outside debug runs; the tree is planted only when the full loop
+        runs.  When tracing, the lines the run wrote reach the sink in one
+        string on every exit, an error's included.
         """
         try:
             if self.match_in_one_step(root):
@@ -207,16 +208,14 @@ class AugmentRun:
         that one iteration, so matchings, witnesses and stats equal the
         full loop's.
 
-        A non-debug walk plants no tree and computes no signature: it
-        adds the edge, so a matched root fails in `m.add` with a
-        ValueError before any line is written.  A traced walk goes on to
-        the u stop and then hands the sink the seven lines of the full
-        loop's first iteration in one string: |X| counts the taken edges,
-        |Y| the matched edges on the B-vertices it occupied, which are
-        their blockers, and the boundary is at an empty tree.  A debug
-        walk plants the tree and checks the boundary as the full loop
-        does, its lines pending for :meth:`run`; the checks lose nothing,
-        as the full loop's collapse discards layer 1 unchecked.
+        The walk plants no tree and computes no signature: it adds the
+        edge, so a matched root fails in `m.add` with a ValueError before
+        any line is written.  A traced walk goes on to the u stop and
+        then hands the sink the seven lines of the full loop's first
+        iteration in one string: |X| counts the taken edges, |Y| the
+        matched edges on the B-vertices it occupied, which are their
+        blockers, and the boundary is at an empty tree.  Debug runs never
+        walk (their one-step degree is -1).
         """
         h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
@@ -246,21 +245,12 @@ class AugmentRun:
             return False
         if trace is not None:
             nx, ny, matched = u - room, len({b_of[b] for b in occupied if b in b_of}), len(m)
-        if self.debug:
-            self.start(root)
-            self._iteration_boundary(1)
-            if trace is not None:
-                self._log_layer(1, nx, ny, True, 1)
-                self._log_collapse(1, 0, True)
         m.add(h, found)
         stats = self.stats
         stats.iterations += 1
         stats.build_ops += 1
         stats.max_layers = max(stats.max_layers, 1)
-        if self.debug:
-            self._check_matched_exactly_root()
-            self._log_end("matched", 1)
-        elif trace is not None:
+        if trace is not None:
             self.sink(
                 f"augment_start root={root} matched={matched}\n{_EMPTY_TREE_BOUNDARY}\n"
                 f"layer_built index=1 x={nx} y={ny}\ngrowth result=pass x={nx} y_total=1\n"
@@ -286,7 +276,8 @@ class AugmentRun:
         nx = len(layer.x)
         ok = self.params.exceeds_delta(nx, y_total_before)
         if self.trace is not None:
-            self._log_layer(tree.level(), nx, len(layer.y), ok, y_total_before)
+            self.trace(f"layer_built index={tree.level()} x={nx} y={len(layer.y)}")
+            self.trace(f"growth result={'pass' if ok else 'fail'} x={nx} y_total={y_total_before}")
         if not ok:
             cert = self.extract_witness()
             if self.trace is not None:
@@ -347,7 +338,7 @@ class AugmentRun:
                     raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
-            self._log_collapse(level, len(served), matched)
+            self.trace(f"collapse layer={level} swaps={len(served)} root_matched={int(matched)}")
         if not matched:
             self.superposed_build()
         return matched
@@ -431,19 +422,11 @@ class AugmentRun:
         return cert
 
     # ------------------------------------------------------------------
-    # trace events (_log_layer and _log_collapse only when tracing) and
-    # iteration-boundary monitoring
+    # run-end trace event and iteration-boundary monitoring
 
     def _log_end(self, outcome: str, iterations: int) -> None:
         if self.trace is not None:
             self.trace(f"augment_end outcome={outcome} iterations={iterations}")
-
-    def _log_layer(self, index: int, nx: int, ny: int, ok: bool, y_total: int) -> None:
-        self.trace(f"layer_built index={index} x={nx} y={ny}")
-        self.trace(f"growth result={'pass' if ok else 'fail'} x={nx} y_total={y_total}")
-
-    def _log_collapse(self, level: int, swaps: int, matched: bool) -> None:
-        self.trace(f"collapse layer={level} swaps={swaps} root_matched={int(matched)}")
 
     def _iteration_boundary(self, iteration: int) -> None:
         """Trace the iteration and the progress signature, and in debug

@@ -153,16 +153,30 @@ class TestCheckResult:
             ({"status": "witness", "epsilon": Fraction(1), "S": [0, None]}, "FIELD_TYPE"),
             ({"status": "witness", "epsilon": "1/2", "S": [0, 1]}, "FIELD_TYPE"),
             ({"status": "witness", "epsilon": True, "S": [0, 1]}, "FIELD_TYPE"),
+            ({"status": "witness", "epsilon": 0, "S": [0, 1]}, "EPSILON_NOT_POSITIVE"),
+            ({"status": "witness", "epsilon": Fraction(-1, 2)}, "EPSILON_NOT_POSITIVE"),
         ],
         ids=[
             "empty", "witness-without-epsilon", "unknown-status", "unhashable-status",
             "float-id", "bool-ids", "text-ids", "none-in-s", "text-epsilon", "bool-epsilon",
+            "0", "-1/2",
         ],
     )
     def test_malformed_document_is_a_violation(self, doc, code):
         # Documents built by hand, not read by parse_result: each used to
         # raise KeyError or TypeError, or took False and True as edges 0, 1.
         assert check_result(SQUARE, doc).code == code
+
+    @pytest.mark.parametrize("epsilon", [0, Fraction(-1, 2)], ids=["0", "-1/2"])
+    def test_nonpositive_epsilon_is_refused_in_the_parsers_words(self, epsilon):
+        # A witness that holds at any epsilon > 0: both edges hit, 1 <= bound.
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        doc = {"status": "witness", "epsilon": epsilon, "S": [0, 1], "hitting_set": [0]}
+        assert check_result(h, {**doc, "epsilon": Fraction(1, 2)}) is None
+        with pytest.raises(ParseError) as exc:
+            parse_result(f"status: witness\nepsilon: {epsilon}\nS: 0 1\nhitting_set: 0\n")
+        assert check_result(h, doc) == Violation("EPSILON_NOT_POSITIVE", exc.value.reason)
+        assert exc.value.reason == f"epsilon must be > 0, got {epsilon}"
 
     def test_hand_built_documents_of_the_right_shape_are_checked(self):
         assert check_result(SQUARE, {"status": "perfect_matching", "matching": (0, 2)}) is None
@@ -208,6 +222,23 @@ class TestKernelChecks:
         assert find_perfect_matching(shift_chain(3), 1).status == "perfect_matching"
         assert check_result(SQUARE, matching_doc("0 2")) is None
         assert with_maps == [True, False]  # the solver's live matching, then a document
+
+    @pytest.mark.parametrize(
+        "s, hitting, detail",
+        [
+            ({False, True}, {0}, "False in S is not an int"),
+            ({0, 1}, {0.0}, "0.0 in hitting set is not an int"),
+            ({0, "0"}, {0}, "'0' in S is not an int"),
+            ({0, 1}, {None}, "None in hitting set is not an int"),
+        ],
+        ids=["bool-s", "float-hitting", "text-s", "none-hitting"],
+    )
+    def test_members_that_are_not_ints_are_refused(self, s, hitting, detail):
+        # Each used to verify as S = {0, 1}, hitting set {0}, or raise TypeError.
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        assert verify_witness(h, WitnessCertificate.build(2, {0, 1}, {0}, Fraction(1))) is None
+        cert = WitnessCertificate.build(2, s, hitting, Fraction(1))
+        assert verify_witness(h, cert) == Violation("MEMBER_TYPE", detail)
 
     def test_hitting_set_vertex_at_nb_is_out_of_range(self):
         # a witness that holds in every other respect: all edges hit, 2 <= bound 3

@@ -415,25 +415,34 @@ class TestOneStepMatch:
         # Plain, traced, debug and traced+debug, at the default and small
         # iteration caps: same result (all that the result document
         # prints) or error code and message, stats and trace lines.
-        def solve():
+        # Debug runs never walk, so the walk is held to the debug solve.
+        def solve(debug):
             lines: list[str] = []
             with substituted(mu, u), capped(cap) if cap else contextlib.nullcontext():
                 trace = lines.append if traced else None
                 return solve_outcome(h, eps, trace=trace, debug_invariants=debug), lines
 
         with full_path():
-            full = solve()
-        assert solve() == full
+            full = solve(debug)
+        assert solve(debug) == full
+        if debug:
+            assert solve(False) == full
 
-    def test_builds_no_layer_in_any_mode(self, monkeypatch):
+    def test_builds_no_layer_unless_debugging(self, monkeypatch):
+        # Plain and traced runs walk; debug runs build each root's layer 1.
         h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
-        calls = counting_build_layer(monkeypatch)
+        levels: list[int] = []
+        build = AugmentRun.build_phase
+        monkeypatch.setattr(
+            AugmentRun, "build_phase", lambda run: levels.append(run.tree.level() + 1) or build(run)
+        )
         plain = find_perfect_matching(h, 1)
-        assert plain.status == "perfect_matching" and len(calls) == 0
+        assert plain.status == "perfect_matching" and levels == []
         for trace in (None, lambda line: None):
             for debug in (False, True):
+                levels.clear()
                 res = find_perfect_matching(h, 1, trace=trace, debug_invariants=debug)
-                assert len(calls) == 0
+                assert levels == ([1] * 30 if debug else [])
                 assert res.matching.edge_ids == plain.matching.edge_ids
                 assert vars(res.stats) == vars(plain.stats)
 

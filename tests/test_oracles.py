@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmatch import WitnessCertificate, from_bipartite_graph, verify_witness
+from hbmatch import (
+    GeneratorSpec,
+    WitnessCertificate,
+    find_perfect_matching,
+    from_bipartite_graph,
+    generate,
+    verify_witness,
+)
 from hbmatch.core import incident_edges
 from hbmatch.oracles import InstanceTooLarge, _greedy_hitting_set, check_haxell, min_hitting_set
 
@@ -234,6 +241,18 @@ class TestCheckHaxell:
         with pytest.raises(error) as exc:
             check_haxell(h, epsilon)
         assert type(exc.value) is error and str(exc.value) == message
+
+    def test_hall_regime_ends_at_epsilon_times_na_minus_one_equal_to_one(self):
+        # r = 2, so tau(E_S) = |N(S)|, and a planted perfect matching gives
+        # Hall's condition.  At eps*(na-1) < 1 the paper's condition is
+        # Hall's and holds; at eps*(na-1) = 1 all of A violates it, as
+        # |N(A)| = 8 = (1+1/7)*7.
+        h = generate(GeneratorSpec("shuffled", 2, 8, 8, extra_edges=10, seed=0))
+        assert check_haxell(h, Fraction(1, 8)).satisfied
+        res = check_haxell(h, Fraction(1, 7))
+        assert not res.satisfied
+        assert (res.violator, res.tau, res.bound) == (tuple(range(8)), 8, 8)
+        assert find_perfect_matching(h, Fraction(1, 8)).status == "perfect_matching"
 
     def test_subset_cap(self):
         h = make_h(2, 21, 1, [])
