@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import BipartiteHypergraph, PartialMatching, Violation, incident_edges
 from .params import parse_epsilon, parse_rational
@@ -45,7 +45,8 @@ class ParseError(ValueError):
 def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
-    Codes: NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
+    Codes: COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
+    NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
     DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
     checks only syntax and leaves every one of these rules to this check.
     The incidence index lists every edge, so it is not rebuilt.  A
@@ -66,14 +67,16 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     its bs.  Equal edges hash equal, so m distinct hashes prove m
     distinct edges (zip reuses its pair tuple); a collision costs a walk.
     """
-    r, nb = h.r, h.b_count
+    r, na, nb = h.r, h.a_count, h.b_count
+    if {type(r), type(na), type(nb)} != {int}:
+        return Violation("COUNT_TYPE", f"r={r!r}, nA={na!r}, nB={nb!r} must be ints")
     if r < 2:
         return Violation("NON_UNIFORM_EDGE", f"uniformity r={r} must be >= 2")
-    if min(h.a_count, nb) < 0:
-        return Violation("NEGATIVE_VERTEX_COUNT", f"nA={h.a_count}, nB={nb} must be >= 0")
+    if min(na, nb) < 0:
+        return Violation("NEGATIVE_VERTEX_COUNT", f"nA={na}, nB={nb} must be >= 0")
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
-    if set(map(len, edge_bs)) != {width} or min(edge_a) < 0 or max(edge_a) >= h.a_count:
+    if set(map(len, edge_bs)) != {width} or min(edge_a) < 0 or max(edge_a) >= na:
         return _walk_edges(h, width)
     cols = list(zip(*edge_bs))
     ascending = all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:]))
@@ -130,18 +133,26 @@ def verify_matching(
 
 def _matching_violation(
     h: BipartiteHypergraph,
-    edge_ids: Iterable[int],
+    edge_ids: Collection[int],
     require_perfect: bool,
     maps: tuple[dict[int, int], dict[int, int]] | None = None,
 ) -> Violation | None:
-    """OVERLAP for the first pair of edges sharing a vertex (in id order),
-    MAP_INCONSISTENT when `maps` is given and differs from the vertex
-    maps of the edges, and UNMATCHED when `require_perfect` and some
-    A-vertex is bare.  Every id must be in range."""
+    """MEMBER_TYPE for an id that is not an int, INDEX_OUT_OF_RANGE for
+    one that is not an edge of `h`, OVERLAP for the first pair of edges
+    sharing a vertex (in id order), MAP_INCONSISTENT when `maps` is given
+    and differs from the vertex maps of the edges, and UNMATCHED when
+    `require_perfect` and some A-vertex is bare."""
+    v = _member_type(edge_ids, "matching")
+    if v is not None:
+        return v
+    ids = sorted(edge_ids)
+    if ids and (ids[0] < 0 or ids[-1] >= h.m):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        return Violation("INDEX_OUT_OF_RANGE", f"edge id {bad} in matching")
     a_seen: dict[int, int] = {}
     b_seen: dict[int, int] = {}
     edge_a, edge_bs = h.edge_a, h.edge_bs
-    for eid in sorted(edge_ids):
+    for eid in ids:
         a = edge_a[eid]
         if a in a_seen:
             return Violation("OVERLAP", f"edges {a_seen[a]} and {eid} share A-vertex {a}")
@@ -157,6 +168,14 @@ def _matching_violation(
             if a not in a_seen:
                 return Violation("UNMATCHED", f"A-vertex {a}")
     return None
+
+
+def _member_type(members: Collection, where: str) -> Violation | None:
+    """MEMBER_TYPE for the first member that is not an int; a bool is not one."""
+    if {int}.issuperset(map(type, members)):
+        return None
+    x = next(x for x in members if type(x) is not int)
+    return Violation("MEMBER_TYPE", f"{x!r} in {where} is not an int")
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +222,9 @@ def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violatio
     """
     if cert.r != h.r:
         return Violation("UNIFORMITY_MISMATCH", f"certificate r={cert.r}, instance r={h.r}")
-    for where, members in (("S", cert.s), ("hitting set", cert.hitting_set)):
-        if not {int}.issuperset(map(type, members)):
-            x = next(x for x in members if type(x) is not int)
-            return Violation("MEMBER_TYPE", f"{x!r} in {where} is not an int")
+    v = _member_type(cert.s, "S") or _member_type(cert.hitting_set, "hitting set")
+    if v is not None:
+        return v
     for a in cert.s:
         if not 0 <= a < h.a_count:
             return Violation("INDEX_OUT_OF_RANGE", f"A-vertex {a} in S")
@@ -300,10 +318,7 @@ def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
     if v is not None:
         return v
     if doc["status"] == "perfect_matching":
-        ids = doc.get("matching", [])
-        if any(not 0 <= i < h.m for i in ids):
-            return Violation("INDEX_OUT_OF_RANGE", "matching edge id")
-        return _matching_violation(h, ids, require_perfect=True)
+        return _matching_violation(h, doc.get("matching", []), require_perfect=True)
     cert = WitnessCertificate.build(
         h.r, doc.get("S", []), doc.get("hitting_set", []), doc["epsilon"]
     )
@@ -337,6 +352,9 @@ def _document_violation(doc: dict) -> Violation | None:
         if not ok:
             what = "a list of int ids" if read is _id_list else "an int or a Fraction"
             return Violation("FIELD_TYPE", f"{key} must be {what}")
-    if status == "witness" and doc["epsilon"] <= 0:
-        return Violation("EPSILON_NOT_POSITIVE", f"epsilon must be > 0, got {doc['epsilon']}")
+    if status == "witness":
+        try:
+            parse_epsilon(doc["epsilon"])
+        except ValueError as exc:
+            return Violation("EPSILON_NOT_POSITIVE", str(exc))
     return None

@@ -17,10 +17,11 @@ that decides the collapse, the same at every level, also lists the
 edges it swaps in or adds.
 
 Outside debug runs, each run first tries to match the root in one step
-(:meth:`AugmentRun.match_in_one_step`): when mu*min(deg(root), u) < 1,
-one addable X-edge collapses layer 1, and a walk over the root's edges
-with the build's take rule finds the edge that collapse adds, without
-planting a tree; a traced walk writes the lines the full loop would.
+(:meth:`AugmentRun.match_in_one_step`): when deg(root) < u, so that
+mu*deg(root) < 1, one addable X-edge collapses layer 1, and a walk over
+the root's edges with the build's take rule finds the edge that collapse
+adds, without planting a tree; a traced walk writes the lines the full
+loop would.
 Debug runs take the full loop, whose checks need the tree.
 
 If a freshly built layer is too small -- not larger than delta times the
@@ -132,8 +133,8 @@ class AugmentRun:
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
-        # Debug runs take the full loop at every root: its checks see a tree.
-        self.one_step_degree = -1 if debug_invariants else params.one_step_degree()
+        # Roots with fewer edges walk; debug runs take the full loop, whose checks see a tree.
+        self.walk_below = 0 if debug_invariants else params.u
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if trace is not None and 0 < limit < (digits := working_digits(params.b)):
             raise ValueError(
@@ -197,34 +198,33 @@ class AugmentRun:
         collapse, without building the layer; False, with nothing
         changed, when no such edge turns up.
 
-        Layer 1 holds at most k = min(deg(root), u) X-edges, and any
-        nonempty one passes the growth test x > delta*1, as delta < 1.
-        When mu*k < 1 (k at most the one-step degree) one addable X-edge
-        collapses it, and the collapse adds the least.  The root is
-        unmatched, so none of its edges is in M, and the build takes them
-        in edge-id order: the least addable X-edge is the first taken
-        edge with no blocker.  The walk below applies the build's take
-        rule, u stop included, up to that edge and counts the stats of
-        that one iteration, so matchings, witnesses and stats equal the
+        It runs on roots with k = deg(root) < u edges, so mu*k < 1 as
+        u = ceil(1/mu).  Layer 1 then holds at most k X-edges, below the
+        cap u, and any nonempty one passes the growth test x > delta*1, as
+        delta < 1; one addable X-edge collapses it, and the collapse adds
+        the least.  The root is unmatched, so none of its edges is in M,
+        and the build takes them in edge-id order: the least addable
+        X-edge is the first taken edge with no blocker.  The walk below
+        applies the build's take rule up to that edge and counts the stats
+        of that one iteration, so matchings, witnesses and stats equal the
         full loop's.
 
         The walk plants no tree and computes no signature: it adds the
         edge, so a matched root fails in `m.add` with a ValueError before
-        any line is written.  A traced walk goes on to the u stop and
-        then hands the sink the seven lines of the full loop's first
+        any line is written.  A traced walk reads to the root's last edge
+        and then hands the sink the seven lines of the full loop's first
         iteration in one string: |X| counts the taken edges, |Y| the
         matched edges on the B-vertices it occupied, which are their
         blockers, and the boundary is at an empty tree.  Debug runs never
-        walk (their one-step degree is -1).
+        walk: their `walk_below` is 0.
         """
         h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
-        u = self.params.u
-        if min(len(edges), u) > self.one_step_degree:
+        if len(edges) >= self.walk_below:
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
         occupied: set[int] = set()
-        room, found = u, None
+        nx, found = 0, None
         for eid in edges:
             bs = edge_bs[eid]
             if not occupied.isdisjoint(bs):
@@ -238,13 +238,11 @@ class AugmentRun:
                 f = b_of.get(b)
                 if f is not None:
                     occupied.update(edge_bs[f])
-            room -= 1
-            if room == 0:
-                break
+            nx += 1
         if found is None:
             return False
         if trace is not None:
-            nx, ny, matched = u - room, len({b_of[b] for b in occupied if b in b_of}), len(m)
+            ny, matched = len({b_of[b] for b in occupied if b in b_of}), len(m)
         m.add(h, found)
         stats = self.stats
         stats.iterations += 1

@@ -8,7 +8,7 @@ rational and every comparison in the engine is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 __all__ = ["Parameters", "parse_rational", "parse_epsilon", "MAX_DECIMAL_EXPONENT"]
@@ -65,31 +65,34 @@ def parse_epsilon(text: str | int | Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Degree bound and threshold constants for one (epsilon, r) pair.
+    """Degree bound and threshold constants for one (epsilon, r, mu).
 
-    mu = e^2/(10 r^2) is the lazy-collapse fraction, u = ceil(1/mu)
-    the per-vertex edge cap, delta = e/(5 r^2) the required layer
-    growth rate, and b = 1/(1-mu^3) the logarithm base of the progress
-    monitor, where e = min(epsilon, 1); `epsilon` keeps the value given.
-    The numerators and denominators of mu and delta are kept as plain
-    ints, derived from them on every construction (`replace` included).
+    mu is the lazy-collapse fraction, e^2/(10 r^2) in :meth:`for_instance`,
+    where e = min(epsilon, 1); `epsilon` keeps the value given.  The rest
+    is derived on every construction, so `replace(p, mu=...)` derives it
+    anew and `replace(p, u=...)` raises ValueError: u = ceil(1/mu) the
+    per-vertex edge cap, delta = e/(5 r^2) the required layer growth rate,
+    b = 1/(1-mu^3) the logarithm base of the progress monitor, and the
+    numerators and denominators of mu and delta as plain ints.
     """
 
     epsilon: Fraction
     r: int
     mu: Fraction
-    u: int
-    delta: Fraction
-    b: Fraction
+    u: int = field(init=False)
+    delta: Fraction = field(init=False)
+    b: Fraction = field(init=False)
     mu_num: int = field(init=False, repr=False, compare=False)
     mu_den: int = field(init=False, repr=False, compare=False)
     delta_num: int = field(init=False, repr=False, compare=False)
     delta_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ratios = self.mu.as_integer_ratio() + self.delta.as_integer_ratio()
-        for name, value in zip(("mu_num", "mu_den", "delta_num", "delta_den"), ratios):
-            object.__setattr__(self, name, value)
+        mu, delta = self.mu, min(self.epsilon, Fraction(1)) / (5 * self.r * self.r)
+        derived = (math.ceil(1 / mu), delta, 1 / (1 - mu**3))
+        derived += mu.as_integer_ratio() + delta.as_integer_ratio()
+        for f, value in zip(fields(self)[3:], derived):  # the init=False fields
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def for_instance(cls, r: int, epsilon: Fraction | str | int) -> "Parameters":
@@ -104,18 +107,9 @@ class Parameters:
         (2r-3+epsilon)(|S|-1) that `epsilon` keeps, as |S| >= 1.
         """
         epsilon = parse_epsilon(epsilon)
-        if r < 2:
+        if type(r) is not int or r < 2:  # a bool or a float r is refused
             raise ValueError("uniformity r must be >= 2")
-        e = min(epsilon, Fraction(1))
-        mu = e**2 / (10 * r * r)
-        return cls(
-            epsilon=epsilon,
-            r=r,
-            mu=mu,
-            u=math.ceil(1 / mu),
-            delta=e / (5 * r * r),
-            b=1 / (1 - mu**3),
-        )
+        return cls(epsilon, r, min(epsilon, Fraction(1)) ** 2 / (10 * r * r))
 
     # Exact threshold tests on counts.  Each compares integer
     # cross-products with the stored numerator and denominator of mu or
@@ -136,11 +130,6 @@ class Parameters:
         blocking count y (root counted as one).  Below y = 1/delta it asks
         only for x >= 1, as 0 < delta*y < 1 there."""
         return x * self.delta_den > self.delta_num * y
-
-    def one_step_degree(self) -> int:
-        """The largest k with mu*k < 1: one addable edge of k collapses
-        a layer of k X-edges."""
-        return (self.mu_den - 1) // self.mu_num
 
     def iteration_cap(self, n: int) -> int:
         """Generous polynomial cap, at least 1000; reaching it signals a

@@ -240,6 +240,25 @@ class TestKernelChecks:
         cert = WitnessCertificate.build(2, s, hitting, Fraction(1))
         assert verify_witness(h, cert) == Violation("MEMBER_TYPE", detail)
 
+    @pytest.mark.parametrize(
+        "eid, violation",
+        [
+            (99, Violation("INDEX_OUT_OF_RANGE", "edge id 99 in matching")),
+            (-1, Violation("INDEX_OUT_OF_RANGE", "edge id -1 in matching")),
+            ("0", Violation("MEMBER_TYPE", "'0' in matching is not an int")),
+            (True, Violation("MEMBER_TYPE", "True in matching is not an int")),
+        ],
+        ids=["beyond-m", "negative", "text", "bool"],
+    )
+    def test_live_matching_ids_that_are_not_edges_are_refused(self, eid, violation):
+        # 99 used to raise IndexError and "0" TypeError; -1 and True were
+        # read as edge 1, whose A-vertex is 1, so the maps disagreed.
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        m = PartialMatching()
+        m.a_of[0] = m.b_of[0] = eid
+        assert verify_matching(h, m) == violation
+        assert verify_matching(h, m, require_perfect=True) == violation
+
     def test_hitting_set_vertex_at_nb_is_out_of_range(self):
         # a witness that holds in every other respect: all edges hit, 2 <= bound 3
         h = make_h(2, 3, 1, [(a, (0,)) for a in range(3)])
@@ -383,6 +402,28 @@ class TestInstanceValidation:
             find_perfect_matching(h, 1)
         v = check_result(h, {"status": "perfect_matching", "matching": []})
         assert v is not None and v.code == "NEGATIVE_VERTEX_COUNT"
+
+    @pytest.mark.parametrize(
+        "r, na, nb, edges",
+        [
+            (3.0, 2, 4, [(0, (0, 1)), (1, (2, 3))]),
+            (2, True, 1, [(0, (0,))]),
+            (2, "2", 2, [(0, (0,)), (1, (1,))]),
+            (2, 1, 1.0, [(0, (0,))]),
+        ],
+        ids=["float-r", "bool-na", "text-na", "float-nb"],
+    )
+    def test_count_that_is_not_an_int_is_refused(self, r, na, nb, edges):
+        # The float r used to solve to a perfect matching, the bool nA to
+        # validate as nA = 1, and the text nA to raise TypeError.
+        h = BipartiteHypergraph(r, na, nb, edges)
+        assert certify.validate_instance(h) == Violation(
+            "COUNT_TYPE", f"r={r!r}, nA={na!r}, nB={nb!r} must be ints"
+        )
+        with pytest.raises(InstanceError, match="COUNT_TYPE"):
+            find_perfect_matching(h, 1)
+        v = check_result(h, {"status": "perfect_matching", "matching": [0]})
+        assert v is not None and v.code == "COUNT_TYPE"
 
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])

@@ -46,23 +46,20 @@ from .conftest import (
 _for_instance = Parameters.for_instance
 
 
-def params(r=3, eps=1, mu=None, u=None):
-    """The parameters at (r, eps), with mu and u substituted when given.
-    A given mu sets u = ceil(1/mu) and b = 1/(1-mu^3), unless u is given
-    too.  Small fixtures reach the full loop only at such a mu or u."""
+def params(r=3, eps=1, mu=None):
+    """The parameters at (r, eps), with mu substituted when given; the
+    parameters derive u and b from it.  Small fixtures reach the full
+    loop only at such a mu."""
     p = _for_instance(r, eps)
-    if mu is not None:
-        mu = Fraction(mu)
-        p = dataclasses.replace(p, mu=mu, u=math.ceil(1 / mu), b=1 / (1 - mu**3))
-    return p if u is None else dataclasses.replace(p, u=u)
+    return p if mu is None else dataclasses.replace(p, mu=Fraction(mu))
 
 
-def substituted(mu=None, u=None):
-    """Solve at `params(r, eps, mu, u)` in place of the parameters that
+def substituted(mu=None):
+    """Solve at `params(r, eps, mu)` in place of the parameters that
     epsilon alone sets."""
     return mock.patch.object(
         Parameters, "for_instance",
-        lambda r, eps: params(r, eps, mu, u),
+        lambda r, eps: params(r, eps, mu),
     )
 
 
@@ -195,7 +192,7 @@ class TestSuperposedCommitThreshold:
         for p in cases:
             # the one-step walk's entry test, mu*k < 1
             ks = range(60)
-            assert [k <= p.one_step_degree() for k in ks] == [p.mu * k < 1 for k in ks]
+            assert [k < p.u for k in ks] == [p.mu * k < 1 for k in ks]
             for q in (p.mu, p.delta):
                 d = q.denominator
                 ns = set(range(40)) | {j * d + e for j in (1, 2, 3) for e in (-1, 0, 1)}
@@ -372,16 +369,16 @@ class TestSubstitutedParameters:
     that they do."""
 
     @pytest.mark.parametrize(
-        "mu, u, expected",
+        "mu, expected",
         [
-            ("1/2", None, (Fraction(1, 2), 2, Fraction(8, 7))),
-            (None, 3, (Fraction(1, 40), 3, Fraction(64000, 63999))),
-            ("1/3", 1, (Fraction(1, 3), 1, Fraction(27, 26))),
+            (None, (Fraction(1, 40), 40, Fraction(64000, 63999))),
+            ("1/2", (Fraction(1, 2), 2, Fraction(8, 7))),
+            ("1/3", (Fraction(1, 3), 3, Fraction(27, 26))),
         ],
     )
-    def test_reaches_the_run(self, monkeypatch, mu, u, expected):
+    def test_reaches_the_run(self, monkeypatch, mu, expected):
         runs = recorded_runs(monkeypatch)
-        with substituted(mu, u):
+        with substituted(mu):
             solve_outcome(shift_chain(2), 1)
         assert [(run.params.mu, run.params.u, run.params.b) for run in runs] == [expected]
 
@@ -400,7 +397,6 @@ class TestOneStepMatch:
         h=shuffled_generated(),
         eps=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]),
         mu=st.sampled_from([None, "1/2", "1/3"]),
-        u=st.sampled_from([None, 1, 2, 3]),
         cap=st.sampled_from([None, 1, 2]),
         traced=st.booleans(),
         debug=st.booleans(),
@@ -408,17 +404,17 @@ class TestOneStepMatch:
     # Root 1's first edge has one blocker on both of its B-vertices: |Y| = 1.
     @example(
         h=make_h(3, 2, 4, [(0, (0, 1)), (1, (0, 1)), (1, (2, 3))]),
-        eps=Fraction(1), mu=None, u=None, cap=None, traced=True, debug=False,
+        eps=Fraction(1), mu=None, cap=None, traced=True, debug=False,
     )
     @settings(max_examples=150, deadline=None)
-    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, u, cap, traced, debug):
+    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, cap, traced, debug):
         # Plain, traced, debug and traced+debug, at the default and small
         # iteration caps: same result (all that the result document
         # prints) or error code and message, stats and trace lines.
         # Debug runs never walk, so the walk is held to the debug solve.
         def solve(debug):
             lines: list[str] = []
-            with substituted(mu, u), capped(cap) if cap else contextlib.nullcontext():
+            with substituted(mu), capped(cap) if cap else contextlib.nullcontext():
                 trace = lines.append if traced else None
                 return solve_outcome(h, eps, trace=trace, debug_invariants=debug), lines
 
@@ -475,16 +471,15 @@ class TestOneStepMatch:
         # written boundary lines equal.
         assert traced(debug=True) == (lines, 30, 30)
 
-    def test_edges_meeting_only_a_blocker_do_not_use_up_the_cap(self, monkeypatch):
+    def test_an_edge_meeting_only_a_blocker_is_skipped(self, monkeypatch):
         # Root 1's first edge is blocked by edge 0, whose B-vertex 2 its
-        # second edge meets: the build skips that edge, so at u = 2 the
-        # third edge is taken, found free and added in one step.
+        # second edge meets: the build skips that edge, so the third edge
+        # is found free and added in one step.
         h = make_h(3, 2, 7, [(0, (1, 2)), (1, (0, 1)), (1, (2, 4)), (1, (5, 6))])
-        with substituted(u=2):
-            with full_path():
-                full = solve_outcome(h, 1)
-            calls = counting_build_layer(monkeypatch)
-            assert solve_outcome(h, 1) == full and len(calls) == 0
+        with full_path():
+            full = solve_outcome(h, 1)
+        calls = counting_build_layer(monkeypatch)
+        assert solve_outcome(h, 1) == full and len(calls) == 0
         assert full[1] == [0, 3]
 
     def test_root_needing_two_addable_edges_takes_the_full_loop(self, monkeypatch):
@@ -574,10 +569,10 @@ class TestCollapseAgainstPerBlockerReference:
         na=st.integers(10, 60),
         r=st.integers(2, 4),
         eps=st.sampled_from([1, "1/2", "1/4"]),
-        u=st.sampled_from([None, 1, 2, 3]),
+        mu=st.sampled_from([None, "1/2", "1/3"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_same_matching_layers_and_swaps(self, seed, na, r, eps, u):
+    def test_same_matching_layers_and_swaps(self, seed, na, r, eps, mu):
         # Every collapse of a whole solve is first replayed by the reference
         # on a copy of the run, on the states the engine itself reaches.
         # The reference decides from the live matching, not from the list
@@ -605,13 +600,13 @@ class TestCollapseAgainstPerBlockerReference:
             assert run.pending[start:] == ref_lines
             return matched
 
-        with pytest.MonkeyPatch.context() as mp, substituted(u=u):
+        with pytest.MonkeyPatch.context() as mp, substituted(mu):
             mp.setattr(AugmentRun, "collapse_phase", checked_phase)
             mp.setattr(AugmentRun, "collapse_layer", checked_collapse)
             try:
                 find_perfect_matching(h, eps, trace=per_line(lines.append))
-            except InternalSolverError as exc:  # a witness a small u voids
-                assert exc.code == "CERTIFICATE_INVALID" and u is not None
+            except InternalSolverError as exc:  # a witness a large mu voids
+                assert exc.code == "CERTIFICATE_INVALID" and mu is not None
 
 
 class TestCollapseSwapStepwise:
@@ -908,7 +903,7 @@ class TestWitnessExtractionRegimes:
         assert not check_haxell(h, Fraction(2)).satisfied
 
     def test_saturated_vertices_leave_the_violating_set(self):
-        # u = 2 caps the root at two blocked edges; at extraction
+        # mu = 1/2 caps the root at u = 2 blocked edges; at extraction
         # the root is saturated and S keeps only the blockers' vertices.
         edges = [(0, (0,)), (1, (1,)), (2, (0,)), (2, (1,)), (2, (3,)), (3, (3,))]
         h = make_h(2, 4, 4, edges)
@@ -916,7 +911,7 @@ class TestWitnessExtractionRegimes:
         m.add(h, 0)
         m.add(h, 1)
         m.add(h, 5)
-        w = augment(AugmentRun(h, m, params(2, 1, u=2), debug_invariants=True), 2)
+        w = augment(AugmentRun(h, m, params(2, 1, "1/2"), debug_invariants=True), 2)
         assert w is not None and verify_witness(h, w) is None
         assert w.s == frozenset({0, 1})
         assert w.hitting_set == frozenset({0, 1})

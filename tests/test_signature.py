@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -105,6 +106,31 @@ class TestParameters:
     def test_uniformity_below_two_is_refused(self):
         with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
             Parameters.for_instance(1, 1)
+
+    @pytest.mark.parametrize("r", [3.0, True, "3", None])
+    def test_uniformity_that_is_not_an_int_is_refused(self, r):
+        with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
+            Parameters.for_instance(r, 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", ["1", "1/2", "1/7", "3"])
+    def test_epsilon_r_and_mu_set_every_other_constant(self, r, eps):
+        # u, delta, b and the four threshold integers follow from
+        # (epsilon, r, mu), at the mu epsilon sets and at a substituted one.
+        p = Parameters.for_instance(r, eps)
+        e = min(Fraction(eps), Fraction(1))
+        assert p.mu == e**2 / (10 * r * r)
+        for mu in (p.mu, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
+            q = dataclasses.replace(p, mu=mu)
+            assert (q.epsilon, q.r, q.mu) == (p.epsilon, r, mu)
+            assert q.u == math.ceil(1 / mu) and q.b == 1 / (1 - mu**3)
+            assert q.delta == e / (5 * r * r)
+            assert (q.mu_num, q.mu_den) == (mu.numerator, mu.denominator)
+            assert (q.delta_num, q.delta_den) == (q.delta.numerator, q.delta.denominator)
+        assert dataclasses.replace(p, mu=p.mu) == p
+        for name, value in (("u", 3), ("delta", Fraction(1, 2)), ("b", Fraction(2))):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(p, **{name: value})
 
     def test_iteration_cap_formula(self):
         p = params_r3_eps1()
