@@ -281,7 +281,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 h,
                 epsilon,
                 trace=TraceWriter(trace_stream) if trace_stream else None,
-                debug_invariants=args.debug_invariants,
             )
         doc = format_result(result, epsilon)
         if args.output:
@@ -315,7 +314,8 @@ def cmd_check_haxell(args: argparse.Namespace) -> int:
     print(
         "VIOLATED S="
         + ",".join(str(a) for a in res.violator)  # type: ignore[union-attr]
-        + f" tau={res.tau} bound={res.bound}"
+        + f" tau={res.tau} bound={res.bound} hitting="
+        + ",".join(str(b) for b in res.hitting_set)  # type: ignore[union-attr]
     )
     return EXIT_WITNESS
 
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="rational, e.g. 1/2 or 0.25")
     p.add_argument("--output", help="result document path (default stdout)")
     p.add_argument("--trace", help="write trace events to this file")
-    p.add_argument("--debug-invariants", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a result document against an instance")

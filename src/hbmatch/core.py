@@ -178,9 +178,6 @@ class PartialMatching:
     def matches_a(self, a: int) -> bool:
         return a in self.a_of
 
-    def matched_a_vertices(self) -> set[int]:
-        return set(self.a_of)
-
     def add(self, h: BipartiteHypergraph, edge_id: int) -> None:
         a, bs = h.edge_a[edge_id], h.edge_bs[edge_id]
         if a in self.a_of:  # a member's own A-vertex included

@@ -16,13 +16,12 @@ which X-edges of the collapsing layer are addable: the one pass over X
 that decides the collapse, the same at every level, also lists the
 edges it swaps in or adds.
 
-Outside debug runs, each run first tries to match the root in one step
+Each run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when deg(root) < u, so that
 mu*deg(root) < 1, one addable X-edge collapses layer 1, and a walk over
 the root's edges with the build's take rule finds the edge that collapse
 adds, without planting a tree; a traced walk writes the lines the full
 loop would.
-Debug runs take the full loop, whose checks need the tree.
 
 If a freshly built layer is too small -- not larger than delta times the
 blocking-edge count, which asks only for a nonempty layer while that
@@ -54,8 +53,8 @@ from .core import (
     swap,
 )
 from .params import Parameters
-from .signature import SignatureMemo, check_signature_step, signature_from_sizes, working_digits
-from .tree import AlternatingTree, Layer, build_layer, validate_tree
+from .signature import SignatureMemo, signature_from_sizes, working_digits
+from .tree import AlternatingTree, Layer, build_layer
 
 __all__ = [
     "AugmentRun",
@@ -78,11 +77,13 @@ _EMPTY_TREE_BOUNDARY = "iteration iter=1 layers=0\nsignature iter=1 coords= unre
 class InternalSolverError(CodedError, RuntimeError):
     """The solver broke its own contract.
 
-    Raised for a failed debug-mode invariant, an extracted certificate
-    that does not verify, a final matching that is not perfect, and an
-    augmenting run that reaches its iteration cap.  The instance and
-    epsilon alone set mu, u and the cap, so each is an implementation
-    bug, CERTIFICATE_INVALID and ITERATION_CAP_EXCEEDED included.
+    Raised for an extracted certificate that does not verify, a final
+    matching that is not perfect, and an augmenting run that reaches its
+    iteration cap, a safety stop far above every measured run (see
+    :meth:`Parameters.iteration_cap`).  The instance and epsilon alone
+    set mu, u and the cap, so each is an implementation bug,
+    CERTIFICATE_INVALID and ITERATION_CAP_EXCEEDED included.  The test
+    suite's checked runs raise it for a broken path invariant.
     """
 
 
@@ -107,7 +108,7 @@ class SolveResult:
 
 class AugmentRun:
     """State of one solve; single-threaded, single-owner.  :meth:`start`
-    gives a root its tree, previous signature and debug-mode matched set.
+    gives a root its tree.
 
     When tracing, `trace` appends event lines to `pending`, the current
     run's lines, which :meth:`run` hands to the sink in one string
@@ -120,7 +121,6 @@ class AugmentRun:
         m: PartialMatching,
         params: Parameters,
         trace: TraceSink | None = None,
-        debug_invariants: bool = False,
     ):
         self.h = h
         self.m = m
@@ -128,13 +128,10 @@ class AugmentRun:
         self.sink = trace
         self.pending: list[str] = []
         self.trace = self.pending.append if trace is not None else None
-        self.debug = debug_invariants
-        self.monitored = trace is not None or debug_invariants  # boundaries traced or checked
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
-        # Roots with fewer edges walk; debug runs take the full loop, whose checks see a tree.
-        self.walk_below = 0 if debug_invariants else params.u
+        self.walk_below = params.u  # roots with fewer edges walk
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if trace is not None and 0 < limit < (digits := working_digits(params.b)):
             raise ValueError(
@@ -146,8 +143,6 @@ class AugmentRun:
         """Plant a fresh tree at `root`, ValueError if it is matched, and
         log the run's start."""
         self.tree = AlternatingTree(self.h, self.m, root, self.params.u)
-        self.prev_signature: tuple[int, ...] | None = None
-        self._matched_before = self.m.matched_a_vertices() if self.debug else None
         if self.trace is not None:
             self.trace(f"augment_start root={root} matched={len(self.m)}")
 
@@ -159,10 +154,10 @@ class AugmentRun:
         covers the root) or a layer fails to grow (returns the verified
         witness; `m` is unchanged).
 
-        It first tries :meth:`match_in_one_step`, which matches most roots
-        outside debug runs; the tree is planted only when the full loop
-        runs.  When tracing, the lines the run wrote reach the sink in one
-        string on every exit, an error's included.
+        It first tries :meth:`match_in_one_step`, which matches most
+        roots; the tree is planted only when the full loop runs.  When
+        tracing, the lines the run wrote reach the sink in one string on
+        every exit, an error's included.
         """
         try:
             if self.match_in_one_step(root):
@@ -177,15 +172,13 @@ class AugmentRun:
                         "ITERATION_CAP_EXCEEDED", f"augmenting A-vertex {root}"
                     )
                 self.stats.iterations += 1
-                if self.monitored:
+                if self.trace is not None:
                     self._iteration_boundary(iteration)
                 witness = self.build_phase()
                 if witness is not None:
                     self._log_end("witness", iteration)
                     return witness
                 if self.collapse_phase():
-                    if self.debug:
-                        self._check_matched_exactly_root()
                     self._log_end("matched", iteration)
                     return None
         finally:
@@ -215,8 +208,7 @@ class AugmentRun:
         and then hands the sink the seven lines of the full loop's first
         iteration in one string: |X| counts the taken edges, |Y| the
         matched edges on the B-vertices it occupied, which are their
-        blockers, and the boundary is at an empty tree.  Debug runs never
-        walk: their `walk_below` is 0.
+        blockers, and the boundary is at an empty tree.
         """
         h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
@@ -330,10 +322,6 @@ class AugmentRun:
             swap(h, m, f, eid)
             tree.remove_y_edge(level - 1, f)
             self.stats.swaps += 1
-            if self.debug:
-                v = verify_matching(h, m)
-                if v is not None:
-                    raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         tree.discard_last()
         if self.trace is not None:
             self.trace(f"collapse layer={level} swaps={len(served)} root_matched={int(matched)}")
@@ -372,14 +360,14 @@ class AugmentRun:
             x_held=self.tree.layers[i - 1].x,
         )
 
-    def _prefix_rebuilds(self, k: int) -> Iterator[tuple[int, Layer, Layer]]:
-        """(i, layer i, the edges its uncommitted rebuild adds) for layers
-        1..k, each rebuild avoiding the B-vertices of layers 1..i only."""
+    def _prefix_rebuilds(self, k: int) -> Iterator[Layer]:
+        """The edges the uncommitted rebuild of layer i adds, for i = 1..k,
+        each rebuild avoiding the B-vertices of layers 1..i only."""
         prefix: set[int] = set()
         for i, layer in enumerate(self.tree.layers[:k], start=1):
             prefix |= layer.bx
             prefix |= layer.by
-            yield i, layer, self._rebuild(i, prefix)
+            yield self._rebuild(i, prefix)
 
     # ------------------------------------------------------------------
     # witness extraction
@@ -405,7 +393,7 @@ class AugmentRun:
         hitting = set(tree.occupied_b())
         saturated = {a for a, c in x_counts.items() if c >= self.params.u}
         served: set[int] = set()
-        for _, _, added in self._prefix_rebuilds(level - 1):
+        for added in self._prefix_rebuilds(level - 1):
             served.update(h.edge_a[eid] for eid in added.x)
             hitting |= added.bx
             hitting |= added.by
@@ -420,81 +408,24 @@ class AugmentRun:
         return cert
 
     # ------------------------------------------------------------------
-    # run-end trace event and iteration-boundary monitoring
+    # trace events
 
     def _log_end(self, outcome: str, iterations: int) -> None:
         if self.trace is not None:
             self.trace(f"augment_end outcome={outcome} iterations={iterations}")
 
     def _iteration_boundary(self, iteration: int) -> None:
-        """Trace the iteration and the progress signature, and in debug
-        mode check them; only called when tracing or debugging."""
+        """Trace the iteration and the progress signature; only called
+        when tracing."""
         trace = self.trace
-        if iteration == 1 and not self.debug:
+        if iteration == 1:
             trace(_EMPTY_TREE_BOUNDARY)
             return
-        if trace is not None:
-            trace(f"iteration iter={iteration} layers={self.tree.level()}")
+        trace(f"iteration iter={iteration} layers={self.tree.level()}")
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]
         sig, unresolved = signature_from_sizes(sizes, self.memo)
-        if trace is not None:
-            coords = ",".join(map(str, sig))
-            trace(f"signature iter={iteration} coords={coords} unresolved={unresolved}")
-        if self.debug:
-            v = check_signature_step(sig, self.prev_signature)
-            if v is not None:
-                raise InternalSolverError(v.code, v.detail)
-            self._check_boundary_invariants()
-        self.prev_signature = sig
-
-    def _check_boundary_invariants(self) -> None:
-        """The tree, the matching, A(M), and per layer: not collapsible,
-        grown past delta times the blocking count below, and no rebuild
-        reaching (1+mu)|X|.
-
-        Two bounds follow and are not checked.  Blocker ratio: the tree
-        is valid, so Y is exactly X's blockers and each Y-edge meets one
-        X-edge; the non-addable X-edges number at most |Y|, so
-        |X|-|Y| <= addable <= mu|X|.  Depth: hence |Y_i| >= (1-mu)|X_i|,
-        and with |X_i| > delta*y_below(i) the blocking count after L
-        layers exceeds (1+gamma)^L, gamma = (1-mu)delta; the blockers'
-        A-vertices are distinct and none is the root, so it is at most n.
-        """
-        h, m, tree = self.h, self.m, self.tree
-        v = validate_tree(h, m, tree)
-        if v is not None:
-            raise InternalSolverError("TREE_INVALID", str(v))
-        v = verify_matching(h, m)
-        if v is not None:
-            raise InternalSolverError("MATCHING_INVALID", str(v))
-        if m.matched_a_vertices() != self._matched_before:
-            raise InternalSolverError("MATCHED_SET_CHANGED", "A(M) drifted mid-run")
-        y_below = 1
-        for idx, layer in enumerate(tree.layers, start=1):
-            addable = sum(is_immediately_addable(h, m, eid) for eid in layer.x)
-            if self.params.exceeds_mu(addable, len(layer.x)):
-                raise InternalSolverError(
-                    "COLLAPSIBLE_AT_BOUNDARY", f"layer {idx} is collapsible"
-                )
-            if not self.params.exceeds_delta(len(layer.x), y_below):
-                raise InternalSolverError(
-                    "LAYER_GROWTH", f"layer {idx}: |X|={len(layer.x)} vs {y_below} below"
-                )
-            y_below += len(layer.y)
-        for i, layer, added in self._prefix_rebuilds(tree.level()):
-            x2 = len(layer.x) + len(added.x)
-            if self.params.reaches_one_plus_mu(x2, len(layer.x)):
-                raise InternalSolverError(
-                    "SUPERPOSED_GROWTH_AT_BOUNDARY",
-                    f"layer {i}: rebuild reaches {x2} from {len(layer.x)}",
-                )
-
-    def _check_matched_exactly_root(self) -> None:
-        now = self.m.matched_a_vertices()
-        if now != self._matched_before | {self.tree.root}:
-            raise InternalSolverError(
-                "MATCHED_SET_CHANGED", "run did not add exactly the root"
-            )
+        coords = ",".join(map(str, sig))
+        trace(f"signature iter={iteration} coords={coords} unresolved={unresolved}")
 
 
 def augment(run: AugmentRun, root: int) -> WitnessCertificate | None:
@@ -511,7 +442,6 @@ def find_perfect_matching(
     h: BipartiteHypergraph,
     epsilon: Fraction | str | int,
     trace: TraceSink | None = None,
-    debug_invariants: bool = False,
 ) -> SolveResult:
     """Match every A-vertex starting from the empty matching.
 
@@ -520,14 +450,14 @@ def find_perfect_matching(
     the perfect matching, or the first violation certificate
     encountered.  Epsilon alone sets mu and u, so every witness meets
     its bound.  A malformed instance raises :class:`InstanceError`;
-    internal faults (a failed check, or the derived iteration cap) raise
-    :class:`InternalSolverError`.
+    internal faults (a result that fails its check, or the derived
+    iteration cap) raise :class:`InternalSolverError`.
     """
     v = validate_instance(h)
     if v is not None:
         raise InstanceError(v.code, v.detail)
     params = Parameters.for_instance(h.r, epsilon)
-    run = AugmentRun(h, PartialMatching(), params, trace, debug_invariants)
+    run = AugmentRun(h, PartialMatching(), params, trace)
     for a in range(h.a_count):
         witness = augment(run, a)
         if witness is not None:

@@ -36,12 +36,14 @@ class InstanceTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class HaxellResult:
-    """Outcome of the condition check: satisfied, or the first violator."""
+    """Outcome of the condition check: satisfied, or the first violator
+    S with a minimum hitting set of E_S, sorted; tau is its size."""
 
     satisfied: bool
     violator: tuple[int, ...] | None = None
     tau: int | None = None
     bound: Fraction | None = None
+    hitting_set: tuple[int, ...] | None = None
 
 
 def _greedy_hitting_set(bsets: list[frozenset[int]]) -> list[int]:
@@ -156,5 +158,5 @@ def check_haxell(h: BipartiteHypergraph, epsilon: Fraction | str | int) -> Haxel
             family = sorted(incident_edges(h, subset))
             found = _search([bsets[i] for i in family], math.floor(bound))
             if found is not None:
-                return HaxellResult(False, subset, len(found), bound)
+                return HaxellResult(False, subset, len(found), bound, tuple(sorted(found)))
     return HaxellResult(True)

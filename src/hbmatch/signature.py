@@ -10,7 +10,7 @@ with an implicit top symbol that compares greater than every integer.
 Across every completed main-loop iteration the vector strictly
 decreases lexicographically, which is what bounds the iteration count.
 The solver's control flow never reads these values; they exist for
-tracing, debugging, and tests.
+tracing and tests.
 
 Since b-1 can be ~1e-10, the floors are numerically delicate.  They are
 computed with :mod:`decimal`, whose ``ln`` is correctly rounded, as
@@ -35,8 +35,8 @@ every call, hit or miss.
 
 :func:`check_signature_step` holds the monitor's rules (sign pattern,
 non-decreasing magnitudes, strict lexicographic decrease) and the one
-wording of each, for both the debug-mode engine check and
-``hbmatch check-trace``.
+wording of each, for ``hbmatch check-trace`` and for the test suite's
+checked run (``tests/checked_run.py``).
 """
 
 from __future__ import annotations

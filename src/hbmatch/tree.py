@@ -6,26 +6,21 @@ layers over an unmatched root so that every X-edge hangs off an
 A-vertex of the blocking edges one level below, and no B-vertex occurs
 in two layers.  The tree additionally enforces a per-vertex cap on
 non-blocking edges (`u_bound`), which is what keeps layer growth
-balanced across A-vertices.
+balanced across A-vertices.  The engine keeps these invariants by
+construction and never re-checks them; the test suite's checked run
+(`tests/checked_run.py`) re-checks every one at each iteration boundary.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import AbstractSet, Iterable, NamedTuple
 
-from .core import (
-    BipartiteHypergraph,
-    PartialMatching,
-    Violation,
-    blocking_edges,
-)
+from .core import BipartiteHypergraph, PartialMatching
 
 __all__ = [
     "Layer",
     "AlternatingTree",
     "build_layer",
-    "validate_tree",
 ]
 
 
@@ -177,81 +172,3 @@ def build_layer(
                 break
     return taken
 
-
-def validate_tree(
-    h: BipartiteHypergraph, m: PartialMatching, tree: AlternatingTree
-) -> Violation | None:
-    """Re-check every layer and tree invariant from scratch.
-
-    Returns the first violated invariant with its layer index, or None.
-    Used after every engine step in debug mode.
-    """
-    if m.matches_a(tree.root):
-        return Violation("ROOT_MATCHED", f"root {tree.root} is matched")
-    edge_a, edge_bs = h.edge_a, h.edge_bs
-    seen_b: dict[int, int] = {}
-    blocking_a: set[int] = set()
-    for idx, layer in enumerate(tree.layers, start=1):
-        for eid in layer.x:
-            if m.a_of.get(edge_a[eid]) == eid:
-                return Violation("X_IN_MATCHING", f"layer {idx}: edge {eid}")
-        layer_b: set[int] = set()
-        for eid in sorted(layer.x):
-            for b in edge_bs[eid]:
-                if b in layer_b:
-                    return Violation(
-                        "X_B_OVERLAP_WITHIN_LAYER", f"layer {idx}: B-vertex {b}"
-                    )
-            layer_b.update(edge_bs[eid])
-        expected_y: set[int] = set()
-        for eid in layer.x:
-            expected_y |= blocking_edges(h, m, eid)
-        if expected_y != layer.y:
-            return Violation(
-                "Y_NOT_BLOCKERS",
-                f"layer {idx}: Y differs from blockers by "
-                f"{sorted(expected_y ^ layer.y)}",
-            )
-        for f in sorted(layer.y):
-            fa = edge_a[f]
-            hits = sum(1 for eid in layer.x if not set(edge_bs[eid]).isdisjoint(edge_bs[f]))
-            if hits != 1:
-                return Violation(
-                    "Y_INTERSECTS_MULTIPLE_X", f"layer {idx}: edge {f} hits {hits} X-edges"
-                )
-            if fa in blocking_a:
-                return Violation(
-                    "MULTIPLE_BLOCKING_EDGES", f"A-vertex {fa} in layer {idx}"
-                )
-            blocking_a.add(fa)
-        parents = tree.parent_a_set(idx)
-        for eid in sorted(layer.x):
-            if edge_a[eid] not in parents:
-                return Violation(
-                    "PARENT_NOT_IN_LOWER_Y",
-                    f"layer {idx}: edge {eid} for A-vertex {edge_a[eid]}",
-                )
-        for eid in sorted(layer.x | layer.y):
-            for b in edge_bs[eid]:
-                if b in seen_b and seen_b[b] != idx:
-                    return Violation(
-                        "CROSS_LAYER_B_OVERLAP",
-                        f"B-vertex {b} in layers {seen_b[b]} and {idx}",
-                    )
-                seen_b[b] = idx
-    # With MULTIPLE_BLOCKING_EDGES above, this also bounds a vertex's
-    # X-edges plus its blocking edge by u_bound + 1.
-    x_per_vertex = Counter(edge_a[eid] for layer in tree.layers for eid in layer.x)
-    for a, count in sorted(x_per_vertex.items()):
-        if count > tree.u_bound:
-            return Violation("DEGREE_EXCEEDED", f"A-vertex {a} has {count} X-edges")
-    occ: set[int] = set()
-    for idx, layer in enumerate(tree.layers, start=1):
-        bx = {b for eid in layer.x for b in edge_bs[eid]}
-        by = {b for eid in layer.y for b in edge_bs[eid]}
-        if bx != layer.bx or by != layer.by:
-            return Violation("COUNTER_MISMATCH", f"layer {idx}: B-vertex sets diverged")
-        occ |= bx | by
-    if occ != tree.occupied_b():
-        return Violation("COUNTER_MISMATCH", "tree B-occupancy diverged from its layers")
-    return None

@@ -1,9 +1,11 @@
-"""List the raise sites of the package that tier-1 never executes.
+"""List the raise sites of the package and of the checked run that tier-1
+never executes.
 
     python3 tests/raise_sites.py
 
 Runs the tier-1 suite in-process under ``sys.settrace``, tracing only
-frames of ``src/hbmatch``, and prints every ``raise`` statement and
+frames of ``src/hbmatch`` and of ``tests/checked_run.py`` (whose checks
+re-check the engine's path), and prints every ``raise`` statement and
 every ``return Violation(...)`` that never ran.  A site that no test can
 reach belongs in ALLOWED with its reason.  Exits 1 when an unexecuted
 site is not allowed, or when an allowed one did run; 0 otherwise.
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "hbmatch"
+CENSUSED = sorted((ROOT / "src" / "hbmatch").glob("*.py")) + [ROOT / "tests" / "checked_run.py"]
 
 # (file, function, first line of the statement) -> why no test runs it
 ALLOWED: dict[tuple[str, str, str], str] = {}
@@ -34,7 +36,7 @@ ALLOWED: dict[tuple[str, str, str], str] = {}
 def raise_sites() -> dict[tuple[str, int], tuple[str, str]]:
     """(path, line) -> (function, first source line) for each site."""
     sites = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in CENSUSED:
         lines = path.read_text().splitlines()
         for func in ast.walk(ast.parse(path.read_text())):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -81,7 +83,7 @@ def main() -> int:
     failed = False
     for (path, line), (func, text) in sorted(sites.items()):
         key = (Path(path).name, func, text)
-        where = f"src/hbmatch/{key[0]}:{line} {func}: {text}"
+        where = f"{Path(path).relative_to(ROOT)}:{line} {func}: {text}"
         if (path, line) in ran:
             if key in ALLOWED:
                 print(f"allowed but ran: {where}")

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as
 they complete.  Corpora are seeded and shared across criteria; the
 invariant and signature criteria re-run samples of the same instances
-in debug / traced mode.
+checked (`tests/checked_run.py`) and traced.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from hbmatch.core import incident_edges
 from hbmatch.instances import SplitMix64, default_private_degree
 from hbmatch.oracles import check_haxell, min_hitting_set
 
+from .checked_run import checked
 from .conftest import brute_force_perfect_matching
 
 
@@ -140,17 +141,18 @@ def test_criterion_3_witness_soundness(shuffled_corpus):
 
 
 def test_criterion_4_invariant_suite(graph_corpus, guaranteed_corpus, shuffled_corpus):
-    # debug mode re-checks every tree/layer invariant, collapsibility,
-    # blocker ratios, superposed growth caps, the layer-count bound, and
-    # signature monotonicity at every iteration boundary; any violation
-    # raises and fails the test.
-    with criterion(4, "per-iteration invariants (debug mode)"):
+    # The checked run re-checks every tree/layer invariant,
+    # collapsibility, layer growth, superposed growth caps and signature
+    # monotonicity at every iteration boundary; any violation raises and
+    # fails the test.
+    with criterion(4, "per-iteration invariants (checked run)"):
         sample = (
             graph_corpus[::12] + guaranteed_corpus[::5] + shuffled_corpus[::5]
         )
         assert len(sample) >= 120
-        for h in sample:
-            find_perfect_matching(h, "1/2", debug_invariants=True)
+        with checked():
+            for h in sample:
+                find_perfect_matching(h, "1/2")
 
 
 def test_criterion_5_signature_monotonicity(graph_corpus, guaranteed_corpus, shuffled_corpus):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hbmatch.engine
 from hbmatch import (
     BipartiteHypergraph,
     GeneratorSpec,
@@ -29,9 +28,11 @@ from hbmatch.cli import (
     parse_result,
     serialize_instance,
 )
-from hbmatch.core import Violation
+from hbmatch.core import Violation, incident_edges
 from hbmatch.params import parse_rational
 
+from . import checked_run
+from .checked_run import checked
 from .conftest import hypergraphs, make_h, shift_chain, superposed_commit_instance
 from .test_engine import capped
 
@@ -828,12 +829,29 @@ class TestCommands:
         assert main(["check-haxell", "--input", inst, "--epsilon", "1"]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_check_haxell_prints_a_hitting_set_of_the_violator(self, tmp_path, seed):
+        # r = 3 at epsilon 1: a reader checks the answer from the line
+        # alone, without recomputing tau.
+        h = generate(GeneratorSpec(
+            mode="shuffled", r=3, a_count=6, b_count=12, extra_edges=4, seed=seed,
+        ))
+        code, out, err = _run_main(
+            ["check-haxell", "--input", self.write_instance(tmp_path, h), "--epsilon", "1"]
+        )
+        assert (code, err) == (2, "")
+        fields = dict(pair.split("=") for pair in out.split()[1:])
+        s = [int(a) for a in fields["S"].split(",")]
+        hitting = {int(b) for b in fields["hitting"].split(",") if b}
+        assert len(hitting) == int(fields["tau"]) <= parse_rational(fields["bound"])
+        assert all(set(h.edge_bs[eid]) & hitting for eid in incident_edges(h, s))
+
     def test_check_haxell_classic_is_epsilon_zero(self, tmp_path):
         k22 = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
         inst = self.write_instance(tmp_path, k22)
         argv = ["check-haxell", "--input", inst, "--epsilon"]
         assert _run_main(argv + ["0"]) == (0, "SATISFIED\n", "")
-        assert _run_main(argv + ["1"]) == (2, "VIOLATED S=0,1 tau=2 bound=2\n", "")
+        assert _run_main(argv + ["1"]) == (2, "VIOLATED S=0,1 tau=2 bound=2 hitting=0,1\n", "")
 
     @pytest.mark.parametrize("epsilon", ["-1", "-1/2"])
     def test_check_haxell_refuses_a_negative_epsilon(self, tmp_path, epsilon):
@@ -978,11 +996,12 @@ class TestCommands:
         assert traces[0] == traces[1]
 
     def test_debug_invariants_flag(self, tmp_path):
+        # The path checks live in the tests: a checked solve through the CLI.
         inst = self.write_instance(tmp_path, shift_chain(5))
-        assert main([
-            "solve", "--input", inst, "--epsilon", "1/2", "--debug-invariants",
-            "--output", str(tmp_path / "r.txt"),
-        ]) == 0
+        with checked():
+            assert main([
+                "solve", "--input", inst, "--epsilon", "1/2", "--output", str(tmp_path / "r.txt"),
+            ]) == 0
 
     def test_verify_witness_without_epsilon_is_parse_error(self, tmp_path, capsys):
         h = funnel()
@@ -1005,9 +1024,10 @@ class TestCommands:
     def test_debug_invariant_failure_is_exit_1_with_code(self, tmp_path, capsys, monkeypatch):
         inst = self.write_instance(tmp_path, shift_chain(5))
         monkeypatch.setattr(
-            hbmatch.engine, "validate_tree", lambda h, m, tree: Violation("FORCED", "test")
+            checked_run, "validate_tree", lambda h, m, tree: Violation("FORCED", "test")
         )
-        assert main(["solve", "--input", inst, "--epsilon", "1/2", "--debug-invariants"]) == 1
+        with checked():
+            assert main(["solve", "--input", inst, "--epsilon", "1/2"]) == 1
         assert capsys.readouterr().err.startswith("TREE_INVALID: ")
 
     def run_bad_rational(self, tmp_path, name, bad):
@@ -1070,6 +1090,8 @@ class TestCommands:
              "unrecognized arguments: --classic"),
             (["solve", "--input", "x", "--epsilon", "1", "--max-iters", "1"],
              "unrecognized arguments: --max-iters 1"),
+            (["solve", "--input", "x", "--epsilon", "1", "--debug-invariants"],
+             "unrecognized arguments: --debug-invariants"),
             (["check-haxell", "--input", "x", "--epsilon", "1", "--max-a", "30"],
              "unrecognized arguments: --max-a 30"),
             (["solve", "--input", "x", "--epsilon", "-abc"],
@@ -1079,7 +1101,8 @@ class TestCommands:
         ],
         ids=[
             "missing-option", "bad-int", "bad-choice", "classic-flag", "max-iters-flag",
-            "max-a-flag", "epsilon-not-a-number", "unknown-subcommand", "no-subcommand",
+            "debug-invariants-flag", "max-a-flag", "epsilon-not-a-number", "unknown-subcommand",
+            "no-subcommand",
         ],
     )
     def test_usage_error_is_exit_1(self, capsys, argv, message):
@@ -1104,7 +1127,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "override" not in out
         assert sorted(set(re.findall(r"--[a-z-]+", out))) == sorted([
-            "--help", "--input", "--epsilon", "--output", "--trace", "--debug-invariants",
+            "--help", "--input", "--epsilon", "--output", "--trace",
         ])
 
     def test_check_haxell_help_lists_no_subset_cap(self, capsys):

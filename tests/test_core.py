@@ -26,6 +26,7 @@ from hbmatch.core import (
 from hbmatch.engine import InternalSolverError
 from hbmatch.signature import SignatureError
 
+from .checked_run import checked
 from .conftest import (
     hypergraphs,
     hypergraphs_with_matching,
@@ -62,7 +63,8 @@ class TestEdgeColumns:
         source = shuffled_planted(1, 60) if name == "witness" else superposed_commit_instance()
         h = parse_instance(serialize_instance(source))
         trace = TraceWriter(io.StringIO())
-        result = find_perfect_matching(h, 1, trace=trace, debug_invariants=True)
+        with checked():
+            result = find_perfect_matching(h, 1, trace=trace)
         assert result.status == ("witness" if name == "witness" else "perfect_matching")
         assert check_result(h, parse_result(format_result(result, 1))) is None
         assert h._edges is None
@@ -190,7 +192,7 @@ class TestSwap:
         m.add(h, 0)
         swap(h, m, 0, 1)
         assert m.edge_ids == {1}
-        assert m.matched_a_vertices() == {0}
+        assert set(m.a_of) == {0}
 
     def test_blocked_by_own_matching_edge(self):
         h = make_h(3, 1, 3, [(0, (0, 1)), (0, (1, 2))])
@@ -229,14 +231,14 @@ class TestSwap:
     @settings(max_examples=60)
     def test_swap_preserves_matched_set_and_validity(self, hm):
         h, m = hm
-        before = m.matched_a_vertices()
+        before = set(m.a_of)
         for f_out in sorted(m.edge_ids):
             a = h.edges[f_out].a
             for e_in in h.a_edges.get(a, ()):
                 if e_in == f_out or not is_immediately_addable(h, m, e_in):
                     continue
                 swap(h, m, f_out, e_in)
-                assert m.matched_a_vertices() == before
+                assert set(m.a_of) == before
                 assert verify_matching(h, m) is None
                 break
             break

@@ -31,6 +31,7 @@ from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
 from hbmatch.tree import Layer, build_layer
 
+from .checked_run import CheckedRun, checked, validate_tree
 from .conftest import (
     brute_force_perfect_matching,
     hypergraphs_with_matching,
@@ -215,10 +216,10 @@ class TestSuperposedCommitThreshold:
     def test_commit_fires_end_to_end(self):
         h = superposed_commit_instance()
         events = []
-        res = find_perfect_matching(
-            h, 1, debug_invariants=True,
-            trace=per_line(lambda line: events.append(trace_event(line))),
-        )
+        with checked():
+            res = find_perfect_matching(
+                h, 1, trace=per_line(lambda line: events.append(trace_event(line)))
+            )
         commits = [f for n, f in events if n == "superposed" and f["committed"]]
         assert commits and commits[0]["x_before"] == 2 and commits[0]["x_after"] == 3
         assert res.status == "perfect_matching"
@@ -227,10 +228,10 @@ class TestSuperposedCommitThreshold:
         # chain collapse performs rebuilds that never find new edges
         h = shift_chain(4)
         events = []
-        res = find_perfect_matching(
-            h, "1/2", debug_invariants=True,
-            trace=per_line(lambda line: events.append(trace_event(line))),
-        )
+        with checked():
+            res = find_perfect_matching(
+                h, "1/2", trace=per_line(lambda line: events.append(trace_event(line)))
+            )
         rejected = [f for n, f in events if n == "superposed" and not f["committed"]]
         assert rejected and all(f["x_before"] == f["x_after"] for f in rejected)
         assert res.status == "perfect_matching"
@@ -240,12 +241,12 @@ class TestAugment:
     def test_unblocked_edge_matches_in_one_iteration(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         m = PartialMatching()
-        assert augment(AugmentRun(h, m, params(), debug_invariants=True), 0) is None
+        assert augment(CheckedRun(h, m, params()), 0) is None
         assert m.edge_ids == {0}
 
     def test_edgeless_root_yields_empty_witness(self):
         h = make_h(3, 1, 2, [])
-        w = augment(AugmentRun(h, PartialMatching(), params(), debug_invariants=True), 0)
+        w = augment(CheckedRun(h, PartialMatching(), params()), 0)
         assert w is not None and w.s == {0} and w.hitting_set == frozenset()
         assert w.bound == 0
         assert verify_witness(h, w) is None
@@ -254,7 +255,7 @@ class TestAugment:
         h = from_bipartite_graph([(0, 0), (1, 0), (1, 1)], 2, 2)
         m = PartialMatching()
         m.add(h, 1)
-        assert augment(AugmentRun(h, m, params(2, 1), debug_invariants=True), 0) is None
+        assert augment(CheckedRun(h, m, params(2, 1)), 0) is None
         assert sorted(m.edge_ids) == [0, 2]
         assert brute_force_perfect_matching(h) is not None
 
@@ -263,7 +264,7 @@ class TestAugment:
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
         m = PartialMatching()
         m.add(h, 1)
-        w = augment(AugmentRun(h, m, params(2, "1/2"), debug_invariants=True), 0)
+        w = augment(CheckedRun(h, m, params(2, "1/2")), 0)
         assert w is not None
         assert w.s == {0, 1} and w.hitting_set == {0}
         assert verify_witness(h, w) is None
@@ -276,14 +277,17 @@ class TestAugment:
             augment(AugmentRun(h, m, params()), 0)
 
     @pytest.mark.parametrize("traced", [False, True])
-    @pytest.mark.parametrize("debug", [False, True])
-    def test_rejects_matched_root_with_a_free_edge(self, traced, debug):
-        # The one-step walk finds the free edge 1 before any tree is planted.
+    @pytest.mark.parametrize("checking", [False, True])
+    def test_rejects_matched_root_with_a_free_edge(self, traced, checking):
+        # The one-step walk finds the free edge 1 before any tree is
+        # planted; a checked run plants none, as its tree refuses the root.
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         m = PartialMatching()
         m.add(h, 0)
         lines: list[str] = []
-        run = AugmentRun(h, m, params(), lines.append if traced else None, debug)
+        run = (CheckedRun if checking else AugmentRun)(
+            h, m, params(), lines.append if traced else None
+        )
         with pytest.raises(ValueError):
             augment(run, 0)
         assert m.edge_ids == {0} and lines == [] and vars(run.stats) == vars(SolveStats())
@@ -399,33 +403,37 @@ class TestOneStepMatch:
         mu=st.sampled_from([None, "1/2", "1/3"]),
         cap=st.sampled_from([None, 1, 2]),
         traced=st.booleans(),
-        debug=st.booleans(),
+        checking=st.booleans(),
     )
     # Root 1's first edge has one blocker on both of its B-vertices: |Y| = 1.
     @example(
         h=make_h(3, 2, 4, [(0, (0, 1)), (1, (0, 1)), (1, (2, 3))]),
-        eps=Fraction(1), mu=None, cap=None, traced=True, debug=False,
+        eps=Fraction(1), mu=None, cap=None, traced=True, checking=False,
     )
     @settings(max_examples=150, deadline=None)
-    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, cap, traced, debug):
-        # Plain, traced, debug and traced+debug, at the default and small
-        # iteration caps: same result (all that the result document
+    def test_solve_equals_full_path_in_every_mode(self, h, eps, mu, cap, traced, checking):
+        # Plain, traced, checked and traced+checked, at the default and
+        # small iteration caps: same result (all that the result document
         # prints) or error code and message, stats and trace lines.
-        # Debug runs never walk, so the walk is held to the debug solve.
-        def solve(debug):
+        # Checked runs never walk, so the walk is held to the checked solve.
+        def solve(checking):
             lines: list[str] = []
-            with substituted(mu), capped(cap) if cap else contextlib.nullcontext():
+            with (
+                substituted(mu),
+                capped(cap) if cap else contextlib.nullcontext(),
+                checked() if checking else contextlib.nullcontext(),
+            ):
                 trace = lines.append if traced else None
-                return solve_outcome(h, eps, trace=trace, debug_invariants=debug), lines
+                return solve_outcome(h, eps, trace=trace), lines
 
         with full_path():
-            full = solve(debug)
-        assert solve(debug) == full
-        if debug:
+            full = solve(checking)
+        assert solve(checking) == full
+        if checking:
             assert solve(False) == full
 
     def test_builds_no_layer_unless_debugging(self, monkeypatch):
-        # Plain and traced runs walk; debug runs build each root's layer 1.
+        # Plain and traced runs walk; checked runs build each root's layer 1.
         h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
         levels: list[int] = []
         build = AugmentRun.build_phase
@@ -435,10 +443,11 @@ class TestOneStepMatch:
         plain = find_perfect_matching(h, 1)
         assert plain.status == "perfect_matching" and levels == []
         for trace in (None, lambda line: None):
-            for debug in (False, True):
+            for checking in (False, True):
                 levels.clear()
-                res = find_perfect_matching(h, 1, trace=trace, debug_invariants=debug)
-                assert levels == ([1] * 30 if debug else [])
+                with checked() if checking else contextlib.nullcontext():
+                    res = find_perfect_matching(h, 1, trace=trace)
+                assert levels == ([1] * 30 if checking else [])
                 assert res.matching.edge_ids == plain.matching.edge_ids
                 assert vars(res.stats) == vars(plain.stats)
 
@@ -454,11 +463,11 @@ class TestOneStepMatch:
             engine, "signature_from_sizes", lambda *a: signatures.append(1) or signature(*a)
         )
 
-        def traced(debug=False):
+        def traced():
             trees.clear()
             signatures.clear()
             lines: list[str] = []
-            find_perfect_matching(h, 1, trace=lines.append, debug_invariants=debug)
+            find_perfect_matching(h, 1, trace=lines.append)
             return lines, len(trees), len(signatures)
 
         lines, planted, computed = traced()
@@ -467,9 +476,10 @@ class TestOneStepMatch:
             full, planted, computed = traced()
         assert (planted, computed) == (30, 0)
         assert lines == full and check_trace_lines(lines) is None
-        # Debug runs keep the monitored path, whose computed signature the
-        # written boundary lines equal.
-        assert traced(debug=True) == (lines, 30, 30)
+        # Checked runs compute the signature that each written boundary
+        # line equals.
+        with checked():
+            assert traced() == (lines, 30, 30)
 
     def test_an_edge_meeting_only_a_blocker_is_skipped(self, monkeypatch):
         # Root 1's first edge is blocked by edge 0, whose B-vertex 2 its
@@ -623,8 +633,6 @@ class TestCollapseSwapStepwise:
         assert run.build_phase() is None
         assert run.tree.layers[1].x == {2} and run.tree.layers[1].y == set()
         assert collapsible(run, run.tree.layers[1].x)
-        from hbmatch.tree import validate_tree
-
         assert validate_tree(h, m, run.tree) is None
         matched_root = run.collapse_layer([2])
         assert not matched_root
@@ -643,10 +651,10 @@ class TestDeepCascade:
         k = 8
         h = shift_chain(k)
         events = []
-        res = find_perfect_matching(
-            h, "1/2", debug_invariants=True,
-            trace=per_line(lambda line: events.append(trace_event(line))),
-        )
+        with checked():
+            res = find_perfect_matching(
+                h, "1/2", trace=per_line(lambda line: events.append(trace_event(line)))
+            )
         assert res.status == "perfect_matching"
         assert res.stats.max_layers == k + 1
         assert res.stats.swaps == k
@@ -658,10 +666,10 @@ class TestDeepCascade:
         # the swapped entry before L_2 is discarded.
         h = make_h(2, 2, 4, [(0, (1,)), (1, (1,)), (0, (2,)), (0, (3,))])
         events = []
-        res = find_perfect_matching(
-            h, "1/2", debug_invariants=True,
-            trace=per_line(lambda line: events.append(trace_event(line))),
-        )
+        with checked():
+            res = find_perfect_matching(
+                h, "1/2", trace=per_line(lambda line: events.append(trace_event(line)))
+            )
         collapses = [f for n, f in events if n == "collapse"]
         assert {"layer": 2, "swaps": 1, "root_matched": 0} in collapses
         assert res.status == "perfect_matching"
@@ -674,7 +682,8 @@ class TestDebugInvariantsOnDeepTrees:
         # iteration boundary (COUNTER_MISMATCH), here on trees of 4-12 layers
         for seed in range(6):
             h = shuffled_planted(seed, 60)
-            res = find_perfect_matching(h, 1, debug_invariants=True)
+            with checked():
+                res = find_perfect_matching(h, 1)
             assert res.stats.max_layers >= 3
             assert res.stats == find_perfect_matching(h, 1).stats
             if res.witness is not None:
@@ -686,7 +695,7 @@ class TestDebugInvariantsOnDeepTrees:
         # At r=3, eps=1, 1/delta = 45: from y_total = 45 on, the growth
         # test asks for more than a nonempty layer.  Tight shuffled
         # instances pass and fail it there and commit (1+mu) rebuilds, and
-        # debug checks stay clean on them.
+        # checked runs stay clean on them.
         assert Parameters.for_instance(3, 1).delta == Fraction(1, 45)
         seen = set()
         for seed in range(3000, 3006):
@@ -701,14 +710,14 @@ class TestDebugInvariantsOnDeepTrees:
                     seen.add(f["result"])
                 elif name == "superposed" and f["committed"] == 1:
                     seen.add("committed")
-            assert find_perfect_matching(h, 1, debug_invariants=True).stats == res.stats
+            with checked():
+                assert find_perfect_matching(h, 1).stats == res.stats
         assert seen == {"pass", "fail", "committed"}
 
 
-def debug_run(h, m=None, root=0):
-    """A debug-mode run of `h` at epsilon 1, started at `root`."""
-    run = AugmentRun(h, m if m is not None else PartialMatching(), params(h.r, 1),
-                     debug_invariants=True)
+def checked_started(h, m=None, root=0):
+    """A checked run of `h` at epsilon 1, started at `root`."""
+    run = CheckedRun(h, m if m is not None else PartialMatching(), params(h.r, 1))
     run.start(root)
     return run
 
@@ -729,7 +738,8 @@ def raised(call) -> InternalSolverError:
 
 
 class TestEachEngineCodeFires:
-    """Each engine check, on a fault built by hand or by a faulty step."""
+    """Each engine check and each check of the checked run, on a fault
+    built by hand or by a faulty step."""
 
     def test_collapsible_layer_at_a_boundary(self):
         # Root 0 has three edges, one blocked by vertex 1's matched edge:
@@ -737,11 +747,11 @@ class TestEachEngineCodeFires:
         h = make_h(2, 2, 3, [(0, (0,)), (0, (1,)), (0, (2,)), (1, (0,))])
         m = PartialMatching()
         m.add(h, 3)
-        run = debug_run(h, m)
+        run = checked_started(h, m)
         layer = append_built_layer(run)
         assert (layer.x, layer.y) == ({0, 1, 2}, {3})
         assert run.params.exceeds_mu(len(layer.x) - len(layer.y), len(layer.x))
-        err = raised(run._check_boundary_invariants)
+        err = raised(run.check_boundary_invariants)
         assert str(err) == "COLLAPSIBLE_AT_BOUNDARY: layer 1 is collapsible"
 
     def test_layer_not_grown_past_delta(self):
@@ -749,10 +759,10 @@ class TestEachEngineCodeFires:
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
         m = PartialMatching()
         m.add(h, 1)
-        run = debug_run(h, m)
+        run = checked_started(h, m)
         append_built_layer(run)
         assert append_built_layer(run).x == set()
-        err = raised(run._check_boundary_invariants)
+        err = raised(run.check_boundary_invariants)
         assert str(err) == "LAYER_GROWTH: layer 2: |X|=0 vs 2 below"
 
     def test_rebuild_reaching_one_plus_mu(self):
@@ -762,32 +772,32 @@ class TestEachEngineCodeFires:
         m = PartialMatching()
         m.add(h, 2)
         m.add(h, 3)
-        run = debug_run(h, m)
+        run = checked_started(h, m)
         assert append_built_layer(run, u_bound=1).x == {0}
-        err = raised(run._check_boundary_invariants)
+        err = raised(run.check_boundary_invariants)
         assert str(err) == "SUPERPOSED_GROWTH_AT_BOUNDARY: layer 1: rebuild reaches 2 from 1"
 
     def test_matched_set_drifting_mid_run(self):
         h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
-        run = debug_run(h)
+        run = checked_started(h)
         run.m.add(h, 1)
-        err = raised(run._check_boundary_invariants)
+        err = raised(run.check_boundary_invariants)
         assert str(err) == "MATCHED_SET_CHANGED: A(M) drifted mid-run"
 
     def test_run_ending_with_more_than_the_root_matched(self):
         h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
-        run = debug_run(h)
+        run = checked_started(h)
         run.m.add(h, 0)
-        run._check_matched_exactly_root()
+        run.check_matched_exactly_root()
         run.m.add(h, 1)
-        err = raised(run._check_matched_exactly_root)
+        err = raised(run.check_matched_exactly_root)
         assert str(err) == "MATCHED_SET_CHANGED: run did not add exactly the root"
 
     def test_matching_maps_out_of_step(self):
         h = make_h(2, 2, 2, [(0, (0,)), (1, (1,))])
-        run = debug_run(h)
+        run = checked_started(h)
         run.m.b_of[0] = 1  # a stale B-vertex entry
-        err = raised(run._check_boundary_invariants)
+        err = raised(run.check_boundary_invariants)
         assert err.code == "MATCHING_INVALID" and "MAP_INCONSISTENT" in str(err)
 
     def test_swap_leaving_its_blocker_in_the_matching(self, monkeypatch):
@@ -798,7 +808,8 @@ class TestEachEngineCodeFires:
             m.b_of.update(dict.fromkeys(h.edge_bs[f_out], f_out))
 
         monkeypatch.setattr(engine, "swap", faulty_swap)
-        err = raised(lambda: find_perfect_matching(shift_chain(3), 1, debug_invariants=True))
+        with checked():
+            err = raised(lambda: find_perfect_matching(shift_chain(3), 1))
         assert err.code == "MATCHING_AFTER_SWAP" and "MAP_INCONSISTENT" in str(err)
 
     def test_augment_leaving_a_root_bare(self, monkeypatch):
@@ -817,7 +828,8 @@ class TestFindPerfectMatching:
 
     def test_complete_bipartite_2x2(self):
         h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
-        res = find_perfect_matching(h, "1/2", debug_invariants=True)
+        with checked():
+            res = find_perfect_matching(h, "1/2")
         assert res.status == "perfect_matching" and len(res.matching) == 2
         assert brute_force_perfect_matching(h) is not None
 
@@ -825,13 +837,15 @@ class TestFindPerfectMatching:
         spec = GeneratorSpec(mode="guaranteed", r=3, a_count=4, b_count=40, d=5, seed=3)
         h = generate(spec)
         assert check_haxell(h, Fraction(1)).satisfied
-        res = find_perfect_matching(h, 1, debug_invariants=True)
+        with checked():
+            res = find_perfect_matching(h, 1)
         assert res.status == "perfect_matching"
         assert verify_matching(h, res.matching, require_perfect=True) is None
 
     def test_witness_passes_crosscheck(self):
         h = make_h(2, 3, 1, [(0, (0,)), (1, (0,)), (2, (0,))])
-        res = find_perfect_matching(h, "1/2", debug_invariants=True)
+        with checked():
+            res = find_perfect_matching(h, "1/2")
         w = res.witness
         assert w is not None and verify_witness(h, w) is None
         tau = len(min_hitting_set(h, incident_edges(h, w.s)))
@@ -846,11 +860,52 @@ class TestFindPerfectMatching:
             extra_edges=na + seed % 3, seed=seed,
         )
         h = generate(spec)
-        res = find_perfect_matching(h, "1/2", debug_invariants=True)
+        with checked():
+            res = find_perfect_matching(h, "1/2")
         if res.witness is not None:
             assert verify_witness(h, res.witness) is None
         else:
             assert verify_matching(h, res.matching, require_perfect=True) is None
+
+
+def hall_instance(na, extra_edges, seed):
+    """Shuffled r=2 instance with nb = na, so its planted matching is perfect."""
+    return generate(GeneratorSpec("shuffled", 2, na, na, extra_edges=extra_edges, seed=seed))
+
+
+class TestHallRegime:
+    """At r = 2, tau(E_S) = |N(S)|, so at eps*(na-1) < 1 the condition is
+    Hall's, which a planted perfect matching proves.  Every solve must end
+    in a matching: a witness would be a verified violation of a condition
+    that holds."""
+
+    @given(
+        na=st.integers(1, 60),
+        extra=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_solve_ends_in_a_perfect_matching(self, na, extra, seed):
+        h, eps = hall_instance(na, extra * na, seed), Fraction(1, na)
+        plain = find_perfect_matching(h, eps)
+        runs: list[str] = []
+        traced = find_perfect_matching(h, eps, trace=runs.append)
+        with checked():
+            checked_res = find_perfect_matching(h, eps)
+        assert check_trace_lines(runs) is None
+        for res in (plain, traced, checked_res):
+            assert res.status == "perfect_matching"
+            assert res.matching.edge_ids == plain.matching.edge_ids
+            assert vars(res.stats) == vars(plain.stats)
+
+    def test_the_shape_grows_deep_trees(self):
+        # The property runs the checked run on trees of several layers.
+        depths = []
+        for seed in range(8):
+            with checked():
+                res = find_perfect_matching(hall_instance(60, 120, seed), Fraction(1, 60))
+            depths.append(res.stats.max_layers)
+        assert max(depths) >= 4
 
 
 class TestLargeEpsilon:
@@ -870,7 +925,8 @@ class TestLargeEpsilon:
         # planted instances above all end in a matching.
         corpus.append(make_h(r, 2, r - 1, [(0, tuple(range(r - 1))), (1, tuple(range(r - 1)))]))
         for h in corpus:
-            res = find_perfect_matching(h, eps, debug_invariants=True)
+            with checked():
+                res = find_perfect_matching(h, eps)
             if res.witness is not None:
                 assert res.witness.epsilon == Fraction(eps)
                 assert verify_witness(h, res.witness) is None
@@ -890,10 +946,10 @@ class TestWitnessExtractionRegimes:
         edges += [(0, (19,))]                          # a0's free alternative
         h = make_h(2, 20, 20, edges)
         events = []
-        res = find_perfect_matching(
-            h, 2, debug_invariants=True,
-            trace=per_line(lambda line: events.append(trace_event(line))),
-        )
+        with checked():
+            res = find_perfect_matching(
+                h, 2, trace=per_line(lambda line: events.append(trace_event(line)))
+            )
         fails = [f for n, f in events if n == "growth" and f["result"] == "fail"]
         assert fails == [{"result": "fail", "x": 1, "y_total": 20}]
         w = res.witness
@@ -911,7 +967,7 @@ class TestWitnessExtractionRegimes:
         m.add(h, 0)
         m.add(h, 1)
         m.add(h, 5)
-        w = augment(AugmentRun(h, m, params(2, 1, "1/2"), debug_invariants=True), 2)
+        w = augment(CheckedRun(h, m, params(2, 1, "1/2")), 2)
         assert w is not None and verify_witness(h, w) is None
         assert w.s == frozenset({0, 1})
         assert w.hitting_set == frozenset({0, 1})
@@ -936,7 +992,8 @@ class TestSolverAgreesWithExhaustiveCheck:
         )
         h = generate(spec)
         eps = Fraction(1, 2)
-        res = find_perfect_matching(h, eps, debug_invariants=True)
+        with checked():
+            res = find_perfect_matching(h, eps)
         if res.witness is not None:
             assert verify_witness(h, res.witness) is None
             assert not check_haxell(h, eps).satisfied
@@ -956,14 +1013,14 @@ class TestAugmentContract:
         root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
         if root is None:
             return
-        before = m.matched_a_vertices()
-        w = augment(AugmentRun(h, m, params(h.r, "1/2"), debug_invariants=True), root)
+        before = set(m.a_of)
+        w = augment(CheckedRun(h, m, params(h.r, "1/2")), root)
         if w is None:
-            assert m.matched_a_vertices() == before | {root}
+            assert set(m.a_of) == before | {root}
             assert verify_matching(h, m) is None
         else:
             assert verify_witness(h, w) is None
-            assert m.matched_a_vertices() == before
+            assert set(m.a_of) == before
 
 
 class TestTreeSignature:
@@ -979,8 +1036,8 @@ class TestTreeSignature:
         monkeypatch.setattr(
             engine, "signature_from_sizes", lambda sizes, memo: calls.append(sizes) or (const, 0)
         )
-        with pytest.raises(InternalSolverError) as exc:
-            find_perfect_matching(shift_chain(3), 1, debug_invariants=True)
+        with pytest.raises(InternalSolverError) as exc, checked():
+            find_perfect_matching(shift_chain(3), 1)
         assert len(calls) >= 2
         v = check_signature_step(const, const)
         assert exc.value.code == v.code == "SIGNATURE_NOT_DECREASING"
@@ -992,11 +1049,12 @@ class TestTraceSinkRuns:
     run's lines joined by newlines, every line delivered before the run
     returns or raises."""
 
-    @pytest.mark.parametrize("debug", [False, True])
-    def test_one_call_per_augment_start(self, debug):
+    @pytest.mark.parametrize("checking", [False, True])
+    def test_one_call_per_augment_start(self, checking):
         runs: list[str] = []
         h = shuffled_planted(1, 60)
-        find_perfect_matching(h, 1, trace=runs.append, debug_invariants=debug)
+        with checked() if checking else contextlib.nullcontext():
+            find_perfect_matching(h, 1, trace=runs.append)
         lines = "\n".join(runs).split("\n")
         assert len(runs) > 1 and len(lines) > 7 * len(runs)
         assert sum(line.startswith("augment_start ") for line in lines) == len(runs)
@@ -1024,8 +1082,8 @@ class TestTraceSinkRuns:
 
         monkeypatch.setattr(engine, "signature_from_sizes", lambda sizes, memo: ((-1, 1), 0))
         runs: list[str] = []
-        with pytest.raises(InternalSolverError) as exc:
-            find_perfect_matching(shift_chain(3), 1, trace=runs.append, debug_invariants=True)
+        with pytest.raises(InternalSolverError) as exc, checked():
+            find_perfect_matching(shift_chain(3), 1, trace=runs.append)
         assert exc.value.code == "SIGNATURE_NOT_DECREASING"
         last = runs[-1].split("\n")
         assert last[0] == "augment_start root=3 matched=3"
@@ -1039,9 +1097,10 @@ class TestTraceSinkRuns:
             "growth result=pass x=1 y_total=1\ncollapse layer=1 swaps=0 root_matched=1\n"
             "augment_end outcome=matched iterations=1"
         )
-        for debug in (True, False):
+        for checking in (True, False):
             runs: list[str] = []
-            find_perfect_matching(h, 1, trace=runs.append, debug_invariants=debug)
+            with checked() if checking else contextlib.nullcontext():
+                find_perfect_matching(h, 1, trace=runs.append)
             assert runs == [expected]
 
 
@@ -1061,19 +1120,10 @@ class TestTraceEvents:
     def test_stats_independent_of_debug_mode(self):
         h = shift_chain(5)
         plain = find_perfect_matching(h, "1/2")
-        debug = find_perfect_matching(h, "1/2", debug_invariants=True)
-        assert (
-            plain.stats.iterations,
-            plain.stats.max_layers,
-            plain.stats.swaps,
-            plain.stats.build_ops,
-        ) == (
-            debug.stats.iterations,
-            debug.stats.max_layers,
-            debug.stats.swaps,
-            debug.stats.build_ops,
-        )
-        assert sorted(plain.matching.edge_ids) == sorted(debug.matching.edge_ids)
+        with checked():
+            checked_res = find_perfect_matching(h, "1/2")
+        assert vars(plain.stats) == vars(checked_res.stats)
+        assert sorted(plain.matching.edge_ids) == sorted(checked_res.matching.edge_ids)
 
 
 class TestCollapsibleEarlyExit:

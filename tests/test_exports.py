@@ -43,7 +43,7 @@ def test_package_exports_the_solver_kernel_and_generators():
 @pytest.mark.parametrize(
     "function, names",
     [
-        (hbmatch.find_perfect_matching, ["h", "epsilon", "trace", "debug_invariants"]),
+        (hbmatch.find_perfect_matching, ["h", "epsilon", "trace"]),
         (hbmatch.Parameters.for_instance, ["r", "epsilon"]),
         (check_haxell, ["h", "epsilon"]),
     ],
@@ -102,7 +102,7 @@ def test_every_raised_code_is_named_by_a_test():
                 and isinstance(node.args[0].value, str)
             ):
                 codes.setdefault(node.args[0].value, f"{path.name}:{node.lineno}")
-    assert {"COLLAPSIBLE_AT_BOUNDARY", "INDEX_OUT_OF_RANGE", "LOG_OF_ZERO"} <= set(codes)
+    assert {"CERTIFICATE_INVALID", "INDEX_OUT_OF_RANGE", "LOG_OF_ZERO"} <= set(codes)
     tests = "\n".join(
         path.read_text() for path in sorted(Path(__file__).parent.glob("test_*.py"))
     )

@@ -181,7 +181,7 @@ class TestCheckHaxell:
         for eps in (Fraction(1), Fraction(1, 7)):
             res = check_haxell(h, eps)
             assert not res.satisfied
-            assert res.violator == (0,) and res.tau == 0
+            assert res.violator == (0,) and res.tau == 0 and res.hitting_set == ()
 
     def test_private_disjoint_edges_satisfy(self):
         # two A-vertices, four pairwise B-disjoint private edges each
@@ -210,6 +210,7 @@ class TestCheckHaxell:
         res = check_haxell(h, Fraction(1))
         assert not res.satisfied
         assert res.violator == (0, 1) and res.tau == 2 and res.bound == 2
+        assert res.hitting_set == (0, 1)
 
     def test_classic_condition_is_epsilon_zero(self):
         h = from_bipartite_graph([(a, b) for a in range(2) for b in range(2)], 2, 2)
@@ -253,6 +254,21 @@ class TestCheckHaxell:
         assert not res.satisfied
         assert (res.violator, res.tau, res.bound) == (tuple(range(8)), 8, 8)
         assert find_perfect_matching(h, Fraction(1, 8)).status == "perfect_matching"
+
+    @given(h=hypergraphs(max_a=4, max_b=7, max_edges=12), eps=st.sampled_from(["0", "1/2", "1", "3"]))
+    @settings(max_examples=60, deadline=None)
+    def test_violation_carries_a_minimum_hitting_set(self, h, eps):
+        # The VIOLATED answer proves itself: its sorted set hits every
+        # edge of E_S, has tau members, and no smaller set does.
+        res = check_haxell(h, eps)
+        if res.satisfied:
+            assert res.hitting_set is None
+            return
+        family = incident_edges(h, res.violator)
+        assert res.hitting_set == tuple(sorted(set(res.hitting_set)))
+        assert all(set(h.edge_bs[eid]) & set(res.hitting_set) for eid in family)
+        assert res.tau == len(res.hitting_set) == exhaustive_min_hitting_set(h, family)
+        assert res.tau <= res.bound
 
     def test_subset_cap(self):
         h = make_h(2, 21, 1, [])

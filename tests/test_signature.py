@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -111,6 +112,36 @@ class TestParameters:
     def test_uniformity_that_is_not_an_int_is_refused(self, r):
         with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
             Parameters.for_instance(r, 1)
+
+    @pytest.mark.parametrize(
+        "mu, shown",
+        [(0.1, "0.1"), (Fraction(0), "Fraction(0, 1)"), (Fraction(1), "Fraction(1, 1)"),
+         (Fraction(3, 2), "Fraction(3, 2)"), (Fraction(-1, 2), "Fraction(-1, 2)"), (1, "1")],
+        ids=["float", "zero", "one", "above-one", "negative", "int"],
+    )
+    def test_mu_outside_the_open_unit_interval_is_refused(self, mu, shown):
+        # A float mu once built u = 10 and a float b; mu = 0 or 1 divided by zero.
+        message = rf"^mu must be a Fraction in \(0, 1\), got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            Parameters(Fraction(1), 3, mu)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(params_r3_eps1(), mu=mu)
+
+    @pytest.mark.parametrize(
+        "epsilon, shown",
+        [(0.5, "0.5"), (Fraction(0), "Fraction(0, 1)"), (Fraction(-1), "Fraction(-1, 1)"),
+         (1, "1"), ("1", "'1'")],
+        ids=["float", "zero", "negative", "int", "str"],
+    )
+    def test_epsilon_that_is_not_a_positive_fraction_is_refused(self, epsilon, shown):
+        message = rf"^epsilon must be a Fraction > 0, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            Parameters(epsilon, 3, Fraction(1, 90))
+
+    @pytest.mark.parametrize("r", [1, 0, 3.0, True, "3", None])
+    def test_constructor_refuses_an_r_as_for_instance_does(self, r):
+        with pytest.raises(ValueError, match=r"^uniformity r must be >= 2$"):
+            Parameters(Fraction(1), r, Fraction(1, 90))
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("eps", ["1", "1/2", "1/7", "3"])

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from hbmatch import PartialMatching
 from hbmatch.core import Violation, blocking_edges, is_immediately_addable, swap
-from hbmatch.tree import AlternatingTree, Layer, build_layer, validate_tree
+from hbmatch.tree import AlternatingTree, Layer, build_layer
 
+from .checked_run import validate_tree
 from .conftest import hypergraphs_with_matching, make_h, shuffled_planted
 
 
