@@ -45,7 +45,8 @@ class ParseError(ValueError):
 def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     """Check all structural invariants; return the first violation or None.
 
-    Codes: COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
+    Codes: INSTANCE_TYPE (not a :class:`BipartiteHypergraph` at all),
+    COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
     NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
     DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
     checks only syntax and leaves every one of these rules to this check.
@@ -53,6 +54,8 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     violation of an edge carries its id.  The result is kept on the
     immutable instance, so the parser and the solver share one check.
     """
+    if not isinstance(h, BipartiteHypergraph):
+        return Violation("INSTANCE_TYPE", f"not a BipartiteHypergraph: {type(h).__name__}")
     if not h._validated:
         h._violation = _first_violation(h)
         h._validated = True

@@ -5,6 +5,9 @@ separate index spaces.  Every edge has exactly one A-vertex and r-1
 distinct B-vertices.  Edge ids are positions in the edge list; index
 order on vertices and edge-list order on edges are the canonical total
 orders used for every tie-break in the solver.
+
+A :class:`PartialMatching` is two vertex maps, which the solver reads
+directly, and two checked moves: a collapse's swap is `remove` then `add`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ __all__ = [
     "InstanceError",
     "MatchingError",
     "incident_edges",
-    "blocking_edges",
-    "is_immediately_addable",
-    "swap",
 ]
 
 
@@ -158,8 +158,10 @@ class PartialMatching:
     """A mutable set of pairwise vertex-disjoint edges, kept as two maps.
 
     `a_of` / `b_of` map each covered vertex to the member edge covering
-    it, so blocking queries run in O(r).  An edge has one A-vertex, so
+    it: an edge is blocked by `b_of[b]` for its B-vertices b in `b_of`.
     `e` is a member iff `a_of[edge_a[e]] == e`; `edge_ids` is a new set.
+    `add` refuses an edge meeting a member (OVERLAP), `remove` a
+    non-member (NOT_IN_MATCHING), before any change.
     """
 
     __slots__ = ("a_of", "b_of")
@@ -174,9 +176,6 @@ class PartialMatching:
 
     def __len__(self) -> int:
         return len(self.a_of)
-
-    def matches_a(self, a: int) -> bool:
-        return a in self.a_of
 
     def add(self, h: BipartiteHypergraph, edge_id: int) -> None:
         a, bs = h.edge_a[edge_id], h.edge_bs[edge_id]
@@ -201,38 +200,3 @@ class PartialMatching:
         for b in h.edge_bs[edge_id]:
             del self.b_of[b]
 
-
-def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> set[int]:
-    """Matching edges sharing a B-vertex with edge `edge_id`.
-
-    An edge of M that meets it only in its A-vertex does not block it.
-    The result has at most r-1 members since each of its B-vertices
-    lies in at most one matching edge.
-    """
-    return {m.b_of[b] for b in h.edge_bs[edge_id] if b in m.b_of}
-
-
-def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> bool:
-    """True iff edge `edge_id` has no blocking edges under `m`."""
-    return m.b_of.keys().isdisjoint(h.edge_bs[edge_id])
-
-
-def swap(h: BipartiteHypergraph, m: PartialMatching, f_out: int, e_in: int) -> PartialMatching:
-    """Replace `f_out` by the immediately addable `e_in` for the same A-vertex.
-
-    Checks every precondition (a non-member `f_out` in `m.remove`) before
-    mutating `m` in place; returns `m`, with the same matched A-vertices.
-    """
-    a_out, a_in = h.edge_a[f_out], h.edge_a[e_in]
-    if a_out != a_in:
-        raise MatchingError(
-            "A_VERTEX_MISMATCH", f"edge {f_out} matches {a_out}, edge {e_in} is for {a_in}"
-        )
-    blockers = blocking_edges(h, m, e_in)
-    if blockers:
-        raise MatchingError(
-            "NOT_ADDABLE", f"edge {e_in} blocked by {sorted(blockers)}"
-        )
-    m.remove(h, f_out)
-    m.add(h, e_in)
-    return m

@@ -44,14 +44,7 @@ from fractions import Fraction
 from typing import AbstractSet, Callable, Iterator
 
 from .certify import WitnessCertificate, validate_instance, verify_matching, verify_witness
-from .core import (
-    BipartiteHypergraph,
-    CodedError,
-    InstanceError,
-    PartialMatching,
-    is_immediately_addable,
-    swap,
-)
+from .core import BipartiteHypergraph, CodedError, InstanceError, PartialMatching
 from .params import Parameters
 from .signature import SignatureMemo, signature_from_sizes, working_digits
 from .tree import AlternatingTree, Layer, build_layer
@@ -281,13 +274,14 @@ class AugmentRun:
         are immediately addable.
 
         Each check walks X in edge order once, at every level, and hands
-        the addable edges it lists to the collapse.  Returns True when
+        the addable edges it lists to the collapse: those with no
+        B-vertex in the matching, the walk's test.  Returns True when
         the root was matched, ending the run.
         """
-        h, m, tree = self.h, self.m, self.tree
+        edge_bs, b_of, tree = self.h.edge_bs, self.m.b_of, self.tree
         while True:  # a collapse of layer 1 matches the root, so a layer remains
             x = tree.layers[-1].x
-            addable = [eid for eid in sorted(x) if is_immediately_addable(h, m, eid)]
+            addable = [eid for eid in sorted(x) if b_of.keys().isdisjoint(edge_bs[eid])]
             if not self.params.exceeds_mu(len(addable), len(x)):
                 return False
             if self.collapse_layer(addable):
@@ -300,10 +294,10 @@ class AugmentRun:
         order.  Each A-vertex's least one is taken: in layer 1 it is
         added for the root, in a higher layer it replaces the vertex's
         blocker one level below.  Then the layer is discarded and the
-        lazy rebuild runs.  A swap removes a blocker, whose B-vertices
-        lie in the layer below, and adds an X-edge disjoint from the
-        other X-edges, so no swap changes which X-edges here are
-        addable: the list stays what the live matching gives.
+        lazy rebuild runs.  A swap is `m.remove` of the blocker, whose
+        B-vertices lie in the layer below, then `m.add` of an X-edge
+        disjoint from the other X-edges, so no swap changes which X-edges
+        here are addable: the list stays what the live matching gives.
         """
         h, m, tree = self.h, self.m, self.tree
         level = tree.level()
@@ -319,7 +313,8 @@ class AugmentRun:
                 break
             served.add(a)
             f = m.a_of[a]
-            swap(h, m, f, eid)
+            m.remove(h, f)
+            m.add(h, eid)
             tree.remove_y_edge(level - 1, f)
             self.stats.swaps += 1
         tree.discard_last()

@@ -84,7 +84,12 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        """Refuse what no instance file can hold: r < 2 or a negative count."""
+        """Refuse what no instance file can hold: a field but mode that is
+        not an int (a bool is not one; d may be None), r < 2 or a negative count."""
+        for name in ("r", "a_count", "b_count", "extra_edges", "d", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "d" and value is None):
+                raise InfeasibleSpec(f"{name} must be an int, got {value!r}")
         if self.r < 2:
             raise InfeasibleSpec(f"uniformity r={self.r} must be >= 2")
         counts = (("na", self.a_count), ("nb", self.b_count),

@@ -7,8 +7,10 @@ A-vertex of the blocking edges one level below, and no B-vertex occurs
 in two layers.  The tree additionally enforces a per-vertex cap on
 non-blocking edges (`u_bound`), which is what keeps layer growth
 balanced across A-vertices.  The engine keeps these invariants by
-construction and never re-checks them; the test suite's checked run
-(`tests/checked_run.py`) re-checks every one at each iteration boundary.
+construction and never re-checks them (no B-vertex in two layers is why
+a collapse's swap needs only the matching's `remove` and `add`); the
+test suite's checked run (`tests/checked_run.py`) re-checks every one
+at each iteration boundary.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class AlternatingTree:
     """
 
     def __init__(self, h: BipartiteHypergraph, m: PartialMatching, root: int, u_bound: int):
-        if m.matches_a(root):
+        if root in m.a_of:
             raise ValueError(f"root {root} is already matched")
         self.h = h
         self.root = root

@@ -6,10 +6,10 @@ there.  The tests do: :class:`CheckedRun` is an :class:`AugmentRun` that
 takes the full loop at every root and, with the same codes as
 :class:`InternalSolverError`, re-checks
 
-- at every iteration boundary: the signature step, the tree
-  (:func:`validate_tree`), the matching, the matched A-vertices, and per
-  layer that it is not collapsible, grew past delta times the blocking
-  count below it, and has no rebuild reaching (1+mu)|X|;
+- at every iteration boundary: the tree (:func:`validate_tree`), the
+  matching, the matched A-vertices, and per layer that it is not
+  collapsible, grew past delta times the blocking count below it, and
+  has no rebuild reaching (1+mu)|X|; then the signature step;
 - after every collapse's swaps: the matching, before the rebuild reads it;
 - at the end of every run that matched its root: that exactly the root
   was added.
@@ -28,18 +28,30 @@ from unittest import mock
 
 import hbmatch.engine as engine
 from hbmatch.certify import WitnessCertificate, verify_matching
-from hbmatch.core import (
-    BipartiteHypergraph,
-    PartialMatching,
-    Violation,
-    blocking_edges,
-    is_immediately_addable,
-)
+from hbmatch.core import BipartiteHypergraph, PartialMatching, Violation
 from hbmatch.engine import AugmentRun, InternalSolverError
 from hbmatch.signature import check_signature_step
 from hbmatch.tree import AlternatingTree
 
-__all__ = ["CheckedRun", "checked", "validate_tree"]
+__all__ = ["CheckedRun", "checked", "validate_tree", "blocking_edges", "is_immediately_addable"]
+
+
+def blocking_edges(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> set[int]:
+    """Matching edges sharing a B-vertex with edge `edge_id`: the
+    definition of Y that :func:`validate_tree` checks.
+
+    An edge of M that meets it only in its A-vertex does not block it.
+    The result has at most r-1 members since each of its B-vertices
+    lies in at most one matching edge.
+    """
+    return {m.b_of[b] for b in h.edge_bs[edge_id] if b in m.b_of}
+
+
+def is_immediately_addable(h: BipartiteHypergraph, m: PartialMatching, edge_id: int) -> bool:
+    """True iff edge `edge_id` has no blocking edges under `m`: the
+    addability that the boundary check counts, written apart from the
+    engine's scan so that the two are checked against each other."""
+    return not blocking_edges(h, m, edge_id)
 
 
 def validate_tree(
@@ -49,7 +61,7 @@ def validate_tree(
 
     Returns the first violated invariant with its layer index, or None.
     """
-    if m.matches_a(tree.root):
+    if tree.root in m.a_of:
         return Violation("ROOT_MATCHED", f"root {tree.root} is matched")
     edge_a, edge_bs = h.edge_a, h.edge_bs
     seen_b: dict[int, int] = {}
@@ -145,9 +157,11 @@ class CheckedRun(AugmentRun):
         return witness
 
     def build_phase(self) -> WitnessCertificate | None:
-        # run() calls this right after each iteration boundary
-        self.check_signature()
+        # run() calls this right after each iteration boundary; the
+        # invariants go first, so a broken tree is named as such and not
+        # as the signature step it also breaks
         self.check_boundary_invariants()
+        self.check_signature()
         return super().build_phase()
 
     def superposed_build(self) -> None:

@@ -142,7 +142,7 @@ def hypergraphs_with_matching(draw, **kwargs):
     order = draw(st.permutations(range(h.m))) if h.m else []
     for eid in order:
         e = h.edges[eid]
-        if not m.matches_a(e.a) and not any(b in m.b_of for b in e.bs):
+        if e.a not in m.a_of and not any(b in m.b_of for b in e.bs):
             if draw(st.booleans()):
                 m.add(h, eid)
     return h, m

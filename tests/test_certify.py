@@ -425,6 +425,16 @@ class TestInstanceValidation:
         v = check_result(h, {"status": "perfect_matching", "matching": [0]})
         assert v is not None and v.code == "COUNT_TYPE"
 
+    @pytest.mark.parametrize("h", [None, [(0, (0,))], "2 1 1"], ids=["none", "list", "text"])
+    def test_instance_that_is_not_a_hypergraph_is_refused(self, h):
+        # None used to raise AttributeError on the validation cache.
+        v = Violation("INSTANCE_TYPE", f"not a BipartiteHypergraph: {type(h).__name__}")
+        assert certify.validate_instance(h) == v
+        with pytest.raises(InstanceError) as exc:
+            find_perfect_matching(h, 1)
+        assert str(exc.value) == str(v)
+        assert check_result(h, {"status": "perfect_matching", "matching": []}) == v
+
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])
         first = certify.validate_instance(h)

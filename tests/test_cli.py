@@ -995,7 +995,7 @@ class TestCommands:
         assert outs[0] == outs[1]
         assert traces[0] == traces[1]
 
-    def test_debug_invariants_flag(self, tmp_path):
+    def test_solve_runs_checked(self, tmp_path):
         # The path checks live in the tests: a checked solve through the CLI.
         inst = self.write_instance(tmp_path, shift_chain(5))
         with checked():
@@ -1021,7 +1021,7 @@ class TestCommands:
         assert main(["verify", "--instance", inst, "--result", str(out)]) == 1
         assert "line 2: duplicate key 'status'" in capsys.readouterr().err
 
-    def test_debug_invariant_failure_is_exit_1_with_code(self, tmp_path, capsys, monkeypatch):
+    def test_checked_failure_is_exit_1_with_code(self, tmp_path, capsys, monkeypatch):
         inst = self.write_instance(tmp_path, shift_chain(5))
         monkeypatch.setattr(
             checked_run, "validate_tree", lambda h, m, tree: Violation("FORCED", "test")

@@ -18,15 +18,12 @@ from hbmatch.core import (
     InstanceError,
     MatchingError,
     Violation,
-    blocking_edges,
     incident_edges,
-    is_immediately_addable,
-    swap,
 )
 from hbmatch.engine import InternalSolverError
 from hbmatch.signature import SignatureError
 
-from .checked_run import checked
+from .checked_run import blocking_edges, checked, is_immediately_addable
 from .conftest import (
     hypergraphs,
     hypergraphs_with_matching,
@@ -186,28 +183,24 @@ class TestAdd:
 
 
 class TestSwap:
+    """A collapse's swap: `remove` of the blocker, then `add` of the edge."""
+
     def test_disjoint_replacement(self):
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         m = PartialMatching()
         m.add(h, 0)
-        swap(h, m, 0, 1)
+        m.remove(h, 0)
+        m.add(h, 1)
         assert m.edge_ids == {1}
         assert set(m.a_of) == {0}
-
-    def test_blocked_by_own_matching_edge(self):
-        h = make_h(3, 1, 3, [(0, (0, 1)), (0, (1, 2))])
-        m = PartialMatching()
-        m.add(h, 0)
-        with pytest.raises(MatchingError) as exc:
-            swap(h, m, 0, 1)
-        assert exc.value.code == "NOT_ADDABLE"
 
     def test_two_edge_matching(self):
         h = make_h(3, 2, 6, [(0, (0, 1)), (1, (2, 3)), (0, (4, 5))])
         m = PartialMatching()
         m.add(h, 0)
         m.add(h, 1)
-        swap(h, m, 0, 2)
+        m.remove(h, 0)
+        m.add(h, 2)
         assert m.edge_ids == {1, 2}
         # pairwise disjointness verified from scratch
         assert verify_matching(h, m) is None
@@ -216,16 +209,9 @@ class TestSwap:
         h = make_h(3, 1, 4, [(0, (0, 1)), (0, (2, 3))])
         m = PartialMatching()
         with pytest.raises(MatchingError) as exc:
-            swap(h, m, 0, 1)
+            m.remove(h, 0)
         assert exc.value.code == "NOT_IN_MATCHING"
-
-    def test_a_vertex_mismatch(self):
-        h = make_h(3, 2, 4, [(0, (0, 1)), (1, (2, 3))])
-        m = PartialMatching()
-        m.add(h, 0)
-        with pytest.raises(MatchingError) as exc:
-            swap(h, m, 0, 1)
-        assert exc.value.code == "A_VERTEX_MISMATCH"
+        assert m.a_of == {} and m.b_of == {}
 
     @given(hypergraphs_with_matching())
     @settings(max_examples=60)
@@ -237,7 +223,8 @@ class TestSwap:
             for e_in in h.a_edges.get(a, ()):
                 if e_in == f_out or not is_immediately_addable(h, m, e_in):
                     continue
-                swap(h, m, f_out, e_in)
+                m.remove(h, f_out)
+                m.add(h, e_in)
                 assert set(m.a_of) == before
                 assert verify_matching(h, m) is None
                 break

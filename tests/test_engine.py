@@ -25,13 +25,13 @@ from hbmatch import (
     verify_witness,
 )
 from hbmatch.cli import TraceWriter, check_trace_lines, parse_instance, serialize_instance
-from hbmatch.core import InstanceError, incident_edges, is_immediately_addable, swap
+from hbmatch.core import InstanceError, incident_edges
 from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
 from hbmatch.signature import SignatureMemo, check_signature_step, floor_log, signature_from_sizes
-from hbmatch.tree import Layer, build_layer
+from hbmatch.tree import AlternatingTree, Layer, build_layer
 
-from .checked_run import CheckedRun, checked, validate_tree
+from .checked_run import CheckedRun, checked, is_immediately_addable, validate_tree
 from .conftest import (
     brute_force_perfect_matching,
     hypergraphs_with_matching,
@@ -432,7 +432,7 @@ class TestOneStepMatch:
         if checking:
             assert solve(False) == full
 
-    def test_builds_no_layer_unless_debugging(self, monkeypatch):
+    def test_builds_no_layer_unless_checked(self, monkeypatch):
         # Plain and traced runs walk; checked runs build each root's layer 1.
         h = generate(GeneratorSpec(mode="guaranteed", r=3, a_count=30, b_count=400, seed=4))
         levels: list[int] = []
@@ -553,7 +553,8 @@ def per_blocker_collapse(run: AugmentRun) -> bool:
         eid = least_addable(h.edge_a[f])
         if eid is None:
             continue
-        swap(h, m, f, eid)
+        m.remove(h, f)
+        m.add(h, eid)
         tree.remove_y_edge(level - 1, f)
         swaps += 1
         run.stats.swaps += 1
@@ -676,7 +677,7 @@ class TestDeepCascade:
         assert sorted(res.matching.edge_ids) == [1, 2]
 
 
-class TestDebugInvariantsOnDeepTrees:
+class TestCheckedRunOnDeepTrees:
     def test_shuffled_planted_multi_layer(self):
         # validate_tree re-counts the tree's counters from scratch at every
         # iteration boundary (COUNTER_MISMATCH), here on trees of 4-12 layers
@@ -801,16 +802,24 @@ class TestEachEngineCodeFires:
         assert err.code == "MATCHING_INVALID" and "MAP_INCONSISTENT" in str(err)
 
     def test_swap_leaving_its_blocker_in_the_matching(self, monkeypatch):
-        import hbmatch.engine as engine
+        remove = PartialMatching.remove
 
-        def faulty_swap(h, m, f_out, e_in):
-            swap(h, m, f_out, e_in)
+        def faulty_remove(m, h, f_out):
+            remove(m, h, f_out)
             m.b_of.update(dict.fromkeys(h.edge_bs[f_out], f_out))
 
-        monkeypatch.setattr(engine, "swap", faulty_swap)
+        monkeypatch.setattr(PartialMatching, "remove", faulty_remove)
         with checked():
             err = raised(lambda: find_perfect_matching(shift_chain(3), 1))
         assert err.code == "MATCHING_AFTER_SWAP" and "MAP_INCONSISTENT" in str(err)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_blocker_left_in_y_is_named_by_the_tree_check(self, monkeypatch, seed):
+        # The tree is checked before the signature step it also breaks.
+        monkeypatch.setattr(AlternatingTree, "remove_y_edge", lambda tree, i, edge_id: None)
+        with checked():
+            err = raised(lambda: find_perfect_matching(shuffled_planted(seed, 60), 1))
+        assert str(err).startswith("TREE_INVALID: Y_NOT_BLOCKERS: ")
 
     def test_augment_leaving_a_root_bare(self, monkeypatch):
         import hbmatch.engine as engine
@@ -877,7 +886,8 @@ class TestHallRegime:
     """At r = 2, tau(E_S) = |N(S)|, so at eps*(na-1) < 1 the condition is
     Hall's, which a planted perfect matching proves.  Every solve must end
     in a matching: a witness would be a verified violation of a condition
-    that holds."""
+    that holds.  Conversely, with a B-vertex fewer than A-vertices every
+    solve must end in a witness, and that witness is a Hall violator."""
 
     @given(
         na=st.integers(1, 60),
@@ -897,6 +907,38 @@ class TestHallRegime:
             assert res.status == "perfect_matching"
             assert res.matching.edge_ids == plain.matching.edge_ids
             assert vars(res.stats) == vars(plain.stats)
+
+    @given(
+        na=st.integers(2, 60),
+        extra=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_without_a_b_vertex_every_solve_proves_a_hall_violation(self, na, extra, seed):
+        # The converse: with B-vertex na-1 and its edges gone, |B| < |A|,
+        # so no perfect matching exists.  At eps = 1/na, eps*(|S|-1) < 1
+        # for every S, so the certificate alone proves Hall's condition
+        # broken: N(S) lies in the hitting set, which is at most |S|-1.
+        g = hall_instance(na, extra * na, seed)
+        last = na - 1
+        h = BipartiteHypergraph(
+            2, na, last, [(a, bs) for a, bs in zip(g.edge_a, g.edge_bs) if last not in bs]
+        )
+        eps = Fraction(1, na)
+        plain = find_perfect_matching(h, eps)
+        runs: list[str] = []
+        traced = find_perfect_matching(h, eps, trace=runs.append)
+        with checked():
+            checked_res = find_perfect_matching(h, eps)
+        assert check_trace_lines(runs) is None
+        for res in (plain, traced, checked_res):
+            assert res.status == "witness"
+            assert res.witness == plain.witness
+            assert vars(res.stats) == vars(plain.stats)
+        s, hitting = plain.witness.s, plain.witness.hitting_set
+        neighbourhood = {b for eid in incident_edges(h, s) for b in h.edge_bs[eid]}
+        assert neighbourhood <= hitting
+        assert len(hitting) <= len(s) - 1
 
     def test_the_shape_grows_deep_trees(self):
         # The property runs the checked run on trees of several layers.
@@ -1010,7 +1052,7 @@ class TestAugmentContract:
     @settings(max_examples=80, deadline=None)
     def test_outcome_sound_from_any_state(self, hm):
         h, m = hm
-        root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
+        root = next((a for a in range(h.a_count) if a not in m.a_of), None)
         if root is None:
             return
         before = set(m.a_of)
@@ -1028,7 +1070,7 @@ class TestTreeSignature:
         p = params(3, 1)
         assert signature_from_sizes([(1, 1)], SignatureMemo(p))[0] == (-2775055, 2783200)
 
-    def test_debug_check_raises_the_rule_of_check_signature_step(self, monkeypatch):
+    def test_checked_run_raises_the_rule_of_check_signature_step(self, monkeypatch):
         import hbmatch.engine as engine
 
         const = (-1, 1)
@@ -1077,7 +1119,7 @@ class TestTraceSinkRuns:
         assert last[0] == "augment_start root=6 matched=6"
         assert last[-1] == "augment_end outcome=internal_error iterations=1"
 
-    def test_a_failed_debug_check_delivers_the_run_so_far(self, monkeypatch):
+    def test_a_failed_check_delivers_the_run_so_far(self, monkeypatch):
         import hbmatch.engine as engine
 
         monkeypatch.setattr(engine, "signature_from_sizes", lambda sizes, memo: ((-1, 1), 0))
@@ -1089,7 +1131,7 @@ class TestTraceSinkRuns:
         assert last[0] == "augment_start root=3 matched=3"
         assert last[-1] == "signature iter=2 coords=-1,1 unresolved=0"
 
-    def test_a_debug_one_step_walk_delivers_one_string(self):
+    def test_a_checked_one_step_root_delivers_one_string(self):
         h = make_h(3, 1, 2, [(0, (0, 1))])
         expected = (
             "augment_start root=0 matched=0\niteration iter=1 layers=0\n"
@@ -1117,7 +1159,7 @@ class TestTraceEvents:
             if n == "growth":
                 assert f["result"] in ("pass", "fail")
 
-    def test_stats_independent_of_debug_mode(self):
+    def test_stats_independent_of_checking(self):
         h = shift_chain(5)
         plain = find_perfect_matching(h, "1/2")
         with checked():
@@ -1137,7 +1179,7 @@ class TestCollapsibleEarlyExit:
     def test_same_answer_as_counting_every_edge(self, hm, mu, level, data):
         # Every level, layer 1 included, hands over every addable edge.
         h, m = hm
-        root = next((a for a in range(h.a_count) if not m.matches_a(a)), None)
+        root = next((a for a in range(h.a_count) if a not in m.a_of), None)
         if root is None or h.m == 0:
             return
         run = started(h, m, root, params(h.r, 1, mu))

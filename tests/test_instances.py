@@ -253,6 +253,21 @@ class TestSpecCheck:
         with pytest.raises(InfeasibleSpec):
             GeneratorSpec(**{**spec, **fields})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("r", "3"), ("r", 3.0), ("a_count", 2.0), ("a_count", True), ("b_count", "4"),
+            ("extra_edges", 1.0), ("d", 2.0), ("d", False), ("seed", 1.5), ("seed", True),
+        ],
+    )
+    def test_field_that_is_not_an_int_is_refused_by_name(self, name, value):
+        # r="3" and seed=1.5 used to end in a bare TypeError, and a float
+        # or bool count was accepted.
+        spec = dict(mode="planted", r=3, a_count=2, b_count=4, extra_edges=0, d=None, seed=0)
+        with pytest.raises(InfeasibleSpec, match=f"^{name} must be an int, got {value!r}$"):
+            GeneratorSpec(**{**spec, name: value})
+        assert generate(GeneratorSpec(**spec)).m == 2
+
     def test_every_mode_gives_its_pinned_bytes(self):
         # One digest over a grid of specs in every mode: each instance's
         # serialized text, or the refusal message of a spec it cannot meet.

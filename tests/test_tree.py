@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbmatch import PartialMatching
-from hbmatch.core import Violation, blocking_edges, is_immediately_addable, swap
+from hbmatch.core import Violation
 from hbmatch.tree import AlternatingTree, Layer, build_layer
 
-from .checked_run import validate_tree
+from .checked_run import blocking_edges, is_immediately_addable, validate_tree
 from .conftest import hypergraphs_with_matching, make_h, shuffled_planted
 
 
@@ -461,7 +461,8 @@ class TestOccupancyUnderTreeOperations:
                 ]
                 if pairs:
                     f, eid = pairs[k % len(pairs)]
-                    swap(h, m, f, eid)
+                    m.remove(h, f)
+                    m.add(h, eid)
                     tree.remove_y_edge(level - 1, f)
             recount = set()
             for layer in tree.layers:
