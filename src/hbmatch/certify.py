@@ -49,27 +49,41 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
     NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
     DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
-    checks only syntax and leaves every one of these rules to this check.
-    The incidence index lists every edge, so it is not rebuilt.  A
-    violation of an edge carries its id.  The result is kept on the
-    immutable instance, so the parser and the solver share one check.
+    checks only syntax and leaves every one of these rules to this check,
+    which reads the parser's own B-columns.  The incidence index lists
+    every edge, so it is not rebuilt.  A violation of an edge carries its
+    id.  The result is kept on the immutable instance, so the parser and
+    the solver share one check.
     """
-    if not isinstance(h, BipartiteHypergraph):
-        return Violation("INSTANCE_TYPE", f"not a BipartiteHypergraph: {type(h).__name__}")
+    v = _instance_type(h)
+    if v is not None:
+        return v
     if not h._validated:
         h._violation = _first_violation(h)
         h._validated = True
     return h._violation
 
 
+def _instance_type(h: object) -> Violation | None:
+    """INSTANCE_TYPE for anything that is not a :class:`BipartiteHypergraph`."""
+    if isinstance(h, BipartiteHypergraph):
+        return None
+    return Violation("INSTANCE_TYPE", f"not a BipartiteHypergraph: {type(h).__name__}")
+
+
 def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     """Whole-column checks, no Python step per edge; only a dirty (or
     empty) instance is walked edge by edge, to name its first violation.
-    Strictly ascending columns make every bs sorted and distinct, so the
-    first and last columns bound the range, and a repeated edge repeats
-    its bs.  Equal edges hash equal, so m distinct hashes prove m
-    distinct edges (zip reuses its pair tuple); a collision costs a walk.
+    The B-columns are the ones :meth:`BipartiteHypergraph.from_columns`
+    built `edge_bs` from, if it was given r-1 of length m, and are
+    released here; else they are cut from `edge_bs`, once every tuple
+    has r-1 vertices.  Strictly ascending columns make every bs sorted
+    and distinct, so the first and last columns bound the range, and a
+    repeated edge repeats its bs.  Equal edges hash equal, so m distinct
+    hashes prove m distinct edges (zip reuses its pair tuple); a
+    collision costs a walk.
     """
+    cols, h._b_cols = h._b_cols, None
     r, na, nb = h.r, h.a_count, h.b_count
     if {type(r), type(na), type(nb)} != {int}:
         return Violation("COUNT_TYPE", f"r={r!r}, nA={na!r}, nB={nb!r} must be ints")
@@ -79,9 +93,12 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
         return Violation("NEGATIVE_VERTEX_COUNT", f"nA={na}, nB={nb} must be >= 0")
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
-    if set(map(len, edge_bs)) != {width} or min(edge_a) < 0 or max(edge_a) >= na:
+    if cols is None or len(cols) != width or set(map(len, cols)) != {m}:
+        if set(map(len, edge_bs)) != {width}:
+            return _walk_edges(h, width)
+        cols = list(zip(*edge_bs))
+    if not m or min(edge_a) < 0 or max(edge_a) >= na:
         return _walk_edges(h, width)
-    cols = list(zip(*edge_bs))
     ascending = all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:]))
     if not ascending or min(cols[0]) < 0 or max(cols[-1]) >= nb:
         return _walk_edges(h, width)
@@ -127,11 +144,14 @@ def verify_matching(
 ) -> Violation | None:
     """Re-check a live matching from scratch; None when clean.
 
-    Runs :func:`_matching_violation` on the edges `m.a_of` names, and
-    reports MAP_INCONSISTENT when `a_of` maps a vertex to another
-    vertex's edge or `b_of` differs from the members' B-vertices.
+    Refuses an `h` that is not an instance (INSTANCE_TYPE), runs
+    :func:`_matching_violation` on the edges `m.a_of` names, and reports
+    MAP_INCONSISTENT when `a_of` maps a vertex to another vertex's edge
+    or `b_of` differs from the members' B-vertices.
     """
-    return _matching_violation(h, m.edge_ids, require_perfect, (m.a_of, m.b_of))
+    return _instance_type(h) or _matching_violation(
+        h, m.edge_ids, require_perfect, (m.a_of, m.b_of)
+    )
 
 
 def _matching_violation(
@@ -218,11 +238,15 @@ class WitnessCertificate:
 def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violation | None:
     """Polynomial-time check of a violation certificate.
 
-    Confirms that the certificate is for the instance's uniformity, that
+    Refuses an `h` that is not an instance (INSTANCE_TYPE), then
+    confirms that the certificate is for the instance's uniformity, that
     S and the hitting set hold ints only (a bool is not one), that the
     hitting set lies in B and meets every edge incident to S, and that
     its cardinality is at most the bound, in exact rational arithmetic.
     """
+    v = _instance_type(h)
+    if v is not None:
+        return v
     if cert.r != h.r:
         return Violation("UNIFORMITY_MISMATCH", f"certificate r={cert.r}, instance r={h.r}")
     v = _member_type(cert.s, "S") or _member_type(cert.hitting_set, "hitting set")

@@ -10,12 +10,18 @@ Result documents are line-delimited key:value records in a fixed field
 order, read back and checked by :mod:`hbmatch.certify`; trace documents
 are one event per line.  Exit codes across all
 commands: 0 matching/ok, 2 witness/violated, 1 error.
+
+:func:`main` runs one command with the cyclic garbage collector paused:
+no command makes reference cycles, so reference counts free all it
+drops.  The parser hands its columns to the instance, and the kernel
+checks those columns as they are.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,19 +62,20 @@ def parse_instance(text: str) -> BipartiteHypergraph:
     The parser checks the syntax: record types, the header (with r >= 2),
     the field count of each edge line and integer fields.  Each run of
     lines that start `e ` is converted a block at a time, column by
-    column, into the instance's `edge_a` and `edge_bs`; every other line
-    is read on its own.  Lines are taken in file order, so the first
-    syntax error in the file is raised.  Every structural rule (ranges,
-    B-vertex order, repeated edges) is checked once, by
-    :func:`validate_instance`, and its violation is reported at the line
-    of the offending edge.
+    column, into the A-column `edge_a` and r-1 B-columns; every other
+    line is read on its own.  Lines are taken in file order, so the
+    first syntax error in the file is raised.  The columns are handed to
+    :meth:`BipartiteHypergraph.from_columns`, which builds `edge_bs` from
+    them.  Every structural rule (ranges, B-vertex order, repeated edges)
+    is checked once, by :func:`validate_instance` on those same columns,
+    and its violation is reported at the line of the offending edge.
     """
     lines = text.splitlines()
     header: tuple[int, ...] | None = None
     width = -1  # fields of an edge line, "e" plus r vertices; set by the header
     edges_to_end = False  # every line after the header starts "e "
     edge_a: list[int] = []
-    edge_bs: list[tuple[int, ...]] = []
+    b_cols: list[list[int]] = []  # r-1 columns once the header is read
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -77,7 +84,7 @@ def parse_instance(text: str) -> BipartiteHypergraph:
             while stop < len(lines) and lines[stop].startswith("e "):
                 stop += 1
             for lo in range(i, stop, _BLOCK):
-                _take_edges(lines[lo : min(lo + _BLOCK, stop)], lo + 1, width, edge_a, edge_bs)
+                _take_edges(lines[lo : min(lo + _BLOCK, stop)], lo + 1, width, edge_a, b_cols)
             i = stop
             continue
         i += 1  # now the number of `line`, from 1
@@ -88,7 +95,7 @@ def parse_instance(text: str) -> BipartiteHypergraph:
         if tag == "e":
             if header is None:
                 raise ParseError(i, "edge before header")
-            _take_edges([line], i, width, edge_a, edge_bs)
+            _take_edges([line], i, width, edge_a, b_cols)
             continue
         if tag != "p":
             raise ParseError(i, f"unknown record type {tag!r}")
@@ -105,6 +112,7 @@ def parse_instance(text: str) -> BipartiteHypergraph:
         if header[0] < 2:
             raise ParseError(i, f"uniformity r={header[0]} must be >= 2")
         width = 1 + header[0]
+        b_cols = [[] for _ in range(header[0] - 1)]
         # Each newline-"e " match starts a distinct line, and no line up to
         # here starts "e ", so one count shows that all later lines do.
         edges_to_end = text.count("\ne ") == len(lines) - i
@@ -114,7 +122,8 @@ def parse_instance(text: str) -> BipartiteHypergraph:
     r, na, nb, m = header
     if len(edge_a) != m:
         raise ParseError(0, f"header declares m={m} but found {len(edge_a)} edges")
-    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, edge_bs)
+    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, b_cols)
+    del b_cols  # the instance holds them until validation, and no longer
     v = validate_instance(h)
     if v is not None:
         raise ParseError(0 if v.edge is None else _edge_line(text, v.edge), str(v))
@@ -122,7 +131,7 @@ def parse_instance(text: str) -> BipartiteHypergraph:
 
 
 def _take_edges(
-    block: list[str], lineno: int, width: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
+    block: list[str], lineno: int, width: int, edge_a: list[int], b_cols: list[list[int]]
 ) -> None:
     """Append a block of edge lines, the first at `lineno`, to the columns.
 
@@ -137,12 +146,13 @@ def _take_edges(
     fields = " ".join(block).split()
     if len(fields) == width * n and fields[::width].count("e") == n:
         try:
-            a_col, *b_cols = [list(map(int, fields[k::width])) for k in range(1, width)]
+            a_col, *new_cols = [list(map(int, fields[k::width])) for k in range(1, width)]
         except ValueError:
             pass
         else:
             edge_a += a_col
-            edge_bs += zip(*b_cols)
+            for col, new in zip(b_cols, new_cols):
+                col += new
             return
     for lineno, line in enumerate(block, start=lineno):
         fields = line.split()
@@ -429,12 +439,20 @@ def _join_negative_epsilon(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; its exit code.  The cyclic collector is paused
+    while the command runs and its prior state restored after: a command
+    makes no reference cycles, so its passes would free nothing."""
     args = _PARSER.parse_args(_join_negative_epsilon(sys.argv[1:] if argv is None else argv))
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ValueError, InternalSolverError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -78,15 +78,15 @@ class BipartiteHypergraph:
     edges, not the declared vertex count.  No B-side index is kept.
     Construction sorts arbitrary (a, bs) pairs and indexes every edge;
     :func:`certify.validate_instance` refuses malformed input before the
-    index is read.  The parser uses :meth:`from_columns`, which takes the
-    columns as they are.
+    index is read.  The parser uses :meth:`from_columns`, which takes
+    `edge_a` and the B-columns as they are.
     `edges` is an :class:`Edge` view for outside callers, built on first
     access.
     """
 
     __slots__ = (
         "r", "a_count", "b_count", "edge_a", "edge_bs", "a_edges",
-        "_edges", "_validated", "_violation",
+        "_b_cols", "_edges", "_validated", "_violation",
     )
 
     def __init__(
@@ -97,25 +97,39 @@ class BipartiteHypergraph:
         edges: Iterable[tuple[int, Sequence[int]]] = (),
     ):
         pairs = [(a, tuple(sorted(bs))) for a, bs in edges]
-        self._init(r, a_count, b_count, [a for a, _ in pairs], [bs for _, bs in pairs])
+        self._init(r, a_count, b_count, [a for a, _ in pairs], [bs for _, bs in pairs], None)
 
     @classmethod
     def from_columns(
-        cls, r: int, a_count: int, b_count: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
+        cls, r: int, a_count: int, b_count: int, edge_a: list[int], b_cols: list[list[int]]
     ) -> "BipartiteHypergraph":
-        """An instance owning the columns as given; validation refuses an unsorted tuple."""
+        """An instance owning `edge_a` as given, whose edge `eid` has the
+        B-vertices `b_cols[k][eid]` in column order k; `edge_bs` is built
+        from the columns here, and validation refuses an unsorted tuple.
+
+        The instance holds `b_cols` until :func:`certify.validate_instance`
+        has read them: r-1 columns of length m are checked column by
+        column, so the columns checked are the ones `edge_bs` was built from.
+        """
         h = cls.__new__(cls)
-        h._init(r, a_count, b_count, edge_a, edge_bs)
+        h._init(r, a_count, b_count, edge_a, list(zip(*b_cols)), b_cols)
         return h
 
     def _init(
-        self, r: int, a_count: int, b_count: int, edge_a: list[int], edge_bs: list[tuple[int, ...]]
+        self,
+        r: int,
+        a_count: int,
+        b_count: int,
+        edge_a: list[int],
+        edge_bs: list[tuple[int, ...]],
+        b_cols: list[list[int]] | None,
     ) -> None:
         self.r = r
         self.a_count = a_count
         self.b_count = b_count
         self.edge_a = edge_a
         self.edge_bs = edge_bs
+        self._b_cols = b_cols  # released by the first validation
         a_edges: defaultdict[int, list[int]] = defaultdict(list)
         for eid, a in enumerate(edge_a):
             a_edges[a].append(eid)

@@ -349,7 +349,7 @@ class TestInstanceValidation:
     # == hash(2)): clean, and with a real repeat of the second
     @example(BipartiteHypergraph(3, 2, 2**62, [(0, (1, 2)), (1, (1, 2)), (0, (1, 2**61 + 1))]))
     @example(BipartiteHypergraph.from_columns(
-        3, 2, 2**62, [0, 1, 0, 0], [(1, 2), (1, 2), (1, 2**61 + 1), (1, 2**61 + 1)]
+        3, 2, 2**62, [0, 1, 0, 0], [[1, 1, 1, 1], [2, 2, 2**61 + 1, 2**61 + 1]]
     ))
     def test_same_violation_as_per_edge_check(self, h):
         assert certify._first_violation(h) == per_edge_first_violation(h)
@@ -369,7 +369,7 @@ class TestInstanceValidation:
     @pytest.mark.parametrize("r", [3, 4])
     def test_out_of_range_b_vertex_in_an_unsorted_tuple(self, r):
         # from_columns keeps each B-tuple as given, so its ends need not bound it
-        h = BipartiteHypergraph.from_columns(r, 1, 5, [0], [(7,) + tuple(range(1, r - 1))])
+        h = BipartiteHypergraph.from_columns(r, 1, 5, [0], [[b] for b in (7, *range(1, r - 1))])
         assert certify.validate_instance(h) == Violation(
             "INDEX_OUT_OF_RANGE", "edge 0: B-vertex 7", 0
         )
@@ -389,7 +389,7 @@ class TestInstanceValidation:
     def test_b_tuple_must_ascend(self, r, bs, detail):
         code = "DUPLICATE_B_VERTEX" if detail.startswith("B-vertex ") else "UNSORTED_B_VERTICES"
         clean = tuple(range(r - 1))
-        h = BipartiteHypergraph.from_columns(r, 2, 5, [1, 0], [clean, bs])
+        h = BipartiteHypergraph.from_columns(r, 2, 5, [1, 0], [list(c) for c in zip(clean, bs)])
         assert certify.validate_instance(h) == Violation(code, f"edge 1: {detail}", 1)
 
     @pytest.mark.parametrize("na, nb", [(-2, -1), (2, -1), (-1, 3)])
@@ -434,6 +434,12 @@ class TestInstanceValidation:
             find_perfect_matching(h, 1)
         assert str(exc.value) == str(v)
         assert check_result(h, {"status": "perfect_matching", "matching": []}) == v
+        # The two kernel checks that take an instance used to raise
+        # AttributeError on its columns.
+        m = PartialMatching()
+        m.add(make_h(2, 1, 1, [(0, (0,))]), 0)
+        assert verify_matching(h, m) == v
+        assert verify_witness(h, WitnessCertificate.build(2, [0], [0], Fraction(1))) == v
 
     def test_validate_instance_keeps_the_result(self):
         h = BipartiteHypergraph(2, 1, 1, [(0, (0,)), (0, (0,))])

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import re
 import time
@@ -17,6 +18,7 @@ from hbmatch import (
     generate,
     validate_instance,
 )
+import hbmatch.cli as cli_module
 from hbmatch.cli import (
     _BLOCK,
     ParseError,
@@ -33,7 +35,13 @@ from hbmatch.params import parse_rational
 
 from . import checked_run
 from .checked_run import checked
-from .conftest import hypergraphs, make_h, shift_chain, superposed_commit_instance
+from .conftest import (
+    hypergraphs,
+    make_h,
+    shift_chain,
+    shuffled_planted,
+    superposed_commit_instance,
+)
 from .test_engine import capped
 
 
@@ -92,7 +100,7 @@ def reference_parse_instance(text: str) -> BipartiteHypergraph:
     if len(edges) != m:
         raise ParseError(0, f"header declares m={m} but found {len(edges)} edges")
     h = BipartiteHypergraph.from_columns(
-        r, na, nb, [a for a, _ in edges], [bs for _, bs in edges]
+        r, na, nb, [a for a, _ in edges], [list(col) for col in zip(*(bs for _, bs in edges))]
     )
     v = validate_instance(h)
     if v is not None:
@@ -150,7 +158,7 @@ def line_parse_instance(text: str) -> BipartiteHypergraph:
     r, na, nb, m = header
     if len(edge_a) != m:
         raise ParseError(0, f"header declares m={m} but found {len(edge_a)} edges")
-    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, edge_bs)
+    h = BipartiteHypergraph.from_columns(r, na, nb, edge_a, [list(col) for col in zip(*edge_bs)])
     v = validate_instance(h)
     if v is not None:
         raise ParseError(0 if v.edge is None else edge_lines[v.edge], str(v))
@@ -516,6 +524,77 @@ class TestParseBlocks:
         assert got[3] == [k // 4 for k in range(m)]
         assert got[4] == [(2 * k, 2 * k + 1) for k in range(m)]
         assert serialize_instance(parse_instance(text)) == text.replace("c block\n", "")
+
+
+_FAULTS = ("a_range", "b_range", "repeat_b", "unsorted", "repeat_edge")
+
+
+@st.composite
+def _faulty_instances(draw):
+    """A drawn instance built from (a, bs) pairs, so validated on the
+    tuple path, with at most one fault written into its columns before
+    its first validation; the fault's name, or None."""
+    h = draw(hypergraphs(max_a=8, max_b=14, max_edges=30, r_values=(2, 3, 4, 5)))
+    faults = [f for f in _FAULTS if h.m >= (2 if f == "repeat_edge" else 1)]
+    if h.r == 2:
+        faults = [f for f in faults if f not in ("repeat_b", "unsorted")]
+    fault = draw(st.sampled_from([None, *faults]))
+    if fault is None:
+        return h, None
+    k = draw(st.integers(0, h.m - 1))
+    bs = list(h.edge_bs[k])
+    i = draw(st.integers(0, len(bs) - 1))
+    if fault == "a_range":
+        h.edge_a[k] = draw(st.sampled_from([-2, -1, h.a_count, h.a_count + 1]))
+    elif fault == "b_range":
+        bs[i] = draw(st.sampled_from([-2, -1, h.b_count, h.b_count + 1]))
+    elif fault == "repeat_b":
+        i = min(i, len(bs) - 2)
+        bs[i + 1] = bs[i]
+    elif fault == "unsorted":
+        bs.reverse()
+    else:
+        j = draw(st.integers(0, h.m - 1).filter(lambda j: j != k))
+        h.edge_a[k], bs = h.edge_a[j], list(h.edge_bs[j])
+    h.edge_bs[k] = tuple(bs)
+    return h, fault
+
+
+class TestColumnPath:
+    """The parser hands its B-columns to the kernel; an instance built
+    from pairs is checked on its B-tuples.  Both must give one answer."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_faulty_instances())
+    def test_parser_columns_and_pair_tuples_agree(self, case):
+        h, fault = case
+        v = validate_instance(h)
+        text = serialize_instance(h)
+        if fault is None:
+            assert v is None
+            parsed = parse_instance(text)
+            assert (parsed.edge_a, parsed.edge_bs, parsed.a_edges) == (
+                h.edge_a, h.edge_bs, h.a_edges
+            )
+            assert parsed._b_cols is None  # released by the check
+            return
+        assert v is not None and v.edge is not None
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        # the header is line 1, so edge k is on line k + 2
+        assert (exc.value.line, exc.value.reason) == (v.edge + 2, str(v))
+
+    def test_short_or_missing_columns_take_the_tuple_path(self):
+        """Columns other than r-1 of length m are not read; the tuples
+        zip built from them are checked instead."""
+        h = BipartiteHypergraph.from_columns(3, 2, 4, [0, 1], [[0, 1], [1, 2], [2, 3]])
+        assert validate_instance(h) == Violation(
+            "NON_UNIFORM_EDGE", "edge 0 has 3 B-vertices, expected 2", 0
+        )
+        h = BipartiteHypergraph.from_columns(3, 2, 4, [0, 1], [[0, 1]])
+        assert validate_instance(h) == Violation(
+            "NON_UNIFORM_EDGE", "edge 0 has 1 B-vertices, expected 2", 0
+        )
 
 
 class TestParseResult:
@@ -1164,3 +1243,63 @@ class TestCommands:
         choices = re.findall(r"\w+", last.split("choose from", 1)[1])
         assert choices == ["planted", "guaranteed", "graph", "shuffled"]
         assert not out.exists()
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector while a command runs."""
+
+    @pytest.mark.parametrize(
+        "build, traced",
+        [
+            (lambda: shuffled_planted(1, 60), False),
+            (superposed_commit_instance, True),
+            (lambda: generate(GeneratorSpec("guaranteed", 3, 100, 1000, 200, d=4, seed=2)), False),
+        ],
+        ids=["witness", "commit", "guaranteed"],
+    )
+    def test_a_command_leaves_no_cycles(self, tmp_path, build, traced):
+        """The pause's premise: each command's garbage is freed by
+        reference counts, so a collection after it finds nothing."""
+        inst, res, trace = (str(tmp_path / f) for f in ("inst.hbm", "res.txt", "trace.txt"))
+        Path(inst).write_text(serialize_instance(build()))
+        argv = ["solve", "--input", inst, "--epsilon", "1", "--output", res]
+        commands = [argv + ["--trace", trace] if traced else argv]
+        commands.append(["verify", "--instance", inst, "--result", res])
+        if traced:
+            commands.append(["check-trace", "--trace", trace])
+        for command in commands:
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(command) in (0, 2)
+            assert gc.collect() == 0, command[0]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["ok", "parse_error", "escape"])
+    def test_main_restores_the_collector_state(self, tmp_path, monkeypatch, enabled, outcome):
+        """Paused while the solve runs, and back as it was after a
+        result, an exit 1 or an exception that escapes `main`."""
+        inst = tmp_path / "inst.hbm"
+        inst.write_text("p hbm 2 1 1 1\ne 0 " + ("x" if outcome == "parse_error" else "0") + "\n")
+        during = []
+        real = cli_module.find_perfect_matching
+
+        def solve(*args, **kwargs):
+            during.append(gc.isenabled())
+            if outcome == "escape":
+                raise RuntimeError("escaped")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "find_perfect_matching", solve)
+        argv = ["solve", "--input", str(inst), "--epsilon", "1", "--output", str(tmp_path / "r")]
+        if not enabled:
+            gc.disable()
+        try:
+            if outcome == "escape":
+                with pytest.raises(RuntimeError, match="escaped"):
+                    main(argv)
+            else:
+                assert main(argv) == (1 if outcome == "parse_error" else 0)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert during == ([] if outcome == "parse_error" else [False])

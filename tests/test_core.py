@@ -49,11 +49,13 @@ class TestEdgeColumns:
             h.edges[0].a = 0
 
     def test_from_columns_takes_the_columns(self):
-        edge_a, edge_bs = [0, 1, 0], [(0, 1), (2, 3), (1, 2)]
-        h = BipartiteHypergraph.from_columns(3, 2, 4, edge_a, edge_bs)
-        assert h.edge_a is edge_a and h.edge_bs is edge_bs
+        edge_a, b_cols = [0, 1, 0], [[0, 2, 1], [1, 3, 2]]
+        h = BipartiteHypergraph.from_columns(3, 2, 4, edge_a, b_cols)
+        assert h.edge_a is edge_a and h.edge_bs == [(0, 1), (2, 3), (1, 2)]
         assert h.a_edges == {0: [0, 2], 1: [1]}
+        assert h._b_cols is b_cols  # held for validation, then released
         assert validate_instance(h) is None
+        assert h._b_cols is None
 
     @pytest.mark.parametrize("name", ["witness", "commit"])
     def test_solving_a_parsed_instance_never_builds_the_view(self, name):
