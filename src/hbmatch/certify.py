@@ -3,10 +3,11 @@
 To trust an answer of the solver, this module is what must be read.
 It holds instance validation, the matching check, the witness check,
 the per-set factor of the strengthened condition, and the reader of
-result documents.  `hbmatch verify` (through :func:`check_result`), the
-solver's final matching check and its witness extraction all call the
-checks defined here.  It imports only the standard library, the data
-types of :mod:`hbmatch.core` and the rationals of :mod:`hbmatch.params`.
+result documents.  `hbmatch verify` (through :func:`check_result`, which
+takes a document as written), the solver's final matching check and its
+witness extraction all call the checks defined here.  It imports only
+the standard library, the data types of :mod:`hbmatch.core` and the
+rationals of :mod:`hbmatch.params`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
 
     Codes: INSTANCE_TYPE (not a :class:`BipartiteHypergraph` at all),
     COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
-    NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, INDEX_OUT_OF_RANGE,
+    NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, RAGGED_COLUMNS (`edge_bs`
+    and `edge_a` differ in length), INDEX_OUT_OF_RANGE,
     DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
     checks only syntax and leaves every one of these rules to this check,
     which reads the parser's own B-columns.  The incidence index lists
@@ -74,14 +76,14 @@ def _instance_type(h: object) -> Violation | None:
 def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     """Whole-column checks, no Python step per edge; only a dirty (or
     empty) instance is walked edge by edge, to name its first violation.
-    The B-columns are the ones :meth:`BipartiteHypergraph.from_columns`
-    built `edge_bs` from, if it was given r-1 of length m, and are
-    released here; else they are cut from `edge_bs`, once every tuple
-    has r-1 vertices.  Strictly ascending columns make every bs sorted
-    and distinct, so the first and last columns bound the range, and a
-    repeated edge repeats its bs.  Equal edges hash equal, so m distinct
-    hashes prove m distinct edges (zip reuses its pair tuple); a
-    collision costs a walk.
+    `edge_bs` must have one tuple per entry of `edge_a`.  The B-columns
+    are the ones :meth:`BipartiteHypergraph.from_columns` built `edge_bs`
+    from, if it was given r-1 of length m, and are released here; else
+    they are cut from `edge_bs`, once every tuple has r-1 vertices.
+    Strictly ascending columns make every bs sorted and distinct, so the
+    first and last columns bound the range, and a repeated edge repeats
+    its bs.  Equal edges hash equal, so m distinct hashes prove m
+    distinct edges (zip reuses its pair tuple); a collision costs a walk.
     """
     cols, h._b_cols = h._b_cols, None
     r, na, nb = h.r, h.a_count, h.b_count
@@ -93,6 +95,8 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
         return Violation("NEGATIVE_VERTEX_COUNT", f"nA={na}, nB={nb} must be >= 0")
     width = r - 1
     edge_a, edge_bs, m = h.edge_a, h.edge_bs, len(h.edge_a)
+    if len(edge_bs) != m:
+        return Violation("RAGGED_COLUMNS", f"{m} A-vertices but {len(edge_bs)} B-tuples")
     if cols is None or len(cols) != width or set(map(len, cols)) != {m}:
         if set(map(len, edge_bs)) != {width}:
             return _walk_edges(h, width)
@@ -144,14 +148,18 @@ def verify_matching(
 ) -> Violation | None:
     """Re-check a live matching from scratch; None when clean.
 
-    Refuses an `h` that is not an instance (INSTANCE_TYPE), runs
+    Refuses an `h` that is not an instance (INSTANCE_TYPE) and an `m`
+    that is not a :class:`PartialMatching` (MATCHING_TYPE), runs
     :func:`_matching_violation` on the edges `m.a_of` names, and reports
     MAP_INCONSISTENT when `a_of` maps a vertex to another vertex's edge
     or `b_of` differs from the members' B-vertices.
     """
-    return _instance_type(h) or _matching_violation(
-        h, m.edge_ids, require_perfect, (m.a_of, m.b_of)
-    )
+    v = _instance_type(h)
+    if v is not None:
+        return v
+    if not isinstance(m, PartialMatching):
+        return Violation("MATCHING_TYPE", f"not a PartialMatching: {type(m).__name__}")
+    return _matching_violation(h, m.edge_ids, require_perfect, (m.a_of, m.b_of))
 
 
 def _matching_violation(
@@ -238,16 +246,23 @@ class WitnessCertificate:
 def verify_witness(h: BipartiteHypergraph, cert: WitnessCertificate) -> Violation | None:
     """Polynomial-time check of a violation certificate.
 
-    Refuses an `h` that is not an instance (INSTANCE_TYPE), then
-    confirms that the certificate is for the instance's uniformity, that
-    S and the hitting set hold ints only (a bool is not one), that the
-    hitting set lies in B and meets every edge incident to S, and that
-    its cardinality is at most the bound, in exact rational arithmetic.
+    Refuses an `h` that is not an instance (INSTANCE_TYPE), a `cert`
+    that is not a :class:`WitnessCertificate` (CERTIFICATE_TYPE) and an
+    epsilon that is not an int or a Fraction (EPSILON_TYPE; a bool is
+    not one), then confirms that the certificate's r is the instance's
+    uniformity as an int, that S and the hitting set hold ints only,
+    that the hitting set lies in B and meets every edge incident to S,
+    and that its cardinality is at most the bound, in exact rational
+    arithmetic.
     """
     v = _instance_type(h)
     if v is not None:
         return v
-    if cert.r != h.r:
+    if not isinstance(cert, WitnessCertificate):
+        return Violation("CERTIFICATE_TYPE", f"not a WitnessCertificate: {type(cert).__name__}")
+    if type(cert.epsilon) not in (int, Fraction):
+        return Violation("EPSILON_TYPE", f"epsilon {cert.epsilon!r} is not an int or a Fraction")
+    if type(cert.r) is not int or cert.r != h.r:
         return Violation("UNIFORMITY_MISMATCH", f"certificate r={cert.r}, instance r={h.r}")
     v = _member_type(cert.s, "S") or _member_type(cert.hitting_set, "hitting set")
     if v is not None:
@@ -298,8 +313,12 @@ def parse_result(text: str) -> dict:
     Values stay text, except the fields the status gives a meaning to:
     id lists become lists of ints and a witness's `epsilon` and `bound`
     become Fractions.  A malformed field raises :class:`ParseError` at
-    its line, as do an unknown status and a witness without epsilon.
+    its line, as do an unknown status and a witness without epsilon;
+    this is the one statement of the document's rules.  A `text` that
+    is not a str is a ParseError at line 0 that names its type.
     """
+    if not isinstance(text, str):
+        raise ParseError(0, f"result document is not text: {type(text).__name__}")
     doc: dict = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -330,20 +349,20 @@ def parse_result(text: str) -> dict:
     return doc
 
 
-def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
-    """Check a document read by :func:`parse_result` against its instance.
+def check_result(h: BipartiteHypergraph, text: str) -> Violation | None:
+    """Check a result document, as written, against its instance.
 
-    The instance must pass :func:`validate_instance`, and the document
-    :func:`_document_violation`.  A matching must use edges of the
-    instance, be vertex-disjoint and cover A.  A witness must pass
+    The instance must pass :func:`validate_instance`; the text is then
+    read by :func:`parse_result`, which raises :class:`ParseError` on a
+    malformed document.  A matching must use edges of the instance, be
+    vertex-disjoint and cover A.  A witness must pass
     :func:`verify_witness`, and its recorded bound, if any, must be the
     one its S and epsilon give.
     """
     v = validate_instance(h)
-    if v is None:
-        v = _document_violation(doc)
     if v is not None:
         return v
+    doc = parse_result(text)
     if doc["status"] == "perfect_matching":
         return _matching_violation(h, doc.get("matching", []), require_perfect=True)
     cert = WitnessCertificate.build(
@@ -352,36 +371,3 @@ def check_result(h: BipartiteHypergraph, doc: dict) -> Violation | None:
     if "bound" in doc and doc["bound"] != cert.bound:
         return Violation("BOUND_MISMATCH", "recorded bound differs")
     return verify_witness(h, cert)
-
-
-def _document_violation(doc: dict) -> Violation | None:
-    """The first way a document built by hand departs from what
-    :func:`parse_result` gives: a missing status or witness epsilon
-    (MISSING_FIELD), an unknown status (UNKNOWN_STATUS), an id list that
-    is not of ints or an epsilon that is not rational (FIELD_TYPE), or
-    an epsilon <= 0 (EPSILON_NOT_POSITIVE); a bool is not an int here."""
-    status = doc.get("status")
-    if status is None:
-        return Violation("MISSING_FIELD", "result document has no status")
-    if not isinstance(status, str) or status not in _TYPED_FIELDS:
-        return Violation("UNKNOWN_STATUS", f"unknown status {status!r}")
-    if status == "witness" and "epsilon" not in doc:
-        return Violation("MISSING_FIELD", "witness document has no epsilon")
-    for key, read in _TYPED_FIELDS[status].items():
-        if key not in doc or key == "bound":  # a bound of any type is compared
-            continue
-        value = doc[key]
-        if read is _id_list:
-            ok = isinstance(value, (list, tuple, set, frozenset))
-            ok = ok and all(type(i) is int for i in value)
-        else:
-            ok = type(value) in (int, Fraction)
-        if not ok:
-            what = "a list of int ids" if read is _id_list else "an int or a Fraction"
-            return Violation("FIELD_TYPE", f"{key} must be {what}")
-    if status == "witness":
-        try:
-            parse_epsilon(doc["epsilon"])
-        except ValueError as exc:
-            return Violation("EPSILON_NOT_POSITIVE", str(exc))
-    return None

@@ -27,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence, TextIO
 
+# parse_result is read as hbmatch.cli.parse_result by perfbench/run.py
 from .certify import ParseError, check_result, parse_result, validate_instance
 from .core import BipartiteHypergraph
 from .engine import InternalSolverError, SolveResult, find_perfect_matching
@@ -307,7 +308,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h = parse_instance(_read_text(args.instance))
-    v = check_result(h, parse_result(_read_text(args.result)))
+    v = check_result(h, _read_text(args.result))
     if v is not None:
         print(str(v), file=sys.stderr)
         return EXIT_ERROR

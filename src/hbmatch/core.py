@@ -107,9 +107,12 @@ class BipartiteHypergraph:
         B-vertices `b_cols[k][eid]` in column order k; `edge_bs` is built
         from the columns here, and validation refuses an unsorted tuple.
 
-        The instance holds `b_cols` until :func:`certify.validate_instance`
-        has read them: r-1 columns of length m are checked column by
-        column, so the columns checked are the ones `edge_bs` was built from.
+        `zip` stops at the shortest column, so validation refuses columns
+        whose shortest is not as long as `edge_a` (RAGGED_COLUMNS).  The
+        instance holds `b_cols` until :func:`certify.validate_instance`
+        has read them: r-1 columns of length m are checked in place of
+        `edge_bs`, which was built from them; other columns are released
+        and `edge_bs` is checked.
         """
         h = cls.__new__(cls)
         h._init(r, a_count, b_count, edge_a, list(zip(*b_cols)), b_cols)

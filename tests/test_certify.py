@@ -1,6 +1,7 @@
 """The checking kernel: its import set, its document reader and its checks."""
 
 import ast
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from hbmatch import (
 
 from hbmatch.core import InstanceError, Violation
 
-from .conftest import hypergraphs_with_matching, make_h, shift_chain
+from .conftest import hypergraphs_with_matching, make_h, shift_chain, shuffled_planted
 
 SRC = Path(certify.__file__).resolve().parent
 
@@ -66,21 +67,21 @@ class TestImports:
 SQUARE = make_h(2, 2, 2, [(0, (0,)), (0, (1,)), (1, (1,)), (1, (0,))])
 
 
-def matching_doc(ids: str) -> dict:
-    return parse_result(f"status: perfect_matching\nepsilon: 1\nmatching: {ids}\n")
+def matching_doc(ids: str) -> str:
+    return f"status: perfect_matching\nepsilon: 1\nmatching: {ids}\n"
 
 
-def witness_doc(fields: str) -> dict:
-    return parse_result("status: witness\nepsilon: 1/2\n" + fields)
+def witness_doc(fields: str) -> str:
+    return "status: witness\nepsilon: 1/2\n" + fields
 
 
 class TestParseResult:
     def test_typed_fields(self):
-        doc = witness_doc("S: 1 0\nhitting_set: 0\nbound: 3/2\nstats: iterations=1\n")
+        doc = parse_result(witness_doc("S: 1 0\nhitting_set: 0\nbound: 3/2\nstats: iterations=1\n"))
         assert doc["S"] == [1, 0] and doc["hitting_set"] == [0]
         assert doc["epsilon"] == Fraction(1, 2) and doc["bound"] == Fraction(3, 2)
         assert doc["stats"] == "iterations=1"
-        assert matching_doc("3 0")["matching"] == [3, 0]
+        assert parse_result(matching_doc("3 0"))["matching"] == [3, 0]
 
     def test_matching_document_epsilon_stays_text(self):
         assert parse_result("status: perfect_matching\nepsilon: -1\n")["epsilon"] == "-1"
@@ -141,48 +142,38 @@ class TestCheckResult:
         assert check_result(h, witness_doc(fields)).code == code
 
     @pytest.mark.parametrize(
-        "doc, code",
-        [
-            ({}, "MISSING_FIELD"),
-            ({"status": "witness", "S": [0], "hitting_set": [0]}, "MISSING_FIELD"),
-            ({"status": "done"}, "UNKNOWN_STATUS"),
-            ({"status": ["witness"]}, "UNKNOWN_STATUS"),
-            ({"status": "perfect_matching", "matching": [0.0, 1]}, "FIELD_TYPE"),
-            ({"status": "perfect_matching", "matching": [False, True]}, "FIELD_TYPE"),
-            ({"status": "perfect_matching", "matching": "0 2"}, "FIELD_TYPE"),
-            ({"status": "witness", "epsilon": Fraction(1), "S": [0, None]}, "FIELD_TYPE"),
-            ({"status": "witness", "epsilon": "1/2", "S": [0, 1]}, "FIELD_TYPE"),
-            ({"status": "witness", "epsilon": True, "S": [0, 1]}, "FIELD_TYPE"),
-            ({"status": "witness", "epsilon": 0, "S": [0, 1]}, "EPSILON_NOT_POSITIVE"),
-            ({"status": "witness", "epsilon": Fraction(-1, 2)}, "EPSILON_NOT_POSITIVE"),
-        ],
-        ids=[
-            "empty", "witness-without-epsilon", "unknown-status", "unhashable-status",
-            "float-id", "bool-ids", "text-ids", "none-in-s", "text-epsilon", "bool-epsilon",
-            "0", "-1/2",
-        ],
+        "x",
+        [None, b"status: perfect_matching\n", {"status": "perfect_matching"}, ["status: x"], 0],
+        ids=["none", "bytes", "dict", "list", "int"],
     )
-    def test_malformed_document_is_a_violation(self, doc, code):
-        # Documents built by hand, not read by parse_result: each used to
-        # raise KeyError or TypeError, or took False and True as edges 0, 1.
-        assert check_result(SQUARE, doc).code == code
+    def test_document_that_is_not_text_is_a_parse_error(self, x):
+        # Both used to end in AttributeError.
+        for read in (parse_result, lambda doc: check_result(SQUARE, doc)):
+            with pytest.raises(ParseError) as exc:
+                read(x)
+            assert (exc.value.line, exc.value.reason) == (
+                0, f"result document is not text: {type(x).__name__}"
+            )
 
     @pytest.mark.parametrize("epsilon", [0, Fraction(-1, 2)], ids=["0", "-1/2"])
     def test_nonpositive_epsilon_is_refused_in_the_parsers_words(self, epsilon):
         # A witness that holds at any epsilon > 0: both edges hit, 1 <= bound.
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
-        doc = {"status": "witness", "epsilon": epsilon, "S": [0, 1], "hitting_set": [0]}
-        assert check_result(h, {**doc, "epsilon": Fraction(1, 2)}) is None
+        assert check_result(h, witness_doc("S: 0 1\nhitting_set: 0\n")) is None
         with pytest.raises(ParseError) as exc:
-            parse_result(f"status: witness\nepsilon: {epsilon}\nS: 0 1\nhitting_set: 0\n")
-        assert check_result(h, doc) == Violation("EPSILON_NOT_POSITIVE", exc.value.reason)
-        assert exc.value.reason == f"epsilon must be > 0, got {epsilon}"
+            check_result(h, f"status: witness\nepsilon: {epsilon}\nS: 0 1\nhitting_set: 0\n")
+        assert (exc.value.line, exc.value.reason) == (2, f"epsilon must be > 0, got {epsilon}")
 
-    def test_hand_built_documents_of_the_right_shape_are_checked(self):
-        assert check_result(SQUARE, {"status": "perfect_matching", "matching": (0, 2)}) is None
-        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
-        doc = {"status": "witness", "epsilon": 1, "S": {0, 1}, "hitting_set": [0], "bound": 2}
-        assert check_result(h, doc) is None
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize(
+        "seed, status", [(2, "perfect_matching"), (1, "witness")], ids=["matching", "witness"]
+    )
+    def test_solver_documents_pass(self, seed, status, traced):
+        h = shuffled_planted(seed, 30)
+        trace = cli.TraceWriter(io.StringIO()) if traced else None
+        result = find_perfect_matching(h, Fraction(1, 2), trace=trace)
+        assert result.status == status
+        assert check_result(h, cli.format_result(result, Fraction(1, 2))) is None
 
     @given(hypergraphs_with_matching(max_a=4, max_b=6, max_edges=10))
     @settings(max_examples=80, deadline=None)
@@ -199,6 +190,44 @@ class TestKernelChecks:
         h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
         cert = WitnessCertificate.build(3, {0, 1}, {0}, Fraction(1, 2))
         assert verify_witness(h, cert).code == "UNIFORMITY_MISMATCH"
+        # a float r equal to the instance's used to verify
+        cert = WitnessCertificate.build(2.0, {0, 1}, {0}, Fraction(1, 2))
+        assert verify_witness(h, cert) == Violation(
+            "UNIFORMITY_MISMATCH", "certificate r=2.0, instance r=2"
+        )
+
+    @pytest.mark.parametrize(
+        "cert",
+        [None, {"S": [0, 1], "hitting_set": [0]}, (2, frozenset({0, 1}), frozenset({0}), 1)],
+        ids=["none", "dict", "tuple"],
+    )
+    def test_certificate_that_is_not_a_certificate_is_refused(self, cert):
+        # None used to raise AttributeError on its uniformity
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        assert verify_witness(h, cert) == Violation(
+            "CERTIFICATE_TYPE", f"not a WitnessCertificate: {type(cert).__name__}"
+        )
+
+    @pytest.mark.parametrize(
+        "epsilon", [0.5, 1.0, "1/2", True, None], ids=["float", "float-1", "text", "bool", "none"]
+    )
+    def test_certificate_epsilon_must_be_an_int_or_a_fraction(self, epsilon):
+        # The float used to pass with a float bound, the text to raise TypeError.
+        h = make_h(2, 2, 1, [(0, (0,)), (1, (0,))])
+        for ok in (1, Fraction(1, 2)):
+            assert verify_witness(h, WitnessCertificate.build(2, [0, 1], [0], ok)) is None
+        cert = WitnessCertificate.build(2, [0, 1], [0], epsilon)
+        assert verify_witness(h, cert) == Violation(
+            "EPSILON_TYPE", f"epsilon {epsilon!r} is not an int or a Fraction"
+        )
+
+    @pytest.mark.parametrize("m", [None, {0, 2}, [0, 2]], ids=["none", "set", "list"])
+    def test_matching_that_is_not_a_partial_matching_is_refused(self, m):
+        # None used to raise AttributeError on its edge ids
+        assert verify_matching(SQUARE, m) == Violation(
+            "MATCHING_TYPE", f"not a PartialMatching: {type(m).__name__}"
+        )
+        assert verify_matching(None, m).code == "INSTANCE_TYPE"  # the instance first
 
     def test_bound_derives_from_r_epsilon_and_s(self):
         cert = WitnessCertificate.build(3, {0, 1, 2}, {0}, Fraction(1, 2))
@@ -392,6 +421,21 @@ class TestInstanceValidation:
         h = BipartiteHypergraph.from_columns(r, 2, 5, [1, 0], [list(c) for c in zip(clean, bs)])
         assert certify.validate_instance(h) == Violation(code, f"edge 1: {detail}", 1)
 
+    @pytest.mark.parametrize(
+        "b_cols, tuples",
+        [([[0], [1]], 1), ([[0, 1], [2]], 1), ([[0, 1, 0], [2, 3, 3]], 3)],
+        ids=["short", "unequal", "long"],
+    )
+    def test_ragged_columns_are_refused(self, b_cols, tuples):
+        # zip stops at the shortest column; the short ones used to validate
+        # clean and end the solve in IndexError
+        h = BipartiteHypergraph.from_columns(3, 2, 4, [0, 1], b_cols)
+        assert certify.validate_instance(h) == Violation(
+            "RAGGED_COLUMNS", f"2 A-vertices but {tuples} B-tuples"
+        )
+        with pytest.raises(InstanceError, match="RAGGED_COLUMNS"):
+            find_perfect_matching(h, 1)
+
     @pytest.mark.parametrize("na, nb", [(-2, -1), (2, -1), (-1, 3)])
     def test_negative_vertex_count_is_refused(self, na, nb):
         h = BipartiteHypergraph(3, na, nb, [])
@@ -400,7 +444,7 @@ class TestInstanceValidation:
         )
         with pytest.raises(InstanceError, match="NEGATIVE_VERTEX_COUNT"):
             find_perfect_matching(h, 1)
-        v = check_result(h, {"status": "perfect_matching", "matching": []})
+        v = check_result(h, "status: perfect_matching\n")
         assert v is not None and v.code == "NEGATIVE_VERTEX_COUNT"
 
     @pytest.mark.parametrize(
@@ -422,7 +466,7 @@ class TestInstanceValidation:
         )
         with pytest.raises(InstanceError, match="COUNT_TYPE"):
             find_perfect_matching(h, 1)
-        v = check_result(h, {"status": "perfect_matching", "matching": [0]})
+        v = check_result(h, matching_doc("0"))
         assert v is not None and v.code == "COUNT_TYPE"
 
     @pytest.mark.parametrize("h", [None, [(0, (0,))], "2 1 1"], ids=["none", "list", "text"])
@@ -433,7 +477,7 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError) as exc:
             find_perfect_matching(h, 1)
         assert str(exc.value) == str(v)
-        assert check_result(h, {"status": "perfect_matching", "matching": []}) == v
+        assert check_result(h, "status: perfect_matching\n") == v
         # The two kernel checks that take an instance used to raise
         # AttributeError on its columns.
         m = PartialMatching()

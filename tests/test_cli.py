@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hbmatch import (
     BipartiteHypergraph,
     GeneratorSpec,
+    check_result,
     find_perfect_matching,
     from_bipartite_graph,
     generate,
@@ -635,6 +636,7 @@ def _solved_documents() -> list[tuple[str, str, str]]:
 
 
 _SOLVED = _solved_documents()
+_PARSED = [parse_instance(text) for text, _, _ in _SOLVED]
 
 
 @st.composite
@@ -709,6 +711,16 @@ class TestReaderFuzz:
         else:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and re.match(r"line \d+: ", err), err
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_documents(1))
+    def test_check_result_gives_a_verdict_or_a_parse_error(self, case):
+        index, text = case
+        try:
+            v = check_result(_PARSED[index], text)
+        except ParseError:
+            return
+        assert v is None or isinstance(v, Violation)
 
     @pytest.mark.parametrize("index", range(len(_SOLVED)), ids=["matching", "witness"])
     def test_unmutated_documents_pass(self, instance_paths, index):

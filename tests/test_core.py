@@ -8,7 +8,6 @@ from hbmatch import (
     PartialMatching,
     check_result,
     find_perfect_matching,
-    parse_result,
     validate_instance,
     verify_matching,
 )
@@ -65,7 +64,7 @@ class TestEdgeColumns:
         with checked():
             result = find_perfect_matching(h, 1, trace=trace)
         assert result.status == ("witness" if name == "witness" else "perfect_matching")
-        assert check_result(h, parse_result(format_result(result, 1))) is None
+        assert check_result(h, format_result(result, 1)) is None
         assert h._edges is None
 
 
