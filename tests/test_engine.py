@@ -24,7 +24,13 @@ from hbmatch import (
     verify_matching,
     verify_witness,
 )
-from hbmatch.cli import TraceWriter, check_trace_lines, parse_instance, serialize_instance
+from hbmatch.cli import (
+    TraceWriter,
+    check_trace_lines,
+    format_result,
+    parse_instance,
+    serialize_instance,
+)
 from hbmatch.core import InstanceError, incident_edges
 from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
@@ -1231,6 +1237,36 @@ class TestTraceBytes:
         buf = io.StringIO()
         find_perfect_matching(shuffled_planted(seed, 60), 1, trace=TraceWriter(buf))
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TRACE_SHA256[seed]
+
+
+# sha256 of the result document and of the trace document of
+# shuffled_planted(seed, 60, tight=True) solved at epsilon 1: each solve
+# ends in a witness after 9-22 lazy rebuilds, 1-2 of them committed
+TIGHT_SHA256 = {
+    0: ("b8eb1c3447b8083dcdb1e4f37d1b6be7f1e5ce5d991dd2bb7141ff9cf60401d9",
+        "b545ce2835c051a9166863fb1ad1744542f2005fbf6c572198b959549118704f"),
+    1: ("c2a5dcc169ed01dc5fea59882f9d0f84ff947d1fc22e1675e64673fc907975e8",
+        "b78af76681c5c1c8aad0b05567196023863df241fe23ab898cfc91f763a66ff5"),
+    2: ("30b3f1080c309a62f4c1536e8a6fd55cc719a066a033e8adc03ce911787ab985",
+        "a0b0b672a87c1e205f49e041a2458b03fe37c7969df2ec3f4d420a89f79297f2"),
+    3: ("db497e77f87530704d555cdca11e2ee90d0a5b30a6d360151cf1416519522d47",
+        "de6284d6ee9138bed2d3346eded4fca6a3b905432d0b671974e5506dd63ca503"),
+    4: ("f19e0a3ba2dd0682569dbebea54a6597add7169720e0ee9289403582b0caee80",
+        "d444d791cc6176b28e12563ec8599481845137ba9309ff9912e266cd8fb3029e"),
+}
+
+
+class TestTightBytes:
+    @pytest.mark.parametrize("seed", sorted(TIGHT_SHA256))
+    def test_result_and_trace_digests_pinned(self, seed):
+        h = shuffled_planted(seed, 60, tight=True)
+        plain = format_result(find_perfect_matching(h, 1), Fraction(1))
+        buf = io.StringIO()
+        traced = format_result(find_perfect_matching(h, 1, trace=TraceWriter(buf)), Fraction(1))
+        assert traced == plain
+        assert buf.getvalue().count("committed=1") >= 1
+        digests = tuple(hashlib.sha256(doc.encode()).hexdigest() for doc in (plain, buf.getvalue()))
+        assert digests == TIGHT_SHA256[seed]
 
 
 class TestTinyEpsilonTrace:
