@@ -50,7 +50,8 @@ def validate_instance(h: BipartiteHypergraph) -> Violation | None:
     COUNT_TYPE (r, nA or nB is not an int; a bool is not one),
     NON_UNIFORM_EDGE, NEGATIVE_VERTEX_COUNT, RAGGED_COLUMNS (`edge_bs`
     and `edge_a` differ in length), INDEX_OUT_OF_RANGE,
-    DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE; the parser
+    DUPLICATE_B_VERTEX, UNSORTED_B_VERTICES, DUPLICATE_EDGE, VERTEX_TYPE
+    (an edge's vertex ids do not compare with ints); the parser
     checks only syntax and leaves every one of these rules to this check,
     which reads the parser's own B-columns.  The incidence index lists
     every edge, so it is not rebuilt.  A violation of an edge carries its
@@ -84,6 +85,8 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
     first and last columns bound the range, and a repeated edge repeats
     its bs.  Equal edges hash equal, so m distinct hashes prove m
     distinct edges (zip reuses its pair tuple); a collision costs a walk.
+    A vertex id that cannot be compared (such as a str) raises TypeError
+    in these checks, which also costs a walk.
     """
     cols, h._b_cols = h._b_cols, None
     r, na, nb = h.r, h.a_count, h.b_count
@@ -101,18 +104,22 @@ def _first_violation(h: BipartiteHypergraph) -> Violation | None:
         if set(map(len, edge_bs)) != {width}:
             return _walk_edges(h, width)
         cols = list(zip(*edge_bs))
-    if not m or min(edge_a) < 0 or max(edge_a) >= na:
-        return _walk_edges(h, width)
-    ascending = all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:]))
-    if not ascending or min(cols[0]) < 0 or max(cols[-1]) >= nb:
-        return _walk_edges(h, width)
-    if len(set(edge_bs)) == m or len(set(map(hash, zip(edge_a, edge_bs)))) == m:
-        return None
+    try:
+        if not m or min(edge_a) < 0 or max(edge_a) >= na:
+            return _walk_edges(h, width)
+        ascending = all(all(map(lt, u, v)) for u, v in zip(cols, cols[1:]))
+        if not ascending or min(cols[0]) < 0 or max(cols[-1]) >= nb:
+            return _walk_edges(h, width)
+        if len(set(edge_bs)) == m or len(set(map(hash, zip(edge_a, edge_bs)))) == m:
+            return None
+    except TypeError:
+        pass
     return _walk_edges(h, width)
 
 
 def _walk_edges(h: BipartiteHypergraph, width: int) -> Violation | None:
-    """The first violation in edge order, each edge's checks in code order."""
+    """The first violation in edge order, each edge's checks in code order;
+    VERTEX_TYPE for an edge whose checks raise TypeError."""
     na, nb = h.a_count, h.b_count
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for eid, key in enumerate(zip(h.edge_a, h.edge_bs)):
@@ -123,18 +130,23 @@ def _walk_edges(h: BipartiteHypergraph, width: int) -> Violation | None:
                 f"edge {eid} has {len(bs)} B-vertices, expected {width}",
                 eid,
             )
-        if not 0 <= a < na:
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: A-vertex {a}", eid)
-        if min(bs) < 0 or max(bs) >= nb:
-            b = next(b for b in bs if not 0 <= b < nb)
-            return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: B-vertex {b}", eid)
-        for u, v in zip(bs, bs[1:]):  # bs must ascend strictly
-            if u == v:
-                return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
-            if u > v:
-                return Violation("UNSORTED_B_VERTICES", f"edge {eid}: B-vertices {bs}", eid)
-        if key in seen:
-            return Violation("DUPLICATE_EDGE", f"edge {eid} repeats {key}", eid)
+        try:
+            if not 0 <= a < na:
+                return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: A-vertex {a}", eid)
+            if min(bs) < 0 or max(bs) >= nb:
+                b = next(b for b in bs if not 0 <= b < nb)
+                return Violation("INDEX_OUT_OF_RANGE", f"edge {eid}: B-vertex {b}", eid)
+            for u, v in zip(bs, bs[1:]):  # bs must ascend strictly
+                if u == v:
+                    return Violation("DUPLICATE_B_VERTEX", f"edge {eid}: B-vertex {u}", eid)
+                if u > v:
+                    return Violation("UNSORTED_B_VERTICES", f"edge {eid}: B-vertices {bs}", eid)
+            if key in seen:
+                return Violation("DUPLICATE_EDGE", f"edge {eid} repeats {key}", eid)
+        except TypeError:
+            return Violation(
+                "VERTEX_TYPE", f"edge {eid}: vertex ids {key!r} do not compare with ints", eid
+            )
         seen.add(key)
     return None
 

@@ -16,6 +16,18 @@ which X-edges of the collapsing layer are addable: the one pass over X
 that decides the collapse, the same at every level, also lists the
 edges it swaps in or adds.
 
+Two facts of a fresh layer build are reused.  The taken edges with no
+blocker are the new layer's addable edges, so the first collapse check
+after the build reads them in place of a pass over X; any later check
+follows a collapse, which changed the matching, and passes over X.  The
+edges the build rejected decide its lazy rebuilds: while the layer
+lives its parents, and their own edges, stay fixed and their room only
+shrinks, so a rebuild can take only a rejected edge, and only one that
+avoids the tree's B-vertices.  When every rejected edge still meets
+them, the rebuild provably adds nothing and is skipped; it is counted
+and traced as a rebuild that added nothing.  :func:`build_layer` gives
+the proof in full.
+
 Each run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when deg(root) < u, so that
 mu*deg(root) < 1, one addable X-edge collapses layer 1, and a walk over
@@ -66,6 +78,9 @@ TraceSink = Callable[[str], None]
 # signature is empty: its two lines.
 _EMPTY_TREE_BOUNDARY = "iteration iter=1 layers=0\nsignature iter=1 coords= unresolved=0"
 
+# What a skipped lazy rebuild adds: nothing (frozen, so that it is shared).
+_NO_ADDITIONS = Layer(frozenset(), frozenset(), frozenset(), frozenset())
+
 
 class InternalSolverError(CodedError, RuntimeError):
     """The solver broke its own contract.
@@ -106,6 +121,10 @@ class AugmentRun:
     When tracing, `trace` appends event lines to `pending`, the current
     run's lines, which :meth:`run` hands to the sink in one string
     before it returns or raises.
+
+    `fresh_addable` is the last layer's immediately addable X-edges in
+    edge order, as the build that made it found them, or None: a
+    collapse changes the matching, so it drops the list.
     """
 
     def __init__(
@@ -136,6 +155,7 @@ class AugmentRun:
         """Plant a fresh tree at `root`, ValueError if it is matched, and
         log the run's start."""
         self.tree = AlternatingTree(self.h, self.m, root, self.params.u)
+        self.fresh_addable: list[int] | None = None
         if self.trace is not None:
             self.trace(f"augment_start root={root} matched={len(self.m)}")
 
@@ -245,16 +265,23 @@ class AugmentRun:
     # phases
 
     def build_phase(self) -> WitnessCertificate | None:
-        """Build and append the next layer; on a growth failure, extract
-        the violation certificate."""
+        """Build and append the next layer, which the tree keeps with the
+        edges its build rejected, and keep the build's addable edges for
+        the first collapse check; on a growth failure, extract the
+        violation certificate."""
         tree = self.tree
         level = tree.level()
         y_total_before = tree.y_total()
+        rejected: list[int] = []
+        addable: list[int] = []
         layer = build_layer(
-            self.h, self.m, tree.occupied_b(), tree.parent_a_set(level + 1), self.params.u
+            self.h, self.m, tree.occupied_b(), tree.parent_a_set(level + 1), self.params.u,
+            rejected=rejected, addable=addable,
         )
         self.stats.build_ops += 1
-        tree.append_layer(layer)
+        tree.append_layer(layer, rejected)
+        addable.sort()
+        self.fresh_addable = addable
         self.stats.max_layers = max(self.stats.max_layers, tree.level())
         nx = len(layer.x)
         ok = self.params.exceeds_delta(nx, y_total_before)
@@ -273,15 +300,21 @@ class AugmentRun:
         """Collapse the last layer while more than mu|X| of its X-edges
         are immediately addable.
 
-        Each check walks X in edge order once, at every level, and hands
-        the addable edges it lists to the collapse: those with no
-        B-vertex in the matching, the walk's test.  Returns True when
-        the root was matched, ending the run.
+        Each check hands the addable edges, in edge order, to the
+        collapse: those with no B-vertex in the matching.  The first
+        check after a fresh build reads them from the build
+        (`fresh_addable`), which took the layer's edges under the same
+        matching and listed those without a blocker.  Every other check
+        follows a collapse and its rebuild, so it walks X in edge order
+        once, at every level.  Returns True when the root was matched,
+        ending the run.
         """
         edge_bs, b_of, tree = self.h.edge_bs, self.m.b_of, self.tree
         while True:  # a collapse of layer 1 matches the root, so a layer remains
             x = tree.layers[-1].x
-            addable = [eid for eid in sorted(x) if b_of.keys().isdisjoint(edge_bs[eid])]
+            addable = self.fresh_addable
+            if addable is None:
+                addable = [eid for eid in sorted(x) if b_of.keys().isdisjoint(edge_bs[eid])]
             if not self.params.exceeds_mu(len(addable), len(x)):
                 return False
             if self.collapse_layer(addable):
@@ -303,6 +336,7 @@ class AugmentRun:
         level = tree.level()
         served: set[int] = set()
         matched = False
+        self.fresh_addable = None
         for eid in addable:
             a = h.edge_a[eid]
             if a in served:
@@ -330,11 +364,18 @@ class AugmentRun:
         The rebuild's additions are computed without committing and
         merged into the layer only if they grow X by a full (1+mu)
         factor (exact comparison, >= at the boundary); otherwise they
-        are dropped.
+        are dropped.  A rebuild that :meth:`_rebuild_adds_nothing` is
+        not run: while the layer lives, only an edge its fresh build
+        rejected can be taken, and none of them avoids the tree.  It
+        counts as a build op and is traced with x_after = x_before, as
+        the full rebuild would be.
         """
         tree = self.tree
         i = tree.level()
-        added = self._rebuild(i, tree.occupied_b())
+        if self._rebuild_adds_nothing():
+            added = _NO_ADDITIONS
+        else:
+            added = self._rebuild(i, tree.occupied_b())
         self.stats.build_ops += 1
         x_before = len(tree.layers[-1].x)
         x_after = x_before + len(added.x)
@@ -346,6 +387,17 @@ class AugmentRun:
                 f"superposed layer={i} committed={int(committed)} "
                 f"x_before={x_before} x_after={x_after}"
             )
+
+    def _rebuild_adds_nothing(self) -> bool:
+        """True when every edge the last layer's fresh build rejected
+        still meets a B-vertex of the tree, so its lazy rebuild would
+        take nothing (see :func:`build_layer`); False for a layer
+        stacked without its rejected edges."""
+        rejected = self.tree.rejected[-1]
+        if rejected is None:
+            return False
+        meets_none = self.tree.occupied_b().isdisjoint
+        return not any(map(meets_none, map(self.h.edge_bs.__getitem__, rejected)))
 
     def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
         """The edges an uncommitted rebuild of layer i adds, avoiding the

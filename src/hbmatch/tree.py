@@ -10,7 +10,9 @@ balanced across A-vertices.  The engine keeps these invariants by
 construction and never re-checks them (no B-vertex in two layers is why
 a collapse's swap needs only the matching's `remove` and `add`); the
 test suite's checked run (`tests/checked_run.py`) re-checks every one
-at each iteration boundary.
+at each iteration boundary.  With each layer the tree keeps the edges
+its fresh build rejected, which let the engine skip a lazy rebuild that
+can add nothing (see :func:`build_layer`).
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class AlternatingTree:
     layers' `bx` and `by` sets, kept as one set and updated by set
     operations as layers come and go.  Within a layer `bx` and `by`
     overlap: a blocker shares a B-vertex with its X-edge.
+
+    `rejected[i]` is the list of edges the fresh build of layer i+1
+    rejected, as :func:`build_layer` reports them, or None for a layer
+    stacked without one; a committed rebuild leaves it as it is.
     """
 
     def __init__(self, h: BipartiteHypergraph, m: PartialMatching, root: int, u_bound: int):
@@ -58,6 +64,7 @@ class AlternatingTree:
         self.root = root
         self.u_bound = u_bound
         self.layers: list[Layer] = []
+        self.rejected: list[list[int] | None] = []
         self._b_occ: set[int] = set()
 
     def level(self) -> int:
@@ -79,13 +86,16 @@ class AlternatingTree:
         """The live set of B-vertices the tree occupies; read-only."""
         return self._b_occ
 
-    def append_layer(self, layer: Layer) -> None:
-        """Stack a layer built by :func:`build_layer`; the tree takes its sets."""
+    def append_layer(self, layer: Layer, rejected: list[int] | None = None) -> None:
+        """Stack a layer built by :func:`build_layer`, with the edges its
+        build rejected when known; the tree takes its sets."""
         self._b_occ |= layer.bx
         self._b_occ |= layer.by
         self.layers.append(layer)
+        self.rejected.append(rejected)
 
     def discard_last(self) -> None:
+        self.rejected.pop()
         layer = self.layers.pop()
         self._b_occ -= layer.bx
         self._b_occ -= layer.by
@@ -123,6 +133,8 @@ def build_layer(
     u_bound: int,
     *,
     x_held: Iterable[int] = (),
+    rejected: list[int] | None = None,
+    addable: list[int] | None = None,
 ) -> Layer:
     """The edges a layer build takes, until no addable edge remains.
 
@@ -141,10 +153,27 @@ def build_layer(
     Occupancy only grows during a build and taking an edge for one
     parent never frees another, so each parent, in vertex order, takes
     edges from its incidence list in one pass until it reaches
-    `u_bound` or runs out, and is never revisited.
+    `u_bound` or runs out, and is never revisited.  Every edge the pass
+    reads is then taken, `a`'s own, or rejected for meeting an occupied
+    B-vertex; a parent it leaves before its last edge has no room left.
+    The build appends the rejected edges, in the order it read them, to
+    `rejected`, and the taken edges with no blocker (the layer's
+    immediately addable X-edges under `m`) to `addable`, when given.
+
+    Why a fresh build's rejected edges decide its lazy rebuilds: while
+    layer i lives, A(Y_{i-1}) is fixed (only a collapse of layer i
+    changes Y_{i-1}, and it discards layer i), a parent's room only
+    shrinks (X_i only grows), and each parent keeps its own edge.  So
+    every edge a rebuild of layer i could take, one of a parent with
+    room that is not in X_i, was rejected by the fresh build.  A rebuild
+    takes only edges that avoid the tree's occupancy; when every
+    rejected edge still meets it, the rebuild takes nothing.
     """
     edge_a, edge_bs = h.edge_a, h.edge_bs
     a_of, b_of, a_edges = m.a_of, m.b_of, h.a_edges
+    matched_b = b_of.keys()
+    rejected = [] if rejected is None else rejected
+    addable = [] if addable is None else addable
     taken = Layer(set(), set(), set(), set())
     x, y, bx, by = taken
     x_counts: dict[int, int] = {}
@@ -161,16 +190,19 @@ def build_layer(
                 continue
             bs = edge_bs[eid]
             if not (occupied_b.isdisjoint(bs) and bx.isdisjoint(bs) and by.isdisjoint(bs)):
+                rejected.append(eid)
                 continue
             x.add(eid)
             bx.update(bs)
-            for b in bs:
-                f = b_of.get(b)
-                if f is not None and f not in y:
-                    y.add(f)
-                    by.update(edge_bs[f])
+            if matched_b.isdisjoint(bs):
+                addable.append(eid)
+            else:
+                for b in bs:
+                    f = b_of.get(b)
+                    if f is not None and f not in y:
+                        y.add(f)
+                        by.update(edge_bs[f])
             room -= 1
             if room == 0:
                 break
     return taken
-

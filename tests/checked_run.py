@@ -11,6 +11,11 @@ takes the full loop at every root and, with the same codes as
   collapsible, grew past delta times the blocking count below it, and
   has no rebuild reaching (1+mu)|X|; then the signature step;
 - after every collapse's swaps: the matching, before the rebuild reads it;
+- beside every lazy rebuild the engine skips as adding nothing: the full
+  rebuild, which must add nothing (SKIPPED_REBUILD_ADDS);
+- at every read of the addable edges a fresh build listed: that they are
+  the last layer's addable edges, by a scan of X
+  (BUILD_ADDABLE_MISMATCH);
 - at the end of every run that matched its root: that exactly the root
   was added.
 
@@ -171,6 +176,35 @@ class CheckedRun(AugmentRun):
         if v is not None:
             raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         super().superposed_build()
+
+    def _rebuild_adds_nothing(self) -> bool:
+        skip = super()._rebuild_adds_nothing()
+        if skip:
+            i = self.tree.level()
+            added = self._rebuild(i, self.tree.occupied_b())
+            if added.x:
+                raise InternalSolverError(
+                    "SKIPPED_REBUILD_ADDS",
+                    f"layer {i}: the full rebuild adds {sorted(added.x)}",
+                )
+        return skip
+
+    @property
+    def fresh_addable(self) -> list[int] | None:
+        addable = self._fresh_addable
+        if addable is not None:
+            h, m, tree = self.h, self.m, self.tree
+            scan = [eid for eid in sorted(tree.layers[-1].x) if is_immediately_addable(h, m, eid)]
+            if addable != scan:
+                raise InternalSolverError(
+                    "BUILD_ADDABLE_MISMATCH",
+                    f"layer {tree.level()}: the build lists {addable}, the scan {scan}",
+                )
+        return addable
+
+    @fresh_addable.setter
+    def fresh_addable(self, addable: list[int] | None) -> None:
+        self._fresh_addable = addable
 
     def check_signature(self) -> None:
         sizes = [(len(l.x), len(l.y)) for l in self.tree.layers]

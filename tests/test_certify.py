@@ -436,6 +436,26 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="RAGGED_COLUMNS"):
             find_perfect_matching(h, 1)
 
+    @pytest.mark.parametrize(
+        "h, eid, key",
+        [
+            (BipartiteHypergraph(2, 1, 1, [("0", (0,))]), 0, ("0", (0,))),
+            (BipartiteHypergraph(3, 1, 2, [(0, ("0", "1"))]), 0, (0, ("0", "1"))),
+            (BipartiteHypergraph.from_columns(2, 1, 1, ["0"], [[0]]), 0, ("0", (0,))),
+            (BipartiteHypergraph(2, 2, 2, [(0, (0,)), (1, ([1],))]), 1, (1, ([1],))),
+            (BipartiteHypergraph.from_columns(3, 2, 9, [0, 1], [[1, 3], [2, None]]), 1,
+             (1, (3, None))),
+        ],
+        ids=["str-a", "str-b", "str-column", "list-b", "none-b"],
+    )
+    def test_vertex_id_that_does_not_compare_is_refused(self, h, eid, key):
+        # the column checks raise TypeError; the walk names the edge
+        assert certify.validate_instance(h) == Violation(
+            "VERTEX_TYPE", f"edge {eid}: vertex ids {key!r} do not compare with ints", eid
+        )
+        with pytest.raises(InstanceError, match="^VERTEX_TYPE: "):
+            find_perfect_matching(h, 1)
+
     @pytest.mark.parametrize("na, nb", [(-2, -1), (2, -1), (-1, 3)])
     def test_negative_vertex_count_is_refused(self, na, nb):
         h = BipartiteHypergraph(3, na, nb, [])

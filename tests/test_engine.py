@@ -31,6 +31,7 @@ from hbmatch.cli import (
     parse_instance,
     serialize_instance,
 )
+import hbmatch.engine as engine_module
 from hbmatch.core import InstanceError, incident_edges
 from hbmatch.engine import AugmentRun, InternalSolverError, SolveStats, augment
 from hbmatch.oracles import check_haxell, min_hitting_set
@@ -325,10 +326,10 @@ def solve_outcome(h, epsilon, **kw):
 
 
 @st.composite
-def shuffled_generated(draw):
+def shuffled_generated(draw, max_a=20):
     """A shuffled r = 2..4 planted (tight or not) or guaranteed instance."""
     r = draw(st.integers(2, 4))
-    na = draw(st.integers(1, 20))
+    na = draw(st.integers(1, max_a))
     seed = draw(st.integers(0, 2**16))
     mode = draw(st.sampled_from(["planted", "tight", "guaranteed"]))
     if mode != "guaranteed":
@@ -834,6 +835,35 @@ class TestEachEngineCodeFires:
         err = raised(lambda: find_perfect_matching(make_h(2, 1, 1, [(0, (0,))]), 1))
         assert str(err) == "RESULT_INVALID: UNMATCHED: A-vertex 0"
 
+    @staticmethod
+    def forgetful_build(monkeypatch, kind: str) -> None:
+        """A build that leaves the `kind` list it was handed empty."""
+        import hbmatch.engine as engine
+
+        real = engine.build_layer
+
+        def build(*args, **kwargs):
+            layer = real(*args, **kwargs)
+            kwargs.get(kind, []).clear()
+            return layer
+
+        monkeypatch.setattr(engine, "build_layer", build)
+
+    def test_skipped_rebuild_that_would_add_edges(self, monkeypatch):
+        # With no rejected edge remembered every rebuild is skipped; once
+        # a collapse frees b1, the rebuild of layer 1 would take a2's
+        # edge on b1, b7, which the fresh build rejected.
+        self.forgetful_build(monkeypatch, "rejected")
+        with checked():
+            err = raised(lambda: find_perfect_matching(superposed_commit_instance(), 1))
+        assert str(err) == "SKIPPED_REBUILD_ADDS: layer 1: the full rebuild adds [5]"
+
+    def test_build_listing_wrong_addable_edges(self, monkeypatch):
+        self.forgetful_build(monkeypatch, "addable")
+        with checked():
+            err = raised(lambda: find_perfect_matching(make_h(2, 1, 1, [(0, (0,))]), 1))
+        assert str(err) == "BUILD_ADDABLE_MISMATCH: layer 1: the build lists [], the scan [0]"
+
 
 class TestFindPerfectMatching:
     def test_empty_a(self):
@@ -1331,3 +1361,72 @@ class TestSignatureMemoPerSolve:
         shared = (by_eps[1].keys() & by_eps[Fraction(1, 2)].keys()) - {()}
         assert shared
         assert all(by_eps[1][k] != by_eps[Fraction(1, 2)][k] for k in shared)
+
+
+class FullScanRun(AugmentRun):
+    """Both reuses of a fresh build off: every lazy rebuild runs in full
+    and every collapse check walks X."""
+
+    def _rebuild_adds_nothing(self) -> bool:
+        return False
+
+    @property
+    def fresh_addable(self) -> None:
+        return None
+
+    @fresh_addable.setter
+    def fresh_addable(self, addable) -> None:
+        pass
+
+
+@st.composite
+def reuse_instances(draw):
+    """(instance, epsilon): shuffled planted, tight and guaranteed at
+    r = 2..4, or the Hall shape (r = 2, nb = na) at epsilon 1/na."""
+    kind = draw(st.sampled_from(["generated", "hall"]))
+    if kind == "hall":
+        na = draw(st.integers(1, 40))
+        h = hall_instance(na, draw(st.integers(1, 3)) * na, draw(st.integers(0, 2**16)))
+        return h, Fraction(1, na)
+    return draw(shuffled_generated(max_a=40)), Fraction(1)
+
+
+class TestReusesOff:
+    """A solve that reuses its fresh builds' lists equals one that always
+    rebuilds in full and always walks X."""
+
+    @staticmethod
+    def solve(h, eps, mu, full: bool):
+        runs: list[str] = []
+        with (
+            substituted(mu),
+            mock.patch.object(engine_module, "AugmentRun", FullScanRun if full else AugmentRun),
+        ):
+            plain = solve_outcome(h, eps)
+            traced = solve_outcome(h, eps, trace=runs.append)
+        return plain, traced, runs
+
+    @given(reuse_instances(), st.sampled_from([None, "1/2", "1/3"]))
+    # A rebuild of layer 2 takes one edge, too few to commit, and a later
+    # rebuild of the same layer takes it: the fresh build's rejected edges
+    # must stay the layer's list.
+    @example((shuffled_planted(24, 34), Fraction(1)), "1/3")
+    @example((shuffled_planted(55, 25, tight=True), Fraction(1)), "1/3")
+    @settings(max_examples=500, deadline=None)
+    def test_equal_documents_stats_and_traces(self, case, mu):
+        h, eps = case
+        plain, traced, runs = self.solve(h, eps, mu, full=False)
+        assert plain == traced
+        assert (plain, traced, runs) == self.solve(h, eps, mu, full=True)
+
+    @pytest.mark.parametrize("seed", sorted(TIGHT_SHA256))
+    def test_the_tight_pins_skip_rebuilds_and_read_fresh_lists(self, monkeypatch, seed):
+        h = shuffled_planted(seed, 60, tight=True)
+        calls = counting_build_layer(monkeypatch)
+        res = find_perfect_matching(h, 1)
+        reused = len(calls)
+        calls.clear()
+        with mock.patch.object(engine_module, "AugmentRun", FullScanRun):
+            full = find_perfect_matching(h, 1)
+        assert vars(res.stats) == vars(full.stats)
+        assert reused < len(calls)
