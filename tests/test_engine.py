@@ -1407,9 +1407,9 @@ class TestReusesOff:
         return plain, traced, runs
 
     @given(reuse_instances(), st.sampled_from([None, "1/2", "1/3"]))
-    # A rebuild of layer 2 takes one edge, too few to commit, and a later
-    # rebuild of the same layer takes it: the fresh build's rejected edges
-    # must stay the layer's list.
+    # In these solves a rebuild of layer 2 takes an edge but is refused,
+    # and a later rebuild of that layer can take the edge again, so the
+    # layer's list must stay its fresh build's, which holds the edge.
     @example((shuffled_planted(24, 34), Fraction(1)), "1/3")
     @example((shuffled_planted(55, 25, tight=True), Fraction(1)), "1/3")
     @settings(max_examples=500, deadline=None)
@@ -1420,7 +1420,7 @@ class TestReusesOff:
         assert (plain, traced, runs) == self.solve(h, eps, mu, full=True)
 
     @pytest.mark.parametrize("seed", sorted(TIGHT_SHA256))
-    def test_the_tight_pins_skip_rebuilds_and_read_fresh_lists(self, monkeypatch, seed):
+    def test_the_tight_solves_skip_rebuilds(self, monkeypatch, seed):
         h = shuffled_planted(seed, 60, tight=True)
         calls = counting_build_layer(monkeypatch)
         res = find_perfect_matching(h, 1)
