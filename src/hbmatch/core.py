@@ -76,12 +76,12 @@ class BipartiteHypergraph:
     `a_edges` maps each A-vertex that has edges to their ids in edge-id
     order; read it with `a_edges.get(a, ())`, so memory follows the
     edges, not the declared vertex count.  No B-side index is kept.
-    Construction sorts arbitrary (a, bs) pairs and indexes every edge;
-    :func:`certify.validate_instance` refuses malformed input before the
-    index is read.  The parser uses :meth:`from_columns`, which takes
-    `edge_a` and the B-columns as they are.
-    `edges` is an :class:`Edge` view for outside callers, built on first
-    access.
+    Construction sorts each pair's B-tuple when its ids compare and
+    indexes every edge; :func:`certify.validate_instance` refuses
+    malformed input, VERTEX_TYPE included, before the index is read.
+    The parser uses :meth:`from_columns`, which takes `edge_a` and the
+    B-columns as they are.  `edges` is an :class:`Edge` view for outside
+    callers, built on first access.
     """
 
     __slots__ = (
@@ -96,7 +96,12 @@ class BipartiteHypergraph:
         b_count: int,
         edges: Iterable[tuple[int, Sequence[int]]] = (),
     ):
-        pairs = [(a, tuple(sorted(bs))) for a, bs in edges]
+        pairs = []
+        for a, bs in edges:
+            try:
+                pairs.append((a, tuple(sorted(bs))))
+            except TypeError:  # kept as given, for validation to name
+                pairs.append((a, tuple(bs)))
         self._init(r, a_count, b_count, [a for a, _ in pairs], [bs for _, bs in pairs], None)
 
     @classmethod

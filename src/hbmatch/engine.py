@@ -20,13 +20,13 @@ Two facts of a fresh layer build are reused.  The taken edges with no
 blocker are the new layer's addable edges, so the first collapse check
 after the build reads them in place of a pass over X; any later check
 follows a collapse, which changed the matching, and passes over X.  The
-edges the build rejected decide its lazy rebuilds: while the layer
+edges the build rejected decide every rebuild of the layer: while it
 lives its parents, and their own edges, stay fixed and their room only
-shrinks, so a rebuild can take only a rejected edge, and only one that
-avoids the tree's B-vertices.  When every rejected edge still meets
-them, the rebuild provably adds nothing and is skipped; it is counted
-and traced as a rebuild that added nothing.  :func:`build_layer` gives
-the proof in full.
+shrinks, so a rebuild takes only rejected edges that avoid the
+B-vertices it is handed.  When every rejected edge meets them,
+:meth:`AugmentRun._rebuild` skips the rebuild, lazy or of witness
+extraction, as provably adding nothing.  :func:`build_layer` gives the
+proof in full.
 
 Each run first tries to match the root in one step
 (:meth:`AugmentRun.match_in_one_step`): when deg(root) < u, so that
@@ -143,7 +143,6 @@ class AugmentRun:
         self.stats = SolveStats()
         self.memo = SignatureMemo(params)
         self.cap = params.iteration_cap(h.a_count)
-        self.walk_below = params.u  # roots with fewer edges walk
         limit = sys.get_int_max_str_digits()  # 0: no limit
         if trace is not None and 0 < limit < (digits := working_digits(params.b)):
             raise ValueError(
@@ -225,7 +224,7 @@ class AugmentRun:
         """
         h, m, trace = self.h, self.m, self.trace
         edges = h.a_edges.get(root, ())
-        if len(edges) >= self.walk_below:
+        if len(edges) >= self.params.u:
             return False
         edge_bs, b_of = h.edge_bs, m.b_of
         occupied: set[int] = set()
@@ -361,21 +360,15 @@ class AugmentRun:
     def superposed_build(self) -> None:
         """Lazy rebuild of the current last layer.
 
-        The rebuild's additions are computed without committing and
-        merged into the layer only if they grow X by a full (1+mu)
-        factor (exact comparison, >= at the boundary); otherwise they
-        are dropped.  A rebuild that :meth:`_rebuild_adds_nothing` is
-        not run: while the layer lives, only an edge its fresh build
-        rejected can be taken, and none of them avoids the tree.  It
-        counts as a build op and is traced with x_after = x_before, as
-        the full rebuild would be.
+        The additions of :meth:`_rebuild` are computed without committing
+        and merged into the layer only if they grow X by a full (1+mu)
+        factor (exact comparison, >= at the boundary); otherwise they are
+        dropped.  A skipped rebuild counts as a build op and is traced
+        with x_after = x_before, as the full rebuild would be.
         """
         tree = self.tree
         i = tree.level()
-        if self._rebuild_adds_nothing():
-            added = _NO_ADDITIONS
-        else:
-            added = self._rebuild(i, tree.occupied_b())
+        added = self._rebuild(i, tree.occupied_b())
         self.stats.build_ops += 1
         x_before = len(tree.layers[-1].x)
         x_after = x_before + len(added.x)
@@ -388,23 +381,20 @@ class AugmentRun:
                 f"x_before={x_before} x_after={x_after}"
             )
 
-    def _rebuild_adds_nothing(self) -> bool:
-        """True when every edge the last layer's fresh build rejected
-        still meets a B-vertex of the tree, so its lazy rebuild would
-        take nothing (see :func:`build_layer`); False for a layer
-        stacked without its rejected edges."""
-        rejected = self.tree.rejected[-1]
-        if rejected is None:
-            return False
-        meets_none = self.tree.occupied_b().isdisjoint
-        return not any(map(meets_none, map(self.h.edge_bs.__getitem__, rejected)))
-
     def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
         """The edges an uncommitted rebuild of layer i adds, avoiding the
-        B-vertices in `occupied`, which holds the layer's own."""
+        B-vertices in `occupied`, which holds the layer's own.  It can
+        take only edges the layer's fresh build rejected (see
+        :func:`build_layer`): when each meets `occupied`, it is skipped.
+        A layer stacked without its rejected edges takes the full build.
+        """
+        tree, bs_of = self.tree, self.h.edge_bs.__getitem__
+        rejected = tree.rejected[i - 1]
+        if rejected is not None and not any(map(occupied.isdisjoint, map(bs_of, rejected))):
+            return _NO_ADDITIONS
         return build_layer(
-            self.h, self.m, occupied, self.tree.parent_a_set(i), self.params.u,
-            x_held=self.tree.layers[i - 1].x,
+            self.h, self.m, occupied, tree.parent_a_set(i), self.params.u,
+            x_held=tree.layers[i - 1].x,
         )
 
     def _prefix_rebuilds(self, k: int) -> Iterator[Layer]:
@@ -428,7 +418,7 @@ class AugmentRun:
         layer would still serve.  The hitting set is every tree B-vertex
         plus the B-vertices the rebuilds would newly introduce: any edge
         of a surviving vertex must meet that set, or its layer's rebuild
-        would have taken it.
+        would have taken it.  :meth:`_rebuild` skips the provably empty ones.
         """
         h = self.h
         tree = self.tree

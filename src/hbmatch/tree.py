@@ -1,18 +1,18 @@
 """Layers, alternating trees, and the layer-building subroutine.
 
-A layer pairs a set X of pairwise B-disjoint non-matching edges with
-the set Y of exactly their blocking edges.  An alternating tree stacks
-layers over an unmatched root so that every X-edge hangs off an
-A-vertex of the blocking edges one level below, and no B-vertex occurs
-in two layers.  The tree additionally enforces a per-vertex cap on
-non-blocking edges (`u_bound`), which is what keeps layer growth
-balanced across A-vertices.  The engine keeps these invariants by
-construction and never re-checks them (no B-vertex in two layers is why
-a collapse's swap needs only the matching's `remove` and `add`); the
-test suite's checked run (`tests/checked_run.py`) re-checks every one
-at each iteration boundary.  With each layer the tree keeps the edges
-its fresh build rejected, which let the engine skip a lazy rebuild that
-can add nothing (see :func:`build_layer`).
+A layer pairs a set X of pairwise B-disjoint non-matching edges with the
+set Y of exactly their blocking edges.  An alternating tree stacks
+layers over an unmatched root so that every X-edge hangs off an A-vertex
+of the blocking edges one level below, and no B-vertex occurs in two
+layers.  :func:`build_layer` enforces a per-vertex cap on non-blocking
+edges, which keeps layer growth balanced across A-vertices; the tree
+keeps it as `u_bound` for the checks.  The engine keeps these invariants
+by construction and never re-checks them (no B-vertex in two layers is
+why a collapse's swap needs only the matching's `remove` and `add`); the
+test suite's checked run (`tests/checked_run.py`) re-checks every one at
+each iteration boundary.  With each layer the tree keeps the edges its
+fresh build rejected, which let the engine skip any rebuild of the layer
+that can add nothing (see :func:`build_layer`).
 """
 
 from __future__ import annotations
@@ -160,14 +160,14 @@ def build_layer(
     `rejected`, and the taken edges with no blocker (the layer's
     immediately addable X-edges under `m`) to `addable`, when given.
 
-    Why a fresh build's rejected edges decide its lazy rebuilds: while
-    layer i lives, A(Y_{i-1}) is fixed (only a collapse of layer i
-    changes Y_{i-1}, and it discards layer i), a parent's room only
-    shrinks (X_i only grows), and each parent keeps its own edge.  So
-    every edge a rebuild of layer i could take, one of a parent with
-    room that is not in X_i, was rejected by the fresh build.  A rebuild
-    takes only edges that avoid the tree's occupancy; when every
-    rejected edge still meets it, the rebuild takes nothing.
+    Why a fresh build's rejected edges decide every rebuild: while layer
+    i lives, A(Y_{i-1}) is fixed (only a collapse of layer i changes
+    Y_{i-1}, and it discards layer i), a parent's room only shrinks (X_i
+    only grows), and each parent keeps its own edge.  So every edge a
+    rebuild of layer i could take, one of a parent with room that is not
+    in X_i, was rejected by the fresh build.  A rebuild takes only edges
+    that avoid the occupancy it is handed, whatever it is; when every
+    rejected edge meets it, the rebuild takes nothing.
     """
     edge_a, edge_bs = h.edge_a, h.edge_bs
     a_of, b_of, a_edges = m.a_of, m.b_of, h.a_edges

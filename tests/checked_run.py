@@ -11,8 +11,9 @@ takes the full loop at every root and, with the same codes as
   collapsible, grew past delta times the blocking count below it, and
   has no rebuild reaching (1+mu)|X|; then the signature step;
 - after every collapse's swaps: the matching, before the rebuild reads it;
-- beside every lazy rebuild the engine skips as adding nothing: the full
-  rebuild, which must add nothing (SKIPPED_REBUILD_ADDS);
+- beside every rebuild the engine skips as adding nothing, lazy, of
+  witness extraction or of the boundary check below: the full rebuild,
+  which must add nothing (SKIPPED_REBUILD_ADDS);
 - at every read of the addable edges a fresh build listed: that they are
   the last layer's addable edges, by a scan of X
   (BUILD_ADDABLE_MISMATCH);
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator
+from typing import AbstractSet, Iterator
 from unittest import mock
 
 import hbmatch.engine as engine
@@ -36,7 +37,7 @@ from hbmatch.certify import WitnessCertificate, verify_matching
 from hbmatch.core import BipartiteHypergraph, PartialMatching, Violation
 from hbmatch.engine import AugmentRun, InternalSolverError
 from hbmatch.signature import check_signature_step
-from hbmatch.tree import AlternatingTree
+from hbmatch.tree import AlternatingTree, Layer
 
 __all__ = ["CheckedRun", "checked", "validate_tree", "blocking_edges", "is_immediately_addable"]
 
@@ -177,17 +178,20 @@ class CheckedRun(AugmentRun):
             raise InternalSolverError("MATCHING_AFTER_SWAP", str(v))
         super().superposed_build()
 
-    def _rebuild_adds_nothing(self) -> bool:
-        skip = super()._rebuild_adds_nothing()
-        if skip:
-            i = self.tree.level()
-            added = self._rebuild(i, self.tree.occupied_b())
-            if added.x:
+    def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
+        added = super()._rebuild(i, occupied)
+        if added is engine._NO_ADDITIONS:
+            tree = self.tree
+            full = engine.build_layer(
+                self.h, self.m, occupied, tree.parent_a_set(i), self.params.u,
+                x_held=tree.layers[i - 1].x,
+            )
+            if full.x:
                 raise InternalSolverError(
                     "SKIPPED_REBUILD_ADDS",
-                    f"layer {i}: the full rebuild adds {sorted(added.x)}",
+                    f"layer {i}: the full rebuild adds {sorted(full.x)}",
                 )
-        return skip
+        return added
 
     @property
     def fresh_addable(self) -> list[int] | None:

@@ -437,19 +437,23 @@ class TestInstanceValidation:
             find_perfect_matching(h, 1)
 
     @pytest.mark.parametrize(
-        "h, eid, key",
+        "build, eid, key",
         [
-            (BipartiteHypergraph(2, 1, 1, [("0", (0,))]), 0, ("0", (0,))),
-            (BipartiteHypergraph(3, 1, 2, [(0, ("0", "1"))]), 0, (0, ("0", "1"))),
-            (BipartiteHypergraph.from_columns(2, 1, 1, ["0"], [[0]]), 0, ("0", (0,))),
-            (BipartiteHypergraph(2, 2, 2, [(0, (0,)), (1, ([1],))]), 1, (1, ([1],))),
-            (BipartiteHypergraph.from_columns(3, 2, 9, [0, 1], [[1, 3], [2, None]]), 1,
+            (lambda: BipartiteHypergraph(2, 1, 1, [("0", (0,))]), 0, ("0", (0,))),
+            (lambda: BipartiteHypergraph(3, 1, 2, [(0, ("0", "1"))]), 0, (0, ("0", "1"))),
+            (lambda: BipartiteHypergraph.from_columns(2, 1, 1, ["0"], [[0]]), 0, ("0", (0,))),
+            (lambda: BipartiteHypergraph(2, 2, 2, [(0, (0,)), (1, ([1],))]), 1, (1, ([1],))),
+            (lambda: BipartiteHypergraph.from_columns(3, 2, 9, [0, 1], [[1, 3], [2, None]]), 1,
              (1, (3, None))),
+            # the constructor cannot sort this tuple and keeps it as given
+            (lambda: BipartiteHypergraph(3, 2, 4, [(0, (1, 0)), (1, (3, "2"))]), 1,
+             (1, (3, "2"))),
         ],
-        ids=["str-a", "str-b", "str-column", "list-b", "none-b"],
+        ids=["str-a", "str-b", "str-column", "list-b", "none-b", "mixed-b"],
     )
-    def test_vertex_id_that_does_not_compare_is_refused(self, h, eid, key):
+    def test_vertex_id_that_does_not_compare_is_refused(self, build, eid, key):
         # the column checks raise TypeError; the walk names the edge
+        h = build()
         assert certify.validate_instance(h) == Violation(
             "VERTEX_TYPE", f"edge {eid}: vertex ids {key!r} do not compare with ints", eid
         )

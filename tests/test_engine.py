@@ -7,6 +7,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import AbstractSet
 from unittest import mock
 
 import pytest
@@ -722,6 +723,24 @@ class TestCheckedRunOnDeepTrees:
                 assert find_perfect_matching(h, 1).stats == res.stats
         assert seen == {"pass", "fail", "committed"}
 
+    # With mu substituted these checked solves skip prefix rebuilds of
+    # layers below the last, whose rejected edges must be read for that
+    # layer and tested against that prefix; each ends in a witness.
+    @pytest.mark.parametrize(
+        "mu, nb, extra, seed",
+        [("1/3", 60, 120, 38), ("1/3", 75, 60, 28), ("1/4", 75, 90, 33)],
+    )
+    def test_prefix_rebuild_skips_at_substituted_mu(self, mu, nb, extra, seed):
+        h = generate(GeneratorSpec(
+            mode="shuffled", r=3, a_count=30, b_count=nb, extra_edges=extra, seed=seed,
+        ))
+        with substituted(mu):
+            with checked():
+                res = find_perfect_matching(h, 1)
+            assert res.stats == find_perfect_matching(h, 1).stats
+        assert res.status == "witness"
+        assert verify_witness(h, res.witness) is None
+
 
 def checked_started(h, m=None, root=0):
     """A checked run of `h` at epsilon 1, started at `root`."""
@@ -1364,11 +1383,15 @@ class TestSignatureMemoPerSolve:
 
 
 class FullScanRun(AugmentRun):
-    """Both reuses of a fresh build off: every lazy rebuild runs in full
-    and every collapse check walks X."""
+    """Both reuses of a fresh build off: every rebuild runs in full and
+    every collapse check walks X."""
 
-    def _rebuild_adds_nothing(self) -> bool:
-        return False
+    def _rebuild(self, i: int, occupied: AbstractSet[int]) -> Layer:
+        tree = self.tree
+        return engine_module.build_layer(
+            self.h, self.m, occupied, tree.parent_a_set(i), self.params.u,
+            x_held=tree.layers[i - 1].x,
+        )
 
     @property
     def fresh_addable(self) -> None:
@@ -1430,3 +1453,37 @@ class TestReusesOff:
             full = find_perfect_matching(h, 1)
         assert vars(res.stats) == vars(full.stats)
         assert reused < len(calls)
+
+    @pytest.mark.parametrize("seed", sorted(TIGHT_SHA256))
+    def test_the_tight_witnesses_skip_prefix_rebuilds(self, monkeypatch, seed):
+        h = shuffled_planted(seed, 60, tight=True)
+        calls = counting_build_layer(monkeypatch)
+        inside: list[int] = []
+        extract = AugmentRun.extract_witness
+
+        def counted(run):
+            before = len(calls)
+            cert = extract(run)
+            inside.append(len(calls) - before)
+            return cert
+
+        monkeypatch.setattr(AugmentRun, "extract_witness", counted)
+        res = find_perfect_matching(h, 1)
+        with mock.patch.object(engine_module, "AugmentRun", FullScanRun):
+            full = find_perfect_matching(h, 1)
+        assert len(inside) == 2
+        assert inside[0] < inside[1]
+        assert res.witness == full.witness
+
+
+class TestSubclassOverrides:
+    def test_every_override_is_an_engine_name(self):
+        # An override of a name the engine no longer has is never called,
+        # and its subclass silently runs the engine's own code.
+        run = started(shift_chain(2), PartialMatching(), 0, params())
+        for cls in (CheckedRun, FullScanRun):
+            own = {
+                name for name in vars(cls)
+                if not (name.startswith("__") or cls is CheckedRun and name.startswith("check_"))
+            }
+            assert own and own <= set(dir(run)), cls.__name__
